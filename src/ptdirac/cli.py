@@ -66,11 +66,12 @@ from .spectral import (
     NoTransitionBracketedError,
     build_truncated,
     classify_spectrum,
+    draw_similarity,
     dump_matrix,
-    eigensolve,
     find_exceptional_point,
     phase_verdict_numeric,
-    scramble,
+    scramble,  # not called here; part of the names ptdirac.cli exposes
+    scrambled_eigensolve,
 )
 
 
@@ -543,7 +544,8 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
             f"factorization {rep.factorization_residual:.3e}",
         )
 
-    # numeric route agreement
+    # numeric route agreement; both branches share one similarity
+    similarity = None
     for branch in (Branch.I, Branch.II):
         name = f"numeric agreement branch {branch.value}"
         verdict = classify_phase(p, branch)
@@ -553,9 +555,12 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
         if co.d1(branch) is None:
             skip(name, "degenerate block coefficient")
             continue
+        if similarity is None:
+            similarity = draw_similarity(2 * cfg.n_tr, cfg.seed)
         try:
             report = phase_verdict_numeric(
-                p, branch=branch, valley=cfg.valley, n_tr=cfg.n_tr, seed=cfg.seed
+                p, branch=branch, valley=cfg.valley, n_tr=cfg.n_tr, seed=cfg.seed,
+                similarity=similarity,
             )
         except DegenerateCoefficientsError:
             skip(name, "degenerate block coefficient")
@@ -603,8 +608,7 @@ def cmd_spectrum(cfg: RunConfig, dump_path: Optional[str]) -> int:
     if dump_path is not None:
         with open(dump_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(dump_matrix(rep.matrix))
-    scrambled = scramble(rep, cfg.seed)
-    result = eigensolve(scrambled.matrix)
+    result = scrambled_eigensolve(rep, cfg.seed)
     report = classify_spectrum(result.values, cfg.tol, result.residuals)
     payload = {
         "n_tr": cfg.n_tr,
@@ -694,6 +698,8 @@ def cmd_sweep(
     every = numeric_every if numeric_every is not None else max(1, steps // 10)
     if every < 1:
         raise ConfigError("numeric_every must be at least 1")
+    # every numeric point shares one similarity, drawn for (dim, seed)
+    similarity = draw_similarity(2 * cfg.n_tr, cfg.seed) if numeric else None
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = _SWEEP_HEADER + (_NUMERIC_HEADER if numeric else [])
@@ -716,6 +722,7 @@ def cmd_sweep(
                         n_tr=cfg.n_tr,
                         seed=cfg.seed,
                         class_tol=cfg.tol,
+                        similarity=similarity,
                     )
                     numeric_levels = list(report.retained_pairs)
                     numeric_verdict = report.verdict.value

@@ -11,12 +11,22 @@ the closed-form one is the cross-check the test suite leans on.
 Truncation artefacts are contained: the projected matrix reproduces every
 retained level exactly and adds two spurious zero rows, so classification
 discards a thin edge of the spectrum before rendering a verdict.
+
+One verdict makes two dense decompositions: the solve that applies the
+similarity S and the eig inside eigensolve.  The reference spectrum and
+cond(V) for the Bauer-Fike invariance budget come from the 2x2 blocks of
+the unscrambled matrix (reference_spectrum), and the invariance check runs
+on the eigenvalues eigensolve returns (scrambled_eigensolve).  S depends
+only on (dim, seed); a command that runs several verdicts draws it once
+with draw_similarity and drops it when it returns, and nothing is cached
+across commands.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,7 +59,8 @@ class TruncatedRep:
 
     Basis vector 2*l is the upper-component level-l function, 2*l+1 the
     lower-component one; dropped_count records raising amplitudes that left
-    the retained span (exactly one per truncation).
+    the retained span (exactly one per truncation).  A scrambled rep
+    carries the measured condition number of its similarity as cond_s.
     """
 
     n_tr: int
@@ -59,6 +70,7 @@ class TruncatedRep:
     coeffs: DerivedCoeffs
     dropped_count: int
     scrambled: bool = False
+    cond_s: Optional[float] = None
 
 
 def _expected_entries(
@@ -110,6 +122,11 @@ def _basis_function(
     return SpinorFunction(zero, wp)
 
 
+def _check_n_tr(n_tr: int) -> None:
+    if not isinstance(n_tr, int) or isinstance(n_tr, bool) or n_tr < 2:
+        raise ValueError("n_tr must be an integer >= 2")
+
+
 def build_truncated(
     coeffs: DerivedCoeffs,
     n_tr: int,
@@ -123,8 +140,7 @@ def build_truncated(
     assembled matrix is cross-checked against the independent closed-form
     entries before it is returned.
     """
-    if not isinstance(n_tr, int) or isinstance(n_tr, bool) or n_tr < 2:
-        raise ValueError("n_tr must be an integer >= 2")
+    _check_n_tr(n_tr)
     if coeffs.d1(branch) is None:
         raise DegenerateCoefficientsError(
             f"branch {branch.value} envelope undefined at these coefficients"
@@ -343,7 +359,7 @@ def classify_spectrum(
 
 
 # ---------------------------------------------------------------------------
-# scrambling
+# scrambling and the invariance check
 # ---------------------------------------------------------------------------
 
 _COND_LIMIT = 100.0
@@ -351,18 +367,26 @@ _DENSITY_FLOOR = 0.9
 _SPECTRUM_INVARIANCE_REL = 1e-9
 
 
-def scramble(rep: TruncatedRep, seed: int = 0) -> TruncatedRep:
-    """Similarity-transform the matrix so no analytic sparsity survives.
+@dataclass(frozen=True)
+class Similarity:
+    """A drawn similarity S (read-only) with its seed and measured cond(S)."""
+
+    matrix: np.ndarray
+    seed: int
+    cond: float
+
+
+def draw_similarity(dim: int, seed: int = 0) -> Similarity:
+    """Draw the similarity that scramble applies for (dim, seed).
 
     S = Q1 diag(10**u) Q2 with Haar-ish unitary factors (QR of complex
     Gaussians) and u uniform in [-0.25, 0.25], which keeps cond(S) far
     below the enforced bound of 100 while destroying the block pattern.
-    Resamples at most 10 times; verifies density and spectrum invariance.
+    Resamples at most 10 times.  S depends only on (dim, seed), so a command
+    that runs several verdicts draws it once and passes it to each; the
+    matrix is read-only so no verdict can alter what the next one uses.
     """
     rng = np.random.default_rng(seed)
-    dim = rep.matrix.shape[0]
-    s = None
-    kappa_s = 0.0
     for _ in range(10):
         q1 = np.linalg.qr(
             rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -374,26 +398,94 @@ def scramble(rep: TruncatedRep, seed: int = 0) -> TruncatedRep:
         candidate = q1 @ (diag[:, np.newaxis] * q2)
         kappa_s = float(np.linalg.cond(candidate))
         if kappa_s <= _COND_LIMIT:
-            s = candidate
-            break
-    if s is None:
-        raise RuntimeError("could not draw a similarity with condition <= 100")
+            candidate.flags.writeable = False
+            return Similarity(candidate, seed, kappa_s)
+    raise RuntimeError("could not draw a similarity with condition <= 100")
+
+
+def scramble(
+    rep: TruncatedRep, seed: int = 0, *, similarity: Optional[Similarity] = None
+) -> TruncatedRep:
+    """Similarity-transform the matrix so no analytic sparsity survives.
+
+    Applies ``similarity`` when given (it must have been drawn for this
+    dimension and seed), otherwise draws S with draw_similarity.  Checks
+    the density of the result and records cond(S) as ``cond_s``.  Spectrum
+    invariance is checked after the eigensolve, on its eigenvalues, by
+    check_spectrum_invariance; scrambled_eigensolve runs all three.
+    """
+    dim = rep.matrix.shape[0]
+    if similarity is None:
+        similarity = draw_similarity(dim, seed)
+    elif similarity.matrix.shape != (dim, dim) or similarity.seed != seed:
+        raise ValueError("similarity was drawn for another dimension or seed")
+    s = similarity.matrix
     transformed = np.linalg.solve(s, rep.matrix @ s)
     scale = max(float(np.max(np.abs(transformed))), np.finfo(float).tiny)
     density = float(np.mean(np.abs(transformed) > 1e-12 * scale))
     if density < _DENSITY_FLOOR:
         raise RuntimeError(f"scrambled matrix too sparse: density {density:.3f}")
-    before, vectors = np.linalg.eig(rep.matrix)
-    after = np.linalg.eigvals(transformed)
+    return dataclasses.replace(
+        rep, matrix=transformed, scrambled=True, cond_s=similarity.cond
+    )
+
+
+def reference_spectrum(rep: TruncatedRep) -> Tuple[np.ndarray, float]:
+    """Eigenvalues and cond(V) of an unscrambled truncation, from its blocks.
+
+    The truncated matrix is a permuted direct sum of n_tr - 1 blocks
+    [[0, alpha_l], [beta_l, 0]] and two singletons.  In the holomorphic
+    pattern the upper level-l function pairs with the lower level-(l+1)
+    one, otherwise the lower level-l function with the upper level-(l+1)
+    one.  One batched eig of the 2x2 stack and a batched SVD of its
+    unit-column eigenvectors give the spectrum and eigenvector condition
+    number of the whole matrix without a dense decomposition.  Raises
+    RuntimeError if any nonzero entry lies outside that pattern.
+    """
+    m = rep.matrix
+    n = rep.n_tr
+    if m.shape != (2 * n, 2 * n):
+        raise ValueError("matrix shape does not match n_tr")
+    holo = (rep.branch is Branch.I) == (rep.valley is Valley.PRIMARY)
+    first = 2 * np.arange(n - 1) + (0 if holo else 1)
+    pairs = np.stack([first, first + (3 if holo else 1)], axis=1)
+    singles = np.array([1, 2 * n - 2] if holo else [0, 2 * n - 1])
+    rows, cols = pairs[:, :, np.newaxis], pairs[:, np.newaxis, :]
+    on_pattern = np.zeros(m.shape, dtype=bool)
+    on_pattern[rows, cols] = True
+    on_pattern[singles, singles] = True
+    if np.any(m[~on_pattern]):
+        raise RuntimeError("matrix has nonzero entries outside the 2x2 tower blocks")
+    values, vectors = np.linalg.eig(m[rows, cols])
+    # Unit columns put each block's singular values on either side of 1,
+    # where the singletons' sit, so the extremes over the blocks give cond(V).
+    sv = np.linalg.svd(vectors, compute_uv=False)
+    smallest = float(sv.min())
+    cond_v = float(sv.max()) / smallest if smallest > 0.0 else math.inf
+    return np.concatenate([values.ravel(), m[singles, singles]]), cond_v
+
+
+def check_spectrum_invariance(
+    rep: TruncatedRep, values: Sequence[complex], cond_s: float
+) -> None:
+    """Raise RuntimeError unless ``values`` reproduce the spectrum of ``rep``.
+
+    ``values`` are the eigenvalues of the scrambled matrix and ``cond_s``
+    the measured cond(S) of the similarity; ``rep`` is the unscrambled
+    truncation, whose spectrum and cond(V) come from reference_spectrum.
+    """
+    before, kappa_v = reference_spectrum(rep)
+    after = np.asarray(values, dtype=complex)
+    if after.shape != before.shape:
+        raise ValueError("eigenvalue count does not match the matrix")
     spread = max(float(np.max(np.abs(before))), 1.0)
     # Bauer-Fike: roundoff in the similarity moves eigenvalues by up to
     # kappa(V) * kappa(S) * eps * ||M||, and kappa(V) diverges as the
     # parameters approach an exceptional point, so the drift budget has to
     # track the measured conditioning instead of being a flat threshold.
-    kappa_v = float(np.linalg.cond(vectors))
     budget = max(
         _SPECTRUM_INVARIANCE_REL * spread,
-        100.0 * kappa_v * kappa_s * float(np.linalg.norm(rep.matrix))
+        100.0 * kappa_v * cond_s * float(np.linalg.norm(rep.matrix))
         * float(np.finfo(float).eps),
     )
     # Nearest-neighbour matching; lexicographic sorting would misalign
@@ -406,7 +498,25 @@ def scramble(rep: TruncatedRep, seed: int = 0) -> TruncatedRep:
         unmatched = np.delete(unmatched, idx)
     if drift > budget:
         raise RuntimeError(f"similarity drifted the spectrum by {drift:.3e}")
-    return dataclasses.replace(rep, matrix=transformed, scrambled=True)
+
+
+def scrambled_eigensolve(
+    rep: TruncatedRep,
+    seed: int = 0,
+    *,
+    similarity: Optional[Similarity] = None,
+    cert_tol: float = 1e-9,
+) -> EigenResult:
+    """Scramble ``rep``, eigensolve it with certificates, check invariance.
+
+    The one route from a truncation to certified scrambled eigenvalues:
+    phase_verdict_numeric and the ``spectrum`` command both take it, so no
+    caller can skip the invariance check.
+    """
+    mixed = scramble(rep, seed, similarity=similarity)
+    result = eigensolve(mixed.matrix, cert_tol)
+    check_spectrum_invariance(rep, result.values, mixed.cond_s)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +533,18 @@ def phase_verdict_numeric(
     seed: int = 0,
     class_tol: float = 1e-8,
     cert_tol: float = 1e-9,
+    similarity: Optional[Similarity] = None,
 ) -> SpectrumReport:
-    """Scrambled-truncation spectrum report straight from parameters."""
-    rep = scramble(build_truncated(derive_coeffs(p), n_tr, branch, valley), seed)
-    result = eigensolve(rep.matrix, cert_tol)
+    """Scrambled-truncation spectrum report straight from parameters.
+
+    Builds the truncation, runs scrambled_eigensolve (which checks spectrum
+    invariance on the eigensolve's eigenvalues) and classifies the result.
+    A command that runs several verdicts passes one
+    ``draw_similarity(2 * n_tr, seed)`` as ``similarity``; the eigenvalues
+    are bit-identical to those from drawing S afresh.
+    """
+    rep = build_truncated(derive_coeffs(p), n_tr, branch, valley)
+    result = scrambled_eigensolve(rep, seed, similarity=similarity, cert_tol=cert_tol)
     return classify_spectrum(result.values, class_tol, result.residuals)
 
 
@@ -456,6 +574,8 @@ def find_exceptional_point(
     """
     if not lo < hi:
         raise ValueError("require lo < hi")
+    _check_n_tr(n_tr)
+    similarity = draw_similarity(2 * n_tr, seed)
 
     def verdict_at(x: float) -> PhaseVerdict:
         fields = {"lam": x} if vary is Vary.LAMBDA else {"b0": x}
@@ -463,7 +583,7 @@ def find_exceptional_point(
         try:
             return phase_verdict_numeric(
                 q, branch=branch, valley=valley, n_tr=n_tr, seed=seed,
-                class_tol=class_tol,
+                class_tol=class_tol, similarity=similarity,
             ).verdict
         except DegenerateCoefficientsError:
             # No envelope basis at a vanishing block coefficient; treat the

@@ -1,0 +1,87 @@
+"""Byte-identity of CLI output against recorded golden files.
+
+The files under ``tests/golden/`` were written by the commands in ``CASES``
+before the numeric verdict was reworked to share the similarity and to take
+its reference spectrum from the 2x2 blocks; the rework must not move a byte.
+Each run happens in a subprocess with BLAS pinned to one thread, because
+multithreaded LAPACK reorders floating-point sums and changes the last bits
+of the scrambled spectra.  The bytes also belong to one numpy/BLAS build, so
+the comparison is skipped on a platform other than the recorded one
+(``tests/golden/PLATFORM.txt``).
+
+Re-record (only when an output change is intended)::
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# golden file name -> (argv, exit code)
+CASES = {
+    "critical_lambda.txt": (["critical", "--vary", "lambda"], 0),
+    "critical_b0_seed3.txt": (["critical", "--vary", "b0", "--seed", "3"], 0),
+    "spectrum_n200_seed11.json": (
+        ["spectrum", "--n_tr", "200", "--format", "json", "--seed", "11"], 0
+    ),
+    "sweep_lambda_numeric.csv": (
+        ["sweep", "--vary", "lambda", "--from", "0.1", "--to", "1.3",
+         "--steps", "30", "--numeric"], 0
+    ),
+    "verify_seed4.txt": (["verify", "--seed", "4"], 0),
+}
+
+_RUNNER = """
+import json, sys
+from ptdirac.cli import main
+cases, out_dir = json.loads(sys.argv[1]), sys.argv[2]
+print(json.dumps({name: main(argv + ["--output", out_dir + "/" + name])
+                  for name, argv in cases.items()}))
+"""
+
+
+def platform_fingerprint() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (
+        f"numpy {np.__version__}; blas {blas.get('name')} {blas.get('version')}; "
+        f"machine {platform.machine()}\n"
+    )
+
+
+def run_cases(out_dir: Path) -> dict:
+    env = dict(os.environ)
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    argvs = {name: argv for name, (argv, _) in CASES.items()}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUNNER, json.dumps(argvs), str(out_dir)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_output_matches_golden_bytes(tmp_path):
+    recorded = (GOLDEN / "PLATFORM.txt").read_text(encoding="utf-8")
+    if recorded != platform_fingerprint():
+        pytest.skip(f"golden bytes recorded on another platform: {recorded.strip()}")
+    codes = run_cases(tmp_path)
+    for name, (_, code) in CASES.items():
+        assert codes[name] == code, name
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    run_cases(GOLDEN)
+    (GOLDEN / "PLATFORM.txt").write_text(platform_fingerprint(), encoding="utf-8")

@@ -22,17 +22,22 @@ from ptdirac.params import (
     derive_coeffs,
     level_energy,
 )
+from ptdirac import cli, spectral
 from ptdirac.spectral import (
     EigensolveError,
     NoTransitionBracketedError,
     build_truncated,
+    check_spectrum_invariance,
     classify_spectrum,
+    draw_similarity,
     dump_matrix,
     eigensolve,
     find_exceptional_point,
     parse_matrix,
     phase_verdict_numeric,
+    reference_spectrum,
     scramble,
+    scrambled_eigensolve,
 )
 
 BASE = PhysParams(v_f=1.37, lam=0.5, k1=0.02, b0=100.0)
@@ -251,6 +256,133 @@ def test_scramble_seeds_differ():
     b = scramble(rep, seed=2)
     assert not np.allclose(a.matrix, b.matrix)
     assert np.array_equal(scramble(rep, seed=1).matrix, a.matrix)
+
+
+# ---------------------------------------------------------------------------
+# block reference spectrum and the invariance check
+# ---------------------------------------------------------------------------
+
+NEAR_EP = dataclasses.replace(
+    BASE, lam=critical_point(BASE, Vary.LAMBDA) * (1.0 - 1e-6)
+)
+
+
+def nearest_neighbour_drift(before, after):
+    unmatched = np.asarray(after, dtype=complex)
+    drift = 0.0
+    for value in sorted(before, key=abs, reverse=True):
+        idx = int(np.argmin(np.abs(unmatched - value)))
+        drift = max(drift, float(abs(unmatched[idx] - value)))
+        unmatched = np.delete(unmatched, idx)
+    return drift
+
+
+@pytest.mark.parametrize("p", [BASE, BROKEN, NEAR_EP], ids=["unbroken", "broken", "near_ep"])
+@pytest.mark.parametrize("branch", list(Branch))
+@pytest.mark.parametrize("valley", list(Valley))
+def test_reference_spectrum_matches_dense_eig(p, branch, valley):
+    rep = build_truncated(derive_coeffs(p), 30, branch, valley)
+    values, cond_v = reference_spectrum(rep)
+    dense, vectors = np.linalg.eig(rep.matrix)
+    spread = max(1.0, float(np.max(np.abs(dense))))
+    assert values.shape == dense.shape
+    assert nearest_neighbour_drift(dense, values) <= 1e-12 * spread
+    dense_cond = float(np.linalg.cond(vectors))
+    assert dense_cond / 1.01 <= cond_v <= dense_cond * 1.01
+
+
+def test_reference_spectrum_rejects_off_pattern_entry():
+    rep = build_truncated(CO, 10)
+    reference_spectrum(rep)
+    tampered = rep.matrix.copy()
+    tampered[0, 1] = 1e-300
+    with pytest.raises(RuntimeError, match="outside the 2x2 tower blocks"):
+        reference_spectrum(dataclasses.replace(rep, matrix=tampered))
+    with pytest.raises(RuntimeError):
+        reference_spectrum(scramble(rep, seed=1))
+
+
+def test_invariance_check_fires_past_the_budget():
+    rep = build_truncated(CO, 20)
+    mixed = scramble(rep, seed=4)
+    values = eigensolve(mixed.matrix).values
+    check_spectrum_invariance(rep, values, mixed.cond_s)
+    spread = float(np.max(np.abs(values)))
+    bumped = values.copy()
+    bumped[0] += 1e-7 * spread
+    with pytest.raises(RuntimeError, match="drifted the spectrum"):
+        check_spectrum_invariance(rep, bumped, mixed.cond_s)
+
+
+def test_spectrum_command_and_verdict_both_run_the_invariance_check(
+    monkeypatch, tmp_path
+):
+    calls = []
+    original = spectral.check_spectrum_invariance
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].n_tr)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "check_spectrum_invariance", counting)
+    out = tmp_path / "spectrum.txt"
+    assert cli.main(["spectrum", "--n_tr", "12", "--output", str(out)]) == 0
+    assert calls == [12]
+    phase_verdict_numeric(BASE, n_tr=9, seed=2)
+    assert calls == [12, 9]
+
+
+# ---------------------------------------------------------------------------
+# sharing the similarity within one command
+# ---------------------------------------------------------------------------
+
+
+def test_bisection_draws_the_similarity_once(monkeypatch):
+    calls = []
+    original = np.linalg.qr
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    verdicts = []
+    original_verdict = spectral.phase_verdict_numeric
+
+    def counting_verdict(*args, **kwargs):
+        verdicts.append(1)
+        return original_verdict(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "phase_verdict_numeric", counting_verdict)
+    target = critical_point(BASE, Vary.LAMBDA)
+    find_exceptional_point(BASE, Vary.LAMBDA, 0.5 * target, 1.5 * target, n_tr=8)
+    assert len(verdicts) > 10
+    assert len(calls) == 2
+
+
+def test_shared_similarity_is_read_only():
+    shared = draw_similarity(12, seed=3)
+    assert not shared.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        shared.matrix[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        scramble(build_truncated(CO, 6), seed=4, similarity=shared)
+    with pytest.raises(ValueError):
+        scramble(build_truncated(CO, 5), seed=3, similarity=shared)
+
+
+@pytest.mark.parametrize("p", [BASE, BROKEN])
+def test_shared_similarity_gives_bit_equal_eigenvalues(p):
+    seed = 7
+    shared = draw_similarity(2 * 20, seed)
+    rep = build_truncated(derive_coeffs(p), 20)
+    fresh = eigensolve(scramble(rep, seed).matrix).values
+    reused = scrambled_eigensolve(rep, seed, similarity=shared).values
+    assert np.array_equal(fresh, reused)
+    assert scramble(rep, seed).cond_s == shared.cond
+    a = phase_verdict_numeric(p, n_tr=20, seed=seed)
+    b = phase_verdict_numeric(p, n_tr=20, seed=seed, similarity=shared)
+    assert a.eigenvalues == b.eigenvalues
 
 
 # ---------------------------------------------------------------------------
