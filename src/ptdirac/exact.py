@@ -43,6 +43,9 @@ class ComplexRational:
             raise TypeError("ComplexRational parts must be Fraction")
 
     def __add__(self, other: RationalLike) -> "ComplexRational":
+        if isinstance(other, (Fraction, int)):
+            # a real operand leaves the imaginary part as it is
+            return ComplexRational(self.re + other, self.im)
         o = _coerce(other)
         return ComplexRational(self.re + o.re, self.im + o.im)
 
@@ -56,6 +59,9 @@ class ComplexRational:
         return _coerce(other) - self
 
     def __mul__(self, other: RationalLike) -> "ComplexRational":
+        if isinstance(other, (Fraction, int)):
+            # two rational products where the coerced form would take four
+            return ComplexRational(self.re * other, self.im * other)
         o = _coerce(other)
         return ComplexRational(
             self.re * o.re - self.im * o.im,

@@ -12,6 +12,13 @@ Operators are sums of (scalar coefficient) x (2x2 spin matrix) x (word of
 primitives); composition concatenates words, so commutators, adjoints and
 similarity under antilinear symmetries are all finite bookkeeping.
 
+Application is compiled: each operator, on first use, turns its terms into
+a plan of per-term factors (coefficient times spin entry, computed once) and
+the primitive steps its words need, with shared word tails stepped once.
+Each primitive has one dict-level rule (``_step_*``) that the plan and the
+WeightedPolynomial methods both run, in the float and the exact mode alike,
+so both modes take one code path and float round-off does not depend on it.
+
 Layout:
   - WeightedPolynomial / SpinorFunction: the function space, with a text
     serialization for golden files.
@@ -34,7 +41,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import ComplexRational, exact_sqrt
 from .params import (
@@ -69,6 +76,44 @@ def _acc(table: Dict, key, value) -> None:
     # Seeding with a typed zero would force a mixed-mode addition; avoid it.
     prev = table.get(key)
     table[key] = value if prev is None else prev + value
+
+
+# ---------------------------------------------------------------------------
+# primitive steps
+# ---------------------------------------------------------------------------
+# One rule per primitive, on coefficient tables: a step maps the sorted
+# (monomial, coefficient) items of a function to the coefficient dict of its
+# image, with exact zeros pruned.  WeightedPolynomial's methods and the
+# compiled OperatorExpr kernel both run these, so the two routes round alike.
+
+
+def _step_dz(items, d) -> Dict[Monomial, Coeff]:
+    out: Dict[Monomial, Coeff] = {}
+    for (m, n), c in items:
+        if m > 0:
+            _acc(out, (m - 1, n), m * c)
+        if d:
+            _acc(out, (m, n + 1), d * c)
+    return {k: c for k, c in out.items() if c}
+
+
+def _step_dzbar(items, d) -> Dict[Monomial, Coeff]:
+    out: Dict[Monomial, Coeff] = {}
+    for (m, n), c in items:
+        if n > 0:
+            _acc(out, (m, n - 1), n * c)
+        if d:
+            _acc(out, (m + 1, n), d * c)
+    return {k: c for k, c in out.items() if c}
+
+
+# Shifts are injective and keep the items' order; nonzero in, nonzero out.
+def _step_z(items, d) -> Dict[Monomial, Coeff]:
+    return {(m + 1, n): c for (m, n), c in items}
+
+
+def _step_zbar(items, d) -> Dict[Monomial, Coeff]:
+    return {(m, n + 1): c for (m, n), c in items}
 
 
 # ---------------------------------------------------------------------------
@@ -150,32 +195,16 @@ class WeightedPolynomial:
         )
 
     def diff_z(self) -> "WeightedPolynomial":
-        out: Dict[Monomial, Coeff] = {}
-        for (m, n), c in self.sorted_items():
-            if m > 0:
-                _acc(out, (m - 1, n), m * c)
-            if self.d:
-                _acc(out, (m, n + 1), self.d * c)
-        return WeightedPolynomial(out, self.d)
+        return WeightedPolynomial(_step_dz(self.sorted_items(), self.d), self.d)
 
     def diff_zbar(self) -> "WeightedPolynomial":
-        out: Dict[Monomial, Coeff] = {}
-        for (m, n), c in self.sorted_items():
-            if n > 0:
-                _acc(out, (m, n - 1), n * c)
-            if self.d:
-                _acc(out, (m + 1, n), self.d * c)
-        return WeightedPolynomial(out, self.d)
+        return WeightedPolynomial(_step_dzbar(self.sorted_items(), self.d), self.d)
 
     def shift_z(self) -> "WeightedPolynomial":
-        return WeightedPolynomial(
-            {(m + 1, n): c for (m, n), c in self.coeffs.items()}, self.d
-        )
+        return WeightedPolynomial(_step_z(self.sorted_items(), self.d), self.d)
 
     def shift_zbar(self) -> "WeightedPolynomial":
-        return WeightedPolynomial(
-            {(m, n + 1): c for (m, n), c in self.coeffs.items()}, self.d
-        )
+        return WeightedPolynomial(_step_zbar(self.sorted_items(), self.d), self.d)
 
     def max_abs_coeff(self) -> float:
         return max((float(abs(c)) for c in self.coeffs.values()), default=0.0)
@@ -406,14 +435,12 @@ _TIME_REVERSAL_MAP = {
 }
 
 
-def _apply_prim(prim: Prim, wp: WeightedPolynomial) -> WeightedPolynomial:
-    if prim is Prim.DZ:
-        return wp.diff_z()
-    if prim is Prim.DZBAR:
-        return wp.diff_zbar()
-    if prim is Prim.MUL_Z:
-        return wp.shift_z()
-    return wp.shift_zbar()
+_STEPS = {
+    Prim.DZ: _step_dz,
+    Prim.DZBAR: _step_dzbar,
+    Prim.MUL_Z: _step_z,
+    Prim.MUL_ZBAR: _step_zbar,
+}
 
 
 Matrix = Tuple[Tuple[Coeff, Coeff], Tuple[Coeff, Coeff]]
@@ -450,17 +477,88 @@ class OperatorTerm:
     word: Tuple[Prim, ...]
 
 
+class _Plan(NamedTuple):
+    """An operator compiled for application.
+
+    Images are sorted (monomial, coefficient) lists.  Images 0 and 1 are the
+    input's upper and lower component; ``nodes[k] = (source, step)`` makes
+    image 2 + k by one primitive step from an earlier image, so a word tail
+    that several terms share is stepped through once.  ``entries`` are
+    ``(out_component, image, factor)`` in the order the terms accumulate,
+    one per nonzero spin entry, with ``factor = term.coeff * entry``.
+    ``spin_scalar`` says whether every matrix is a multiple of the identity.
+    """
+
+    nodes: Tuple[Tuple[int, Callable], ...]
+    entries: Tuple[Tuple[int, int, Coeff], ...]
+    spin_scalar: bool
+
+
+def _word_image(nodes: List, index: Dict, component: int, word) -> int:
+    """Image index of ``word`` (applied right to left) on an input
+    component, appending to ``nodes`` the steps not already planned."""
+    src = component
+    for k, prim in enumerate(reversed(word), 1):
+        key = (component, word[len(word) - k :])
+        if key not in index:
+            index[key] = 2 + len(nodes)
+            nodes.append((src, _STEPS[prim]))
+        src = index[key]
+    return src
+
+
+def _compile(terms: Sequence[OperatorTerm]) -> _Plan:
+    nodes: List = []
+    index: Dict = {}
+    entries = []
+    for t in terms:
+        for out, row in enumerate(t.matrix):
+            for inp, entry in enumerate(row):
+                if entry:
+                    image = _word_image(nodes, index, inp, t.word)
+                    entries.append((out, image, t.coeff * entry))
+    spin_scalar = all(
+        not (m01 or m10) and m00 == m11
+        for (m00, m01), (m10, m11) in (t.matrix for t in terms)
+    )
+    return _Plan(tuple(nodes), tuple(entries), spin_scalar)
+
+
+def _run(plan: _Plan, upper: List, lower: List, d) -> List:
+    images = [upper, lower]
+    for src, step in plan.nodes:
+        images.append(sorted(step(images[src], d).items()))
+    return images
+
+
+def _image_sum(plan: _Plan, images: List, out: int) -> Dict[Monomial, Coeff]:
+    acc: Dict[Monomial, Coeff] = {}
+    for o, image, factor in plan.entries:
+        if o == out:
+            for mono, c in images[image]:
+                _acc(acc, mono, factor * c)
+    return acc
+
+
 class OperatorExpr:
     """Finite sum of scalar x (2x2 matrix) x (word of primitives) terms.
 
     Words act on the function space and are applied right to left; the
-    matrix mixes spin components; the scalar multiplies everything.
+    matrix mixes spin components; the scalar multiplies everything.  The
+    terms are fixed at construction, and the first application compiles
+    them once into a plan (``_Plan``) that later applications reuse.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_plan")
 
     def __init__(self, terms: Sequence[OperatorTerm]):
         self.terms = tuple(t for t in terms if t.coeff)
+        self._plan: Optional[_Plan] = None
+
+    def _compiled(self) -> _Plan:
+        if self._plan is None:
+            self._plan = _compile(self.terms)
+        return self._plan
 
     # -- constructors -------------------------------------------------
 
@@ -537,49 +635,34 @@ class OperatorExpr:
     # -- application ----------------------------------------------------
 
     def apply(self, s: SpinorFunction) -> SpinorFunction:
+        """The operator's image of a spinor, exact in exact arithmetic.
+
+        Runs the compiled plan: each distinct word tail steps once per input
+        component through the dict-level primitive rules (``_step_*``),
+        then every term adds ``factor * c`` over its sorted image.  The
+        float and the exact mode share this one path, so float round-off
+        follows the term-by-term order exactly.
+        """
+        plan = self._compiled()
         d = s.d
-        upper_acc: Dict[Monomial, Coeff] = {}
-        lower_acc: Dict[Monomial, Coeff] = {}
-        for term in self.terms:
-            (m00, m01), (m10, m11) = term.matrix
-            tu = tl = None
-            if m00 or m10:
-                tu = s.upper
-                for prim in reversed(term.word):
-                    tu = _apply_prim(prim, tu)
-            if m01 or m11:
-                tl = s.lower
-                for prim in reversed(term.word):
-                    tl = _apply_prim(prim, tl)
-            for acc, e_u, e_l in ((upper_acc, m00, m01), (lower_acc, m10, m11)):
-                for entry, comp in ((e_u, tu), (e_l, tl)):
-                    if not entry or comp is None:
-                        continue
-                    factor = term.coeff * entry
-                    for mono, c in comp.sorted_items():
-                        _acc(acc, mono, factor * c)
+        images = _run(plan, s.upper.sorted_items(), s.lower.sorted_items(), d)
         return SpinorFunction(
-            WeightedPolynomial(upper_acc, d), WeightedPolynomial(lower_acc, d)
+            WeightedPolynomial(_image_sum(plan, images, 0), d),
+            WeightedPolynomial(_image_sum(plan, images, 1), d),
         )
 
     def apply_poly(self, wp: WeightedPolynomial) -> WeightedPolynomial:
-        """Apply a spin-scalar operator to a single component."""
-        acc: Dict[Monomial, Coeff] = {}
-        for term in self.terms:
-            (m00, m01), (m10, m11) = term.matrix
-            if m01 or m10 or not m00 == m11:
-                raise ValueError(
-                    "operator mixes spin components; apply it to a SpinorFunction"
-                )
-            if not m00:
-                continue
-            tw = wp
-            for prim in reversed(term.word):
-                tw = _apply_prim(prim, tw)
-            factor = term.coeff * m00
-            for mono, c in tw.sorted_items():
-                _acc(acc, mono, factor * c)
-        return WeightedPolynomial(acc, wp.d)
+        """Apply a spin-scalar operator to a single component.
+
+        The same plan as ``apply``, run on ``(wp, 0)``: the upper output.
+        """
+        plan = self._compiled()
+        if not plan.spin_scalar:
+            raise ValueError(
+                "operator mixes spin components; apply it to a SpinorFunction"
+            )
+        images = _run(plan, wp.sorted_items(), [], wp.d)
+        return WeightedPolynomial(_image_sum(plan, images, 0), wp.d)
 
     # -- structural maps -------------------------------------------------
 
@@ -1005,6 +1088,14 @@ class JCReport:
     factorization_residual: float
 
 
+def _probe_envelope(coeffs: DerivedCoeffs, fallback):
+    """Branch I's envelope exponent, else branch II's, else ``fallback``."""
+    for d in (coeffs.d1_branch_i, coeffs.d1_branch_ii):
+        if d is not None:
+            return d
+    return fallback
+
+
 def jc_verify(coeffs: DerivedCoeffs, degree: int = 30) -> JCReport:
     """Check the pseudo-bosonic pair and the spin-ladder form of H.
 
@@ -1036,11 +1127,6 @@ def jc_verify(coeffs: DerivedCoeffs, degree: int = 30) -> JCReport:
         fact = build_hamiltonian(coeffs, Valley.PRIMARY) - (
             OperatorExpr.spin(E01) @ lower_b + OperatorExpr.spin(E10) @ raise_b
         )
-        d_env = coeffs.d1_branch_i
-        if d_env is None:
-            d_env = coeffs.d1_branch_ii
-        if d_env is None:
-            d_env = Fraction(0)
     else:
         sqrt_k = cmath.sqrt(complex(coeffs.k_coef))
         q1 = lower_b.to_complex().scaled(1 / sqrt_k)
@@ -1050,18 +1136,14 @@ def jc_verify(coeffs: DerivedCoeffs, degree: int = 30) -> JCReport:
             OperatorExpr.spin(E01).to_complex() @ q1
             + OperatorExpr.spin(E10).to_complex() @ q2d
         ).scaled(sqrt_k)
-        d_env = coeffs.d1_branch_i
-        if d_env is None:
-            d_env = coeffs.d1_branch_ii
-        if d_env is None:
-            d_env = -0.25
+    d_env = _probe_envelope(coeffs, Fraction(0) if exact else -0.25)
+    zero = WeightedPolynomial.zero(d_env)
     comm_res = 0.0
     fact_res = 0.0
     for m in range(degree + 1):
         for n in range(degree + 1 - m):
             probe = WeightedPolynomial.monomial(m, n, 1, d_env)
             comm_res = max(comm_res, comm.apply_poly(probe).max_abs_coeff())
-            zero = WeightedPolynomial.zero(d_env)
             for s in (SpinorFunction(probe, zero), SpinorFunction(zero, probe)):
                 fact_res = max(fact_res, fact.apply(s).max_abs_coeff())
     return JCReport(comm_res, fact_res)

@@ -1,0 +1,278 @@
+"""The compiled operator kernel against term-by-term references.
+
+``OperatorExpr.apply``/``apply_poly`` run a plan compiled once per operator
+over dict-level primitive steps.  The references below apply each term on
+its own through the public ``WeightedPolynomial`` primitive methods, in the
+order the terms accumulate, so the two must agree exactly with
+Fraction/ComplexRational coefficients and bit for bit in floats.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ptdirac import opalg
+from ptdirac.exact import I, ComplexRational
+from ptdirac.opalg import (
+    OperatorExpr,
+    OperatorTerm,
+    Prim,
+    SpinorFunction,
+    WeightedPolynomial,
+)
+
+_METHOD = {
+    Prim.DZ: WeightedPolynomial.diff_z,
+    Prim.DZBAR: WeightedPolynomial.diff_zbar,
+    Prim.MUL_Z: WeightedPolynomial.shift_z,
+    Prim.MUL_ZBAR: WeightedPolynomial.shift_zbar,
+}
+
+
+def _word_image(word, wp):
+    for prim in reversed(word):
+        wp = _METHOD[prim](wp)
+    return wp
+
+
+def _accumulate(table, factor, wp):
+    for mono, c in wp.sorted_items():
+        prev = table.get(mono)
+        table[mono] = factor * c if prev is None else prev + factor * c
+
+
+def reference_apply(op, s):
+    acc = ({}, {})
+    comps = (s.upper, s.lower)
+    for t in op.terms:
+        for i in (0, 1):
+            for j in (0, 1):
+                entry = t.matrix[i][j]
+                if entry:
+                    _accumulate(acc[i], t.coeff * entry, _word_image(t.word, comps[j]))
+    return SpinorFunction(
+        WeightedPolynomial(acc[0], s.d), WeightedPolynomial(acc[1], s.d)
+    )
+
+
+def reference_apply_poly(op, wp):
+    acc = {}
+    for t in op.terms:
+        if t.matrix[0][0]:
+            _accumulate(acc, t.coeff * t.matrix[0][0], _word_image(t.word, wp))
+    return WeightedPolynomial(acc, wp.d)
+
+
+def bits(wp):
+    """Coefficients with every float bit visible (signed zeros included)."""
+    return {k: (type(c), repr(c)) for k, c in wp.coeffs.items()}
+
+
+def assert_identical(got, want, exact):
+    assert got.d == want.d
+    assert got.coeffs == want.coeffs
+    if exact:
+        assert {k: type(c) for k, c in got.coeffs.items()} == {
+            k: type(c) for k, c in want.coeffs.items()
+        }
+    else:
+        assert bits(got) == bits(want)
+
+
+def assert_spinors_identical(got, want, exact):
+    assert_identical(got.upper, want.upper, exact)
+    assert_identical(got.lower, want.lower, exact)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+_floats = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+_fractions = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 12))
+_float_scalar = st.builds(complex, _floats, _floats).filter(bool)
+_exact_scalar = st.one_of(
+    st.builds(ComplexRational, _fractions, _fractions),
+    _fractions,
+    st.integers(-3, 3),
+).filter(bool)
+_words = st.lists(st.sampled_from(list(Prim)), max_size=2).map(tuple)
+_exponents = st.tuples(st.integers(0, 5), st.integers(0, 5))
+
+
+def _entries(exact):
+    if exact:
+        units = [0, 1, -1, I, -I]
+        return st.one_of(st.sampled_from(units), _exact_scalar)
+    return st.one_of(st.sampled_from([0, 1, -1, 1j, -1j]), _float_scalar)
+
+
+def _matrices(exact):
+    e = _entries(exact)
+    return st.tuples(st.tuples(e, e), st.tuples(e, e))
+
+
+def _scalar_matrices(exact):
+    return _entries(exact).map(lambda e: ((e, 0), (0, e)))
+
+
+def _operators(exact, matrices):
+    scalar = _exact_scalar if exact else _float_scalar
+    term = st.builds(OperatorTerm, scalar, matrices(exact), _words)
+    return st.lists(term, min_size=1, max_size=4).map(OperatorExpr)
+
+
+def _envelope(exact):
+    if exact:
+        return st.one_of(st.just(Fraction(0)), _fractions)
+    return st.one_of(st.just(0.0), _floats)
+
+
+def _components(exact, d, min_size):
+    scalar = _exact_scalar if exact else _float_scalar
+    return st.dictionaries(_exponents, scalar, min_size=min_size, max_size=6).map(
+        lambda coeffs: WeightedPolynomial(coeffs, d)
+    )
+
+
+@st.composite
+def cases(draw, matrices=_matrices):
+    """(exact, operator, spinor): 1-6 monomials per nonempty component."""
+    exact = draw(st.booleans())
+    op = draw(_operators(exact, matrices))
+    d = draw(_envelope(exact))
+    upper = draw(_components(exact, d, 0))
+    lower = draw(_components(exact, d, 0 if upper.coeffs else 1))
+    return exact, op, SpinorFunction(upper, lower)
+
+
+_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+# ---------------------------------------------------------------------------
+# equivalence
+# ---------------------------------------------------------------------------
+
+
+@_SETTINGS
+@given(cases())
+def test_apply_matches_term_by_term_reference(case):
+    exact, op, s = case
+    assert_spinors_identical(op.apply(s), reference_apply(op, s), exact)
+
+
+@_SETTINGS
+@given(cases(matrices=_scalar_matrices))
+def test_apply_poly_matches_term_by_term_reference(case):
+    exact, op, s = case
+    for wp in (s.upper, s.lower):
+        assert_identical(op.apply_poly(wp), reference_apply_poly(op, wp), exact)
+
+
+@_SETTINGS
+@given(cases(), st.data())
+def test_derived_operators_compile_their_own_plan(case, data):
+    exact, a, s = case
+    b = data.draw(_operators(exact, _matrices))
+    c = data.draw(_exact_scalar if exact else _float_scalar)
+    a.apply(s)
+    for derived in (a.scaled(c), a + b, a @ b):
+        assert derived._plan is None
+        assert_spinors_identical(derived.apply(s), reference_apply(derived, s), exact)
+        assert derived._plan is not a._plan
+
+
+@_SETTINGS
+@given(
+    _floats,
+    st.dictionaries(_exponents, _float_scalar, min_size=1, max_size=6),
+)
+def test_primitive_methods_keep_the_sorted_accumulation_rule(d, coeffs):
+    # The rule each primitive step implements, written out independently:
+    # sorted monomials, first-touch then add, exact zeros dropped.
+    wp = WeightedPolynomial(coeffs, d)
+
+    def spec(derivative_axis):
+        out = {}
+        for (m, n), c in sorted(coeffs.items()):
+            power = (m, n)[derivative_axis]
+            terms = []
+            if power > 0:
+                key = (m - 1, n) if derivative_axis == 0 else (m, n - 1)
+                terms.append((key, power * c))
+            if d:
+                key = (m, n + 1) if derivative_axis == 0 else (m + 1, n)
+                terms.append((key, d * c))
+            for key, v in terms:
+                out[key] = v if key not in out else out[key] + v
+        return WeightedPolynomial(out, d)
+
+    assert bits(wp.diff_z()) == bits(spec(0))
+    assert bits(wp.diff_zbar()) == bits(spec(1))
+    assert bits(wp.shift_z()) == {(m + 1, n): v for (m, n), v in bits(wp).items()}
+    assert bits(wp.shift_zbar()) == {(m, n + 1): v for (m, n), v in bits(wp).items()}
+
+
+# ---------------------------------------------------------------------------
+# plan invariants
+# ---------------------------------------------------------------------------
+
+
+def test_apply_poly_rejects_spin_mixing_operator():
+    op = OperatorExpr.dz() + OperatorExpr.from_word(1, ((0, 1), (0, 0)), (Prim.MUL_Z,))
+    wp = WeightedPolynomial({(1, 0): 1.0}, -0.25)
+    with pytest.raises(ValueError):
+        op.apply_poly(wp)
+    op.apply(SpinorFunction(wp, wp))  # the spinor path still works
+    with pytest.raises(ValueError):
+        op.apply_poly(wp)
+    unequal_diagonal = OperatorExpr.spin(((1, 0), (0, 2)))
+    with pytest.raises(ValueError):
+        unequal_diagonal.apply_poly(wp)
+
+
+def test_exact_zeros_are_pruned_inside_and_after_a_word():
+    d = Fraction(-1, 4)
+    # d/dz of 1 + z zbar/4 cancels at (0, 1): d*1 + 1*(1/4) = 0.
+    wp = WeightedPolynomial({(0, 0): 1, (1, 1): Fraction(1, 4)}, d)
+    assert opalg._step_dz(wp.sorted_items(), d) == {(1, 2): Fraction(-1, 16)}
+    assert wp.diff_z().coeffs == {(1, 2): Fraction(-1, 16)}
+    assert OperatorExpr.dz().apply_poly(wp).coeffs == {(1, 2): Fraction(-1, 16)}
+    twice = OperatorExpr.dz() @ OperatorExpr.dz()
+    assert twice.apply_poly(wp).coeffs == {(0, 2): Fraction(-1, 16), (1, 3): Fraction(1, 64)}
+    # an operator minus itself leaves literal nothing
+    s = SpinorFunction(wp, wp.scaled(I))
+    h = OperatorExpr.from_word(I, ((1, 2), (-1, I)), (Prim.MUL_Z, Prim.DZBAR))
+    assert (h - h).apply(s).is_zero()
+
+
+def test_plan_is_built_once_and_reused():
+    op = OperatorExpr.dz().scaled(2) + OperatorExpr.identity()
+    assert op._plan is None
+    s = SpinorFunction(
+        WeightedPolynomial({(2, 1): 1.0}, -0.5), WeightedPolynomial({}, -0.5)
+    )
+    first = op.apply(s)
+    plan = op._plan
+    assert plan is not None
+    assert op.apply(s) == first
+    op.apply_poly(s.upper)
+    assert op._plan is plan
+
+
+def test_shared_word_tails_step_once():
+    # dz.z and dzbar.z both end in z, applied first: one shared step.
+    op = OperatorExpr.dz() @ OperatorExpr.mul_z() + OperatorExpr.dzbar() @ OperatorExpr.mul_z()
+    plan = op._compiled()
+    assert len(plan.nodes) == 6  # the same three steps on each component
+    wp = WeightedPolynomial({(0, 0): 1.0, (1, 2): 0.5j}, -0.25)
+    assert_identical(op.apply_poly(wp), reference_apply_poly(op, wp), exact=False)
+
+
+def test_identity_term_reads_the_input_directly():
+    op = OperatorExpr.scalar(Fraction(3, 2)) - OperatorExpr.identity()
+    wp = WeightedPolynomial({(1, 1): ComplexRational(Fraction(2), Fraction(-4))}, 0)
+    out = op.apply_poly(wp)
+    assert out.coeffs == {(1, 1): ComplexRational(Fraction(1), Fraction(-2))}
+    assert op._compiled().nodes == ()
