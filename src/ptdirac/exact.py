@@ -5,7 +5,17 @@ on monomial-times-Gaussian functions by shifting exponents and multiplying
 coefficients.  Every residual that vanishes algebraically is therefore zero
 in exact arithmetic, and the test suite checks several of them literally.
 ``ComplexRational`` supplies the coefficient type for that mode: a complex
-number with ``fractions.Fraction`` parts.
+number with rational real and imaginary parts.
+
+A value is stored as one Gaussian-integer numerator over one denominator,
+``(a + b*i) / q``, held as three Python ints with the invariant ``q > 0``
+and ``gcd(a, b, q) == 1``.  Each value has exactly one such triple (zero is
+``(0, 0, 1)``), so equality is a compare of the triples.  Arithmetic works on
+the common denominator with integer operations and reduces the result by one
+``math.gcd`` (Knuth, TAOCP Vol. 2, 4.5.1), instead of normalizing the real
+and imaginary parts as two separate ``Fraction`` objects.  ``int`` and
+``Fraction`` operands enter as ``(numerator, 0, denominator)``.  The parts
+are read back as ``Fraction`` through ``re`` and ``im``.
 
 Mixing in a float would silently degrade the whole computation back to
 binary floating point (``Fraction + float`` returns ``float``), so arithmetic
@@ -16,97 +26,143 @@ raises ``TypeError`` for anything else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 RationalLike = Union["ComplexRational", Fraction, int]
 
 
-def _coerce(value: RationalLike) -> "ComplexRational":
+def _triple(value: RationalLike) -> Tuple[int, int, int]:
+    """The canonical ``(a, b, q)`` of an exact operand."""
     if isinstance(value, ComplexRational):
-        return value
-    if isinstance(value, (Fraction, int)):
-        return ComplexRational(Fraction(value), Fraction(0))
+        return value._a, value._b, value._q
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, 0, value.denominator
     raise TypeError(f"exact arithmetic does not accept {type(value).__name__!r}")
 
 
-@dataclass(frozen=True)
+def _reduced(a: int, b: int, q: int) -> "ComplexRational":
+    """``(a + b*i)/q`` for ``q > 0``, divided through by its gcd."""
+    g = math.gcd(a, b, q)
+    if g != 1:
+        a //= g
+        b //= g
+        q //= g
+    return ComplexRational(a, b, q)
+
+
 class ComplexRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
 
-    re: Fraction
-    im: Fraction
+    ``ComplexRational(re, im)`` takes two ``Fraction`` parts.  The package
+    builds results from a canonical triple as ``ComplexRational(a, b, q)``;
+    that form is internal and takes its ints as given.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.re, Fraction) or not isinstance(self.im, Fraction):
+    __slots__ = ("_a", "_b", "_q")
+    __match_args__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction, _q: int = 0) -> None:
+        if _q:
+            self._a = re
+            self._b = im
+            self._q = _q
+            return
+        if not isinstance(re, Fraction) or not isinstance(im, Fraction):
             raise TypeError("ComplexRational parts must be Fraction")
+        # over lcm of two reduced denominators the triple is already coprime
+        q = math.lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (q // re.denominator)
+        self._b = im.numerator * (q // im.denominator)
+        self._q = q
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._q)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._q)
 
     def __add__(self, other: RationalLike) -> "ComplexRational":
-        if isinstance(other, (Fraction, int)):
-            # a real operand leaves the imaginary part as it is
-            return ComplexRational(self.re + other, self.im)
-        o = _coerce(other)
-        return ComplexRational(self.re + o.re, self.im + o.im)
+        return _add(self._a, self._b, self._q, *_triple(other))
 
     __radd__ = __add__
 
     def __sub__(self, other: RationalLike) -> "ComplexRational":
-        o = _coerce(other)
-        return ComplexRational(self.re - o.re, self.im - o.im)
+        c, d, r = _triple(other)
+        return _add(self._a, self._b, self._q, -c, -d, r)
 
     def __rsub__(self, other: RationalLike) -> "ComplexRational":
-        return _coerce(other) - self
+        return _add(*_triple(other), -self._a, -self._b, self._q)
 
     def __mul__(self, other: RationalLike) -> "ComplexRational":
-        if isinstance(other, (Fraction, int)):
-            # two rational products where the coerced form would take four
-            return ComplexRational(self.re * other, self.im * other)
-        o = _coerce(other)
-        return ComplexRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        c, d, r = _triple(other)
+        a, b, q = self._a, self._b, self._q
+        return _reduced(a * c - b * d, a * d + b * c, q * r)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: RationalLike) -> "ComplexRational":
-        o = _coerce(other)
-        den = o.re * o.re + o.im * o.im
-        if den == 0:
-            raise ZeroDivisionError("division by exact zero")
-        return ComplexRational(
-            (self.re * o.re + self.im * o.im) / den,
-            (self.im * o.re - self.re * o.im) / den,
-        )
+        return _divide(self._a, self._b, self._q, *_triple(other))
 
     def __rtruediv__(self, other: RationalLike) -> "ComplexRational":
-        return _coerce(other) / self
+        return _divide(*_triple(other), self._a, self._b, self._q)
 
     def __neg__(self) -> "ComplexRational":
-        return ComplexRational(-self.re, -self.im)
+        return ComplexRational(-self._a, -self._b, self._q)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __abs__(self) -> float:
-        return math.hypot(float(self.re), float(self.im))
+        # int / int is the correctly rounded quotient Fraction.__float__ gives
+        return math.hypot(self._a / self._q, self._b / self._q)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._q, self._b / self._q)
 
     def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
+        return ComplexRational(self._a, -self._b, self._q)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ComplexRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (Fraction, int)):
-            return self.im == 0 and self.re == other
+            return (self._a, self._b, self._q) == (other._a, other._b, other._q)
+        if isinstance(other, (int, Fraction)):
+            return (
+                self._b == 0
+                and self._a == other.numerator
+                and self._q == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a real value hashes like its real part, so it finds int and
+        # Fraction keys it equals
+        if self._b == 0:
+            return hash(self.re)
+        return hash((self._a, self._b, self._q))
+
+    def __repr__(self) -> str:
+        return f"ComplexRational(re={self.re!r}, im={self.im!r})"
+
+    def __reduce__(self):
+        return ComplexRational, (self.re, self.im)
+
+
+def _add(a: int, b: int, q: int, c: int, d: int, r: int) -> ComplexRational:
+    """``(a + b*i)/q + (c + d*i)/r``."""
+    if q == r:
+        return _reduced(a + c, b + d, q)
+    return _reduced(a * r + c * q, b * r + d * q, q * r)
+
+
+def _divide(a: int, b: int, q: int, c: int, d: int, r: int) -> ComplexRational:
+    """``((a + b*i)/q) / ((c + d*i)/r)``."""
+    norm = c * c + d * d
+    if norm == 0:
+        raise ZeroDivisionError("division by exact zero")
+    return _reduced((a * c + b * d) * r, (b * c - a * d) * r, q * norm)
 
 
 ZERO = ComplexRational(Fraction(0), Fraction(0))

@@ -60,11 +60,12 @@ _EXACT_TYPES = (int, Fraction, ComplexRational)
 def _times_i(x: Coeff) -> Coeff:
     """i*x without leaving the operand's arithmetic."""
     if isinstance(x, ComplexRational):
-        return ComplexRational(-x.im, x.re)
+        # i(a + b*i)/q = (-b + a*i)/q, still a canonical triple
+        return ComplexRational(-x._b, x._a, x._q)
     if isinstance(x, bool):
         raise TypeError("bool is not a coefficient")
     if isinstance(x, (int, Fraction)):
-        return ComplexRational(Fraction(0), Fraction(x))
+        return ComplexRational(0, x.numerator, x.denominator)
     return 1j * x
 
 

@@ -465,6 +465,27 @@ def reference_spectrum(rep: TruncatedRep) -> Tuple[np.ndarray, float]:
     return np.concatenate([values.ravel(), m[singles, singles]]), cond_v
 
 
+def _matching_drift(before: np.ndarray, after: np.ndarray) -> float:
+    """Largest distance between ``before`` and ``after`` matched one to one.
+
+    Nearest-neighbour matching, largest ``|before|`` first; lexicographic
+    sorting would misalign near-degenerate real parts (e.g. a purely
+    imaginary spectrum).  A matched entry is overwritten with inf in a working
+    copy, so it is never nearest while a finite one is left, and ``argmin``
+    takes the lowest index on a tie.
+    """
+    if not (np.all(np.isfinite(before)) and np.all(np.isfinite(after))):
+        raise RuntimeError("eigenvalues to match are not finite")
+    unmatched = after.copy()
+    drift = 0.0
+    for value in sorted(before, key=abs, reverse=True):
+        idx = int(np.argmin(np.abs(unmatched - value)))
+        # the scalar abs, as np.abs can differ from it in the last bit
+        drift = max(drift, float(abs(after[idx] - value)))
+        unmatched[idx] = np.inf
+    return drift
+
+
 def check_spectrum_invariance(
     rep: TruncatedRep, values: Sequence[complex], cond_s: float
 ) -> None:
@@ -488,14 +509,7 @@ def check_spectrum_invariance(
         100.0 * kappa_v * cond_s * float(np.linalg.norm(rep.matrix))
         * float(np.finfo(float).eps),
     )
-    # Nearest-neighbour matching; lexicographic sorting would misalign
-    # near-degenerate real parts (e.g. a purely imaginary spectrum).
-    unmatched = after.copy()
-    drift = 0.0
-    for value in sorted(before, key=abs, reverse=True):
-        idx = int(np.argmin(np.abs(unmatched - value)))
-        drift = max(drift, float(abs(unmatched[idx] - value)))
-        unmatched = np.delete(unmatched, idx)
+    drift = _matching_drift(before, after)
     if drift > budget:
         raise RuntimeError(f"similarity drifted the spectrum by {drift:.3e}")
 

@@ -314,6 +314,61 @@ def test_invariance_check_fires_past_the_budget():
         check_spectrum_invariance(rep, bumped, mixed.cond_s)
 
 
+def _delete_loop_drift(before, after):
+    """The matching as first written: np.delete of each matched entry."""
+    unmatched = after.copy()
+    drift = 0.0
+    for value in sorted(before, key=abs, reverse=True):
+        idx = int(np.argmin(np.abs(unmatched - value)))
+        drift = max(drift, float(abs(unmatched[idx] - value)))
+        unmatched = np.delete(unmatched, idx)
+    return drift
+
+
+def _spectra(rng, dim):
+    re = rng.standard_normal(dim // 2)
+    im = rng.standard_normal(dim // 2)
+    return {
+        "random": rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
+        "paired": np.concatenate([re + 1j * im, -(re + 1j * im)]),
+        "imaginary": 1j * np.concatenate([im, -im]),
+        "duplicated": np.repeat(re[: dim // 4] + 1j * im[: dim // 4], 4),
+    }
+
+
+@pytest.mark.parametrize("dim", [8, 80, 400])
+@pytest.mark.parametrize("seed", range(3))
+def test_matching_drift_equals_the_delete_loop_bit_for_bit(dim, seed):
+    rng = np.random.default_rng(seed)
+    for kind, before in _spectra(rng, dim).items():
+        for noise in (0.0, 1e-13, 1e-3):
+            jitter = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            after = rng.permutation(before + noise * jitter)
+            got = spectral._matching_drift(before, after)
+            want = _delete_loop_drift(before, after)
+            assert got.hex() == want.hex(), (kind, noise)
+
+
+def test_matching_drift_breaks_ties_toward_the_lowest_index():
+    # 2 is as far from 1 as from 3; taking after[0] leaves 3 for 0
+    before = np.array([2.0, 0.0], dtype=complex)
+    after = np.array([1.0, 3.0], dtype=complex)
+    assert spectral._matching_drift(before, after) == 3.0
+    assert _delete_loop_drift(before, after) == 3.0
+    assert spectral._matching_drift(before, after[::-1].copy()) == 1.0
+
+
+def test_matching_drift_rejects_non_finite_eigenvalues():
+    before = np.array([1.0, -1.0, 2j, -2j])
+    for bad in (np.inf, np.nan, complex(0, np.inf)):
+        after = before.copy()
+        after[1] = bad
+        with pytest.raises(RuntimeError, match="not finite"):
+            spectral._matching_drift(before, after)
+        with pytest.raises(RuntimeError, match="not finite"):
+            spectral._matching_drift(after, before)
+
+
 def test_spectrum_command_and_verdict_both_run_the_invariance_check(
     monkeypatch, tmp_path
 ):
