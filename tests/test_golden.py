@@ -39,6 +39,8 @@ CASES = {
          "--steps", "30", "--numeric"], 0
     ),
     "verify_seed4.txt": (["verify", "--seed", "4"], 0),
+    "analytic.txt": (["analytic"], 0),
+    "analytic.json": (["analytic", "--format", "json"], 0),
 }
 
 _RUNNER = """
