@@ -11,11 +11,16 @@ Subcommands:
 
 Configuration merges three layers, later wins: built-in defaults, a config
 file (--config PATH or the PTDIRAC_CONFIG environment variable), then
-explicit flags.  Config files hold 'key = value' lines; '#' starts a
-comment; unknown keys are rejected.
+explicit flags.  Each setting is one row of the settings table
+(``_SETTINGS``): its key is both the config-file key and the flag name, and
+the row holds its type, default and allowed values.  DEFAULTS, RunConfig,
+the shared flags, the config-file parsing and the merge are all built from
+that table.  Config files hold 'key = value' lines; '#' starts a comment;
+unknown keys are rejected.
 
 Exit codes: 0 success, 1 a verification or agreement check failed, 2 bad
-input (usage, config, degenerate or unbracketed requests).  Floats are
+input (usage, config, a non-finite or negative tolerance, degenerate or
+unbracketed requests, an output path that cannot be written).  Floats are
 printed with repr for exact round-tripping; JSON output stores floats as
 repr strings.
 """
@@ -27,11 +32,12 @@ import csv
 import dataclasses
 import io
 import json
+import keyword
 import math
 import os
 import re
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .params import (
     Branch,
@@ -45,6 +51,7 @@ from .params import (
     derive_coeffs,
     level_energy,
     normalizability,
+    with_varied,
 )
 from . import opalg
 from .opalg import (
@@ -79,71 +86,81 @@ class ConfigError(Exception):
     pass
 
 
-DEFAULTS: Dict[str, object] = {
-    "vf": 1.37,
-    "lambda": 0.5,
-    "k1": 0.02,
-    "b0": 100.0,
-    "e": 1.0,
-    "c": 137.0,
-    "hbar": 1.0,
-    "n_max": 5,
-    "branch": "I",
-    "valley": "primary",
-    "n_tr": 40,
-    "tol": 1e-8,
-    "seed": 0,
-    "output": None,
-    "format": "csv",
-}
+class _Setting(NamedTuple):
+    """One row of the settings table.
 
-_CONVERTERS = {
-    "vf": float,
-    "lambda": float,
-    "k1": float,
-    "b0": float,
-    "e": float,
-    "c": float,
-    "hbar": float,
-    "n_max": int,
-    "branch": str,
-    "valley": str,
-    "n_tr": int,
-    "tol": float,
-    "seed": int,
-    "output": str,
-    "format": str,
-}
+    ``key`` is both the config-file key and the flag name; the RunConfig
+    attribute is the key with '_' appended when it is a Python keyword
+    (``lambda`` -> ``lambda_``).  ``type`` is the RunConfig value type,
+    ``choices`` the allowed values of a choice-valued key, ``minimum`` a
+    lower bound, and ``physical`` the PhysParams field the key feeds.
+    """
+
+    key: str
+    type: type
+    default: object
+    choices: Tuple[str, ...] = ()
+    minimum: Optional[int] = None
+    physical: Optional[str] = None
+
+    @property
+    def attr(self) -> str:
+        return self.key + "_" if keyword.iskeyword(self.key) else self.key
+
+    @property
+    def parse(self) -> type:
+        """Text to value; choice-valued keys stay text until resolved."""
+        return str if self.choices else self.type
+
+    def resolve(self, value: object) -> object:
+        """Merged value to RunConfig value, checked against the row."""
+        if value is None:
+            return None
+        if self.choices and value not in self.choices:
+            raise ConfigError(
+                f"{self.key} must be one of {', '.join(self.choices)}, got {value!r}"
+            )
+        if self.minimum is not None and value < self.minimum:
+            raise ConfigError(f"{self.key} must be at least {self.minimum}")
+        return self.type(value)
 
 
-@dataclasses.dataclass
-class RunConfig:
-    vf: float
-    lambda_: float
-    k1: float
-    b0: float
-    e: float
-    c: float
-    hbar: float
-    n_max: int
-    branch: Branch
-    valley: Valley
-    n_tr: int
-    tol: float
-    seed: int
-    output: Optional[str]
-    format: str
+_SETTINGS = (
+    _Setting("vf", float, 1.37, physical="v_f"),
+    _Setting("lambda", float, 0.5, physical="lam"),
+    _Setting("k1", float, 0.02, physical="k1"),
+    _Setting("b0", float, 100.0, physical="b0"),
+    _Setting("e", float, 1.0, physical="e"),
+    _Setting("c", float, 137.0, physical="c"),
+    _Setting("hbar", float, 1.0, physical="hbar"),
+    _Setting("n_max", int, 5, minimum=1),
+    _Setting("branch", Branch, "I", choices=("I", "II")),
+    _Setting("valley", Valley, "primary", choices=("primary", "time_reversed")),
+    _Setting("n_tr", int, 40, minimum=2),
+    _Setting("tol", float, 1e-8),
+    _Setting("seed", int, 0),
+    _Setting("output", str, None),
+    _Setting("format", str, "csv", choices=("csv", "json", "text")),
+)
+_BY_KEY = {s.key: s for s in _SETTINGS}
+_PHYSICAL = tuple(s for s in _SETTINGS if s.physical)
 
-    def params(self) -> PhysParams:
-        return PhysParams(
-            v_f=self.vf,
-            lam=self.lambda_,
-            k1=self.k1,
-            b0=self.b0,
-            e=self.e,
-            c=self.c,
-            hbar=self.hbar,
-        )
+DEFAULTS: Dict[str, object] = {s.key: s.default for s in _SETTINGS}
+
+
+def _physical_params(cfg) -> PhysParams:
+    return PhysParams(**{s.physical: getattr(cfg, s.attr) for s in _PHYSICAL})
+
+
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [(s.attr, Optional[s.type] if s.default is None else s.type) for s in _SETTINGS],
+    namespace={
+        "__doc__": "Resolved settings, one attribute per settings-table row.",
+        "__module__": __name__,
+        "params": _physical_params,
+    },
+)
 
 
 def _read_config_file(path: str) -> Dict[str, object]:
@@ -162,10 +179,10 @@ def _read_config_file(path: str) -> Dict[str, object]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in DEFAULTS:
+        if key not in _BY_KEY:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            out[key] = _CONVERTERS[key](value)
+            out[key] = _BY_KEY[key].parse(value)
         except ValueError as exc:
             raise ConfigError(
                 f"{path}:{lineno}: bad value for {key!r}: {value!r}"
@@ -175,7 +192,7 @@ def _read_config_file(path: str) -> Dict[str, object]:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     merged = dict(DEFAULTS)
-    path = getattr(args, "config", None)
+    path = args.config
     if path is None:
         env_path = os.environ.get("PTDIRAC_CONFIG")
         if env_path:
@@ -186,55 +203,24 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             path = env_path
     if path is not None:
         merged.update(_read_config_file(path))
-    for key in DEFAULTS:
-        attr = "lambda_" if key == "lambda" else key
-        value = getattr(args, attr, None)
-        if value is not None:
-            merged[key] = value
-    branch_txt = str(merged["branch"])
-    try:
-        branch = Branch(branch_txt)
-    except ValueError:
-        raise ConfigError(f"branch must be 'I' or 'II', got {branch_txt!r}") from None
-    valley_txt = str(merged["valley"])
-    try:
-        valley = Valley(valley_txt)
-    except ValueError:
-        raise ConfigError(
-            f"valley must be 'primary' or 'time_reversed', got {valley_txt!r}"
-        ) from None
-    fmt = str(merged["format"])
-    if fmt not in ("csv", "json", "text"):
-        raise ConfigError(f"format must be csv, json or text, got {fmt!r}")
-    if int(merged["n_max"]) < 1:
-        raise ConfigError("n_max must be at least 1")
-    if int(merged["n_tr"]) < 2:
-        raise ConfigError("n_tr must be at least 2")
-    return RunConfig(
-        vf=float(merged["vf"]),
-        lambda_=float(merged["lambda"]),
-        k1=float(merged["k1"]),
-        b0=float(merged["b0"]),
-        e=float(merged["e"]),
-        c=float(merged["c"]),
-        hbar=float(merged["hbar"]),
-        n_max=int(merged["n_max"]),
-        branch=branch,
-        valley=valley,
-        n_tr=int(merged["n_tr"]),
-        tol=float(merged["tol"]),
-        seed=int(merged["seed"]),
-        output=None if merged["output"] is None else str(merged["output"]),
-        format=fmt,
-    )
+    for s in _SETTINGS:
+        flag = getattr(args, s.attr)
+        if flag is not None:
+            merged[s.key] = flag
+    return RunConfig(**{s.attr: s.resolve(merged[s.key]) for s in _SETTINGS})
+
+
+def _write_file(path: str, text: str) -> None:
+    """Write text to path; an OSError reaches main, which exits 2."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _write_output(cfg: RunConfig, text: str) -> None:
     if cfg.output is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_file(cfg.output, text)
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +266,7 @@ def build_analytic_report(cfg: RunConfig) -> dict:
     p = cfg.params()
     co = derive_coeffs(p)
     report: dict = {
-        "params": {
-            "vf": p.v_f,
-            "lambda": p.lam,
-            "k1": p.k1,
-            "b0": p.b0,
-            "e": p.e,
-            "c": p.c,
-            "hbar": p.hbar,
-        },
+        "params": {s.key: getattr(p, s.physical) for s in _PHYSICAL},
         "derived": {
             "a": float(co.a_coef),
             "b": float(co.b_coef),
@@ -327,13 +305,13 @@ def build_analytic_report(cfg: RunConfig) -> dict:
             "im_gap": gap.imag,
             "levels": levels,
         }
-    for vary, key in ((Vary.LAMBDA, "lambda"), (Vary.B0, "b0")):
+    for vary in Vary:
         try:
-            report["critical"][key] = critical_point(p, vary)
+            report["critical"][vary.value] = critical_point(p, vary)
         except DegenerateCoefficientsError:
-            report["critical"][key] = "degenerate"
+            report["critical"][vary.value] = "degenerate"
         except ValueError:
-            report["critical"][key] = "undefined"
+            report["critical"][vary.value] = "undefined"
     return report
 
 
@@ -341,16 +319,7 @@ def _render_analytic_text(report: dict) -> str:
     lines: List[str] = []
     pr = report["params"]
     lines.append(
-        "parameters: vf={vf!r} lambda={lam!r} k1={k1!r} b0={b0!r} "
-        "e={e!r} c={c!r} hbar={hbar!r}".format(
-            vf=pr["vf"],
-            lam=pr["lambda"],
-            k1=pr["k1"],
-            b0=pr["b0"],
-            e=pr["e"],
-            c=pr["c"],
-            hbar=pr["hbar"],
-        )
+        "parameters: " + " ".join(f"{s.key}={pr[s.key]!r}" for s in _PHYSICAL)
     )
     de = report["derived"]
     lines.append(
@@ -606,8 +575,7 @@ def cmd_spectrum(cfg: RunConfig, dump_path: Optional[str]) -> int:
     co = derive_coeffs(p)
     rep = build_truncated(co, cfg.n_tr, cfg.branch, cfg.valley)
     if dump_path is not None:
-        with open(dump_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(dump_matrix(rep.matrix))
+        _write_file(dump_path, dump_matrix(rep.matrix))
     result = scrambled_eigensolve(rep, cfg.seed)
     report = classify_spectrum(result.values, cfg.tol, result.residuals)
     payload = {
@@ -705,8 +673,7 @@ def cmd_sweep(
     header = _SWEEP_HEADER + (_NUMERIC_HEADER if numeric else [])
     writer.writerow(header)
     for idx, x in enumerate(grid):
-        fields = {"lam": x} if vary is Vary.LAMBDA else {"b0": x}
-        p = dataclasses.replace(base, **fields)
+        p = with_varied(base, vary, x)
         do_numeric = numeric and idx % every == 0
         for branch in (Branch.I, Branch.II):
             verdict = classify_phase(p, branch)
@@ -864,23 +831,10 @@ def cmd_jc(cfg: RunConfig, degree: int) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a 'key = value' config file")
-    common.add_argument("--vf", type=float)
-    common.add_argument("--lambda", dest="lambda_", type=float)
-    common.add_argument("--k1", type=float)
-    common.add_argument("--b0", type=float)
-    common.add_argument("--e", type=float)
-    common.add_argument("--c", type=float)
-    common.add_argument("--hbar", type=float)
-    common.add_argument("--n_max", type=int)
-    common.add_argument("--branch", choices=["I", "II"])
-    common.add_argument(
-        "--valley", choices=["primary", "time_reversed"]
-    )
-    common.add_argument("--n_tr", type=int)
-    common.add_argument("--tol", type=float)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--output")
-    common.add_argument("--format", choices=["csv", "json", "text"])
+    for s in _SETTINGS:
+        common.add_argument(
+            "--" + s.key, dest=s.attr, type=s.parse, choices=s.choices or None
+        )
 
     parser = argparse.ArgumentParser(
         prog="ptdirac",
@@ -956,7 +910,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return 0

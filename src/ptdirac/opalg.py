@@ -49,6 +49,7 @@ from .params import (
     DegenerateCoefficientsError,
     DerivedCoeffs,
     Valley,
+    holomorphic_tower,
 )
 
 Coeff = Union[int, float, complex, Fraction, ComplexRational]
@@ -1006,8 +1007,7 @@ def analytic_state(
         d = float(d)
         a_n = complex(a_n)
     ratio = energy / denom
-    holo = (branch is Branch.I) == (valley is Valley.PRIMARY)
-    if holo:
+    if holomorphic_tower(branch, valley):
         upper = WeightedPolynomial({(n, 0): a_n}, d)
         lower = WeightedPolynomial({(n + 1, 0): _times_i(a_n * ratio)}, d)
     else:

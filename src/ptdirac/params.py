@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -148,6 +148,20 @@ def derive_coeffs(p: PhysParams) -> DerivedCoeffs:
     d1_i = None if a_coef == 0 else c1 / (a_coef * p.hbar)
     d1_ii = None if b_coef == 0 else c2 / (b_coef * p.hbar)
     return DerivedCoeffs(a_coef, b_coef, c1, c2, k_coef, d1_i, d1_ii, p.hbar)
+
+
+def holomorphic_tower(branch: Branch, valley: Valley) -> bool:
+    """True when the level-l tower function is built on z**l, False on zbar**l.
+
+    Branch I in the primary valley and branch II in the time-reversed one
+    are holomorphic; the two other pairings are antiholomorphic.
+    """
+    return (branch is Branch.I) == (valley is Valley.PRIMARY)
+
+
+def with_varied(p: PhysParams, vary: Vary, x: Real) -> PhysParams:
+    """p with the field named by vary (lam or b0) set to x."""
+    return replace(p, **{"lam" if vary is Vary.LAMBDA else "b0": x})
 
 
 def level_energy(p: PhysParams, n: int, branch: Branch) -> Tuple[complex, complex]:

@@ -42,6 +42,8 @@ from .params import (
     classify_phase,
     critical_point,
     derive_coeffs,
+    holomorphic_tower,
+    with_varied,
 )
 from .opalg import (
     SpinorFunction,
@@ -83,7 +85,7 @@ def _expected_entries(
     """
     k = complex(coeffs.k_coef)
     hbar = complex(coeffs.hbar)
-    holo = (branch is Branch.I) == (valley is Valley.PRIMARY)
+    holo = holomorphic_tower(branch, valley)
     if branch is Branch.I:
         lead = complex(coeffs.a_coef)
         coupling = 1j * k / (lead * hbar)
@@ -112,14 +114,18 @@ def _expected_entries(
 def _basis_function(
     level: int, component: int, coeffs: DerivedCoeffs, branch: Branch, valley: Valley
 ) -> SpinorFunction:
-    holo = (branch is Branch.I) == (valley is Valley.PRIMARY)
     d = coeffs.d1(branch)
-    mono = (level, 0) if holo else (0, level)
+    mono = (level, 0) if holomorphic_tower(branch, valley) else (0, level)
     wp = WeightedPolynomial.monomial(mono[0], mono[1], 1.0, float(d))
     zero = WeightedPolynomial.zero(float(d))
     if component == 0:
         return SpinorFunction(wp, zero)
     return SpinorFunction(zero, wp)
+
+
+def _check_tol(name: str, tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
 
 
 def _check_n_tr(n_tr: int) -> None:
@@ -145,7 +151,7 @@ def build_truncated(
         raise DegenerateCoefficientsError(
             f"branch {branch.value} envelope undefined at these coefficients"
         )
-    holo = (branch is Branch.I) == (valley is Valley.PRIMARY)
+    holo = holomorphic_tower(branch, valley)
     h = build_hamiltonian(coeffs, valley).to_complex()
     dim = 2 * n_tr
     matrix = np.zeros((dim, dim), dtype=complex)
@@ -289,13 +295,12 @@ def classify_spectrum(
     spectrum collapsed and the verdict is critical).  The verdict over the
     retained pairs is broken if any has imaginary part above tol * scale,
     otherwise unbroken.  Values that find no partner are reported, not
-    fatal.
+    fatal.  tol must be finite and nonnegative.
     """
     eigs = [complex(e) for e in eigenvalues]
     if not eigs:
         raise ValueError("empty spectrum")
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    _check_tol("tol", tol)
     max_residual = None
     if residuals is not None:
         res = [float(r) for r in residuals]
@@ -446,7 +451,7 @@ def reference_spectrum(rep: TruncatedRep) -> Tuple[np.ndarray, float]:
     n = rep.n_tr
     if m.shape != (2 * n, 2 * n):
         raise ValueError("matrix shape does not match n_tr")
-    holo = (rep.branch is Branch.I) == (rep.valley is Valley.PRIMARY)
+    holo = holomorphic_tower(rep.branch, rep.valley)
     first = 2 * np.arange(n - 1) + (0 if holo else 1)
     pairs = np.stack([first, first + (3 if holo else 1)], axis=1)
     singles = np.array([1, 2 * n - 2] if holo else [0, 2 * n - 1])
@@ -584,20 +589,21 @@ def find_exceptional_point(
     The endpoints must produce distinct definite verdicts, otherwise a
     NoTransitionBracketedError is raised.  A critical verdict at the
     midpoint counts as the far side, which steers the bracket onto the
-    boundary from the lo-verdict side.
+    boundary from the lo-verdict side.  Bisection stops once the bracket
+    is no wider than tol, which must be finite and nonnegative (0 runs it
+    down to adjacent floats).
     """
     if not lo < hi:
         raise ValueError("require lo < hi")
+    _check_tol("tol", tol)
     _check_n_tr(n_tr)
     similarity = draw_similarity(2 * n_tr, seed)
 
     def verdict_at(x: float) -> PhaseVerdict:
-        fields = {"lam": x} if vary is Vary.LAMBDA else {"b0": x}
-        q = dataclasses.replace(p, **fields)
         try:
             return phase_verdict_numeric(
-                q, branch=branch, valley=valley, n_tr=n_tr, seed=seed,
-                class_tol=class_tol, similarity=similarity,
+                with_varied(p, vary, x), branch=branch, valley=valley,
+                n_tr=n_tr, seed=seed, class_tol=class_tol, similarity=similarity,
             ).verdict
         except DegenerateCoefficientsError:
             # No envelope basis at a vanishing block coefficient; treat the

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from ptdirac import cli
 from ptdirac.params import Branch, PhysParams, Valley, Vary, critical_point, derive_coeffs
 from ptdirac.cli import (
     DEFAULTS,
@@ -156,6 +157,93 @@ def test_bad_flag_value_exits_two():
     assert main(["nonsense"]) == 2
 
 
+# Two values for every settings key, written as in a config file or on the
+# command line.  The first is never the default; the two always differ.
+SETTING_VALUES = {
+    "vf": ("1.5", "1.25"),
+    "lambda": ("0.25", "0.75"),
+    "k1": ("0.03", "0.01"),
+    "b0": ("50.0", "75.0"),
+    "e": ("2.0", "0.5"),
+    "c": ("100.0", "150.0"),
+    "hbar": ("0.5", "2.0"),
+    "n_max": ("3", "2"),
+    "branch": ("II", "I"),
+    "valley": ("time_reversed", "primary"),
+    "n_tr": ("12", "16"),
+    "tol": ("1e-06", "1e-10"),
+    "seed": ("7", "3"),
+    "output": ("first.txt", "second.txt"),
+    "format": ("json", "text"),
+}
+
+
+def resolved(monkeypatch, argv) -> RunConfig:
+    """The RunConfig that main hands to the analytic command."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analytic", lambda cfg: seen.append(cfg) or 0)
+    assert main(["analytic"] + argv) == 0
+    return seen[0]
+
+
+def test_setting_values_cover_every_key():
+    assert list(SETTING_VALUES) == list(DEFAULTS)
+
+
+@pytest.mark.parametrize("key", list(DEFAULTS))
+def test_config_key_equals_flag_and_flag_wins(key, tmp_path, monkeypatch):
+    monkeypatch.delenv("PTDIRAC_CONFIG", raising=False)
+    file_value, flag_value = SETTING_VALUES[key]
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = {file_value}\n", encoding="utf-8")
+    from_file = resolved(monkeypatch, ["--config", str(conf)])
+    from_flag = resolved(monkeypatch, [f"--{key}", file_value])
+    assert from_file == from_flag
+    assert from_file != resolved(monkeypatch, [])
+    both = resolved(monkeypatch, ["--config", str(conf), f"--{key}", flag_value])
+    assert both == resolved(monkeypatch, [f"--{key}", flag_value])
+    assert both != from_file
+
+
+@pytest.mark.parametrize("key", ["branch", "valley", "format"])
+def test_config_rejects_bad_choice_naming_key_and_value(key, tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = bogus\n", encoding="utf-8")
+    assert main(["analytic", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "'bogus'" in err
+
+
+@pytest.mark.parametrize("key, low", [("n_max", "0"), ("n_tr", "1")])
+def test_minimum_holds_for_file_and_flag(key, low, tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = {low}\n", encoding="utf-8")
+    assert main(["analytic", "--config", str(conf)]) == 2
+    assert f"{key} must be at least" in capsys.readouterr().err
+    assert main(["analytic", f"--{key}", low]) == 2
+    assert f"{key} must be at least" in capsys.readouterr().err
+
+
+def test_unwritable_output_flag_exits_two(tmp_path, capsys):
+    missing = tmp_path / "absent" / "out.txt"
+    assert main(["analytic", "--output", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_output_in_config_exits_two(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"output = {tmp_path / 'absent' / 'out.txt'}\n", encoding="utf-8")
+    assert main(["analytic", "--config", str(conf)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_dump_matrix_exits_two(tmp_path, capsys):
+    missing = tmp_path / "absent" / "matrix.txt"
+    assert main(["spectrum", "--n_tr", "8", "--dump_matrix", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -293,6 +381,22 @@ def test_critical_unbracketed_exits_two(capsys):
     assert main(["critical", "--vary", "lambda", "--lo", "0.1",
                  "--hi", "0.2", "--n_tr", "8"]) == 2
     assert "bisection failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-06"])
+def test_critical_rejects_non_finite_or_negative_bisect_tol(value, capsys):
+    assert main(["critical", "--vary", "lambda", "--n_tr", "8",
+                 f"--bisect_tol={value}"]) == 2
+    captured = capsys.readouterr()
+    assert "tol must be finite and nonnegative" in captured.err
+    assert "bisected" not in captured.out
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["critical", "--vary", "lambda"]])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-06"])
+def test_non_finite_or_negative_tol_exits_two(command, value, capsys):
+    assert main(command + ["--n_tr", "8", f"--tol={value}"]) == 2
+    assert "tol must be finite and nonnegative" in capsys.readouterr().err
 
 
 def test_critical_degenerate_exits_two(capsys):

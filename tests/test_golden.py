@@ -1,8 +1,10 @@
 """Byte-identity of CLI output against recorded golden files.
 
 The files under ``tests/golden/`` were written by the commands in ``CASES``
-before the numeric verdict was reworked to share the similarity and to take
-its reference spectrum from the 2x2 blocks; the rework must not move a byte.
+before the code that produces them was reworked: the numeric verdict (shared
+similarity, reference spectrum from the 2x2 blocks) and the analytic report
+(parameters rendered from the CLI settings table).  A rework must not move
+a byte.
 Each run happens in a subprocess with BLAS pinned to one thread, because
 multithreaded LAPACK reorders floating-point sums and changes the last bits
 of the scrambled spectra.  The bytes also belong to one numpy/BLAS build, so

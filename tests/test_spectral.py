@@ -5,6 +5,7 @@ block action on the level tower.
 """
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -222,6 +223,12 @@ def test_classify_unpairable_everything_is_critical():
     report = classify_spectrum([1.0, 2.0])
     assert report.verdict is PhaseVerdict.CRITICAL
     assert len(report.unpaired) == 2
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
+def test_classify_rejects_non_finite_or_negative_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        classify_spectrum([1.0, -1.0], tol)
 
 
 def test_classify_validates_residuals():
@@ -506,6 +513,20 @@ def test_find_exceptional_point_requires_bracket():
     assert "no transition bracketed" in str(info.value)
     with pytest.raises(ValueError):
         find_exceptional_point(BASE, Vary.LAMBDA, 0.3, 0.1, n_tr=8)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-6])
+def test_find_exceptional_point_rejects_non_finite_or_negative_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        find_exceptional_point(BASE, Vary.LAMBDA, 1.0, 1.5, tol=tol, n_tr=8)
+
+
+def test_find_exceptional_point_zero_tol_bisects_to_adjacent_floats():
+    target = critical_point(BASE, Vary.LAMBDA)
+    found = find_exceptional_point(
+        BASE, Vary.LAMBDA, 0.5 * target, 1.5 * target, tol=0.0, n_tr=8
+    )
+    assert abs(found - target) <= 1e-4
 
 
 # ---------------------------------------------------------------------------
