@@ -576,7 +576,7 @@ def cmd_spectrum(cfg: RunConfig, dump_path: Optional[str]) -> int:
     rep = build_truncated(co, cfg.n_tr, cfg.branch, cfg.valley)
     if dump_path is not None:
         _write_file(dump_path, dump_matrix(rep.matrix))
-    result = scrambled_eigensolve(rep, cfg.seed)
+    result = scrambled_eigensolve(rep, draw_similarity(2 * cfg.n_tr, cfg.seed))
     report = classify_spectrum(result.values, cfg.tol, result.residuals)
     payload = {
         "n_tr": cfg.n_tr,

@@ -226,18 +226,28 @@ def default_critical_tol(p: PhysParams) -> float:
     return 1e-12 * scale
 
 
+def check_tol(name: str, tol: float) -> None:
+    """Raise ValueError unless tol is finite and nonnegative.
+
+    A nan tolerance would fail every comparison and an infinite one would
+    swallow every value, so either would turn a verdict into a default.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
+
+
 def classify_phase(
     p: PhysParams, branch: Branch, tol: Optional[float] = None
 ) -> PhaseVerdict:
     """Sign test on k_coef with a critical band of half-width tol around zero.
 
     Branch I is unbroken for k_coef > tol and broken for k_coef < -tol;
-    branch II is the mirror image.  tol defaults to default_critical_tol(p).
+    branch II is the mirror image.  tol defaults to default_critical_tol(p)
+    and must be finite and nonnegative.
     """
     if tol is None:
         tol = default_critical_tol(p)
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    check_tol("tol", tol)
     k = derive_coeffs(p).k_coef
     if branch is Branch.II:
         k = -k

@@ -3,10 +3,10 @@
 The closed-form machinery in opalg is exact but only reaches states it can
 name.  This module drives the complementary numeric route: project the
 Hamiltonian onto the first n_tr levels of the monomial-times-Gaussian tower
-for one branch and valley, optionally scramble the matrix by a similarity
-transform so no analytic structure survives, then classify the dense
-spectrum purely from its eigenvalues.  Agreement between that verdict and
-the closed-form one is the cross-check the test suite leans on.
+for one branch and valley, scramble the matrix by a similarity transform so
+no analytic structure survives, then classify the dense spectrum purely from
+its eigenvalues.  Agreement between that verdict and the closed-form one is
+the cross-check the test suite leans on.
 
 Truncation artefacts are contained: the projected matrix reproduces every
 retained level exactly and adds two spurious zero rows, so classification
@@ -16,15 +16,16 @@ One verdict makes two dense decompositions: the solve that applies the
 similarity S and the eig inside eigensolve.  The reference spectrum and
 cond(V) for the Bauer-Fike invariance budget come from the 2x2 blocks of
 the unscrambled matrix (reference_spectrum), and the invariance check runs
-on the eigenvalues eigensolve returns (scrambled_eigensolve).  S depends
-only on (dim, seed); a command that runs several verdicts draws it once
-with draw_similarity and drops it when it returns, and nothing is cached
-across commands.
+on the eigenvalues eigensolve returns (scrambled_eigensolve).  S enters
+the oracle one way: as a Similarity from draw_similarity, which also carries
+cond(S), known from the construction.  S depends only on (dim, seed); every
+command draws it once and drops it when it returns, and nothing is cached
+across commands.  phase_verdict_numeric is the one place that draws S when
+the caller passes none.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,6 +40,7 @@ from .params import (
     PhysParams,
     Valley,
     Vary,
+    check_tol,
     classify_phase,
     critical_point,
     derive_coeffs,
@@ -61,8 +63,7 @@ class TruncatedRep:
 
     Basis vector 2*l is the upper-component level-l function, 2*l+1 the
     lower-component one; dropped_count records raising amplitudes that left
-    the retained span (exactly one per truncation).  A scrambled rep
-    carries the measured condition number of its similarity as cond_s.
+    the retained span (exactly one per truncation).
     """
 
     n_tr: int
@@ -71,8 +72,6 @@ class TruncatedRep:
     valley: Valley
     coeffs: DerivedCoeffs
     dropped_count: int
-    scrambled: bool = False
-    cond_s: Optional[float] = None
 
 
 def _expected_entries(
@@ -121,11 +120,6 @@ def _basis_function(
     if component == 0:
         return SpinorFunction(wp, zero)
     return SpinorFunction(zero, wp)
-
-
-def _check_tol(name: str, tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
 
 
 def _check_n_tr(n_tr: int) -> None:
@@ -232,8 +226,6 @@ def eigensolve(m: np.ndarray, tol: float = 1e-9) -> EigenResult:
         raise ValueError("matrix must be square")
     if m.shape[0] == 0:
         raise ValueError("matrix must be nonempty")
-    if m.shape[0] > 2000:
-        raise ValueError("dimension above the supported limit of 2000")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
     values, vectors = np.linalg.eig(m.astype(complex))
@@ -300,7 +292,7 @@ def classify_spectrum(
     eigs = [complex(e) for e in eigenvalues]
     if not eigs:
         raise ValueError("empty spectrum")
-    _check_tol("tol", tol)
+    check_tol("tol", tol)
     max_residual = None
     if residuals is not None:
         res = [float(r) for r in residuals]
@@ -367,14 +359,13 @@ def classify_spectrum(
 # scrambling and the invariance check
 # ---------------------------------------------------------------------------
 
-_COND_LIMIT = 100.0
 _DENSITY_FLOOR = 0.9
 _SPECTRUM_INVARIANCE_REL = 1e-9
 
 
 @dataclass(frozen=True)
 class Similarity:
-    """A drawn similarity S (read-only) with its seed and measured cond(S)."""
+    """A drawn similarity S (read-only) with its seed and cond(S)."""
 
     matrix: np.ndarray
     seed: int
@@ -385,54 +376,44 @@ def draw_similarity(dim: int, seed: int = 0) -> Similarity:
     """Draw the similarity that scramble applies for (dim, seed).
 
     S = Q1 diag(10**u) Q2 with Haar-ish unitary factors (QR of complex
-    Gaussians) and u uniform in [-0.25, 0.25], which keeps cond(S) far
-    below the enforced bound of 100 while destroying the block pattern.
-    Resamples at most 10 times.  S depends only on (dim, seed), so a command
-    that runs several verdicts draws it once and passes it to each; the
-    matrix is read-only so no verdict can alter what the next one uses.
+    Gaussians) and u uniform in [-0.25, 0.25], which destroys the block
+    pattern.  The singular values of S are the diagonal, so cond(S) is its
+    max/min ratio, at most 10**0.5 by construction; no SVD is needed and no
+    draw can be rejected.  S depends only on (dim, seed), so a command that
+    runs several verdicts draws it once and passes it to each; the matrix is
+    read-only so no verdict can alter what the next one uses.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(10):
-        q1 = np.linalg.qr(
-            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        )[0]
-        q2 = np.linalg.qr(
-            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        )[0]
-        diag = 10.0 ** rng.uniform(-0.25, 0.25, size=dim)
-        candidate = q1 @ (diag[:, np.newaxis] * q2)
-        kappa_s = float(np.linalg.cond(candidate))
-        if kappa_s <= _COND_LIMIT:
-            candidate.flags.writeable = False
-            return Similarity(candidate, seed, kappa_s)
-    raise RuntimeError("could not draw a similarity with condition <= 100")
+    q1 = np.linalg.qr(
+        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    )[0]
+    q2 = np.linalg.qr(
+        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    )[0]
+    diag = 10.0 ** rng.uniform(-0.25, 0.25, size=dim)
+    matrix = q1 @ (diag[:, np.newaxis] * q2)
+    matrix.flags.writeable = False
+    return Similarity(matrix, seed, float(diag.max() / diag.min()))
 
 
-def scramble(
-    rep: TruncatedRep, seed: int = 0, *, similarity: Optional[Similarity] = None
-) -> TruncatedRep:
-    """Similarity-transform the matrix so no analytic sparsity survives.
+def scramble(rep: TruncatedRep, similarity: Similarity) -> np.ndarray:
+    """Return S^-1 M S for the truncation's matrix M, so no sparsity survives.
 
-    Applies ``similarity`` when given (it must have been drawn for this
-    dimension and seed), otherwise draws S with draw_similarity.  Checks
-    the density of the result and records cond(S) as ``cond_s``.  Spectrum
-    invariance is checked after the eigensolve, on its eigenvalues, by
-    check_spectrum_invariance; scrambled_eigensolve runs all three.
+    S must have been drawn for the matrix's dimension, else ValueError.
+    Checks the density of the result.  Spectrum invariance is checked after
+    the eigensolve, on its eigenvalues, by check_spectrum_invariance;
+    scrambled_eigensolve runs all three.
     """
     dim = rep.matrix.shape[0]
-    if similarity is None:
-        similarity = draw_similarity(dim, seed)
-    elif similarity.matrix.shape != (dim, dim) or similarity.seed != seed:
-        raise ValueError("similarity was drawn for another dimension or seed")
+    if similarity.matrix.shape != (dim, dim):
+        raise ValueError("similarity was drawn for another dimension")
     s = similarity.matrix
     transformed = np.linalg.solve(s, rep.matrix @ s)
     scale = max(float(np.max(np.abs(transformed))), np.finfo(float).tiny)
     density = float(np.mean(np.abs(transformed) > 1e-12 * scale))
     if density < _DENSITY_FLOOR:
         raise RuntimeError(f"scrambled matrix too sparse: density {density:.3f}")
-    return dataclasses.replace(
-        rep, matrix=transformed, scrambled=True, cond_s=similarity.cond
-    )
+    return transformed
 
 
 def reference_spectrum(rep: TruncatedRep) -> Tuple[np.ndarray, float]:
@@ -497,7 +478,7 @@ def check_spectrum_invariance(
     """Raise RuntimeError unless ``values`` reproduce the spectrum of ``rep``.
 
     ``values`` are the eigenvalues of the scrambled matrix and ``cond_s``
-    the measured cond(S) of the similarity; ``rep`` is the unscrambled
+    the cond(S) of the similarity; ``rep`` is the unscrambled
     truncation, whose spectrum and cond(V) come from reference_spectrum.
     """
     before, kappa_v = reference_spectrum(rep)
@@ -520,21 +501,18 @@ def check_spectrum_invariance(
 
 
 def scrambled_eigensolve(
-    rep: TruncatedRep,
-    seed: int = 0,
-    *,
-    similarity: Optional[Similarity] = None,
-    cert_tol: float = 1e-9,
+    rep: TruncatedRep, similarity: Similarity, cert_tol: float = 1e-9
 ) -> EigenResult:
-    """Scramble ``rep``, eigensolve it with certificates, check invariance.
+    """Scramble ``rep`` by ``similarity``, eigensolve, check invariance.
 
-    The one route from a truncation to certified scrambled eigenvalues:
+    Eigenpair certificates must stay within ``cert_tol``, and the invariance
+    budget takes cond(S) from ``similarity.cond``.  This is the one route
+    from a truncation to certified scrambled eigenvalues:
     phase_verdict_numeric and the ``spectrum`` command both take it, so no
     caller can skip the invariance check.
     """
-    mixed = scramble(rep, seed, similarity=similarity)
-    result = eigensolve(mixed.matrix, cert_tol)
-    check_spectrum_invariance(rep, result.values, mixed.cond_s)
+    result = eigensolve(scramble(rep, similarity), cert_tol)
+    check_spectrum_invariance(rep, result.values, similarity.cond)
     return result
 
 
@@ -560,10 +538,16 @@ def phase_verdict_numeric(
     invariance on the eigensolve's eigenvalues) and classifies the result.
     A command that runs several verdicts passes one
     ``draw_similarity(2 * n_tr, seed)`` as ``similarity``; the eigenvalues
-    are bit-identical to those from drawing S afresh.
+    are bit-identical to those from drawing S here, which is what happens
+    when ``similarity`` is None.  A similarity drawn for another seed raises
+    ValueError.
     """
     rep = build_truncated(derive_coeffs(p), n_tr, branch, valley)
-    result = scrambled_eigensolve(rep, seed, similarity=similarity, cert_tol=cert_tol)
+    if similarity is None:
+        similarity = draw_similarity(2 * n_tr, seed)
+    elif similarity.seed != seed:
+        raise ValueError("similarity was drawn for another seed")
+    result = scrambled_eigensolve(rep, similarity, cert_tol)
     return classify_spectrum(result.values, class_tol, result.residuals)
 
 
@@ -590,12 +574,16 @@ def find_exceptional_point(
     NoTransitionBracketedError is raised.  A critical verdict at the
     midpoint counts as the far side, which steers the bracket onto the
     boundary from the lo-verdict side.  Bisection stops once the bracket
-    is no wider than tol, which must be finite and nonnegative (0 runs it
-    down to adjacent floats).
+    is no wider than tol, which must be finite, nonnegative (0 runs it down
+    to adjacent floats) and below hi - lo, so at least one step runs.
     """
     if not lo < hi:
         raise ValueError("require lo < hi")
-    _check_tol("tol", tol)
+    check_tol("tol", tol)
+    if tol >= hi - lo:
+        raise ValueError(
+            f"tol {tol!r} must be below the bracket width {hi - lo!r}"
+        )
     _check_n_tr(n_tr)
     similarity = draw_similarity(2 * n_tr, seed)
 

@@ -392,6 +392,15 @@ def test_critical_rejects_non_finite_or_negative_bisect_tol(value, capsys):
     assert "bisected" not in captured.out
 
 
+def test_critical_rejects_bisect_tol_not_below_the_bracket(capsys):
+    # the default bracket is [0.5, 1.5] x analytic, here about 1.33 wide
+    assert main(["critical", "--vary", "lambda", "--n_tr", "8",
+                 "--bisect_tol", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "below the bracket width" in captured.err
+    assert "bisected" not in captured.out
+
+
 @pytest.mark.parametrize("command", [["spectrum"], ["critical", "--vary", "lambda"]])
 @pytest.mark.parametrize("value", ["nan", "inf", "-1e-06"])
 def test_non_finite_or_negative_tol_exits_two(command, value, capsys):

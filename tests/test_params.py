@@ -199,6 +199,14 @@ def test_classify_phase_rejects_negative_tol():
         classify_phase(BASE, Branch.I, tol=-1.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_classify_phase_rejects_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        classify_phase(BASE, Branch.I, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        classify_phase(BASE, Branch.II, tol=tol)
+
+
 def test_verdict_flips_across_lambda_boundary():
     rng = random.Random(11)
     found = 0

@@ -87,7 +87,6 @@ def test_truncated_matches_reference_entries():
                 scale = max(1.0, float(np.max(np.abs(ref))))
                 assert np.max(np.abs(rep.matrix - ref)) <= 1e-13 * scale
                 assert rep.dropped_count == 1
-                assert not rep.scrambled
 
 
 def test_smallest_truncation_structure():
@@ -156,8 +155,6 @@ def test_eigensolve_rejects_bad_matrices():
         eigensolve(np.zeros((0, 0)))
     with pytest.raises(ValueError):
         eigensolve(np.array([[np.nan]]))
-    with pytest.raises(ValueError):
-        eigensolve(np.eye(2001))
 
 
 def test_eigensolve_certificate_failure_carries_partials():
@@ -245,24 +242,23 @@ def test_classify_validates_residuals():
 
 def test_scramble_preserves_spectrum_and_fills_matrix():
     rep = build_truncated(CO, 20)
-    mixed = scramble(rep, seed=5)
-    assert mixed.scrambled and not rep.scrambled
-    assert mixed.matrix.shape == rep.matrix.shape
+    mixed = scramble(rep, draw_similarity(40, seed=5))
+    assert mixed.shape == rep.matrix.shape
     before = np.sort_complex(np.linalg.eigvals(rep.matrix))
-    after = np.sort_complex(np.linalg.eigvals(mixed.matrix))
+    after = np.sort_complex(np.linalg.eigvals(mixed))
     spread = max(1.0, float(np.max(np.abs(before))))
     assert float(np.max(np.abs(before - after))) <= 1e-9 * spread
-    scale = float(np.max(np.abs(mixed.matrix)))
-    density = float(np.mean(np.abs(mixed.matrix) > 1e-12 * scale))
+    scale = float(np.max(np.abs(mixed)))
+    density = float(np.mean(np.abs(mixed) > 1e-12 * scale))
     assert density >= 0.9
 
 
 def test_scramble_seeds_differ():
     rep = build_truncated(CO, 6)
-    a = scramble(rep, seed=1)
-    b = scramble(rep, seed=2)
-    assert not np.allclose(a.matrix, b.matrix)
-    assert np.array_equal(scramble(rep, seed=1).matrix, a.matrix)
+    a = scramble(rep, draw_similarity(12, seed=1))
+    b = scramble(rep, draw_similarity(12, seed=2))
+    assert not np.allclose(a, b)
+    assert np.array_equal(scramble(rep, draw_similarity(12, seed=1)), a)
 
 
 # ---------------------------------------------------------------------------
@@ -305,20 +301,21 @@ def test_reference_spectrum_rejects_off_pattern_entry():
     tampered[0, 1] = 1e-300
     with pytest.raises(RuntimeError, match="outside the 2x2 tower blocks"):
         reference_spectrum(dataclasses.replace(rep, matrix=tampered))
+    scrambled = scramble(rep, draw_similarity(20, seed=1))
     with pytest.raises(RuntimeError):
-        reference_spectrum(scramble(rep, seed=1))
+        reference_spectrum(dataclasses.replace(rep, matrix=scrambled))
 
 
 def test_invariance_check_fires_past_the_budget():
     rep = build_truncated(CO, 20)
-    mixed = scramble(rep, seed=4)
-    values = eigensolve(mixed.matrix).values
-    check_spectrum_invariance(rep, values, mixed.cond_s)
+    similarity = draw_similarity(40, seed=4)
+    values = eigensolve(scramble(rep, similarity)).values
+    check_spectrum_invariance(rep, values, similarity.cond)
     spread = float(np.max(np.abs(values)))
     bumped = values.copy()
     bumped[0] += 1e-7 * spread
     with pytest.raises(RuntimeError, match="drifted the spectrum"):
-        check_spectrum_invariance(rep, bumped, mixed.cond_s)
+        check_spectrum_invariance(rep, bumped, similarity.cond)
 
 
 def _delete_loop_drift(before, after):
@@ -427,10 +424,12 @@ def test_shared_similarity_is_read_only():
     assert not shared.matrix.flags.writeable
     with pytest.raises(ValueError):
         shared.matrix[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        scramble(build_truncated(CO, 6), seed=4, similarity=shared)
-    with pytest.raises(ValueError):
-        scramble(build_truncated(CO, 5), seed=3, similarity=shared)
+    with pytest.raises(ValueError, match="another seed"):
+        phase_verdict_numeric(BASE, n_tr=6, seed=4, similarity=shared)
+    with pytest.raises(ValueError, match="another dimension"):
+        scramble(build_truncated(CO, 5), shared)
+    with pytest.raises(ValueError, match="another dimension"):
+        phase_verdict_numeric(BASE, n_tr=5, seed=3, similarity=shared)
 
 
 @pytest.mark.parametrize("p", [BASE, BROKEN])
@@ -438,13 +437,70 @@ def test_shared_similarity_gives_bit_equal_eigenvalues(p):
     seed = 7
     shared = draw_similarity(2 * 20, seed)
     rep = build_truncated(derive_coeffs(p), 20)
-    fresh = eigensolve(scramble(rep, seed).matrix).values
-    reused = scrambled_eigensolve(rep, seed, similarity=shared).values
+    fresh = eigensolve(scramble(rep, draw_similarity(2 * 20, seed))).values
+    reused = scrambled_eigensolve(rep, shared).values
     assert np.array_equal(fresh, reused)
-    assert scramble(rep, seed).cond_s == shared.cond
+    assert draw_similarity(2 * 20, seed).cond == shared.cond
     a = phase_verdict_numeric(p, n_tr=20, seed=seed)
     b = phase_verdict_numeric(p, n_tr=20, seed=seed, similarity=shared)
     assert a.eigenvalues == b.eigenvalues
+
+
+# ---------------------------------------------------------------------------
+# drawing S
+# ---------------------------------------------------------------------------
+
+
+def _resampling_draw(dim, seed):
+    """The draw as first written: measure cond(S) by SVD, resample above 100."""
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        q1 = np.linalg.qr(
+            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        )[0]
+        q2 = np.linalg.qr(
+            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        )[0]
+        diag = 10.0 ** rng.uniform(-0.25, 0.25, size=dim)
+        candidate = q1 @ (diag[:, np.newaxis] * q2)
+        if np.linalg.cond(candidate) <= 100.0:
+            return candidate
+    raise AssertionError("no draw accepted")
+
+
+@pytest.mark.parametrize("dim", [4, 12, 80, 400])
+@pytest.mark.parametrize("seed", range(5))
+def test_similarity_cond_from_the_diagonal_matches_the_svd(dim, seed):
+    similarity = draw_similarity(dim, seed)
+    measured = float(np.linalg.cond(similarity.matrix))
+    assert abs(similarity.cond - measured) <= 1e-12 * measured
+    assert 1.0 <= similarity.cond <= 10.0 ** 0.5
+
+
+@pytest.mark.parametrize("dim", [4, 12, 80, 400])
+def test_similarity_is_bit_equal_to_the_resampling_draw(dim):
+    for seed in range(3):
+        similarity = draw_similarity(dim, seed)
+        assert similarity.seed == seed
+        assert np.array_equal(similarity.matrix, _resampling_draw(dim, seed))
+
+
+def test_spectrum_command_takes_no_svd_of_a_full_matrix(monkeypatch, tmp_path):
+    calls = {"cond": [], "svd": [], "qr": []}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counting(a, *args, _name=name, _original=original, **kwargs):
+            calls[_name].append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    out = tmp_path / "spectrum.txt"
+    assert cli.main(["spectrum", "--n_tr", "12", "--output", str(out)]) == 0
+    assert calls["cond"] == []
+    # the only SVD left is the batched one over reference_spectrum's 2x2 blocks
+    assert calls["svd"] == [(11, 2, 2)]
+    assert calls["qr"] == [(24, 24), (24, 24)]
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +574,12 @@ def test_find_exceptional_point_requires_bracket():
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-6])
 def test_find_exceptional_point_rejects_non_finite_or_negative_tol(tol):
     with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        find_exceptional_point(BASE, Vary.LAMBDA, 1.0, 1.5, tol=tol, n_tr=8)
+
+
+@pytest.mark.parametrize("tol", [0.5, 2.0])
+def test_find_exceptional_point_rejects_tol_not_below_the_bracket(tol):
+    with pytest.raises(ValueError, match="below the bracket width"):
         find_exceptional_point(BASE, Vary.LAMBDA, 1.0, 1.5, tol=tol, n_tr=8)
 
 
