@@ -362,6 +362,22 @@ def test_critical_agreement(tmp_path):
     assert abs(values["analytic"] - values["bisected"]) <= 1e-4
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--vary", vary, "--branch", branch, "--valley", valley]
+     for vary in ("lambda", "b0")
+     for branch in ("I", "II")
+     for valley in ("primary", "time_reversed")]
+    + [["--vary", "b0", "--seed", str(seed)] for seed in range(1, 4)],
+    ids=" ".join,
+)
+def test_critical_lands_within_bisect_tol(tmp_path, args):
+    code, text = run_to_file(tmp_path, ["critical", "--bisect_tol", "1e-6"] + args)
+    assert code == 0
+    values = dict(line.split(": ") for line in text.splitlines())
+    assert float(values["difference"]) <= 1e-6
+
+
 def test_critical_without_spin_coupling_lands_on_vf(tmp_path):
     code, text = run_to_file(
         tmp_path,

@@ -39,6 +39,7 @@ from ptdirac.spectral import (
     reference_spectrum,
     scramble,
     scrambled_eigensolve,
+    signed_level,
 )
 
 BASE = PhysParams(v_f=1.37, lam=0.5, k1=0.02, b0=100.0)
@@ -405,17 +406,17 @@ def test_bisection_draws_the_similarity_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", counting)
-    verdicts = []
-    original_verdict = spectral.phase_verdict_numeric
+    runs = []
+    original_run = spectral.scrambled_eigensolve
 
-    def counting_verdict(*args, **kwargs):
-        verdicts.append(1)
-        return original_verdict(*args, **kwargs)
+    def counting_run(*args, **kwargs):
+        runs.append(1)
+        return original_run(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, "phase_verdict_numeric", counting_verdict)
+    monkeypatch.setattr(spectral, "scrambled_eigensolve", counting_run)
     target = critical_point(BASE, Vary.LAMBDA)
     find_exceptional_point(BASE, Vary.LAMBDA, 0.5 * target, 1.5 * target, n_tr=8)
-    assert len(verdicts) > 10
+    assert len(runs) >= 3
     assert len(calls) == 2
 
 
@@ -558,9 +559,7 @@ def test_find_exceptional_point_matches_analytic():
         found = find_exceptional_point(
             p, vary, 0.5 * target, 1.5 * target, tol=1e-6, n_tr=16
         )
-        # Verdicts blur inside a roundoff band around the defective point,
-        # so the locator cannot beat the band width, only the 1e-4 budget.
-        assert abs(found - target) <= 1e-4 * max(1.0, target)
+        assert abs(found - target) <= 1e-6 * max(1.0, target)
 
 
 def test_find_exceptional_point_requires_bracket():
@@ -589,6 +588,98 @@ def test_find_exceptional_point_zero_tol_bisects_to_adjacent_floats():
         BASE, Vary.LAMBDA, 0.5 * target, 1.5 * target, tol=0.0, n_tr=8
     )
     assert abs(found - target) <= 1e-4
+
+
+def test_bracket_ends_must_agree_with_the_level_sign(monkeypatch):
+    original = spectral.signed_level
+
+    def flipped(rep, values, similarity):
+        level = original(rep, values, similarity)
+        return spectral.SignedLevel(-level.value, level.floor, level.resolved)
+
+    monkeypatch.setattr(spectral, "signed_level", flipped)
+    target = critical_point(BASE, Vary.LAMBDA)
+    with pytest.raises(NoTransitionBracketedError, match="but level"):
+        find_exceptional_point(
+            BASE, Vary.LAMBDA, 0.5 * target, 1.5 * target, n_tr=8
+        )
+
+
+@pytest.mark.parametrize("vary", list(Vary))
+def test_zero_tol_with_a_zero_floor_ends_at_adjacent_floats(monkeypatch, vary):
+    def closed_form_level(rep, values, similarity):
+        k = float(rep.coeffs.k_coef)
+        return spectral.SignedLevel(k, 0.0, k != 0.0)
+
+    monkeypatch.setattr(spectral, "signed_level", closed_form_level)
+    target = critical_point(BASE, vary)
+    found = find_exceptional_point(
+        BASE, vary, 0.5 * target, 1.5 * target, tol=0.0, n_tr=8
+    )
+    assert abs(found - target) <= 4 * math.ulp(target)
+
+
+def _level(p, n_tr, branch, valley, seed):
+    rep = build_truncated(derive_coeffs(p), n_tr, branch, valley)
+    similarity = draw_similarity(2 * n_tr, seed)
+    return signed_level(rep, scrambled_eigensolve(rep, similarity).values, similarity)
+
+
+@pytest.mark.parametrize("n_tr", [10, 40])
+@pytest.mark.parametrize("valley", list(Valley))
+@pytest.mark.parametrize("branch", list(Branch))
+def test_signed_level_reads_k_next_to_the_exceptional_point(branch, valley, n_tr):
+    lam_c = critical_point(BASE, Vary.LAMBDA)
+    for factor in (1 + 1e-12, 1 - 1e-12, 1 + 1e-13):
+        p = dataclasses.replace(BASE, lam=lam_c * factor)
+        k = derive_coeffs(p).k_coef * (1 if branch is Branch.I else -1)
+        assert 4e-13 < abs(k) < 6e-12
+        for seed in range(5):
+            level = _level(p, n_tr, branch, valley, seed)
+            assert abs(level.value - k) <= level.floor
+            if level.resolved:
+                assert (level.value > 0) == (k > 0)
+            # Branch II carries entries near 5.4 * n_tr, so its floor can
+            # exceed |k| here; branch I (entries near 0.08 * n_tr) resolves.
+            if branch is Branch.I or abs(k) > 2 * level.floor:
+                assert level.resolved
+
+
+NEAR_EP = dataclasses.replace(BASE, lam=1.3319331364)  # k = 2.3e-10
+
+
+@pytest.mark.parametrize("p", [BASE, BROKEN, NEAR_EP])
+@pytest.mark.parametrize("valley", list(Valley))
+@pytest.mark.parametrize("branch", list(Branch))
+def test_signed_level_finds_the_level_zero_pair_at_two_levels(p, branch, valley):
+    k = derive_coeffs(p).k_coef * (1 if branch is Branch.I else -1)
+    for seed in range(3):
+        level = _level(p, 2, branch, valley, seed)
+        assert level.resolved
+        assert abs(level.value - k) <= level.floor
+
+
+def test_signed_level_rejects_a_wrong_eigenvalue_count():
+    rep = build_truncated(CO, 4)
+    with pytest.raises(ValueError, match="eigenvalue count"):
+        signed_level(rep, np.zeros(6), draw_similarity(8))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("vary, most", [("lambda", 12), ("b0", 5)])
+def test_critical_needs_few_oracle_runs(tmp_path, monkeypatch, vary, most, seed):
+    runs = []
+    original = spectral.scrambled_eigensolve
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "scrambled_eigensolve", counting)
+    out = tmp_path / "critical.txt"
+    assert cli.main(["critical", "--vary", vary, "--seed", str(seed),
+                     "--output", str(out)]) == 0
+    assert 3 <= len(runs) <= most
 
 
 # ---------------------------------------------------------------------------
