@@ -754,6 +754,9 @@ def cmd_critical(
         lo = 0.5 * analytic
     if hi is None:
         hi = 1.5 * analytic
+    if vary is Vary.LAMBDA and not lo <= analytic <= hi and lo <= -analytic <= hi:
+        # k depends on lambda**2, so -analytic is a critical coupling too.
+        analytic = -analytic
     try:
         numeric = find_exceptional_point(
             p,

@@ -29,8 +29,10 @@ E^2 = +-(n+1) k; signed_level reads the level-0 pair's mean Re E^2 from the
 eigenvalues scrambled_eigensolve returns, with a roundoff floor from eps,
 cond(S) and the unscrambled matrix.  find_exceptional_point checks the
 bracket ends with full verdicts, then runs Illinois regula falsi on that
-level, which is affine in b0 and quadratic in lambda, and stops at the
-first point whose level is within its floor.
+level and stops at the first point whose level is within its floor.  Each
+step is taken in the coordinate in which the level is affine, b0 itself
+or lambda**2 (k is even in lambda), so one step lands on the root up to
+roundoff.
 """
 
 from __future__ import annotations
@@ -650,8 +652,13 @@ def find_exceptional_point(
     level, otherwise NoTransitionBracketedError is raised.  Inside, each
     step is regula falsi on the level, with the Illinois rule (Dowell &
     Jarratt 1971): when the same end of the bracket moves twice running,
-    the level kept for the other end is halved.  The level is affine in
-    b0 and quadratic in lambda, so few steps are needed.  The search
+    the level kept for the other end is halved.  The step is taken where
+    the level is affine: in b0 for Vary.B0, and in lambda**2 for
+    Vary.LAMBDA, mapped back with the sign of the bracket end farther from
+    0.  The level is even in lambda, so on a bracket across 0 its root
+    lies on that end's side, and the step stays inside the bracket.  One
+    step lands on the root up to the roundoff in the levels, so a search
+    typically takes 1 or 2 steps after the two ends.  The search
     returns the first point whose level is unresolved, i.e. within its
     floor of zero.  Otherwise it returns the bracket midpoint once the
     bracket is no wider than tol or neither the step nor the midpoint
@@ -705,7 +712,16 @@ def find_exceptional_point(
     f_lo, f_hi = level_lo.value, level_hi.value
     moved = None  # the end that moved on the previous step
     while hi - lo > tol:
-        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        r = f_lo / (f_lo - f_hi)
+        if vary is Vary.LAMBDA:
+            # The level is affine in lambda**2 and even in lambda, so step
+            # in lambda**2; across 0 the root is on the side of the far end.
+            x = math.copysign(
+                math.sqrt(lo * lo + (hi * hi - lo * lo) * r),
+                hi if abs(hi) > abs(lo) else lo,
+            )
+        else:
+            x = lo + (hi - lo) * r
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
             if not lo < x < hi:

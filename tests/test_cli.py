@@ -368,7 +368,9 @@ def test_critical_agreement(tmp_path):
      for vary in ("lambda", "b0")
      for branch in ("I", "II")
      for valley in ("primary", "time_reversed")]
-    + [["--vary", "b0", "--seed", str(seed)] for seed in range(1, 4)],
+    + [["--vary", "b0", "--seed", str(seed)] for seed in range(1, 4)]
+    # brackets holding only the negative root -1.33193...
+    + [["--vary", "lambda", "--lo", "-1.5", "--hi", hi] for hi in ("-1.0", "1.0")],
     ids=" ".join,
 )
 def test_critical_lands_within_bisect_tol(tmp_path, args):

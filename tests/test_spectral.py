@@ -79,6 +79,20 @@ def reference_matrix(co, n_tr, branch, valley):
     return m
 
 
+@pytest.fixture
+def oracle_runs(monkeypatch):
+    """A list that grows by one at each scrambled_eigensolve call."""
+    runs = []
+    original = spectral.scrambled_eigensolve
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "scrambled_eigensolve", counting)
+    return runs
+
+
 def test_truncated_matches_reference_entries():
     for co in (CO, CO_BROKEN):
         for branch in (Branch.I, Branch.II):
@@ -562,6 +576,26 @@ def test_find_exceptional_point_matches_analytic():
         assert abs(found - target) <= 1e-6 * max(1.0, target)
 
 
+@pytest.mark.parametrize("valley", list(Valley))
+@pytest.mark.parametrize("branch", list(Branch))
+@pytest.mark.parametrize(
+    "lo, hi, root",
+    [(0.0, 1.5, 1), (-1.5, -0.5, -1), (-0.75, 1.5, 1), (-1.5, 0.75, -1)],
+)
+def test_lambda_bracket_lands_on_its_root_in_four_runs(
+    oracle_runs, lo, hi, root, branch, valley
+):
+    lam_c = critical_point(BASE, Vary.LAMBDA)
+    for seed in range(4):
+        oracle_runs.clear()
+        found = find_exceptional_point(
+            BASE, Vary.LAMBDA, lo * lam_c, hi * lam_c, tol=1e-6,
+            branch=branch, valley=valley, n_tr=16, seed=seed,
+        )
+        assert abs(found - root * lam_c) <= 1e-6 * max(1.0, lam_c)
+        assert len(oracle_runs) <= 4
+
+
 def test_find_exceptional_point_requires_bracket():
     with pytest.raises(NoTransitionBracketedError) as info:
         find_exceptional_point(BASE, Vary.LAMBDA, 0.1, 0.3, n_tr=8)
@@ -666,20 +700,12 @@ def test_signed_level_rejects_a_wrong_eigenvalue_count():
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("vary, most", [("lambda", 12), ("b0", 5)])
-def test_critical_needs_few_oracle_runs(tmp_path, monkeypatch, vary, most, seed):
-    runs = []
-    original = spectral.scrambled_eigensolve
-
-    def counting(*args, **kwargs):
-        runs.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(spectral, "scrambled_eigensolve", counting)
+@pytest.mark.parametrize("vary, most", [("lambda", 4), ("b0", 5)])
+def test_critical_needs_few_oracle_runs(tmp_path, oracle_runs, vary, most, seed):
     out = tmp_path / "critical.txt"
     assert cli.main(["critical", "--vary", vary, "--seed", str(seed),
                      "--output", str(out)]) == 0
-    assert 3 <= len(runs) <= most
+    assert 3 <= len(oracle_runs) <= most
 
 
 # ---------------------------------------------------------------------------
