@@ -433,42 +433,29 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
         )
 
     # symmetry eigenfactors: present on the real branch, absent on the other
-    if k > 0:
-        real_branch, broken_branch = Branch.I, Branch.II
-    elif k < 0:
-        real_branch, broken_branch = Branch.II, Branch.I
-    else:
-        real_branch = broken_branch = None
-    if real_branch is None:
+    real, broken = (Branch.I, Branch.II) if k > 0 else (Branch.II, Branch.I)
+    if not abs(k) > 0.0:  # k = 0, or nan after an overflow
         skip("symmetry eigenfactors", "k = 0 (critical point)")
+    elif co.d1(real) is None:
+        skip("symmetry eigenfactors", "real branch degenerate")
     else:
-        ok = True
         details = []
-        if co.d1(real_branch) is not None:
+        for branch, present in ((real, True), (broken, False)):
+            if co.d1(branch) is None:
+                continue
             for n in range(7):
-                s = opalg.analytic_state(real_branch, Valley.PRIMARY, n, co)
+                s = opalg.analytic_state(branch, Valley.PRIMARY, n, co)
                 for op in (P1T, P2T):
-                    if pt_eigenfactor(op, s) is None:
-                        ok = False
-                        details.append(f"{op.name} factor missing at n={n}")
-        else:
-            skip("symmetry eigenfactors", "real branch degenerate")
-            real_branch = None
-        if real_branch is not None:
-            if co.d1(broken_branch) is not None:
-                for n in range(7):
-                    s = opalg.analytic_state(broken_branch, Valley.PRIMARY, n, co)
-                    for op in (P1T, P2T):
-                        if pt_eigenfactor(op, s) is not None:
-                            ok = False
-                            details.append(
-                                f"unexpected {op.name} factor on broken branch n={n}"
-                            )
-            record(
-                "symmetry eigenfactors",
-                ok,
-                "; ".join(details) if details else "present/absent as required",
-            )
+                    if (pt_eigenfactor(op, s) is not None) != present:
+                        details.append(
+                            f"{op.name} factor missing at n={n}" if present else
+                            f"unexpected {op.name} factor on broken branch n={n}"
+                        )
+        record(
+            "symmetry eigenfactors",
+            not details,
+            "; ".join(details) or "present/absent as required",
+        )
 
     # symmetry commutators with both valley Hamiltonians
     worst = 0.0
@@ -529,7 +516,7 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
         try:
             report = phase_verdict_numeric(
                 p, branch=branch, valley=cfg.valley, n_tr=cfg.n_tr, seed=cfg.seed,
-                similarity=similarity,
+                class_tol=cfg.tol, similarity=similarity,
             )
         except DegenerateCoefficientsError:
             skip(name, "degenerate block coefficient")
@@ -846,13 +833,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("analytic", parents=[common])
+    p_analytic = sub.add_parser("analytic", parents=[common])
+    p_analytic.set_defaults(run=lambda cfg, a: cmd_analytic(cfg))
 
     p_verify = sub.add_parser("verify", parents=[common])
     p_verify.add_argument("--perturb", type=float, default=0.0)
+    p_verify.set_defaults(run=lambda cfg, a: cmd_verify(cfg, a.perturb))
 
     p_spectrum = sub.add_parser("spectrum", parents=[common])
     p_spectrum.add_argument("--dump_matrix", dest="dump_matrix_path")
+    p_spectrum.set_defaults(run=lambda cfg, a: cmd_spectrum(cfg, a.dump_matrix_path))
 
     p_sweep = sub.add_parser("sweep", parents=[common])
     p_sweep.add_argument("--vary", choices=["lambda", "b0"], required=True)
@@ -862,18 +852,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--log", action="store_true")
     p_sweep.add_argument("--numeric", action="store_true")
     p_sweep.add_argument("--numeric_every", type=int)
+    p_sweep.set_defaults(
+        run=lambda cfg, a: cmd_sweep(
+            cfg, Vary(a.vary), a.sweep_from, a.sweep_to, a.steps, a.log,
+            a.numeric, a.numeric_every,
+        )
+    )
 
     p_critical = sub.add_parser("critical", parents=[common])
     p_critical.add_argument("--vary", choices=["lambda", "b0"], required=True)
     p_critical.add_argument("--lo", type=float)
     p_critical.add_argument("--hi", type=float)
     p_critical.add_argument("--bisect_tol", type=float, default=1e-6)
+    p_critical.set_defaults(
+        run=lambda cfg, a: cmd_critical(cfg, Vary(a.vary), a.lo, a.hi, a.bisect_tol)
+    )
 
     p_lll = sub.add_parser("lll", parents=[common])
     p_lll.add_argument("--l_max", type=int, default=20)
+    p_lll.set_defaults(run=lambda cfg, a: cmd_lll(cfg, a.l_max))
 
     p_jc = sub.add_parser("jc", parents=[common])
     p_jc.add_argument("--degree", type=int, default=30)
+    p_jc.set_defaults(run=lambda cfg, a: cmd_jc(cfg, a.degree))
 
     return parser
 
@@ -886,37 +887,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _resolve_config(args)
-        if args.command == "analytic":
-            return cmd_analytic(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.perturb)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, args.dump_matrix_path)
-        if args.command == "sweep":
-            return cmd_sweep(
-                cfg,
-                Vary(args.vary),
-                args.sweep_from,
-                args.sweep_to,
-                args.steps,
-                args.log,
-                args.numeric,
-                args.numeric_every,
-            )
-        if args.command == "critical":
-            return cmd_critical(cfg, Vary(args.vary), args.lo, args.hi, args.bisect_tol)
-        if args.command == "lll":
-            return cmd_lll(cfg, args.l_max)
-        if args.command == "jc":
-            return cmd_jc(cfg, args.degree)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(cfg, args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    return 0
 
 
 if __name__ == "__main__":

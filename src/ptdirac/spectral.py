@@ -10,7 +10,12 @@ the cross-check the test suite leans on.
 
 Truncation artefacts are contained: the projected matrix reproduces every
 retained level exactly and adds two spurious zero rows, so classification
-discards a thin edge of the spectrum before rendering a verdict.
+discards a thin edge of the spectrum before rendering a verdict.  The
+Hamiltonian is chiral, so the truncation is a permuted direct sum of 2x2
+blocks [[0, alpha_l], [beta_l, 0]] and two zero singletons; _tower_blocks is
+the one place that says where they sit.  build_truncated checks the assembled
+matrix against the closed-form blocks, and reference_spectrum and
+signed_level read the blocks from the same layout.
 
 One verdict makes two dense decompositions: the solve that applies the
 similarity S and the eig inside eigensolve.  The reference spectrum and
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,39 +90,47 @@ class TruncatedRep:
     dropped_count: int
 
 
-def _expected_entries(
-    coeffs: DerivedCoeffs, branch: Branch, valley: Valley, n_tr: int
-) -> Dict[Tuple[int, int], complex]:
-    """Closed-form nonzero entries, indexed (row, col) in the level basis.
+def _tower_blocks(
+    n_tr: int, branch: Branch, valley: Valley
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Where the truncation's 2x2 blocks and two zero singletons sit.
 
-    Derived independently of ``apply``: act with each block on a single
-    tower function and read off where the two monomial images land.
+    The truncated matrix is a permuted direct sum of n_tr - 1 blocks
+    [[0, alpha_l], [beta_l, 0]] and two singletons.  Row l of ``pairs`` is
+    block l's (i, j): in the holomorphic pattern the upper level-l function
+    pairs with the lower level-(l+1) one, otherwise the lower level-l
+    function with the upper level-(l+1) one.  M[i, j] lowers level l + 1 to
+    l and M[j, i] raises level l to l + 1.  ``singles`` holds the two
+    indices that belong to no block.
+    """
+    holo = holomorphic_tower(branch, valley)
+    first = 2 * np.arange(n_tr - 1) + (0 if holo else 1)
+    pairs = np.stack([first, first + (3 if holo else 1)], axis=1)
+    singles = np.array([1, 2 * n_tr - 2] if holo else [0, 2 * n_tr - 1])
+    return pairs, singles
+
+
+def _closed_form_matrix(
+    coeffs: DerivedCoeffs, branch: Branch, valley: Valley, n_tr: int
+) -> np.ndarray:
+    """The truncated matrix from closed-form entries, filled block by block.
+
+    Derived independently of ``apply``: block l lowers with
+    -i lead hbar (l + 1) and raises with the coupling i k / (lead hbar)
+    (its negative on branch II), lead being a on branch I and b on II.
     """
     k = complex(coeffs.k_coef)
     hbar = complex(coeffs.hbar)
-    holo = holomorphic_tower(branch, valley)
     if branch is Branch.I:
         lead = complex(coeffs.a_coef)
         coupling = 1j * k / (lead * hbar)
     else:
         lead = complex(coeffs.b_coef)
         coupling = -1j * k / (lead * hbar)
-    out: Dict[Tuple[int, int], complex] = {}
-    for l in range(n_tr):
-        up_row = 2 * l
-        lo_row = 2 * l + 1
-        if holo:
-            # upper-right block lowers the level (lower input, upper output);
-            # lower-left block raises it and carries the coupling.
-            if l >= 1:
-                out[(2 * (l - 1), lo_row)] = -1j * lead * hbar * l
-            if l + 1 < n_tr:
-                out[(2 * (l + 1) + 1, up_row)] = coupling
-        else:
-            if l + 1 < n_tr:
-                out[(2 * (l + 1), lo_row)] = coupling
-            if l >= 1:
-                out[(2 * (l - 1) + 1, up_row)] = -1j * lead * hbar * l
+    i, j = _tower_blocks(n_tr, branch, valley)[0].T
+    out = np.zeros((2 * n_tr, 2 * n_tr), dtype=complex)
+    out[i, j] = -1j * lead * hbar * np.arange(1, n_tr)
+    out[j, i] = coupling
     return out
 
 
@@ -180,7 +193,6 @@ def build_truncated(
                             "image left the tower pattern: "
                             f"coefficient {c!r} at z^{m} zbar^{n}"
                         )
-    expected = _expected_entries(coeffs, branch, valley, n_tr)
     a_h = abs(complex(coeffs.a_coef) * complex(coeffs.hbar))
     b_h = abs(complex(coeffs.b_coef) * complex(coeffs.hbar))
     k_abs = abs(complex(coeffs.k_coef))
@@ -193,9 +205,7 @@ def build_truncated(
         abs(complex(coeffs.c1)),
         abs(complex(coeffs.c2)),
     )
-    check = np.zeros_like(matrix)
-    for (i, j), v in expected.items():
-        check[i, j] = v
+    check = _closed_form_matrix(coeffs, branch, valley, n_tr)
     worst = float(np.max(np.abs(matrix - check)))
     if worst > _CROSS_CHECK_REL * scale:
         raise RuntimeError(
@@ -310,22 +320,7 @@ def classify_spectrum(
         if len(res) != len(eigs):
             raise ValueError("residuals length does not match eigenvalues")
         max_residual = max(res) if res else None
-    scale = max(abs(e) for e in eigs)
-    if scale == 0.0:
-        n_pairs = len(eigs) // 2
-        zero_pairs = [(0j, 0j)] * n_pairs
-        return SpectrumReport(
-            eigenvalues=tuple(eigs),
-            pairs=tuple(zero_pairs),
-            retained_pairs=(),
-            unpaired=tuple(eigs[2 * n_pairs :]),
-            n_real=0,
-            n_complex_pairs=0,
-            verdict=PhaseVerdict.CRITICAL,
-            max_residual=max_residual,
-            discarded_edge_levels=n_pairs,
-        )
-    tol_abs = tol * scale
+    tol_abs = tol * max(abs(e) for e in eigs)
     remaining = sorted(eigs, key=abs, reverse=True)
     pairs: List[Tuple[complex, complex]] = []
     unpaired: List[complex] = []
@@ -430,23 +425,17 @@ def scramble(rep: TruncatedRep, similarity: Similarity) -> np.ndarray:
 def reference_spectrum(rep: TruncatedRep) -> Tuple[np.ndarray, float]:
     """Eigenvalues and cond(V) of an unscrambled truncation, from its blocks.
 
-    The truncated matrix is a permuted direct sum of n_tr - 1 blocks
-    [[0, alpha_l], [beta_l, 0]] and two singletons.  In the holomorphic
-    pattern the upper level-l function pairs with the lower level-(l+1)
-    one, otherwise the lower level-l function with the upper level-(l+1)
-    one.  One batched eig of the 2x2 stack and a batched SVD of its
-    unit-column eigenvectors give the spectrum and eigenvector condition
-    number of the whole matrix without a dense decomposition.  Raises
-    RuntimeError if any nonzero entry lies outside that pattern.
+    The blocks and singletons sit where _tower_blocks puts them.  One
+    batched eig of the 2x2 stack and a batched SVD of its unit-column
+    eigenvectors give the spectrum and eigenvector condition number of the
+    whole matrix without a dense decomposition.  Raises RuntimeError if any
+    nonzero entry lies outside that pattern.
     """
     m = rep.matrix
     n = rep.n_tr
     if m.shape != (2 * n, 2 * n):
         raise ValueError("matrix shape does not match n_tr")
-    holo = holomorphic_tower(rep.branch, rep.valley)
-    first = 2 * np.arange(n - 1) + (0 if holo else 1)
-    pairs = np.stack([first, first + (3 if holo else 1)], axis=1)
-    singles = np.array([1, 2 * n - 2] if holo else [0, 2 * n - 1])
+    pairs, singles = _tower_blocks(n, rep.branch, rep.valley)
     rows, cols = pairs[:, :, np.newaxis], pairs[:, np.newaxis, :]
     on_pattern = np.zeros(m.shape, dtype=bool)
     on_pattern[rows, cols] = True
@@ -511,18 +500,17 @@ def check_spectrum_invariance(
         raise RuntimeError(f"similarity drifted the spectrum by {drift:.3e}")
 
 
-def scrambled_eigensolve(
-    rep: TruncatedRep, similarity: Similarity, cert_tol: float = 1e-9
-) -> EigenResult:
+def scrambled_eigensolve(rep: TruncatedRep, similarity: Similarity) -> EigenResult:
     """Scramble ``rep`` by ``similarity``, eigensolve, check invariance.
 
-    Eigenpair certificates must stay within ``cert_tol``, and the invariance
-    budget takes cond(S) from ``similarity.cond``.  This is the one route
-    from a truncation to certified scrambled eigenvalues:
-    phase_verdict_numeric and the ``spectrum`` command both take it, so no
-    caller can skip the invariance check.
+    Eigenpair certificates must stay within eigensolve's default tol
+    (1e-9), and the invariance budget takes cond(S) from
+    ``similarity.cond``.  This is the one route from a truncation to
+    certified scrambled eigenvalues: phase_verdict_numeric and the
+    ``spectrum`` command both take it, so no caller can skip the invariance
+    check.
     """
-    result = eigensolve(scramble(rep, similarity), cert_tol)
+    result = eigensolve(scramble(rep, similarity))
     check_spectrum_invariance(rep, result.values, similarity.cond)
     return result
 
@@ -540,7 +528,6 @@ def phase_verdict_numeric(
     n_tr: int = 40,
     seed: int = 0,
     class_tol: float = 1e-8,
-    cert_tol: float = 1e-9,
     similarity: Optional[Similarity] = None,
 ) -> SpectrumReport:
     """Scrambled-truncation spectrum report straight from parameters.
@@ -558,7 +545,7 @@ def phase_verdict_numeric(
         similarity = draw_similarity(2 * n_tr, seed)
     elif similarity.seed != seed:
         raise ValueError("similarity was drawn for another seed")
-    result = scrambled_eigensolve(rep, similarity, cert_tol)
+    result = scrambled_eigensolve(rep, similarity)
     return classify_spectrum(result.values, class_tol, result.residuals)
 
 
@@ -599,19 +586,19 @@ def signed_level(
     truncation zero modes) are dropped and the next two, the level-0 pair,
     are read.  The floor is 16 eps cond(S) ||M||_F mu_0, with M the
     unscrambled matrix and mu_0 the larger entry of its level-0 block
-    [[0, alpha], [beta, 0]]: the eigensolve is exact for M plus a
-    perturbation D of order eps cond(S) ||M||_F, and E^2 = alpha * beta
-    moves by alpha D_21 + beta D_12 at first order.  This squared view
-    needs no decomposition beyond the eigensolve, and unlike E itself,
-    which splits by sqrt(|D| mu_0) near the exceptional point, E^2 moves
-    only linearly in D.
+    [[0, alpha], [beta, 0]] (block 0 of _tower_blocks): the eigensolve is
+    exact for M plus a perturbation D of order eps cond(S) ||M||_F, and
+    E^2 = alpha * beta moves by alpha D_21 + beta D_12 at first order.
+    This squared view needs no decomposition beyond the eigensolve, and
+    unlike E itself, which splits by sqrt(|D| mu_0) near the exceptional
+    point, E^2 moves only linearly in D.
     """
     m = rep.matrix
     squares = np.asarray(values, dtype=complex) ** 2
     if squares.shape != (m.shape[0],):
         raise ValueError("eigenvalue count does not match the matrix")
     pair = squares[np.argsort(np.abs(squares), kind="stable")[2:4]]
-    i, j = (0, 3) if holomorphic_tower(rep.branch, rep.valley) else (1, 2)
+    i, j = _tower_blocks(rep.n_tr, rep.branch, rep.valley)[0][0]
     mu_0 = max(abs(m[i, j]), abs(m[j, i]))
     floor = (
         _LEVEL_FLOOR_UNITS * float(np.finfo(float).eps) * similarity.cond

@@ -419,7 +419,9 @@ def test_critical_rejects_bisect_tol_not_below_the_bracket(capsys):
     assert "bisected" not in captured.out
 
 
-@pytest.mark.parametrize("command", [["spectrum"], ["critical", "--vary", "lambda"]])
+@pytest.mark.parametrize(
+    "command", [["spectrum"], ["critical", "--vary", "lambda"], ["verify"]]
+)
 @pytest.mark.parametrize("value", ["nan", "inf", "-1e-06"])
 def test_non_finite_or_negative_tol_exits_two(command, value, capsys):
     assert main(command + ["--n_tr", "8", f"--tol={value}"]) == 2

@@ -24,6 +24,7 @@ from ptdirac.params import (
     level_energy,
 )
 from ptdirac import cli, spectral
+from ptdirac.opalg import OperatorExpr
 from ptdirac.spectral import (
     EigensolveError,
     NoTransitionBracketedError,
@@ -134,6 +135,30 @@ def test_truncated_rejects_bad_input():
         build_truncated(derive_coeffs(dataclasses.replace(BASE, lam=1.37)), 8)
 
 
+@pytest.mark.parametrize("branch", [Branch.I, Branch.II])
+@pytest.mark.parametrize("valley", [Valley.PRIMARY, Valley.TIME_REVERSED])
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda h: h.scaled(1 + 1e-9), "disagrees with closed-form entries"),
+        (
+            lambda h: h + (OperatorExpr.mul_z() + OperatorExpr.mul_zbar()).scaled(1e-3),
+            "image left the tower pattern",
+        ),
+    ],
+    ids=["scaled", "off-pattern"],
+)
+def test_truncated_rejects_a_tampered_hamiltonian(
+    monkeypatch, branch, valley, tamper, message
+):
+    original = spectral.build_hamiltonian
+    monkeypatch.setattr(
+        spectral, "build_hamiltonian", lambda co, v: tamper(original(co, v))
+    )
+    with pytest.raises(RuntimeError, match=message):
+        build_truncated(CO, 6, branch, valley)
+
+
 def test_retained_levels_are_exact_for_every_size():
     # truncation only adds the two spurious zeros; kept levels never move,
     # so accuracy is already saturated at small sizes
@@ -216,6 +241,12 @@ def test_classify_all_zero_is_critical():
     assert report.verdict is PhaseVerdict.CRITICAL
     assert report.retained_pairs == ()
     assert report.discarded_edge_levels == 2
+    odd = classify_spectrum([0.0, -0.0, 0.0, 0.0, -0.0])
+    assert odd.verdict is PhaseVerdict.CRITICAL
+    assert odd.retained_pairs == ()
+    assert odd.pairs == ((0j, 0j), (0j, 0j))
+    assert odd.unpaired == (0j,)
+    assert odd.discarded_edge_levels == 2
 
 
 def test_classify_leftover_is_reported_not_fatal():
