@@ -19,8 +19,9 @@ that table.  Config files hold 'key = value' lines; '#' starts a comment;
 unknown keys are rejected.
 
 Exit codes: 0 success, 1 a verification or agreement check failed, 2 bad
-input (usage, config, a non-finite or negative tolerance, degenerate or
-unbracketed requests, an output path that cannot be written).  Floats are
+input (usage, config, a non-finite or negative --bisect_tol, parameters
+whose derived coefficients overflow, degenerate or unbracketed requests, an
+output path that cannot be written).  Floats are
 printed with repr for exact round-tripping; JSON output stores floats as
 repr strings.
 """
@@ -79,6 +80,7 @@ from .spectral import (
     phase_verdict_numeric,
     scramble,  # not called here; part of the names ptdirac.cli exposes
     scrambled_eigensolve,
+    ungraded_drift,
 )
 
 
@@ -137,7 +139,6 @@ _SETTINGS = (
     _Setting("branch", Branch, "I", choices=("I", "II")),
     _Setting("valley", Valley, "primary", choices=("primary", "time_reversed")),
     _Setting("n_tr", int, 40, minimum=2),
-    _Setting("tol", float, 1e-8),
     _Setting("seed", int, 0),
     _Setting("output", str, None),
     _Setting("format", str, "csv", choices=("csv", "json", "text")),
@@ -146,6 +147,7 @@ _BY_KEY = {s.key: s for s in _SETTINGS}
 _PHYSICAL = tuple(s for s in _SETTINGS if s.physical)
 
 DEFAULTS: Dict[str, object] = {s.key: s.default for s in _SETTINGS}
+_DEFAULT_PARAMS = PhysParams(**{s.physical: s.default for s in _PHYSICAL})
 
 
 def _physical_params(cfg) -> PhysParams:
@@ -500,8 +502,18 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
             f"factorization {rep.factorization_residual:.3e}",
         )
 
+    # the graded scramble against one that ignores the grading, at the
+    # default parameters, where both are accurate
+    truncation = build_truncated(derive_coeffs(_DEFAULT_PARAMS), cfg.n_tr)
+    drift, budget = ungraded_drift(truncation, cfg.seed)
+    record(
+        "ungraded scramble",
+        drift <= budget,
+        f"E^2 drift {drift:.3e} (budget {budget:.3e}) at the defaults",
+    )
+
     # numeric route agreement; both branches share one similarity
-    similarity = None
+    similarity = draw_similarity(cfg.n_tr, cfg.seed)
     for branch in (Branch.I, Branch.II):
         name = f"numeric agreement branch {branch.value}"
         verdict = classify_phase(p, branch)
@@ -511,26 +523,17 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
         if co.d1(branch) is None:
             skip(name, "degenerate block coefficient")
             continue
-        if similarity is None:
-            similarity = draw_similarity(2 * cfg.n_tr, cfg.seed)
-        try:
-            report = phase_verdict_numeric(
-                p, branch=branch, valley=cfg.valley, n_tr=cfg.n_tr, seed=cfg.seed,
-                class_tol=cfg.tol, similarity=similarity,
-            )
-        except DegenerateCoefficientsError:
-            skip(name, "degenerate block coefficient")
-            continue
-        ok = report.verdict is verdict
+        report = phase_verdict_numeric(
+            p, branch=branch, valley=cfg.valley, n_tr=cfg.n_tr, seed=cfg.seed,
+            similarity=similarity,
+        )
         worst = 0.0
-        for n in range(min(11, len(report.retained_pairs))):
+        for n, (num, _) in enumerate(report.retained_pairs[:11]):
             plus, _ = level_energy(p, n, branch)
-            num = report.retained_pairs[n][0]
             worst = max(worst, abs(num - plus) / max(1.0, abs(plus)))
-        ok = ok and worst <= _AGREE_TOL
         record(
             name,
-            ok,
+            report.verdict is verdict and worst <= _AGREE_TOL,
             f"verdict {report.verdict.value} vs {verdict.value}, "
             f"level error {worst:.3e}",
         )
@@ -558,13 +561,11 @@ def cmd_verify(cfg: RunConfig, perturb: float) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, dump_path: Optional[str]) -> int:
-    p = cfg.params()
-    co = derive_coeffs(p)
-    rep = build_truncated(co, cfg.n_tr, cfg.branch, cfg.valley)
+    rep = build_truncated(derive_coeffs(cfg.params()), cfg.n_tr, cfg.branch, cfg.valley)
     if dump_path is not None:
         _write_file(dump_path, dump_matrix(rep.matrix))
-    result = scrambled_eigensolve(rep, draw_similarity(2 * cfg.n_tr, cfg.seed))
-    report = classify_spectrum(result.values, cfg.tol, result.residuals)
+    squared = scrambled_eigensolve(rep, draw_similarity(cfg.n_tr, cfg.seed))
+    report = classify_spectrum(squared.values, squared.floor, squared.residuals)
     payload = {
         "n_tr": cfg.n_tr,
         "branch": cfg.branch.value,
@@ -572,8 +573,6 @@ def cmd_spectrum(cfg: RunConfig, dump_path: Optional[str]) -> int:
         "verdict": report.verdict.value,
         "n_real": report.n_real,
         "n_complex_pairs": report.n_complex_pairs,
-        "discarded_edge_levels": report.discarded_edge_levels,
-        "unpaired": len(report.unpaired),
         "max_residual": report.max_residual,
         "levels": [
             {"n": i, "re_E_plus": pair[0].real, "im_E_plus": pair[0].imag}
@@ -589,14 +588,12 @@ def cmd_spectrum(cfg: RunConfig, dump_path: Optional[str]) -> int:
             f"verdict: {report.verdict.value}",
             f"real eigenvalues kept: {report.n_real}",
             f"complex pairs kept: {report.n_complex_pairs}",
-            f"edge levels discarded: {report.discarded_edge_levels}",
-            f"unpaired values: {len(report.unpaired)}",
             f"worst eigenpair residual: {report.max_residual!r}",
         ]
-        for i, pair in enumerate(report.retained_pairs):
-            lines.append(
-                f"  n={i} E+=({pair[0].real!r}, {pair[0].imag!r})"
-            )
+        lines += [
+            f"  n={i} E+=({plus.real!r}, {plus.imag!r})"
+            for i, (plus, _) in enumerate(report.retained_pairs)
+        ]
         text = "\n".join(lines) + "\n"
     _write_output(cfg, text)
     return 0
@@ -654,7 +651,7 @@ def cmd_sweep(
     if every < 1:
         raise ConfigError("numeric_every must be at least 1")
     # every numeric point shares one similarity, drawn for (dim, seed)
-    similarity = draw_similarity(2 * cfg.n_tr, cfg.seed) if numeric else None
+    similarity = draw_similarity(cfg.n_tr, cfg.seed) if numeric else None
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = _SWEEP_HEADER + (_NUMERIC_HEADER if numeric else [])
@@ -665,7 +662,7 @@ def cmd_sweep(
         for branch in (Branch.I, Branch.II):
             verdict = classify_phase(p, branch)
             gap, _ = level_energy(p, 0, branch)
-            numeric_levels: Optional[list] = None
+            numeric_levels: Sequence = ()
             numeric_verdict = ""
             if do_numeric:
                 try:
@@ -675,14 +672,12 @@ def cmd_sweep(
                         valley=cfg.valley,
                         n_tr=cfg.n_tr,
                         seed=cfg.seed,
-                        class_tol=cfg.tol,
                         similarity=similarity,
                     )
-                    numeric_levels = list(report.retained_pairs)
+                    numeric_levels = report.retained_pairs
                     numeric_verdict = report.verdict.value
                 except DegenerateCoefficientsError:
-                    numeric_levels = None
-                    numeric_verdict = ""
+                    pass
             for n in range(cfg.n_max):
                 plus, minus = level_energy(p, n, branch)
                 row = [
@@ -698,15 +693,12 @@ def cmd_sweep(
                     verdict.value,
                 ]
                 if numeric:
-                    if numeric_levels is not None and n < len(numeric_levels):
+                    if n < len(numeric_levels):
                         num_plus = numeric_levels[n][0]
-                        row += [
-                            repr(num_plus.real),
-                            repr(num_plus.imag),
-                            numeric_verdict,
-                        ]
+                        row += [repr(num_plus.real), repr(num_plus.imag)]
                     else:
-                        row += ["", "", numeric_verdict]
+                        row += ["", ""]
+                    row.append(numeric_verdict)
                 writer.writerow(row)
     _write_output(cfg, buf.getvalue())
     return 0
@@ -755,7 +747,6 @@ def cmd_critical(
             valley=cfg.valley,
             n_tr=cfg.n_tr,
             seed=cfg.seed,
-            class_tol=cfg.tol,
         )
     except (NoTransitionBracketedError, DegenerateCoefficientsError) as exc:
         sys.stderr.write(f"bisection failed: {exc}\n")

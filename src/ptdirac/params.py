@@ -137,7 +137,9 @@ def derive_coeffs(p: PhysParams) -> DerivedCoeffs:
 
     The shared subexpression b0*e/(2c) is deliberate: with it, the float
     identities c1(-lam) == -c2(lam) and c2(-lam) == -c1(lam) hold bitwise,
-    which the operator-adjoint tests rely on.
+    which the operator-adjoint tests rely on.  Finite float inputs can
+    still overflow here; a coefficient that comes out inf or nan raises
+    ValueError instead of reaching a verdict.
     """
     half_field = p.b0 * p.e / (2 * p.c)
     a_coef = 2 * (p.v_f - p.lam)
@@ -147,6 +149,14 @@ def derive_coeffs(p: PhysParams) -> DerivedCoeffs:
     k_coef = (a_coef * c2 - b_coef * c1) * p.hbar
     d1_i = None if a_coef == 0 else c1 / (a_coef * p.hbar)
     d1_ii = None if b_coef == 0 else c2 / (b_coef * p.hbar)
+    derived = {"a": a_coef, "b": b_coef, "c1": c1, "c2": c2, "k": k_coef,
+               "d1": d1_i, "d2": d1_ii}
+    for name, value in derived.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(
+                f"derived coefficient {name} is {value!r}: the parameters "
+                "overflow floating point"
+            )
     return DerivedCoeffs(a_coef, b_coef, c1, c2, k_coef, d1_i, d1_ii, p.hbar)
 
 
@@ -214,15 +224,17 @@ def default_critical_tol(p: PhysParams) -> float:
 
     The scale is the sum of magnitudes of the terms whose cancellation
     produces k_coef, so a k_coef that is zero only through round-off falls
-    inside the band.
+    inside the band.  Raises ValueError when the scale overflows.
     """
-    v2 = float(p.v_f) ** 2
+    v2 = float(p.v_f) * float(p.v_f)
     field = float(p.b0) * float(p.e) / float(p.c)
     scale = float(p.hbar) * (
         abs(2 * v2 * field)
-        + abs(2 * float(p.lam) ** 2 * field)
+        + abs(2 * float(p.lam) * float(p.lam) * field)
         + abs(4 * float(p.k1) * v2)
     )
+    if not math.isfinite(scale):
+        raise ValueError("critical band overflows floating point at these parameters")
     return 1e-12 * scale
 
 

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from ptdirac import cli
-from ptdirac.params import Branch, PhysParams, Valley, Vary, critical_point, derive_coeffs
+from ptdirac.params import (
+    Branch,
+    PhysParams,
+    Valley,
+    Vary,
+    critical_point,
+    derive_coeffs,
+    level_energy,
+)
 from ptdirac.cli import (
     DEFAULTS,
     RunConfig,
@@ -30,7 +38,7 @@ def default_config(**overrides) -> RunConfig:
     fields = dict(
         vf=1.37, lambda_=0.5, k1=0.02, b0=100.0, e=1.0, c=137.0, hbar=1.0,
         n_max=5, branch=Branch.I, valley=Valley.PRIMARY, n_tr=40,
-        tol=1e-8, seed=0, output=None, format="csv",
+        seed=0, output=None, format="csv",
     )
     fields.update(overrides)
     return RunConfig(**fields)
@@ -109,9 +117,11 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert len(report["branches"]["I"]["levels"]) == 3
 
 
-def test_config_rejects_unknown_key(tmp_path, capsys):
+# tol is no setting: the verdict floor is computed, not set
+@pytest.mark.parametrize("line", ["bogus = 1", "tol = 1e-8"])
+def test_config_rejects_unknown_key(tmp_path, capsys, line):
     cfg = tmp_path / "run.conf"
-    cfg.write_text("bogus = 1\n", encoding="utf-8")
+    cfg.write_text(line + "\n", encoding="utf-8")
     assert main(["analytic", "--config", str(cfg)]) == 2
     assert "unknown key" in capsys.readouterr().err
 
@@ -155,6 +165,7 @@ def test_explicit_config_beats_environment(tmp_path, monkeypatch):
 def test_bad_flag_value_exits_two():
     assert main(["analytic", "--branch", "III"]) == 2
     assert main(["nonsense"]) == 2
+    assert main(["spectrum", "--n_tr", "8", "--tol", "1e-8"]) == 2
 
 
 # Two values for every settings key, written as in a config file or on the
@@ -171,7 +182,6 @@ SETTING_VALUES = {
     "branch": ("II", "I"),
     "valley": ("time_reversed", "primary"),
     "n_tr": ("12", "16"),
-    "tol": ("1e-06", "1e-10"),
     "seed": ("7", "3"),
     "output": ("first.txt", "second.txt"),
     "format": ("json", "text"),
@@ -419,15 +429,6 @@ def test_critical_rejects_bisect_tol_not_below_the_bracket(capsys):
     assert "bisected" not in captured.out
 
 
-@pytest.mark.parametrize(
-    "command", [["spectrum"], ["critical", "--vary", "lambda"], ["verify"]]
-)
-@pytest.mark.parametrize("value", ["nan", "inf", "-1e-06"])
-def test_non_finite_or_negative_tol_exits_two(command, value, capsys):
-    assert main(command + ["--n_tr", "8", f"--tol={value}"]) == 2
-    assert "tol must be finite and nonnegative" in capsys.readouterr().err
-
-
 def test_critical_degenerate_exits_two(capsys):
     assert main(["critical", "--vary", "b0", "--lambda", "1.37"]) == 2
     assert "unavailable" in capsys.readouterr().err
@@ -488,6 +489,41 @@ def test_spectrum_json(tmp_path):
     assert payload["verdict"] == "unbroken"
     assert payload["n_tr"] == 8
     assert payload["levels"][0]["re_E_plus"] == pytest.approx(1.4916047, abs=1e-6)
+
+
+@pytest.mark.parametrize("n_tr", [40, 200])
+@pytest.mark.parametrize("branch", ["I", "II"])
+def test_spectrum_json_holds_every_level(tmp_path, branch, n_tr):
+    code, text = run_to_file(
+        tmp_path,
+        ["spectrum", "--n_tr", str(n_tr), "--branch", branch, "--format", "json"],
+    )
+    assert code == 0
+    payload = from_jsonable(json.loads(text))
+    assert payload["verdict"] == ("unbroken" if branch == "I" else "broken")
+    assert "unpaired" not in payload and "discarded_edge_levels" not in payload
+    levels = payload["levels"]
+    assert [lv["n"] for lv in levels] == list(range(n_tr - 1))
+    for lv in levels:
+        exact, _ = level_energy(BASE, lv["n"], Branch(branch))
+        num = complex(lv["re_E_plus"], lv["im_E_plus"])
+        assert abs(num - exact) <= 1e-8 * abs(exact)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analytic", "--vf", "1e200", "--k1", "1e200", "--b0", "1e200"],
+        ["spectrum", "--vf", "1e300", "--lambda", "1e300", "--k1", "1e300",
+         "--b0", "1e300"],
+    ],
+    ids=["overflow", "nan_k"],
+)
+def test_overflowing_parameters_exit_two(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "floating point" in captured.err
+    assert captured.out == ""
 
 
 def test_lll_command(tmp_path):

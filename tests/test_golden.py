@@ -1,10 +1,14 @@
 """Byte-identity of CLI output against recorded golden files.
 
-The files under ``tests/golden/`` were written by the commands in ``CASES``
-before the code that produces them was reworked: the numeric verdict (shared
-similarity, reference spectrum from the 2x2 blocks) and the analytic report
-(parameters rendered from the CLI settings table).  A rework must not move
-a byte.
+The files under ``tests/golden/`` were written by the commands in ``CASES``.
+The analytic report was recorded before it was rendered from the CLI
+settings table.  The numeric ones (``spectrum``, ``sweep --numeric``,
+``critical`` and ``verify``) were re-recorded when the oracle moved to the
+squared levels E^2 of the n_tr x n_tr product AB under a spin-graded
+similarity: S is drawn differently there, and ``spectrum`` lists every level
+and no longer reports discarded edge levels or unpaired values.  A rework
+that is not meant to change an output must not move a byte.
+
 Each run happens in a subprocess with BLAS pinned to one thread, because
 multithreaded LAPACK reorders floating-point sums and changes the last bits
 of the scrambled spectra.  The bytes also belong to one numpy/BLAS build, so

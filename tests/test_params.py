@@ -207,6 +207,26 @@ def test_classify_phase_rejects_non_finite_tol(tol):
         classify_phase(BASE, Branch.II, tol=tol)
 
 
+def test_derive_coeffs_rejects_non_finite_coefficients():
+    # finite inputs whose products overflow: c1 comes out inf here and k
+    # would be nan
+    huge = PhysParams(v_f=1e300, lam=1e300, k1=1e300, b0=1e300)
+    with pytest.raises(ValueError, match="overflow floating point"):
+        derive_coeffs(huge)
+    with pytest.raises(ValueError, match="overflow floating point"):
+        derive_coeffs(PhysParams(v_f=1e200, lam=0.5, k1=1e200, b0=1e200))
+
+
+def test_critical_band_rejects_an_overflowing_scale():
+    # the coefficients stay finite, but v_f**2 does not
+    p = PhysParams(v_f=1e160, lam=0.0, k1=0.0, b0=1e-200)
+    derive_coeffs(p)
+    with pytest.raises(ValueError, match="overflows floating point"):
+        default_critical_tol(p)
+    with pytest.raises(ValueError, match="overflows floating point"):
+        classify_phase(p, Branch.I)
+
+
 def test_verdict_flips_across_lambda_boundary():
     rng = random.Random(11)
     found = 0

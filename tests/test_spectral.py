@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ptdirac.params import (
     Branch,
@@ -19,6 +20,7 @@ from ptdirac.params import (
     PhysParams,
     Valley,
     Vary,
+    classify_phase,
     critical_point,
     derive_coeffs,
     level_energy,
@@ -37,10 +39,10 @@ from ptdirac.spectral import (
     find_exceptional_point,
     parse_matrix,
     phase_verdict_numeric,
-    reference_spectrum,
     scramble,
     scrambled_eigensolve,
     signed_level,
+    ungraded_drift,
 )
 
 BASE = PhysParams(v_f=1.37, lam=0.5, k1=0.02, b0=100.0)
@@ -160,19 +162,18 @@ def test_truncated_rejects_a_tampered_hamiltonian(
 
 
 def test_retained_levels_are_exact_for_every_size():
-    # truncation only adds the two spurious zeros; kept levels never move,
-    # so accuracy is already saturated at small sizes
+    # truncation only adds the structural zero; kept levels never move, up
+    # to the top one, so accuracy is already saturated at small sizes
     for n_tr in (10, 20, 40, 80):
-        rep = build_truncated(CO, n_tr)
-        result = eigensolve(rep.matrix)
-        report = classify_spectrum(result.values, 1e-8, result.residuals)
+        report = phase_verdict_numeric(BASE, n_tr=n_tr, seed=n_tr)
         assert report.verdict is PhaseVerdict.UNBROKEN
+        assert len(report.retained_pairs) == n_tr - 1
         worst = 0.0
-        for n in range(6):
-            plus, _ = level_energy(BASE, n, Branch.I)
-            num = report.retained_pairs[n][0]
-            worst = max(worst, abs(num - plus) / max(1.0, abs(plus)))
-        assert worst <= 1e-8
+        for n, (plus, minus) in enumerate(report.retained_pairs):
+            exact, _ = level_energy(BASE, n, Branch.I)
+            worst = max(worst, abs(plus - exact) / max(1.0, abs(exact)))
+            assert minus == -plus
+        assert worst <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -208,76 +209,66 @@ def test_eigensolve_certificate_failure_carries_partials():
 
 
 # ---------------------------------------------------------------------------
-# classification
+# classification of the squared levels
 # ---------------------------------------------------------------------------
 
 
 def test_classify_rejects_empty():
     with pytest.raises(ValueError):
-        classify_spectrum([])
+        classify_spectrum([], 0.0)
 
 
-def test_classify_real_spectrum_with_edge_discard():
-    report = classify_spectrum([0.0, 0.0, 1.0, -1.0, 2.0, -2.0])
+def test_classify_drops_the_structural_zero():
+    report = classify_spectrum([4.0, 1e-15, 1.0, 9.0], 1e-12)
     assert report.verdict is PhaseVerdict.UNBROKEN
-    assert report.retained_pairs == ((1.0 + 0j, -1.0 + 0j),)
-    assert report.n_real == 2
+    assert report.retained_pairs == ((1 + 0j, -1 - 0j), (2 + 0j, -2 - 0j), (3 + 0j, -3 - 0j))
+    assert report.n_real == 6
     assert report.n_complex_pairs == 0
-    assert report.discarded_edge_levels == 2
-    assert report.unpaired == ()
+    assert report.floor == 1e-12
 
 
-def test_classify_broken_spectrum():
-    report = classify_spectrum([1j, -1j, 2j, -2j, 3j, -3j])
+def test_classify_broken_spectrum_lists_plus_i_first():
+    # the imaginary parts are roundoff; E+ keeps the +i root either way
+    report = classify_spectrum([-1.0 - 1e-16j, 0.0, -4.0 + 1e-16j, -9.0 - 2e-16j], 1e-12)
     assert report.verdict is PhaseVerdict.BROKEN
-    assert report.discarded_edge_levels == 1
-    assert [p[0].imag for p in report.retained_pairs] == [1.0, 2.0]
-    assert all(p[0].imag > 0 for p in report.retained_pairs)
-    assert all(abs(p[0] + p[1]) < 1e-12 for p in report.retained_pairs)
+    assert [p[0].imag for p in report.retained_pairs] == [1.0, 2.0, 3.0]
+    assert all(abs(p[0].real) < 1e-15 for p in report.retained_pairs)
+    assert report.n_complex_pairs == 3 and report.n_real == 0
+    for square, (plus, minus) in zip((-1.0 - 1e-16j, -4.0 + 1e-16j), report.retained_pairs):
+        assert plus * plus == pytest.approx(square, abs=1e-15)
+        assert minus == -plus
 
 
-def test_classify_all_zero_is_critical():
-    report = classify_spectrum([0.0, 0.0, 0.0, 0.0])
-    assert report.verdict is PhaseVerdict.CRITICAL
-    assert report.retained_pairs == ()
-    assert report.discarded_edge_levels == 2
-    odd = classify_spectrum([0.0, -0.0, 0.0, 0.0, -0.0])
-    assert odd.verdict is PhaseVerdict.CRITICAL
-    assert odd.retained_pairs == ()
-    assert odd.pairs == ((0j, 0j), (0j, 0j))
-    assert odd.unpaired == (0j,)
-    assert odd.discarded_edge_levels == 2
+@pytest.mark.parametrize(
+    "squares",
+    [
+        [0.0, 0.0, 0.0],  # all at zero
+        [0.0, 1.0, -2.0],  # mixed signs
+        [0.0, 1.0, 5e-13],  # a level within the floor
+        [0.0, 1.0, 2.0 + 2e-12j],  # a level off the real axis
+        [0.0],  # no level at all
+    ],
+    ids=["zero", "mixed", "small", "complex", "empty"],
+)
+def test_classify_critical_cases(squares):
+    assert classify_spectrum(squares, 1e-12).verdict is PhaseVerdict.CRITICAL
 
 
-def test_classify_leftover_is_reported_not_fatal():
-    report = classify_spectrum([1.0, -1.0, 0.5])
-    assert report.unpaired == (0.5 + 0j,)
-    assert report.verdict is PhaseVerdict.UNBROKEN
+def test_classify_zero_floor_reads_exact_zeros_as_critical():
+    assert classify_spectrum([0.0, -0.0, 0.0], 0.0).verdict is PhaseVerdict.CRITICAL
+    assert classify_spectrum([0.0, 1e-300], 0.0).verdict is PhaseVerdict.UNBROKEN
 
 
-def test_classify_near_zero_pair_discarded():
-    report = classify_spectrum([1e-12, -1e-12, 1.0, -1.0])
-    assert report.verdict is PhaseVerdict.UNBROKEN
-    assert report.discarded_edge_levels == 1
-    assert report.retained_pairs == ((1.0 + 0j, -1.0 + 0j),)
-
-
-def test_classify_unpairable_everything_is_critical():
-    report = classify_spectrum([1.0, 2.0])
-    assert report.verdict is PhaseVerdict.CRITICAL
-    assert len(report.unpaired) == 2
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
-def test_classify_rejects_non_finite_or_negative_tol(tol):
-    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
-        classify_spectrum([1.0, -1.0], tol)
+@pytest.mark.parametrize("floor", [math.nan, math.inf, -1e-8])
+def test_classify_rejects_non_finite_or_negative_floor(floor):
+    with pytest.raises(ValueError, match="floor must be finite and nonnegative"):
+        classify_spectrum([0.0, 1.0], floor)
 
 
 def test_classify_validates_residuals():
     with pytest.raises(ValueError):
-        classify_spectrum([1.0, -1.0], residuals=[0.0])
-    report = classify_spectrum([1.0, -1.0], residuals=[1e-12, 2e-12])
+        classify_spectrum([0.0, 1.0], 0.0, residuals=[0.0])
+    report = classify_spectrum([0.0, 1.0], 0.0, residuals=[1e-12, 2e-12])
     assert report.max_residual == 2e-12
 
 
@@ -286,29 +277,49 @@ def test_classify_validates_residuals():
 # ---------------------------------------------------------------------------
 
 
-def test_scramble_preserves_spectrum_and_fills_matrix():
+def test_scramble_keeps_the_grading_and_fills_both_blocks():
     rep = build_truncated(CO, 20)
-    mixed = scramble(rep, draw_similarity(40, seed=5))
-    assert mixed.shape == rep.matrix.shape
-    before = np.sort_complex(np.linalg.eigvals(rep.matrix))
-    after = np.sort_complex(np.linalg.eigvals(mixed))
-    spread = max(1.0, float(np.max(np.abs(before))))
-    assert float(np.max(np.abs(before - after))) <= 1e-9 * spread
-    scale = float(np.max(np.abs(mixed)))
-    density = float(np.mean(np.abs(mixed) > 1e-12 * scale))
-    assert density >= 0.9
+    similarity = draw_similarity(20, seed=5)
+    a_s, b_s = scramble(rep, similarity)
+    a, b = rep.matrix[0::2, 1::2], rep.matrix[1::2, 0::2]
+    s1, s2 = similarity.upper, similarity.lower
+    assert np.allclose(s1 @ a_s, a @ s2, atol=1e-12)
+    assert np.allclose(s2 @ b_s, b @ s1, atol=1e-12)
+    for block in (a_s, b_s):
+        scale = float(np.max(np.abs(block)))
+        assert float(np.mean(np.abs(block) > 1e-12 * scale)) >= 0.9
 
 
 def test_scramble_seeds_differ():
     rep = build_truncated(CO, 6)
-    a = scramble(rep, draw_similarity(12, seed=1))
-    b = scramble(rep, draw_similarity(12, seed=2))
-    assert not np.allclose(a, b)
-    assert np.array_equal(scramble(rep, draw_similarity(12, seed=1)), a)
+    a = scramble(rep, draw_similarity(6, seed=1))
+    b = scramble(rep, draw_similarity(6, seed=2))
+    assert not np.allclose(a[0], b[0]) and not np.allclose(a[1], b[1])
+    again = scramble(rep, draw_similarity(6, seed=1))
+    assert all(np.array_equal(x, y) for x, y in zip(again, a))
+
+
+def test_scramble_rejects_entries_inside_a_spin_block():
+    rep = build_truncated(CO, 10)
+    for i, j in ((0, 2), (1, 3)):
+        tampered = rep.matrix.copy()
+        tampered[i, j] = 1e-300
+        with pytest.raises(RuntimeError, match="inside a diagonal spin block"):
+            scramble(dataclasses.replace(rep, matrix=tampered), draw_similarity(10, 1))
+
+
+def test_scramble_exempts_an_all_zero_block():
+    rep = build_truncated(derive_coeffs(dataclasses.replace(BASE, k1=0.0, b0=0.0)), 6)
+    assert not np.any(rep.matrix[1::2, 0::2])
+    a_s, b_s = scramble(rep, draw_similarity(6, 2))
+    assert not np.any(b_s) and np.all(a_s != 0)
+    report = phase_verdict_numeric(dataclasses.replace(BASE, k1=0.0, b0=0.0), n_tr=6)
+    assert report.verdict is PhaseVerdict.CRITICAL
+    assert report.floor == 0.0
 
 
 # ---------------------------------------------------------------------------
-# block reference spectrum and the invariance check
+# the invariance check and the ungraded route
 # ---------------------------------------------------------------------------
 
 NEAR_EP = dataclasses.replace(
@@ -316,107 +327,45 @@ NEAR_EP = dataclasses.replace(
 )
 
 
-def nearest_neighbour_drift(before, after):
-    unmatched = np.asarray(after, dtype=complex)
-    drift = 0.0
-    for value in sorted(before, key=abs, reverse=True):
-        idx = int(np.argmin(np.abs(unmatched - value)))
-        drift = max(drift, float(abs(unmatched[idx] - value)))
-        unmatched = np.delete(unmatched, idx)
-    return drift
-
-
 @pytest.mark.parametrize("p", [BASE, BROKEN, NEAR_EP], ids=["unbroken", "broken", "near_ep"])
 @pytest.mark.parametrize("branch", list(Branch))
 @pytest.mark.parametrize("valley", list(Valley))
-def test_reference_spectrum_matches_dense_eig(p, branch, valley):
+def test_squared_levels_match_the_dense_eig(p, branch, valley):
     rep = build_truncated(derive_coeffs(p), 30, branch, valley)
-    values, cond_v = reference_spectrum(rep)
-    dense, vectors = np.linalg.eig(rep.matrix)
+    dense = np.sort_complex(np.linalg.eigvals(rep.matrix) ** 2)
+    a, b = rep.matrix[0::2, 1::2], rep.matrix[1::2, 0::2]
+    assert np.count_nonzero(a @ b - np.diag(np.diag(a @ b))) == 0
+    both = np.sort_complex(np.concatenate([np.diag(a @ b), np.diag(b @ a)]))
     spread = max(1.0, float(np.max(np.abs(dense))))
-    assert values.shape == dense.shape
-    assert nearest_neighbour_drift(dense, values) <= 1e-12 * spread
-    dense_cond = float(np.linalg.cond(vectors))
-    assert dense_cond / 1.01 <= cond_v <= dense_cond * 1.01
+    assert float(np.max(np.abs(dense - both))) <= 1e-11 * spread
+    drift, budget = ungraded_drift(rep, seed=3)
+    assert drift <= budget
 
 
-def test_reference_spectrum_rejects_off_pattern_entry():
+def test_ungraded_drift_fails_when_ab_is_not_diagonal():
+    # still chiral, but two couplings outside the tower pattern close a
+    # cycle in AB, so its diagonal no longer holds its eigenvalues
     rep = build_truncated(CO, 10)
-    reference_spectrum(rep)
     tampered = rep.matrix.copy()
-    tampered[0, 1] = 1e-300
-    with pytest.raises(RuntimeError, match="outside the 2x2 tower blocks"):
-        reference_spectrum(dataclasses.replace(rep, matrix=tampered))
-    scrambled = scramble(rep, draw_similarity(20, seed=1))
-    with pytest.raises(RuntimeError):
-        reference_spectrum(dataclasses.replace(rep, matrix=scrambled))
+    tampered[2, 3] = tampered[0, 5] = 0.5
+    drift, budget = ungraded_drift(dataclasses.replace(rep, matrix=tampered), seed=1)
+    assert drift > budget
 
 
 def test_invariance_check_fires_past_the_budget():
     rep = build_truncated(CO, 20)
-    similarity = draw_similarity(40, seed=4)
-    values = eigensolve(scramble(rep, similarity)).values
-    check_spectrum_invariance(rep, values, similarity.cond)
-    spread = float(np.max(np.abs(values)))
-    bumped = values.copy()
-    bumped[0] += 1e-7 * spread
+    squared = scrambled_eigensolve(rep, draw_similarity(20, seed=4))
+    reference = np.diag(rep.matrix[0::2, 1::2] @ rep.matrix[1::2, 0::2])
+    check_spectrum_invariance(reference, squared.values, 1e-9)
+    bumped = squared.values.copy()
+    bumped[3] += 1e-7
     with pytest.raises(RuntimeError, match="drifted the spectrum"):
-        check_spectrum_invariance(rep, bumped, similarity.cond)
-
-
-def _delete_loop_drift(before, after):
-    """The matching as first written: np.delete of each matched entry."""
-    unmatched = after.copy()
-    drift = 0.0
-    for value in sorted(before, key=abs, reverse=True):
-        idx = int(np.argmin(np.abs(unmatched - value)))
-        drift = max(drift, float(abs(unmatched[idx] - value)))
-        unmatched = np.delete(unmatched, idx)
-    return drift
-
-
-def _spectra(rng, dim):
-    re = rng.standard_normal(dim // 2)
-    im = rng.standard_normal(dim // 2)
-    return {
-        "random": rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
-        "paired": np.concatenate([re + 1j * im, -(re + 1j * im)]),
-        "imaginary": 1j * np.concatenate([im, -im]),
-        "duplicated": np.repeat(re[: dim // 4] + 1j * im[: dim // 4], 4),
-    }
-
-
-@pytest.mark.parametrize("dim", [8, 80, 400])
-@pytest.mark.parametrize("seed", range(3))
-def test_matching_drift_equals_the_delete_loop_bit_for_bit(dim, seed):
-    rng = np.random.default_rng(seed)
-    for kind, before in _spectra(rng, dim).items():
-        for noise in (0.0, 1e-13, 1e-3):
-            jitter = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            after = rng.permutation(before + noise * jitter)
-            got = spectral._matching_drift(before, after)
-            want = _delete_loop_drift(before, after)
-            assert got.hex() == want.hex(), (kind, noise)
-
-
-def test_matching_drift_breaks_ties_toward_the_lowest_index():
-    # 2 is as far from 1 as from 3; taking after[0] leaves 3 for 0
-    before = np.array([2.0, 0.0], dtype=complex)
-    after = np.array([1.0, 3.0], dtype=complex)
-    assert spectral._matching_drift(before, after) == 3.0
-    assert _delete_loop_drift(before, after) == 3.0
-    assert spectral._matching_drift(before, after[::-1].copy()) == 1.0
-
-
-def test_matching_drift_rejects_non_finite_eigenvalues():
-    before = np.array([1.0, -1.0, 2j, -2j])
-    for bad in (np.inf, np.nan, complex(0, np.inf)):
-        after = before.copy()
-        after[1] = bad
-        with pytest.raises(RuntimeError, match="not finite"):
-            spectral._matching_drift(before, after)
-        with pytest.raises(RuntimeError, match="not finite"):
-            spectral._matching_drift(after, before)
+        check_spectrum_invariance(reference, bumped, 1e-9)
+    bumped[3] = np.nan
+    with pytest.raises(RuntimeError, match="drifted the spectrum"):
+        check_spectrum_invariance(reference, bumped, 1e-9)
+    with pytest.raises(ValueError, match="eigenvalue count"):
+        check_spectrum_invariance(reference, squared.values[1:], 1e-9)
 
 
 def test_spectrum_command_and_verdict_both_run_the_invariance_check(
@@ -426,7 +375,7 @@ def test_spectrum_command_and_verdict_both_run_the_invariance_check(
     original = spectral.check_spectrum_invariance
 
     def counting(*args, **kwargs):
-        calls.append(args[0].n_tr)
+        calls.append(len(args[0]))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "check_spectrum_invariance", counting)
@@ -462,14 +411,15 @@ def test_bisection_draws_the_similarity_once(monkeypatch):
     target = critical_point(BASE, Vary.LAMBDA)
     find_exceptional_point(BASE, Vary.LAMBDA, 0.5 * target, 1.5 * target, n_tr=8)
     assert len(runs) >= 3
-    assert len(calls) == 2
+    assert len(calls) == 4  # S1 and S2, two QR factors each
 
 
 def test_shared_similarity_is_read_only():
-    shared = draw_similarity(12, seed=3)
-    assert not shared.matrix.flags.writeable
-    with pytest.raises(ValueError):
-        shared.matrix[0, 0] = 0.0
+    shared = draw_similarity(6, seed=3)
+    for factor in (shared.upper, shared.lower):
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0, 0] = 0.0
     with pytest.raises(ValueError, match="another seed"):
         phase_verdict_numeric(BASE, n_tr=6, seed=4, similarity=shared)
     with pytest.raises(ValueError, match="another dimension"):
@@ -481,15 +431,16 @@ def test_shared_similarity_is_read_only():
 @pytest.mark.parametrize("p", [BASE, BROKEN])
 def test_shared_similarity_gives_bit_equal_eigenvalues(p):
     seed = 7
-    shared = draw_similarity(2 * 20, seed)
+    shared = draw_similarity(20, seed)
     rep = build_truncated(derive_coeffs(p), 20)
-    fresh = eigensolve(scramble(rep, draw_similarity(2 * 20, seed))).values
+    a_s, b_s = scramble(rep, draw_similarity(20, seed))
+    fresh = eigensolve(a_s @ b_s).values
     reused = scrambled_eigensolve(rep, shared).values
     assert np.array_equal(fresh, reused)
-    assert draw_similarity(2 * 20, seed).cond == shared.cond
+    assert draw_similarity(20, seed).cond == shared.cond
     a = phase_verdict_numeric(p, n_tr=20, seed=seed)
     b = phase_verdict_numeric(p, n_tr=20, seed=seed, similarity=shared)
-    assert a.eigenvalues == b.eigenvalues
+    assert a.squares == b.squares and a.floor == b.floor
 
 
 # ---------------------------------------------------------------------------
@@ -514,21 +465,28 @@ def _resampling_draw(dim, seed):
     raise AssertionError("no draw accepted")
 
 
-@pytest.mark.parametrize("dim", [4, 12, 80, 400])
+@pytest.mark.parametrize("n_tr", [2, 6, 40, 200])
 @pytest.mark.parametrize("seed", range(5))
-def test_similarity_cond_from_the_diagonal_matches_the_svd(dim, seed):
-    similarity = draw_similarity(dim, seed)
-    measured = float(np.linalg.cond(similarity.matrix))
+def test_similarity_cond_from_the_diagonals_matches_the_svd(n_tr, seed):
+    similarity = draw_similarity(n_tr, seed)
+    measured = float(
+        np.linalg.cond(similarity.upper) * np.linalg.cond(similarity.lower)
+    )
     assert abs(similarity.cond - measured) <= 1e-12 * measured
-    assert 1.0 <= similarity.cond <= 10.0 ** 0.5
+    assert 1.0 <= similarity.cond <= 10.0
 
 
-@pytest.mark.parametrize("dim", [4, 12, 80, 400])
-def test_similarity_is_bit_equal_to_the_resampling_draw(dim):
+@pytest.mark.parametrize("n_tr", [2, 6, 40, 200])
+def test_similarity_factors_are_bit_equal_to_the_resampling_draw(n_tr):
+    # S1 is the first draw from the seeded generator and S2 the second,
+    # each as the resampling draw made it
     for seed in range(3):
-        similarity = draw_similarity(dim, seed)
+        similarity = draw_similarity(n_tr, seed)
         assert similarity.seed == seed
-        assert np.array_equal(similarity.matrix, _resampling_draw(dim, seed))
+        assert np.array_equal(similarity.upper, _resampling_draw(n_tr, seed))
+        rng = np.random.default_rng(seed)
+        spectral._draw_dense(rng, n_tr)
+        assert np.array_equal(similarity.lower, spectral._draw_dense(rng, n_tr)[0])
 
 
 def test_spectrum_command_takes_no_svd_of_a_full_matrix(monkeypatch, tmp_path):
@@ -544,9 +502,8 @@ def test_spectrum_command_takes_no_svd_of_a_full_matrix(monkeypatch, tmp_path):
     out = tmp_path / "spectrum.txt"
     assert cli.main(["spectrum", "--n_tr", "12", "--output", str(out)]) == 0
     assert calls["cond"] == []
-    # the only SVD left is the batched one over reference_spectrum's 2x2 blocks
-    assert calls["svd"] == [(11, 2, 2)]
-    assert calls["qr"] == [(24, 24), (24, 24)]
+    assert calls["svd"] == []
+    assert calls["qr"] == [(12, 12)] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +541,83 @@ def test_numeric_agreement_branch_ii_and_valley():
         plus, _ = level_energy(BASE, n, Branch.II)
         num = report.retained_pairs[n][0]
         assert abs(num - plus) <= 1e-8 * max(1.0, abs(plus))
+
+
+# lambda / lambda_c - 1 around the exceptional point of the defaults
+EP_OFFSETS = (0.0, 1e-13, -1e-13, 1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8,
+              1e-6, -1e-6, 1e-2)
+
+
+@pytest.mark.parametrize("n_tr", [10, 40, 200])
+@pytest.mark.parametrize("branch", list(Branch))
+def test_no_definite_verdict_against_the_sign_of_k_next_to_the_ep(branch, n_tr):
+    lam_c = critical_point(BASE, Vary.LAMBDA)
+    shared = [draw_similarity(n_tr, seed) for seed in range(3)]
+    wrong = []
+    for offset in EP_OFFSETS:
+        p = dataclasses.replace(BASE, lam=lam_c * (1 + offset))
+        k = derive_coeffs(p).k_coef * (1 if branch is Branch.I else -1)
+        for valley in Valley:
+            for seed in range(3):
+                verdict = phase_verdict_numeric(
+                    p, branch=branch, valley=valley, n_tr=n_tr, seed=seed,
+                    similarity=shared[seed],
+                ).verdict
+                if offset == 0.0:
+                    expected = {PhaseVerdict.CRITICAL}
+                else:
+                    sign = PhaseVerdict.UNBROKEN if k > 0 else PhaseVerdict.BROKEN
+                    expected = {sign, PhaseVerdict.CRITICAL}
+                if verdict not in expected:
+                    wrong.append((offset, valley.value, seed, verdict.value))
+    assert wrong == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    v_f=st.floats(0.3, 3.0),
+    lam_ratio=st.floats(-0.95, 0.95),
+    k1=st.floats(-0.3, 0.3),
+    b0=st.floats(0.5, 300.0),
+    hbar=st.floats(0.1, 10.0),
+    ep_offset=st.one_of(st.none(), st.sampled_from(EP_OFFSETS)),
+    n_tr=st.integers(2, 60),
+    seed=st.integers(0, 2**31 - 1),
+    branch=st.sampled_from(list(Branch)),
+    valley=st.sampled_from(list(Valley)),
+)
+def test_numeric_verdict_never_contradicts_a_definite_closed_form(
+    v_f, lam_ratio, k1, b0, hbar, ep_offset, n_tr, seed, branch, valley
+):
+    p = PhysParams(v_f=v_f, lam=lam_ratio * v_f, k1=k1, b0=b0, hbar=hbar)
+    if ep_offset is not None:
+        lam_c = critical_point(p, Vary.LAMBDA)
+        assume(lam_c is not None and lam_c > 0)
+        p = dataclasses.replace(p, lam=lam_c * (1 + ep_offset))
+    assume(derive_coeffs(p).d1(branch) is not None)
+    closed = classify_phase(p, branch)
+    numeric = phase_verdict_numeric(
+        p, branch=branch, valley=valley, n_tr=n_tr, seed=seed
+    ).verdict
+    assert numeric is PhaseVerdict.CRITICAL or closed in (numeric, PhaseVerdict.CRITICAL)
+
+
+@pytest.mark.parametrize("branch", list(Branch))
+@pytest.mark.parametrize("valley", list(Valley))
+def test_exactly_zero_k_reads_critical(branch, valley):
+    # k is affine in b0, so with rational inputs the critical field is
+    # rational and k vanishes there in exact arithmetic
+    p = PhysParams(
+        v_f=Fraction(137, 100), lam=Fraction(1, 2), k1=Fraction(1, 50),
+        b0=Fraction(100), e=Fraction(1), c=Fraction(137), hbar=Fraction(1),
+    )
+    p = dataclasses.replace(p, b0=critical_point(p, Vary.B0))
+    assert derive_coeffs(p).k_coef == 0
+    for seed in range(3):
+        report = phase_verdict_numeric(
+            p, branch=branch, valley=valley, n_tr=20, seed=seed
+        )
+        assert report.verdict is PhaseVerdict.CRITICAL
 
 
 def test_find_exceptional_point_matches_analytic():
@@ -655,28 +689,15 @@ def test_find_exceptional_point_zero_tol_bisects_to_adjacent_floats():
     assert abs(found - target) <= 1e-4
 
 
-def test_bracket_ends_must_agree_with_the_level_sign(monkeypatch):
-    original = spectral.signed_level
-
-    def flipped(rep, values, similarity):
-        level = original(rep, values, similarity)
-        return spectral.SignedLevel(-level.value, level.floor, level.resolved)
-
-    monkeypatch.setattr(spectral, "signed_level", flipped)
-    target = critical_point(BASE, Vary.LAMBDA)
-    with pytest.raises(NoTransitionBracketedError, match="but level"):
-        find_exceptional_point(
-            BASE, Vary.LAMBDA, 0.5 * target, 1.5 * target, n_tr=8
-        )
-
-
 @pytest.mark.parametrize("vary", list(Vary))
 def test_zero_tol_with_a_zero_floor_ends_at_adjacent_floats(monkeypatch, vary):
-    def closed_form_level(rep, values, similarity):
+    def closed_form_squares(rep, similarity):
+        # the structural zero, then level l at (l + 1) k, with no floor
         k = float(rep.coeffs.k_coef)
-        return spectral.SignedLevel(k, 0.0, k != 0.0)
+        values = k * np.arange(rep.n_tr, dtype=complex)
+        return spectral.SquaredSpectrum(values, np.zeros(rep.n_tr), 0.0)
 
-    monkeypatch.setattr(spectral, "signed_level", closed_form_level)
+    monkeypatch.setattr(spectral, "scrambled_eigensolve", closed_form_squares)
     target = critical_point(BASE, vary)
     found = find_exceptional_point(
         BASE, vary, 0.5 * target, 1.5 * target, tol=0.0, n_tr=8
@@ -686,8 +707,8 @@ def test_zero_tol_with_a_zero_floor_ends_at_adjacent_floats(monkeypatch, vary):
 
 def _level(p, n_tr, branch, valley, seed):
     rep = build_truncated(derive_coeffs(p), n_tr, branch, valley)
-    similarity = draw_similarity(2 * n_tr, seed)
-    return signed_level(rep, scrambled_eigensolve(rep, similarity).values, similarity)
+    squared = scrambled_eigensolve(rep, draw_similarity(n_tr, seed))
+    return signed_level(squared.values, squared.floor)
 
 
 @pytest.mark.parametrize("n_tr", [10, 40])
@@ -702,12 +723,9 @@ def test_signed_level_reads_k_next_to_the_exceptional_point(branch, valley, n_tr
         for seed in range(5):
             level = _level(p, n_tr, branch, valley, seed)
             assert abs(level.value - k) <= level.floor
-            if level.resolved:
-                assert (level.value > 0) == (k > 0)
-            # Branch II carries entries near 5.4 * n_tr, so its floor can
-            # exceed |k| here; branch I (entries near 0.08 * n_tr) resolves.
-            if branch is Branch.I or abs(k) > 2 * level.floor:
-                assert level.resolved
+            # the floor here is about 1e-14 on both branches: the
+            # similarity part scales with |k|
+            assert level.resolved and (level.value > 0) == (k > 0)
 
 
 NEAR_EP = dataclasses.replace(BASE, lam=1.3319331364)  # k = 2.3e-10
@@ -724,10 +742,11 @@ def test_signed_level_finds_the_level_zero_pair_at_two_levels(p, branch, valley)
         assert abs(level.value - k) <= level.floor
 
 
-def test_signed_level_rejects_a_wrong_eigenvalue_count():
-    rep = build_truncated(CO, 4)
-    with pytest.raises(ValueError, match="eigenvalue count"):
-        signed_level(rep, np.zeros(6), draw_similarity(8))
+def test_signed_level_needs_two_values():
+    with pytest.raises(ValueError, match="at least two values"):
+        signed_level([1.0], 0.0)
+    level = signed_level([3.0, 1e-300, -1.0 + 1e-3j], 1e-2)
+    assert level == spectral.SignedLevel(-1.0, 1e-2, True)
 
 
 @pytest.mark.parametrize("seed", range(4))
