@@ -20,8 +20,7 @@ WeightedPolynomial methods both run, in the float and the exact mode alike,
 so both modes take one code path and float round-off does not depend on it.
 
 Layout:
-  - WeightedPolynomial / SpinorFunction: the function space, with a text
-    serialization for golden files.
+  - WeightedPolynomial / SpinorFunction: the function space.
   - OperatorExpr: linear operators, composition, formal adjoint, collected
     canonical form.
   - build_hamiltonian / block_operators: the model's first-order blocks for
@@ -232,36 +231,6 @@ class WeightedPolynomial:
     def __repr__(self) -> str:
         return f"WeightedPolynomial({self.coeffs!r}, d={self.d!r})"
 
-    def to_text(self) -> str:
-        """Canonical text form: a 'd <value>' header, then 'm n re im' lines."""
-        lines = [f"d {float(self.d)!r}"]
-        for (m, n), c in self.sorted_items():
-            z = complex(c)
-            lines.append(f"{m} {n} {z.real!r} {z.imag!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "WeightedPolynomial":
-        d: Optional[float] = None
-        coeffs: Dict[Monomial, Coeff] = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "d":
-                if len(parts) != 2:
-                    raise ValueError(f"malformed envelope line: {raw!r}")
-                d = float(parts[1])
-                continue
-            if len(parts) != 4:
-                raise ValueError(f"malformed monomial line: {raw!r}")
-            key = (int(parts[0]), int(parts[1]))
-            coeffs[key] = complex(float(parts[2]), float(parts[3]))
-        if d is None:
-            raise ValueError("missing 'd <value>' header")
-        return cls(coeffs, d)
-
 
 class SpinorFunction:
     """Two WeightedPolynomial components sharing one envelope.
@@ -338,48 +307,6 @@ class SpinorFunction:
         return (
             f"SpinorFunction(upper={self.upper!r}, lower={self.lower!r}, "
             f"energy={self.energy!r})"
-        )
-
-    def to_text(self) -> str:
-        lines = [f"d {float(self.d)!r}"]
-        if self.energy is not None:
-            z = complex(self.energy)
-            lines.append(f"E {z.real!r} {z.imag!r}")
-        for tag, comp in (("upper", self.upper), ("lower", self.lower)):
-            lines.append(tag)
-            for (m, n), c in comp.sorted_items():
-                z = complex(c)
-                lines.append(f"{m} {n} {z.real!r} {z.imag!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SpinorFunction":
-        d: Optional[float] = None
-        energy: Optional[complex] = None
-        parts: Dict[str, Dict[Monomial, Coeff]] = {"upper": {}, "lower": {}}
-        current: Optional[str] = None
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if tokens[0] == "d":
-                d = float(tokens[1])
-            elif tokens[0] == "E":
-                energy = complex(float(tokens[1]), float(tokens[2]))
-            elif tokens[0] in parts:
-                current = tokens[0]
-            else:
-                if current is None or len(tokens) != 4:
-                    raise ValueError(f"malformed spinor line: {raw!r}")
-                key = (int(tokens[0]), int(tokens[1]))
-                parts[current][key] = complex(float(tokens[2]), float(tokens[3]))
-        if d is None:
-            raise ValueError("missing 'd <value>' header")
-        return cls(
-            WeightedPolynomial(parts["upper"], d),
-            WeightedPolynomial(parts["lower"], d),
-            energy,
         )
 
 

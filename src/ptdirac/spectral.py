@@ -20,12 +20,13 @@ The oracle therefore works on n_tr x n_tr matrices.  scramble applies the
 spin-graded similarity diag(S1, S2), which keeps the grading and destroys
 every other pattern: As = S1^-1 A S2 and Bs = S2^-1 B S1.
 scrambled_eigensolve runs the certified eigensolve of As Bs = S1^-1 AB S1,
-checks its eigenvalues against the diagonal of AB, and returns them with
-one roundoff floor.  One verdict makes two n_tr x n_tr solves and one
-n_tr x n_tr eig.  Near the exceptional point (EP) the pair +-E splits like
-sqrt(delta) under a perturbation delta, while E^2 is a simple eigenvalue of
-As Bs and moves only linearly in delta, so the floor stays honest there.
-classify_spectrum and signed_level both read the E^2 against that floor.
+checks its eigenvalues against the diagonal of AB, sets one roundoff floor
+and returns classify_spectrum's report on them.  One verdict makes two
+n_tr x n_tr solves and one n_tr x n_tr eig.  Near the exceptional point
+(EP) the pair +-E splits like sqrt(delta) under a perturbation delta, while
+E^2 is a simple eigenvalue of As Bs and moves only linearly in delta, so
+the floor stays honest there.  One per-level test against that floor
+decides both the verdict and whether level 0's sign is resolved.
 
 S enters the oracle one way: as a Similarity from draw_similarity, which
 also carries cond(S1) cond(S2), known from the construction.  S depends only
@@ -37,9 +38,9 @@ so the grading the oracle relies on is still tested by a route that does
 not know it.
 
 The EP is found from the oracle's own numbers, not from the closed form.
-signed_level reads level 0's E^2, +-k, against the floor.
-find_exceptional_point checks the bracket ends with full verdicts, then
-runs Illinois regula falsi on that level and stops at the first point whose
+Each report carries level 0's E^2, +-k, and whether it clears the floor.
+find_exceptional_point checks the bracket ends' verdicts, then runs
+Illinois regula falsi on that level and stops at the first point whose
 level is within its floor.  Each step is taken in the coordinate in which
 the level is affine, b0 itself or lambda**2 (k is even in lambda), so one
 step lands on the root up to roundoff.
@@ -269,15 +270,19 @@ class SpectrumReport:
 
     ``squares`` are the E^2 as given.  ``retained_pairs`` holds every
     level but the structural zero, smallest |E^2| first, as (E+, -E+).
+    ``level`` is Re E^2 of level 0, the first retained one: k_coef on
+    branch I and -k_coef on branch II, so positive exactly where the
+    spectrum is unbroken, on every branch and valley.  ``resolved`` says
+    whether its sign clears the floor (False when there is no level).
     """
 
     squares: Tuple[complex, ...]
     retained_pairs: Tuple[Tuple[complex, complex], ...]
-    n_real: int
-    n_complex_pairs: int
     verdict: PhaseVerdict
     max_residual: Optional[float]
     floor: float
+    level: float
+    resolved: bool
 
 
 def _levels(squares: np.ndarray) -> np.ndarray:
@@ -306,10 +311,11 @@ def classify_spectrum(
     ``squares`` are the eigenvalues of AB (or of its scrambled image), one
     per level plus the structural zero, and ``floor`` their roundoff floor
     (see scrambled_eigensolve).  The smallest |E^2| is the structural zero
-    and is dropped.  The verdict is critical if any level has
-    |E^2| <= floor or |Im E^2| > floor, or if the levels' signs are mixed;
-    otherwise it is unbroken when every E^2 > 0 and broken when every
-    E^2 < 0.  floor must be finite and nonnegative.
+    and is dropped.  A level is resolved when |E^2| > floor and
+    |Im E^2| <= floor.  The verdict is critical if any level is not, or if
+    the levels' signs are mixed; otherwise it is unbroken when every
+    E^2 > 0 and broken when every E^2 < 0.  floor must be finite and
+    nonnegative.
     """
     values = np.asarray(squares, dtype=complex).ravel()
     if values.size == 0:
@@ -322,13 +328,9 @@ def classify_spectrum(
             raise ValueError("residuals length does not match eigenvalues")
         max_residual = max(res)
     levels = _levels(values)
+    resolved = (np.abs(levels) > floor) & (np.abs(levels.imag) <= floor)
     positive = levels.real > 0
-    if (
-        levels.size == 0
-        or np.any(np.abs(levels) <= floor)
-        or np.any(np.abs(levels.imag) > floor)
-        or positive.any() != positive.all()
-    ):
+    if levels.size == 0 or not resolved.all() or positive.any() != positive.all():
         verdict = PhaseVerdict.CRITICAL
     else:
         verdict = PhaseVerdict.UNBROKEN if positive[0] else PhaseVerdict.BROKEN
@@ -336,11 +338,11 @@ def classify_spectrum(
     return SpectrumReport(
         squares=tuple(complex(e) for e in values),
         retained_pairs=tuple((e, -e) for e in plus),
-        n_real=2 * int(np.count_nonzero(positive)),
-        n_complex_pairs=int(np.count_nonzero(~positive)),
         verdict=verdict,
         max_residual=max_residual,
         floor=floor,
+        level=float(levels[0].real) if levels.size else 0.0,
+        resolved=bool(resolved[0]) if levels.size else False,
     )
 
 
@@ -473,21 +475,12 @@ def check_spectrum_invariance(
         raise RuntimeError(f"similarity drifted the spectrum by {drift:.3e}")
 
 
-@dataclass(frozen=True)
-class SquaredSpectrum:
-    """Certified eigenvalues E^2 of As Bs, their residuals and level floor."""
-
-    values: np.ndarray
-    residuals: np.ndarray
-    floor: float
-
-
-def scrambled_eigensolve(rep: TruncatedRep, similarity: Similarity) -> SquaredSpectrum:
-    """Scramble ``rep``, eigensolve As Bs, check invariance, set the floor.
+def scrambled_eigensolve(rep: TruncatedRep, similarity: Similarity) -> SpectrumReport:
+    """Scramble ``rep``, eigensolve As Bs, check invariance, classify.
 
     Eigenpair certificates must stay within eigensolve's default tol
-    (1e-9).  This is the one route from a truncation to certified squared
-    levels: phase_verdict_numeric, find_exceptional_point and the
+    (1e-9).  This is the one route from a truncation to a report:
+    phase_verdict_numeric (and through it find_exceptional_point) and the
     ``spectrum`` command all take it, so no caller can skip the check.
 
     The floor bounds the roundoff in each returned E^2.  It has two parts.
@@ -539,7 +532,7 @@ def scrambled_eigensolve(rep: TruncatedRep, similarity: Similarity) -> SquaredSp
         _BUILD_FLOOR_UNITS * _EPS * kscale * rep.n_tr
         + _SCRAMBLE_FLOOR_UNITS * scramble_unit
     )
-    return SquaredSpectrum(result.values, result.residuals, floor)
+    return classify_spectrum(result.values, floor, result.residuals)
 
 
 def ungraded_drift(rep: TruncatedRep, seed: int) -> Tuple[float, float]:
@@ -578,9 +571,9 @@ def phase_verdict_numeric(
 ) -> SpectrumReport:
     """Scrambled-truncation spectrum report straight from parameters.
 
-    Builds the truncation, runs scrambled_eigensolve (which checks spectrum
-    invariance on the eigensolve's eigenvalues) and classifies the result.
-    A command that runs several verdicts passes one
+    Builds the truncation and runs scrambled_eigensolve, which checks
+    spectrum invariance on the eigensolve's eigenvalues and classifies
+    them.  A command that runs several verdicts passes one
     ``draw_similarity(n_tr, seed)`` as ``similarity``; the E^2 are
     bit-identical to those from drawing S here, which is what happens when
     ``similarity`` is None.  A similarity drawn for another seed raises
@@ -591,45 +584,12 @@ def phase_verdict_numeric(
         similarity = draw_similarity(n_tr, seed)
     elif similarity.seed != seed:
         raise ValueError("similarity was drawn for another seed")
-    squared = scrambled_eigensolve(rep, similarity)
-    return classify_spectrum(squared.values, squared.floor, squared.residuals)
+    return scrambled_eigensolve(rep, similarity)
 
 
 # ---------------------------------------------------------------------------
-# the signed lowest level and the exceptional point
+# the exceptional point
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SignedLevel:
-    """Level 0's E^2, read against its roundoff floor.
-
-    Level 0 has E^2 = k_coef on branch I and -k_coef on branch II, so
-    ``value`` (its real part) is positive exactly where the spectrum is
-    unbroken, on every branch and valley.  ``resolved`` is False when the
-    sign of ``value`` cannot be told from roundoff: |E^2| <= ``floor`` or
-    |Im E^2| > ``floor``.
-    """
-
-    value: float
-    floor: float
-    resolved: bool
-
-
-def signed_level(squares: Sequence[complex], floor: float) -> SignedLevel:
-    """Signed lowest level from the squared spectrum and its floor.
-
-    ``squares`` and ``floor`` are what scrambled_eigensolve returns.  The
-    structural zero is dropped as in classify_spectrum and the next
-    smallest |E^2| is level 0, so a definite verdict always has a resolved
-    level 0 of the same sign.
-    """
-    values = np.asarray(squares, dtype=complex).ravel()
-    if values.size < 2:
-        raise ValueError("a squared spectrum needs at least two values")
-    level = complex(_levels(values)[0])
-    resolved = abs(level) > floor and abs(level.imag) <= floor
-    return SignedLevel(level.real, floor, resolved)
 
 
 class NoTransitionBracketedError(RuntimeError):
@@ -650,14 +610,12 @@ def find_exceptional_point(
 ) -> float:
     """Illinois regula falsi for the phase boundary on the oracle's level.
 
-    Every point is one oracle run on the one drawn S: build the truncation,
-    then scrambled_eigensolve with its residual certificates and invariance
-    check.  The endpoints must produce distinct definite classify_spectrum
-    verdicts, otherwise NoTransitionBracketedError is raised; each end's
-    signed_level is then resolved with the sign of its verdict.  Inside,
-    each step is regula falsi on the level, with the Illinois rule (Dowell
-    & Jarratt 1971): when the same end of the bracket moves twice running,
-    the level kept for the other end is halved.  The step is taken where
+    Every point is one phase_verdict_numeric run on the one drawn S.  The
+    endpoints must produce distinct definite verdicts, otherwise
+    NoTransitionBracketedError is raised.  Inside, each step is regula
+    falsi on the reports' level 0, with the Illinois rule (Dowell & Jarratt
+    1971): when the same end of the bracket moves twice running, the level
+    kept for the other end is halved.  The step is taken where
     the level is affine: in b0 for Vary.B0, and in lambda**2 for
     Vary.LAMBDA, mapped back with the sign of the bracket end farther from
     0.  The level is even in lambda, so on a bracket across 0 its root
@@ -683,27 +641,23 @@ def find_exceptional_point(
     _check_n_tr(n_tr)
     similarity = draw_similarity(n_tr, seed)
 
-    def run(x: float) -> Optional[SquaredSpectrum]:
+    def run(x: float) -> Optional[SpectrumReport]:
         try:
-            rep = build_truncated(
-                derive_coeffs(with_varied(p, vary, x)), n_tr, branch, valley
+            return phase_verdict_numeric(
+                with_varied(p, vary, x), branch=branch, valley=valley,
+                n_tr=n_tr, seed=seed, similarity=similarity,
             )
         except DegenerateCoefficientsError:
             return None  # no envelope basis at a vanishing block coefficient
-        return scrambled_eigensolve(rep, similarity)
 
     ends = [run(x) for x in (lo, hi)]
-    v_lo, v_hi = (
-        PhaseVerdict.CRITICAL if end is None
-        else classify_spectrum(end.values, end.floor, end.residuals).verdict
-        for end in ends
-    )
+    v_lo, v_hi = (PhaseVerdict.CRITICAL if end is None else end.verdict for end in ends)
     if v_lo == v_hi or PhaseVerdict.CRITICAL in (v_lo, v_hi):
         raise NoTransitionBracketedError(
             f"no transition bracketed on [{lo!r}, {hi!r}]: "
             f"verdicts {v_lo.value} / {v_hi.value}"
         )
-    f_lo, f_hi = (signed_level(end.values, end.floor).value for end in ends)
+    f_lo, f_hi = (end.level for end in ends)
     moved = None  # the end that moved on the previous step
     while hi - lo > tol:
         r = f_lo / (f_lo - f_hi)
@@ -720,19 +674,18 @@ def find_exceptional_point(
             x = 0.5 * (lo + hi)
             if not lo < x < hi:
                 break
-        squared = run(x)
-        level = None if squared is None else signed_level(squared.values, squared.floor)
-        if level is not None and not level.resolved:
+        report = run(x)
+        if report is not None and not report.resolved:
             return x
-        if level is not None and (level.value > 0) == (f_lo > 0):
-            lo, f_lo = x, level.value
+        if report is not None and (report.level > 0) == (f_lo > 0):
+            lo, f_lo = x, report.level
             if moved == "lo":
                 f_hi *= 0.5
             moved = "lo"
         else:
             hi = x
-            if level is not None:
-                f_hi = level.value
+            if report is not None:
+                f_hi = report.level
             if moved == "hi":
                 f_lo *= 0.5
             moved = "hi"

@@ -434,6 +434,20 @@ def test_critical_degenerate_exits_two(capsys):
     assert "unavailable" in capsys.readouterr().err
 
 
+def test_critical_agreement_is_relative(tmp_path, monkeypatch):
+    # a landing 1e-7 relative off the closed form is a miss, though it is
+    # far inside any absolute tolerance of 1e-4
+    def off_by_1e7(p, vary, lo, hi, **kwargs):
+        return critical_point(p, vary) * (1 + 1e-7)
+
+    monkeypatch.setattr(cli, "find_exceptional_point", off_by_1e7)
+    code, text = run_to_file(
+        tmp_path, ["critical", "--vary", "lambda", "--bisect_tol", "1e-12"]
+    )
+    assert code == 1
+    assert "difference: " in text
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -508,6 +522,23 @@ def test_spectrum_json_holds_every_level(tmp_path, branch, n_tr):
         exact, _ = level_energy(BASE, lv["n"], Branch(branch))
         num = complex(lv["re_E_plus"], lv["im_E_plus"])
         assert abs(num - exact) <= 1e-8 * abs(exact)
+
+
+@pytest.mark.parametrize("branch", ["I", "II"])
+def test_spectrum_at_the_critical_coupling_counts_no_levels(tmp_path, branch):
+    lam_c = repr(critical_point(BASE, Vary.LAMBDA))
+    argv = ["spectrum", "--lambda", lam_c, "--branch", branch]
+    code, text = run_to_file(tmp_path, argv)
+    assert code == 0
+    assert "verdict: critical" in text.splitlines()
+    assert not any("kept:" in line for line in text.splitlines())
+    code, text = run_to_file(tmp_path, argv + ["--format", "json"], "out.json")
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["verdict"] == "critical"
+    assert set(payload) == {
+        "n_tr", "branch", "valley", "verdict", "max_residual", "levels"
+    }
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,10 @@ settings table.  The numeric ones (``spectrum``, ``sweep --numeric``,
 ``critical`` and ``verify``) were re-recorded when the oracle moved to the
 squared levels E^2 of the n_tr x n_tr product AB under a spin-graded
 similarity: S is drawn differently there, and ``spectrum`` lists every level
-and no longer reports discarded edge levels or unpaired values.  A rework
-that is not meant to change an output must not move a byte.
+and no longer reports discarded edge levels or unpaired values.  The
+``spectrum`` file was re-recorded once more when its two level counts,
+``n_real`` and ``n_complex_pairs``, were dropped.  A rework that is not
+meant to change an output must not move a byte.
 
 Each run happens in a subprocess with BLAS pinned to one thread, because
 multithreaded LAPACK reorders floating-point sums and changes the last bits

@@ -106,21 +106,6 @@ def test_spin_matrix_application():
     assert out.lower.is_zero()
 
 
-def test_polynomial_text_round_trip():
-    wp = WeightedPolynomial({(0, 0): 1.0, (1, 2): 0.5 - 1.0j}, -0.25)
-    assert wp.to_text() == "d -0.25\n0 0 1.0 0.0\n1 2 0.5 -1.0\n"
-    back = WeightedPolynomial.from_text(wp.to_text())
-    assert back == wp
-
-
-def test_spinor_text_round_trip():
-    s = analytic_state(Branch.I, Valley.PRIMARY, 2, CO)
-    back = SpinorFunction.from_text(s.to_text())
-    assert back.upper == s.upper
-    assert back.lower == s.lower
-    assert back.energy == complex(s.energy)
-
-
 def test_standard_probes_deterministic():
     a = standard_probes(-0.25)
     b = standard_probes(-0.25)

@@ -41,7 +41,6 @@ from ptdirac.spectral import (
     phase_verdict_numeric,
     scramble,
     scrambled_eigensolve,
-    signed_level,
     ungraded_drift,
 )
 
@@ -222,9 +221,8 @@ def test_classify_drops_the_structural_zero():
     report = classify_spectrum([4.0, 1e-15, 1.0, 9.0], 1e-12)
     assert report.verdict is PhaseVerdict.UNBROKEN
     assert report.retained_pairs == ((1 + 0j, -1 - 0j), (2 + 0j, -2 - 0j), (3 + 0j, -3 - 0j))
-    assert report.n_real == 6
-    assert report.n_complex_pairs == 0
     assert report.floor == 1e-12
+    assert report.level == 1.0 and report.resolved
 
 
 def test_classify_broken_spectrum_lists_plus_i_first():
@@ -233,7 +231,7 @@ def test_classify_broken_spectrum_lists_plus_i_first():
     assert report.verdict is PhaseVerdict.BROKEN
     assert [p[0].imag for p in report.retained_pairs] == [1.0, 2.0, 3.0]
     assert all(abs(p[0].real) < 1e-15 for p in report.retained_pairs)
-    assert report.n_complex_pairs == 3 and report.n_real == 0
+    assert report.level == -1.0 and report.resolved
     for square, (plus, minus) in zip((-1.0 - 1e-16j, -4.0 + 1e-16j), report.retained_pairs):
         assert plus * plus == pytest.approx(square, abs=1e-15)
         assert minus == -plus
@@ -354,10 +352,10 @@ def test_ungraded_drift_fails_when_ab_is_not_diagonal():
 
 def test_invariance_check_fires_past_the_budget():
     rep = build_truncated(CO, 20)
-    squared = scrambled_eigensolve(rep, draw_similarity(20, seed=4))
+    squares = np.array(scrambled_eigensolve(rep, draw_similarity(20, seed=4)).squares)
     reference = np.diag(rep.matrix[0::2, 1::2] @ rep.matrix[1::2, 0::2])
-    check_spectrum_invariance(reference, squared.values, 1e-9)
-    bumped = squared.values.copy()
+    check_spectrum_invariance(reference, squares, 1e-9)
+    bumped = squares.copy()
     bumped[3] += 1e-7
     with pytest.raises(RuntimeError, match="drifted the spectrum"):
         check_spectrum_invariance(reference, bumped, 1e-9)
@@ -365,7 +363,7 @@ def test_invariance_check_fires_past_the_budget():
     with pytest.raises(RuntimeError, match="drifted the spectrum"):
         check_spectrum_invariance(reference, bumped, 1e-9)
     with pytest.raises(ValueError, match="eigenvalue count"):
-        check_spectrum_invariance(reference, squared.values[1:], 1e-9)
+        check_spectrum_invariance(reference, squares[1:], 1e-9)
 
 
 def test_spectrum_command_and_verdict_both_run_the_invariance_check(
@@ -435,8 +433,8 @@ def test_shared_similarity_gives_bit_equal_eigenvalues(p):
     rep = build_truncated(derive_coeffs(p), 20)
     a_s, b_s = scramble(rep, draw_similarity(20, seed))
     fresh = eigensolve(a_s @ b_s).values
-    reused = scrambled_eigensolve(rep, shared).values
-    assert np.array_equal(fresh, reused)
+    reused = scrambled_eigensolve(rep, shared).squares
+    assert np.array_equal(fresh, np.array(reused))
     assert draw_similarity(20, seed).cond == shared.cond
     a = phase_verdict_numeric(p, n_tr=20, seed=seed)
     b = phase_verdict_numeric(p, n_tr=20, seed=seed, similarity=shared)
@@ -695,7 +693,7 @@ def test_zero_tol_with_a_zero_floor_ends_at_adjacent_floats(monkeypatch, vary):
         # the structural zero, then level l at (l + 1) k, with no floor
         k = float(rep.coeffs.k_coef)
         values = k * np.arange(rep.n_tr, dtype=complex)
-        return spectral.SquaredSpectrum(values, np.zeros(rep.n_tr), 0.0)
+        return classify_spectrum(values, 0.0, np.zeros(rep.n_tr))
 
     monkeypatch.setattr(spectral, "scrambled_eigensolve", closed_form_squares)
     target = critical_point(BASE, vary)
@@ -705,27 +703,23 @@ def test_zero_tol_with_a_zero_floor_ends_at_adjacent_floats(monkeypatch, vary):
     assert abs(found - target) <= 4 * math.ulp(target)
 
 
-def _level(p, n_tr, branch, valley, seed):
-    rep = build_truncated(derive_coeffs(p), n_tr, branch, valley)
-    squared = scrambled_eigensolve(rep, draw_similarity(n_tr, seed))
-    return signed_level(squared.values, squared.floor)
-
-
 @pytest.mark.parametrize("n_tr", [10, 40])
 @pytest.mark.parametrize("valley", list(Valley))
 @pytest.mark.parametrize("branch", list(Branch))
-def test_signed_level_reads_k_next_to_the_exceptional_point(branch, valley, n_tr):
+def test_level_zero_reads_k_next_to_the_exceptional_point(branch, valley, n_tr):
     lam_c = critical_point(BASE, Vary.LAMBDA)
     for factor in (1 + 1e-12, 1 - 1e-12, 1 + 1e-13):
         p = dataclasses.replace(BASE, lam=lam_c * factor)
         k = derive_coeffs(p).k_coef * (1 if branch is Branch.I else -1)
         assert 4e-13 < abs(k) < 6e-12
         for seed in range(5):
-            level = _level(p, n_tr, branch, valley, seed)
-            assert abs(level.value - k) <= level.floor
+            report = phase_verdict_numeric(
+                p, branch=branch, valley=valley, n_tr=n_tr, seed=seed
+            )
+            assert abs(report.level - k) <= report.floor
             # the floor here is about 1e-14 on both branches: the
             # similarity part scales with |k|
-            assert level.resolved and (level.value > 0) == (k > 0)
+            assert report.resolved and (report.level > 0) == (k > 0)
 
 
 NEAR_EP = dataclasses.replace(BASE, lam=1.3319331364)  # k = 2.3e-10
@@ -734,19 +728,43 @@ NEAR_EP = dataclasses.replace(BASE, lam=1.3319331364)  # k = 2.3e-10
 @pytest.mark.parametrize("p", [BASE, BROKEN, NEAR_EP])
 @pytest.mark.parametrize("valley", list(Valley))
 @pytest.mark.parametrize("branch", list(Branch))
-def test_signed_level_finds_the_level_zero_pair_at_two_levels(p, branch, valley):
+def test_level_zero_is_found_at_two_levels(p, branch, valley):
     k = derive_coeffs(p).k_coef * (1 if branch is Branch.I else -1)
     for seed in range(3):
-        level = _level(p, 2, branch, valley, seed)
-        assert level.resolved
-        assert abs(level.value - k) <= level.floor
+        report = phase_verdict_numeric(
+            p, branch=branch, valley=valley, n_tr=2, seed=seed
+        )
+        assert report.resolved
+        assert abs(report.level - k) <= report.floor
 
 
-def test_signed_level_needs_two_values():
-    with pytest.raises(ValueError, match="at least two values"):
-        signed_level([1.0], 0.0)
-    level = signed_level([3.0, 1e-300, -1.0 + 1e-3j], 1e-2)
-    assert level == spectral.SignedLevel(-1.0, 1e-2, True)
+def test_classify_reads_level_zero_with_the_verdict_floor():
+    report = classify_spectrum([3.0, 1e-300, -1.0 + 1e-3j], 1e-2)
+    assert (report.level, report.resolved) == (-1.0, True)
+    assert report.verdict is PhaseVerdict.CRITICAL  # mixed signs
+    report = classify_spectrum([3.0, 1e-300, -1.0 + 2e-2j], 1e-2)
+    assert (report.level, report.resolved) == (-1.0, False)
+    report = classify_spectrum([1.0], 0.0)  # no level at all
+    assert (report.level, report.resolved) == (0.0, False)
+
+
+@pytest.mark.parametrize("valley", list(Valley))
+@pytest.mark.parametrize("branch", list(Branch))
+def test_a_definite_verdict_has_a_resolved_level_zero_of_its_sign(branch, valley):
+    lam_c = critical_point(BASE, Vary.LAMBDA)
+    definite = 0
+    for ratio in (0.5, 1 - 1e-12, 1 + 1e-12, 1.5):
+        p = dataclasses.replace(BASE, lam=lam_c * ratio)
+        for seed in range(4):
+            report = phase_verdict_numeric(
+                p, branch=branch, valley=valley, n_tr=40, seed=seed
+            )
+            if report.verdict is PhaseVerdict.CRITICAL:
+                continue
+            definite += 1
+            assert report.resolved
+            assert (report.level > 0) == (report.verdict is PhaseVerdict.UNBROKEN)
+    assert definite >= 8  # the points at 0.5 and 1.5 are far from the EP
 
 
 @pytest.mark.parametrize("seed", range(4))
