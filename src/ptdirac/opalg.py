@@ -744,7 +744,6 @@ class AntilinearOp:
     name: str
     matrix: Matrix
     coord_map: CoordMap
-    conjugates: bool = True
 
 
 P1T = AntilinearOp("P1T", ((1j, 0), (0, 1j)), CoordMap.NEGATE)
@@ -787,7 +786,7 @@ def pt_transform(op: AntilinearOp, s: SpinorFunction) -> SpinorFunction:
     """
     comps = []
     for comp in (s.upper, s.lower):
-        wp = comp.conjugated() if op.conjugates else comp
+        wp = comp.conjugated()
         if op.coord_map is CoordMap.NEGATE:
             wp = wp.with_parity_signs()
         elif op.coord_map is CoordMap.SWAP:
@@ -795,9 +794,7 @@ def pt_transform(op: AntilinearOp, s: SpinorFunction) -> SpinorFunction:
         comps.append(wp)
     u, l = comps
     (m00, m01), (m10, m11) = op.matrix
-    energy = None
-    if s.energy is not None:
-        energy = s.energy.conjugate() if op.conjugates else s.energy
+    energy = None if s.energy is None else s.energy.conjugate()
     return SpinorFunction(_mix(m00, u, m01, l), _mix(m10, u, m11, l), energy)
 
 

@@ -32,10 +32,7 @@ S enters the oracle one way: as a Similarity from draw_similarity, which
 also carries cond(S1) cond(S2), known from the construction.  S depends only
 on (n_tr, seed); every command draws it once and drops it when it returns,
 and nothing is cached across commands.  phase_verdict_numeric is the one
-place that draws S when the caller passes none.  ungraded_drift is the one
-check left that scrambles the whole 2 n_tr x 2 n_tr matrix with a dense S,
-so the grading the oracle relies on is still tested by a route that does
-not know it.
+place that draws S when the caller passes none.
 
 The EP is found from the oracle's own numbers, not from the closed form.
 Each report carries level 0's E^2, +-k, and whether it clears the floor.
@@ -231,9 +228,10 @@ def eigensolve(m: np.ndarray, tol: float = 1e-9) -> EigenResult:
     """Dense nonsymmetric eigenvalues with per-eigenpair residual bounds.
 
     Each certificate is ||M v - w v||_2 / ||M||_F for the unit eigenvector
-    v returned by the backend.  Values are sorted by (real, imag).  A
-    certificate above tol raises EigensolveError with the partial results
-    attached.
+    v returned by the backend.  Values are sorted by (real, imag).  Unless
+    every certificate is at most tol (a nan one, from an overflow in the
+    backend or in M v, is not), EigensolveError is raised with the partial
+    results attached.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -250,7 +248,7 @@ def eigensolve(m: np.ndarray, tol: float = 1e-9) -> EigenResult:
     values = values[order]
     residuals = residuals[order]
     worst = float(residuals.max())
-    if worst > tol:
+    if not worst <= tol:
         raise EigensolveError(
             f"eigenpair residual {worst:.3e} exceeds tol {tol:.3e}",
             values,
@@ -421,10 +419,6 @@ def _chiral_blocks(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return m[0::2, 1::2], m[1::2, 0::2]
 
 
-def _diagonal_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ji->i", a, b)
-
-
 def scramble(rep: TruncatedRep, similarity: Similarity) -> Tuple[np.ndarray, np.ndarray]:
     """Return (As, Bs) = (S1^-1 A S2, S2^-1 B S1) for rep's M = [[0, A], [B, 0]].
 
@@ -448,20 +442,6 @@ def scramble(rep: TruncatedRep, similarity: Similarity) -> Tuple[np.ndarray, np.
     return out
 
 
-def _sorted_drift(reference: np.ndarray, values: np.ndarray) -> float:
-    """Largest distance between the two spectra, each sorted by (real, imag).
-
-    The squared levels are real up to roundoff and distinct levels lie
-    |k| apart, so sorting pairs each value with its own level; for real
-    parts, sorted matching is the one with the least largest distance.
-    """
-    before = np.sort_complex(np.asarray(reference, dtype=complex))
-    after = np.sort_complex(np.asarray(values, dtype=complex))
-    if before.shape != after.shape:
-        raise ValueError("eigenvalue count does not match the matrix")
-    return float(np.max(np.abs(after - before)))
-
-
 def check_spectrum_invariance(
     reference: Sequence[complex], values: Sequence[complex], budget: float
 ) -> None:
@@ -469,8 +449,15 @@ def check_spectrum_invariance(
 
     Both are sorted by (real, imag) and compared entry by entry; the
     largest distance must not exceed ``budget`` (a nan distance fails).
+    The squared levels are real up to roundoff and distinct levels lie |k|
+    apart, so sorting pairs each value with its own level; for real parts,
+    sorted matching is the one with the least largest distance.
     """
-    drift = _sorted_drift(reference, values)
+    before = np.sort_complex(np.asarray(reference, dtype=complex))
+    after = np.sort_complex(np.asarray(values, dtype=complex))
+    if before.shape != after.shape:
+        raise ValueError("eigenvalue count does not match the matrix")
+    drift = float(np.max(np.abs(after - before)))
     if not drift <= budget:
         raise RuntimeError(f"similarity drifted the spectrum by {drift:.3e}")
 
@@ -516,7 +503,7 @@ def scrambled_eigensolve(rep: TruncatedRep, similarity: Similarity) -> SpectrumR
         _EPS * similarity.cond
         * float(np.linalg.norm(a_s)) * float(np.linalg.norm(b_s))
     )
-    reference = _diagonal_of_product(*_chiral_blocks(rep.matrix))
+    reference = np.einsum("ij,ji->i", *_chiral_blocks(rep.matrix))
     spread = max(float(np.max(np.abs(reference))), 1.0)
     check_spectrum_invariance(
         reference,
@@ -533,26 +520,6 @@ def scrambled_eigensolve(rep: TruncatedRep, similarity: Similarity) -> SpectrumR
         + _SCRAMBLE_FLOOR_UNITS * scramble_unit
     )
     return classify_spectrum(result.values, floor, result.residuals)
-
-
-def ungraded_drift(rep: TruncatedRep, seed: int) -> Tuple[float, float]:
-    """Drift and budget of a scramble that ignores the spin grading.
-
-    The oracle trusts M = [[0, A], [B, 0]], so that the spectrum of M
-    squares to diag(AB) and diag(BA).  This check does not: it draws a
-    dense 2 n_tr x 2 n_tr S from ``seed`` by the same route as S1 and S2,
-    takes the eigenvalues E of S^-1 M S without certificates, and compares
-    the real-sorted E^2 with diag(AB) and diag(BA) together.  The budget
-    is 1e-9 of the largest |E^2| (at least 1e-9): away from the EP both
-    routes are accurate far past it.
-    """
-    m = rep.matrix
-    a, b = _chiral_blocks(m)
-    s, _ = _draw_dense(np.random.default_rng(seed), m.shape[0])
-    values = np.linalg.eigvals(np.linalg.solve(s, m @ s))
-    reference = np.concatenate([_diagonal_of_product(a, b), _diagonal_of_product(b, a)])
-    spread = max(float(np.max(np.abs(reference))), 1.0)
-    return _sorted_drift(reference, values**2), _SPECTRUM_INVARIANCE_REL * spread
 
 
 # ---------------------------------------------------------------------------

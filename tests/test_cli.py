@@ -467,6 +467,30 @@ def test_verify_detects_perturbation(tmp_path):
     assert "FAIL" in text
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_rejects_a_non_finite_perturbation(value, capsys):
+    assert main(["verify", "--n_tr", "8", f"--perturb={value}"]) == 2
+    captured = capsys.readouterr()
+    assert "perturb must be finite" in captured.err
+    assert "checks:" not in captured.out
+
+
+def test_verify_decomposes_nothing_larger_than_n_tr(tmp_path, monkeypatch):
+    largest = []
+
+    def watched(fn):
+        def wrapper(m, *args, **kwargs):
+            largest.append(max(np.shape(m)))
+            return fn(m, *args, **kwargs)
+        return wrapper
+
+    for name in ("qr", "solve", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, watched(getattr(np.linalg, name)))
+    code, text = run_to_file(tmp_path, ["verify", "--n_tr", "12"])
+    assert code == 0
+    assert largest and max(largest) == 12
+
+
 def test_verify_degenerate_point_skips(tmp_path):
     code, text = run_to_file(
         tmp_path, ["verify", "--lambda", "1.37", "--n_tr", "16"]
@@ -557,10 +581,30 @@ def test_overflowing_parameters_exit_two(argv, capsys):
     assert captured.out == ""
 
 
+def test_spectrum_with_failing_certificates_exits_two(capsys):
+    # the couplings overflow inside the eigenvector defects, so every
+    # certificate is nan and no verdict may be printed
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["spectrum", "--vf", "1e60", "--k1", "1e60", "--b0", "1e60",
+                     "--n_tr", "8"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "eigenpair residual nan" in captured.err
+    assert captured.out == ""
+
+
 def test_lll_command(tmp_path):
     code, text = run_to_file(tmp_path, ["lll", "--l_max", "5"])
     assert code == 0
     assert text.count("annihilation residual") == 6
+
+
+def test_lll_degenerate_valley_exits_two(capsys):
+    # lambda = v_f makes the primary valley's block coefficient vanish
+    assert main(["lll", "--lambda", "1.37"]) == 2
+    captured = capsys.readouterr()
+    assert "zero-mode envelope undefined" in captured.err
+    assert captured.out == ""
 
 
 def test_jc_command(tmp_path):

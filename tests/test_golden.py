@@ -8,7 +8,11 @@ squared levels E^2 of the n_tr x n_tr product AB under a spin-graded
 similarity: S is drawn differently there, and ``spectrum`` lists every level
 and no longer reports discarded edge levels or unpaired values.  The
 ``spectrum`` file was re-recorded once more when its two level counts,
-``n_real`` and ``n_complex_pairs``, were dropped.  A rework that is not
+``n_real`` and ``n_complex_pairs``, were dropped.  The ``verify`` file was
+re-recorded when its ``ungraded scramble`` row, a dense 2 n_tr x 2 n_tr
+eigensolve at the default parameters, was dropped: the checks of every
+verdict already cover it, and the file lost exactly that row and one check
+from its summary line.  A rework that is not
 meant to change an output must not move a byte.
 
 Each run happens in a subprocess with BLAS pinned to one thread, because

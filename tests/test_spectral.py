@@ -41,7 +41,6 @@ from ptdirac.spectral import (
     phase_verdict_numeric,
     scramble,
     scrambled_eigensolve,
-    ungraded_drift,
 )
 
 BASE = PhysParams(v_f=1.37, lam=0.5, k1=0.02, b0=100.0)
@@ -207,6 +206,15 @@ def test_eigensolve_certificate_failure_carries_partials():
     assert info.value.residuals.max() > 0.0
 
 
+def test_eigensolve_rejects_a_nan_certificate():
+    # finite entries whose eigenvector defects overflow: every certificate
+    # is nan, which must fail like one above tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EigensolveError, match="nan") as info:
+            eigensolve(np.array([[1e200, 3e200], [2e200, 1e200]]))
+    assert np.isnan(info.value.residuals).all()
+
+
 # ---------------------------------------------------------------------------
 # classification of the squared levels
 # ---------------------------------------------------------------------------
@@ -317,7 +325,7 @@ def test_scramble_exempts_an_all_zero_block():
 
 
 # ---------------------------------------------------------------------------
-# the invariance check and the ungraded route
+# the invariance check
 # ---------------------------------------------------------------------------
 
 NEAR_EP = dataclasses.replace(
@@ -336,18 +344,19 @@ def test_squared_levels_match_the_dense_eig(p, branch, valley):
     both = np.sort_complex(np.concatenate([np.diag(a @ b), np.diag(b @ a)]))
     spread = max(1.0, float(np.max(np.abs(dense))))
     assert float(np.max(np.abs(dense - both))) <= 1e-11 * spread
-    drift, budget = ungraded_drift(rep, seed=3)
-    assert drift <= budget
 
 
-def test_ungraded_drift_fails_when_ab_is_not_diagonal():
+@pytest.mark.parametrize("seed", range(5))
+def test_invariance_check_catches_a_non_diagonal_ab(seed):
     # still chiral, but two couplings outside the tower pattern close a
     # cycle in AB, so its diagonal no longer holds its eigenvalues
     rep = build_truncated(CO, 10)
     tampered = rep.matrix.copy()
     tampered[2, 3] = tampered[0, 5] = 0.5
-    drift, budget = ungraded_drift(dataclasses.replace(rep, matrix=tampered), seed=1)
-    assert drift > budget
+    with pytest.raises(RuntimeError, match="drifted the spectrum"):
+        scrambled_eigensolve(
+            dataclasses.replace(rep, matrix=tampered), draw_similarity(10, seed)
+        )
 
 
 def test_invariance_check_fires_past_the_budget():
