@@ -138,7 +138,7 @@ _SETTINGS = (
     _Setting("branch", Branch, "I", choices=("I", "II")),
     _Setting("valley", Valley, "primary", choices=("primary", "time_reversed")),
     _Setting("n_tr", int, 40, minimum=2),
-    _Setting("seed", int, 0),
+    _Setting("seed", int, 0, minimum=0),
     _Setting("output", str, None),
     _Setting("format", str, "csv", choices=("csv", "json", "text")),
 )

@@ -16,23 +16,24 @@ E^2 = +-(l+1) k of levels l = 0 .. n_tr - 2, plus one structural zero
 where the raising chain is cut.  The truncation adds nothing else, so every
 level it keeps is exact and there is no edge to discard.
 
-The oracle therefore works on n_tr x n_tr matrices.  scramble applies the
-spin-graded similarity diag(S1, S2), which keeps the grading and destroys
-every other pattern: As = S1^-1 A S2 and Bs = S2^-1 B S1.
-scrambled_eigensolve runs the certified eigensolve of As Bs = S1^-1 AB S1,
-checks its eigenvalues against the diagonal of AB, sets one roundoff floor
-and returns classify_spectrum's report on them.  One verdict makes two
-n_tr x n_tr solves and one n_tr x n_tr eig.  Near the exceptional point
-(EP) the pair +-E splits like sqrt(delta) under a perturbation delta, while
-E^2 is a simple eigenvalue of As Bs and moves only linearly in delta, so
-the floor stays honest there.  One per-level test against that floor
-decides both the verdict and whether level 0's sign is resolved.
+The oracle therefore works on n_tr x n_tr matrices.  scramble forms
+X = S^-1 AB S with one random similarity S, which keeps the spectrum and
+destroys every pattern of AB.  (A spin-graded diag(S1, S2) on M would give
+the same X, S1^-1 A S2 S2^-1 B S1, because S2 cancels; one S suffices.)
+scrambled_eigensolve runs the certified eigensolve of X, checks its
+eigenvalues against the diagonal of AB, sets one roundoff floor and returns
+classify_spectrum's report on them.  One verdict makes one n_tr x n_tr solve
+and one n_tr x n_tr eig.  Near the exceptional point (EP) the pair +-E
+splits like sqrt(delta) under a perturbation delta, while E^2 is a simple
+eigenvalue of X and moves only linearly in delta, so the floor stays honest
+there.  One per-level test against that floor decides both the verdict and
+whether level 0's sign is resolved.
 
 S enters the oracle one way: as a Similarity from draw_similarity, which
-also carries cond(S1) cond(S2), known from the construction.  S depends only
-on (n_tr, seed); every command draws it once and drops it when it returns,
-and nothing is cached across commands.  phase_verdict_numeric is the one
-place that draws S when the caller passes none.
+also carries cond(S), known from the construction.  S depends only on
+(n_tr, seed); every command draws it once and drops it when it returns, and
+nothing is cached across commands.  phase_verdict_numeric is the one place
+that draws S when the caller passes none.
 
 The EP is found from the oracle's own numbers, not from the closed form.
 Each report carries level 0's E^2, +-k, and whether it clears the floor.
@@ -231,7 +232,8 @@ def eigensolve(m: np.ndarray, tol: float = 1e-9) -> EigenResult:
     v returned by the backend.  Values are sorted by (real, imag).  Unless
     every certificate is at most tol (a nan one, from an overflow in the
     backend or in M v, is not), EigensolveError is raised with the partial
-    results attached.
+    results attached; such an overflow raises no numpy warning, so the
+    error is the one report of it.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -241,9 +243,10 @@ def eigensolve(m: np.ndarray, tol: float = 1e-9) -> EigenResult:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
     values, vectors = np.linalg.eig(m.astype(complex))
-    norm = max(float(np.linalg.norm(m, "fro")), np.finfo(float).tiny)
-    defects = m @ vectors - vectors * values[np.newaxis, :]
-    residuals = np.linalg.norm(defects, axis=0) / norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = max(float(np.linalg.norm(m, "fro")), np.finfo(float).tiny)
+        defects = m @ vectors - vectors * values[np.newaxis, :]
+        residuals = np.linalg.norm(defects, axis=0) / norm
     order = np.lexsort((values.imag, values.real))
     values = values[order]
     residuals = residuals[order]
@@ -351,9 +354,11 @@ def classify_spectrum(
 _DENSITY_FLOOR = 0.9
 _SPECTRUM_INVARIANCE_REL = 1e-9
 # Multiples of the two roundoff units in the level floor (see
-# scrambled_eigensolve).  Over about 600 parameter draws with hbar in
-# [0.3, 10], n_tr in [2, 200], both branches and valleys, many within 1e-13
-# of the EP, the measured errors stayed below 0.71 and 3.2 of those units.
+# scrambled_eigensolve).  Over 1200 parameter draws with hbar in [0.3, 10],
+# n_tr in [2, 200], both branches and valleys, about half within 1e-13 of
+# the EP, the measured errors stayed below 0.71 and 6.2 of those units; 6000
+# more draws with n_tr in [2, 8], where the scramble unit is tightest,
+# stayed below 7.1.
 _BUILD_FLOOR_UNITS = 8.0
 _SCRAMBLE_FLOOR_UNITS = 16.0
 _INVARIANCE_UNITS = 100.0
@@ -361,51 +366,39 @@ _INVARIANCE_UNITS = 100.0
 
 @dataclass(frozen=True)
 class Similarity:
-    """The spin-graded similarity diag(S1, S2) for one (n_tr, seed).
+    """The similarity S that scramble applies for one (n_tr, seed).
 
-    ``upper`` (S1) mixes the upper-component levels and ``lower`` (S2) the
-    lower ones; both are read-only.  ``cond`` is cond(S1) cond(S2).
+    ``matrix`` is the read-only n_tr x n_tr S and ``cond`` is cond(S).
     """
 
-    upper: np.ndarray
-    lower: np.ndarray
+    matrix: np.ndarray
     seed: int
     cond: float
 
 
-def _draw_dense(rng: np.random.Generator, dim: int) -> Tuple[np.ndarray, float]:
-    """S = Q1 diag(10**u) Q2 and cond(S), drawn from ``rng``.
+def draw_similarity(n_tr: int, seed: int = 0) -> Similarity:
+    """Draw S = Q1 diag(10**u) Q2 for (n_tr, seed).
 
     Q1 and Q2 are Haar-ish unitaries (QR of complex Gaussians) and u is
-    uniform in [-0.25, 0.25].  The singular values of S are the diagonal,
-    so cond(S) is its max/min ratio, at most 10**0.5 by construction; no
-    SVD is needed and no draw can be rejected.
+    uniform in [-0.25, 0.25], all from one generator seeded with ``seed``.
+    The singular values of S are the diagonal, so cond(S) is its max/min
+    ratio, at most 10**0.5 by construction; no SVD is needed and no draw
+    can be rejected.  S depends only on (n_tr, seed), so a command that
+    runs several verdicts draws it once and passes it to each; the matrix
+    is read-only so no verdict can alter what the next one uses.
     """
-    q1 = np.linalg.qr(
-        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    )[0]
-    q2 = np.linalg.qr(
-        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    )[0]
-    diag = 10.0 ** rng.uniform(-0.25, 0.25, size=dim)
+    _check_n_tr(n_tr)
+    rng = np.random.default_rng(seed)
+    q1, q2 = (
+        np.linalg.qr(
+            rng.standard_normal((n_tr, n_tr)) + 1j * rng.standard_normal((n_tr, n_tr))
+        )[0]
+        for _ in range(2)
+    )
+    diag = 10.0 ** rng.uniform(-0.25, 0.25, size=n_tr)
     matrix = q1 @ (diag[:, np.newaxis] * q2)
     matrix.flags.writeable = False
-    return matrix, float(diag.max() / diag.min())
-
-
-def draw_similarity(n_tr: int, seed: int = 0) -> Similarity:
-    """Draw the similarity that scramble applies for (n_tr, seed).
-
-    S1 and S2 are n_tr x n_tr draws of _draw_dense, in that order, from one
-    generator seeded with ``seed``.  S depends only on (n_tr, seed), so a
-    command that runs several verdicts draws it once and passes it to each;
-    the matrices are read-only so no verdict can alter what the next one
-    uses.
-    """
-    rng = np.random.default_rng(seed)
-    upper, cond_upper = _draw_dense(rng, n_tr)
-    lower, cond_lower = _draw_dense(rng, n_tr)
-    return Similarity(upper, lower, seed, cond_upper * cond_lower)
+    return Similarity(matrix, seed, float(diag.max() / diag.min()))
 
 
 def _chiral_blocks(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -419,27 +412,25 @@ def _chiral_blocks(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return m[0::2, 1::2], m[1::2, 0::2]
 
 
-def scramble(rep: TruncatedRep, similarity: Similarity) -> Tuple[np.ndarray, np.ndarray]:
-    """Return (As, Bs) = (S1^-1 A S2, S2^-1 B S1) for rep's M = [[0, A], [B, 0]].
+def scramble(rep: TruncatedRep, similarity: Similarity) -> np.ndarray:
+    """Return X = S^-1 (A (B S)) for rep's M = [[0, A], [B, 0]].
 
     S must have been drawn for rep's n_tr, else ValueError.  Checks that the
-    diagonal spin blocks of M are exactly zero and that As and Bs are
-    dense; a zero block (B at k = 0 exactly) has no pattern to hide and is
-    exempt.  Spectrum invariance is checked after the eigensolve, by
+    diagonal spin blocks of M are exactly zero and that X is dense; an X
+    that is exactly zero (B at k = 0 exactly) has no pattern to hide and
+    is exempt.  Spectrum invariance is checked after the eigensolve, by
     scrambled_eigensolve.
     """
-    n = rep.n_tr
-    if similarity.upper.shape != (n, n):
+    s = similarity.matrix
+    if s.shape != (rep.n_tr, rep.n_tr):
         raise ValueError("similarity was drawn for another dimension")
     a, b = _chiral_blocks(rep.matrix)
-    s1, s2 = similarity.upper, similarity.lower
-    out = (np.linalg.solve(s1, a @ s2), np.linalg.solve(s2, b @ s1))
-    for block in out:
-        scale = float(np.max(np.abs(block)))
-        density = float(np.mean(np.abs(block) > 1e-12 * scale))
-        if scale > 0.0 and density < _DENSITY_FLOOR:
-            raise RuntimeError(f"scrambled matrix too sparse: density {density:.3f}")
-    return out
+    x = np.linalg.solve(s, a @ (b @ s))
+    scale = float(np.max(np.abs(x)))
+    density = float(np.mean(np.abs(x) > 1e-12 * scale))
+    if scale > 0.0 and density < _DENSITY_FLOOR:
+        raise RuntimeError(f"scrambled matrix too sparse: density {density:.3f}")
+    return x
 
 
 def check_spectrum_invariance(
@@ -463,7 +454,7 @@ def check_spectrum_invariance(
 
 
 def scrambled_eigensolve(rep: TruncatedRep, similarity: Similarity) -> SpectrumReport:
-    """Scramble ``rep``, eigensolve As Bs, check invariance, classify.
+    """Scramble ``rep``, eigensolve X = S^-1 AB S, check invariance, classify.
 
     Eigenpair certificates must stay within eigensolve's default tol
     (1e-9).  This is the one route from a truncation to a report:
@@ -479,30 +470,28 @@ def scrambled_eigensolve(rep: TruncatedRep, similarity: Similarity) -> SpectrumR
       Level l holds (l + 1) times that, so 8 eps kscale n_tr covers every
       level.  This term keeps a level whose k is roundoff, at or next to
       the EP, from reading as definite.
-    - The similarity.  As Bs = S1^-1 AB S1, and AB is diagonal, so the
-      eigenvectors of As Bs are the columns of S1^-1 and Bauer-Fike bounds
-      each eigenvalue's move by cond(S1) times the perturbation of As Bs.
-      The solves that form As and Bs perturb them by eps cond(S1) and eps
-      cond(S2) relative to their norms, and the product and the eig add
-      eps ||As||_F ||Bs||_F, so with both conds at most 10**0.5 each E^2
-      moves by a small multiple of the unit eps cond(S1) cond(S2)
-      ||As||_F ||Bs||_F.  The largest move measured was 3.2 units; the
-      floor takes 16.  Bs
-      holds the couplings, so this term scales with |k| and vanishes at
-      the EP, where the E^2 are a simple eigenvalue crossing 0 and not
-      the Jordan block that the pair +-E sees.
+    - The similarity.  AB is diagonal, so the eigenvectors of X are the
+      columns of S^-1 and Bauer-Fike bounds each eigenvalue's move by
+      cond(S) times the perturbation of X.  A and B hold at most one
+      entry per row, so A (B S) is exact to a few eps per entry; carried
+      through S^-1 that perturbs X by a few eps cond(S) ||AB||, and
+      ||AB||_2 = max |E^2| <= ||X||_2.  The solve's backward error adds
+      eps cond(S) ||X|| and the eig eps ||X||.  With cond(S) at most
+      10**0.5, each E^2 moves by a small multiple of the unit
+      eps cond(S)**2 ||X||_F.  The largest move measured was 7.0 units;
+      the floor takes 16.  X holds the couplings, so this term scales
+      with |k| and vanishes at the EP, where the E^2 are a simple
+      eigenvalue crossing 0 and not the Jordan block that the pair +-E
+      sees.
 
     The invariance budget is the similarity part alone at 100 units (or
     1e-9 of the largest |E^2| if larger): the reference, the diagonal of
     AB, is formed from the same entries, so only the scramble separates
     the two.
     """
-    a_s, b_s = scramble(rep, similarity)
-    result = eigensolve(a_s @ b_s)
-    scramble_unit = (
-        _EPS * similarity.cond
-        * float(np.linalg.norm(a_s)) * float(np.linalg.norm(b_s))
-    )
+    x = scramble(rep, similarity)
+    result = eigensolve(x)
+    scramble_unit = _EPS * similarity.cond**2 * float(np.linalg.norm(x))
     reference = np.einsum("ij,ji->i", *_chiral_blocks(rep.matrix))
     spread = max(float(np.max(np.abs(reference))), 1.0)
     check_spectrum_invariance(
@@ -605,7 +594,6 @@ def find_exceptional_point(
         raise ValueError(
             f"tol {tol!r} must be below the bracket width {hi - lo!r}"
         )
-    _check_n_tr(n_tr)
     similarity = draw_similarity(n_tr, seed)
 
     def run(x: float) -> Optional[SpectrumReport]:

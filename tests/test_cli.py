@@ -2,6 +2,10 @@
 determinism and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from ptdirac.cli import (
 )
 from ptdirac.spectral import build_truncated, parse_matrix
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 BASE = PhysParams(v_f=1.37, lam=0.5, k1=0.02, b0=100.0)
 
 SWEEP_HEADER = (
@@ -224,7 +229,9 @@ def test_config_rejects_bad_choice_naming_key_and_value(key, tmp_path, capsys):
     assert key in err and "'bogus'" in err
 
 
-@pytest.mark.parametrize("key, low", [("n_max", "0"), ("n_tr", "1")])
+@pytest.mark.parametrize(
+    "key, low", [("n_max", "0"), ("n_tr", "1"), ("seed", "-1")]
+)
 def test_minimum_holds_for_file_and_flag(key, low, tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text(f"{key} = {low}\n", encoding="utf-8")
@@ -581,16 +588,23 @@ def test_overflowing_parameters_exit_two(argv, capsys):
     assert captured.out == ""
 
 
-def test_spectrum_with_failing_certificates_exits_two(capsys):
+def test_spectrum_with_failing_certificates_exits_two():
     # the couplings overflow inside the eigenvector defects, so every
-    # certificate is nan and no verdict may be printed
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["spectrum", "--vf", "1e60", "--k1", "1e60", "--b0", "1e60",
-                     "--n_tr", "8"])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert "eigenpair residual nan" in captured.err
-    assert captured.out == ""
+    # certificate is nan and no verdict may be printed; a fresh interpreter
+    # shows whether numpy's overflow warnings reach stderr
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from ptdirac.cli import main; sys.exit(main(sys.argv[1:]))",
+         "spectrum", "--vf", "1e60", "--k1", "1e60", "--b0", "1e60", "--n_tr", "8"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: eigenpair residual nan exceeds tol 1.000e-09\n"
+    assert proc.stdout == ""
 
 
 def test_lll_command(tmp_path):

@@ -12,8 +12,11 @@ and no longer reports discarded edge levels or unpaired values.  The
 re-recorded when its ``ungraded scramble`` row, a dense 2 n_tr x 2 n_tr
 eigensolve at the default parameters, was dropped: the checks of every
 verdict already cover it, and the file lost exactly that row and one check
-from its summary line.  A rework that is not
-meant to change an output must not move a byte.
+from its summary line.  The numeric files were re-recorded once more when the
+scramble dropped the second similarity factor S2, which cancels exactly in
+the one matrix the eigensolver sees: the levels and landings moved by
+roundoff (at most 2.2e-13 relative), and no verdict or exit code changed.
+A rework that is not meant to change an output must not move a byte.
 
 Each run happens in a subprocess with BLAS pinned to one thread, because
 multithreaded LAPACK reorders floating-point sums and changes the last bits

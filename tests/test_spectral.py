@@ -283,26 +283,23 @@ def test_classify_validates_residuals():
 # ---------------------------------------------------------------------------
 
 
-def test_scramble_keeps_the_grading_and_fills_both_blocks():
+def test_scramble_is_a_dense_similarity_of_ab():
     rep = build_truncated(CO, 20)
     similarity = draw_similarity(20, seed=5)
-    a_s, b_s = scramble(rep, similarity)
+    x = scramble(rep, similarity)
     a, b = rep.matrix[0::2, 1::2], rep.matrix[1::2, 0::2]
-    s1, s2 = similarity.upper, similarity.lower
-    assert np.allclose(s1 @ a_s, a @ s2, atol=1e-12)
-    assert np.allclose(s2 @ b_s, b @ s1, atol=1e-12)
-    for block in (a_s, b_s):
-        scale = float(np.max(np.abs(block)))
-        assert float(np.mean(np.abs(block) > 1e-12 * scale)) >= 0.9
+    s = similarity.matrix
+    assert np.allclose(s @ x, a @ b @ s, atol=1e-12)
+    scale = float(np.max(np.abs(x)))
+    assert float(np.mean(np.abs(x) > 1e-12 * scale)) >= 0.9
 
 
 def test_scramble_seeds_differ():
     rep = build_truncated(CO, 6)
     a = scramble(rep, draw_similarity(6, seed=1))
     b = scramble(rep, draw_similarity(6, seed=2))
-    assert not np.allclose(a[0], b[0]) and not np.allclose(a[1], b[1])
-    again = scramble(rep, draw_similarity(6, seed=1))
-    assert all(np.array_equal(x, y) for x, y in zip(again, a))
+    assert not np.allclose(a, b)
+    assert np.array_equal(scramble(rep, draw_similarity(6, seed=1)), a)
 
 
 def test_scramble_rejects_entries_inside_a_spin_block():
@@ -317,8 +314,8 @@ def test_scramble_rejects_entries_inside_a_spin_block():
 def test_scramble_exempts_an_all_zero_block():
     rep = build_truncated(derive_coeffs(dataclasses.replace(BASE, k1=0.0, b0=0.0)), 6)
     assert not np.any(rep.matrix[1::2, 0::2])
-    a_s, b_s = scramble(rep, draw_similarity(6, 2))
-    assert not np.any(b_s) and np.all(a_s != 0)
+    assert np.any(rep.matrix[0::2, 1::2])
+    assert not np.any(scramble(rep, draw_similarity(6, 2)))
     report = phase_verdict_numeric(dataclasses.replace(BASE, k1=0.0, b0=0.0), n_tr=6)
     assert report.verdict is PhaseVerdict.CRITICAL
     assert report.floor == 0.0
@@ -418,15 +415,14 @@ def test_bisection_draws_the_similarity_once(monkeypatch):
     target = critical_point(BASE, Vary.LAMBDA)
     find_exceptional_point(BASE, Vary.LAMBDA, 0.5 * target, 1.5 * target, n_tr=8)
     assert len(runs) >= 3
-    assert len(calls) == 4  # S1 and S2, two QR factors each
+    assert len(calls) == 2  # the two QR factors of the one S
 
 
 def test_shared_similarity_is_read_only():
     shared = draw_similarity(6, seed=3)
-    for factor in (shared.upper, shared.lower):
-        assert not factor.flags.writeable
-        with pytest.raises(ValueError):
-            factor[0, 0] = 0.0
+    assert not shared.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        shared.matrix[0, 0] = 0.0
     with pytest.raises(ValueError, match="another seed"):
         phase_verdict_numeric(BASE, n_tr=6, seed=4, similarity=shared)
     with pytest.raises(ValueError, match="another dimension"):
@@ -440,8 +436,7 @@ def test_shared_similarity_gives_bit_equal_eigenvalues(p):
     seed = 7
     shared = draw_similarity(20, seed)
     rep = build_truncated(derive_coeffs(p), 20)
-    a_s, b_s = scramble(rep, draw_similarity(20, seed))
-    fresh = eigensolve(a_s @ b_s).values
+    fresh = eigensolve(scramble(rep, draw_similarity(20, seed))).values
     reused = scrambled_eigensolve(rep, shared).squares
     assert np.array_equal(fresh, np.array(reused))
     assert draw_similarity(20, seed).cond == shared.cond
@@ -476,28 +471,29 @@ def _resampling_draw(dim, seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_similarity_cond_from_the_diagonals_matches_the_svd(n_tr, seed):
     similarity = draw_similarity(n_tr, seed)
-    measured = float(
-        np.linalg.cond(similarity.upper) * np.linalg.cond(similarity.lower)
-    )
+    measured = float(np.linalg.cond(similarity.matrix))
     assert abs(similarity.cond - measured) <= 1e-12 * measured
-    assert 1.0 <= similarity.cond <= 10.0
+    assert 1.0 <= similarity.cond <= 10.0**0.5
 
 
 @pytest.mark.parametrize("n_tr", [2, 6, 40, 200])
-def test_similarity_factors_are_bit_equal_to_the_resampling_draw(n_tr):
-    # S1 is the first draw from the seeded generator and S2 the second,
-    # each as the resampling draw made it
+def test_similarity_is_bit_equal_to_the_resampling_draw(n_tr):
+    # S is the first draw from the seeded generator, as the resampling
+    # draw made it
     for seed in range(3):
         similarity = draw_similarity(n_tr, seed)
         assert similarity.seed == seed
-        assert np.array_equal(similarity.upper, _resampling_draw(n_tr, seed))
-        rng = np.random.default_rng(seed)
-        spectral._draw_dense(rng, n_tr)
-        assert np.array_equal(similarity.lower, spectral._draw_dense(rng, n_tr)[0])
+        assert np.array_equal(similarity.matrix, _resampling_draw(n_tr, seed))
+
+
+@pytest.mark.parametrize("n_tr", [0, 1, 2.0, True])
+def test_draw_similarity_rejects_a_bad_dimension(n_tr):
+    with pytest.raises(ValueError, match="n_tr must be an integer >= 2"):
+        draw_similarity(n_tr)
 
 
 def test_spectrum_command_takes_no_svd_of_a_full_matrix(monkeypatch, tmp_path):
-    calls = {"cond": [], "svd": [], "qr": []}
+    calls = {"cond": [], "svd": [], "qr": [], "solve": [], "eig": []}
     for name in calls:
         original = getattr(np.linalg, name)
 
@@ -510,7 +506,9 @@ def test_spectrum_command_takes_no_svd_of_a_full_matrix(monkeypatch, tmp_path):
     assert cli.main(["spectrum", "--n_tr", "12", "--output", str(out)]) == 0
     assert calls["cond"] == []
     assert calls["svd"] == []
-    assert calls["qr"] == [(12, 12)] * 4
+    assert calls["qr"] == [(12, 12)] * 2
+    assert calls["solve"] == [(12, 12)]
+    assert calls["eig"] == [(12, 12)]
 
 
 # ---------------------------------------------------------------------------
