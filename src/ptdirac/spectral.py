@@ -16,18 +16,24 @@ E^2 = +-(l+1) k of levels l = 0 .. n_tr - 2, plus one structural zero
 where the raising chain is cut.  The truncation adds nothing else, so every
 level it keeps is exact and there is no edge to discard.
 
-The oracle therefore works on n_tr x n_tr matrices.  scramble forms
-X = S^-1 AB S with one random similarity S, which keeps the spectrum and
-destroys every pattern of AB.  (A spin-graded diag(S1, S2) on M would give
-the same X, S1^-1 A S2 S2^-1 B S1, because S2 cancels; one S suffices.)
+The oracle therefore works on n_tr x n_tr matrices, and in real arithmetic:
+at real parameters every entry of the truncation is i times a real number
+(-i lead hbar (l+1) lowering, +-i k / (lead hbar) raising), so M = i M~ with
+M~ real and AB = -A~ B~ is real.  scramble forms X = S^-1 AB S with one
+random real similarity S, which keeps the spectrum and destroys every
+pattern of AB.  (A spin-graded diag(S1, S2) on M would give the same X,
+S1^-1 A S2 S2^-1 B S1, because S2 cancels; one S suffices.)
 scrambled_eigensolve runs the certified eigensolve of X, checks its
 eigenvalues against the diagonal of AB, sets one roundoff floor and returns
-classify_spectrum's report on them.  One verdict makes one n_tr x n_tr solve
-and one n_tr x n_tr eig.  Near the exceptional point (EP) the pair +-E
-splits like sqrt(delta) under a perturbation delta, while E^2 is a simple
-eigenvalue of X and moves only linearly in delta, so the floor stays honest
-there.  One per-level test against that floor decides both the verdict and
-whether level 0's sign is resolved.
+classify_spectrum's report on them.  One verdict makes one real n_tr x n_tr
+solve and one real n_tr x n_tr eig.  A real eig still returns complex
+eigenvalues, as conjugate pairs, so an E^2 off the real axis still shows
+and reads as critical: the real arithmetic assumes nothing about the
+verdict.  Near the exceptional point (EP) the pair +-E splits like
+sqrt(delta) under a perturbation delta, while E^2 is a simple eigenvalue of
+X and moves only linearly in delta, so the floor stays honest there.  One
+per-level test against that floor decides both the verdict and whether
+level 0's sign is resolved.
 
 S enters the oracle one way: as a Similarity from draw_similarity, which
 also carries cond(S), known from the construction.  S depends only on
@@ -229,20 +235,23 @@ def eigensolve(m: np.ndarray, tol: float = 1e-9) -> EigenResult:
     """Dense nonsymmetric eigenvalues with per-eigenpair residual bounds.
 
     Each certificate is ||M v - w v||_2 / ||M||_F for the unit eigenvector
-    v returned by the backend.  Values are sorted by (real, imag).  Unless
-    every certificate is at most tol (a nan one, from an overflow in the
-    backend or in M v, is not), EigensolveError is raised with the partial
-    results attached; such an overflow raises no numpy warning, so the
-    error is the one report of it.
+    v returned by the backend.  The solve works in m's own arithmetic: a
+    real m goes through real LAPACK, which still returns any complex
+    eigenvalues as conjugate pairs (values and vectors are then complex),
+    and a complex m through complex LAPACK.  Values are sorted by (real,
+    imag).  Unless every certificate is at most tol (a nan one, from an
+    overflow in the backend or in M v, is not), EigensolveError is raised
+    with the partial results attached; such an overflow raises no numpy
+    warning, so the error is the one report of it.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if m.shape[0] == 0:
         raise ValueError("matrix must be nonempty")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    values, vectors = np.linalg.eig(m.astype(complex))
+    values, vectors = np.linalg.eig(m)
     with np.errstate(over="ignore", invalid="ignore"):
         norm = max(float(np.linalg.norm(m, "fro")), np.finfo(float).tiny)
         defects = m @ vectors - vectors * values[np.newaxis, :]
@@ -355,10 +364,11 @@ _DENSITY_FLOOR = 0.9
 _SPECTRUM_INVARIANCE_REL = 1e-9
 # Multiples of the two roundoff units in the level floor (see
 # scrambled_eigensolve).  Over 1200 parameter draws with hbar in [0.3, 10],
-# n_tr in [2, 200], both branches and valleys, about half within 1e-13 of
-# the EP, the measured errors stayed below 0.71 and 6.2 of those units; 6000
-# more draws with n_tr in [2, 8], where the scramble unit is tightest,
-# stayed below 7.1.
+# n_tr log-uniform in [2, 200], both branches and valleys, about half within
+# 1e-13 of the EP, the diagonal of AB stayed within 2.1 build units of
+# (l + 1) k_coef and the eigenvalues of X within 3.6 scramble units of that
+# diagonal; 6000 more draws with n_tr in [2, 8], where the scramble unit is
+# tightest, stayed within 1.6 and 5.0.
 _BUILD_FLOOR_UNITS = 8.0
 _SCRAMBLE_FLOOR_UNITS = 16.0
 _INVARIANCE_UNITS = 100.0
@@ -379,8 +389,9 @@ class Similarity:
 def draw_similarity(n_tr: int, seed: int = 0) -> Similarity:
     """Draw S = Q1 diag(10**u) Q2 for (n_tr, seed).
 
-    Q1 and Q2 are Haar-ish unitaries (QR of complex Gaussians) and u is
-    uniform in [-0.25, 0.25], all from one generator seeded with ``seed``.
+    Q1 and Q2 are Haar-ish orthogonal matrices (QR of real Gaussians), so S
+    is real like the AB it scrambles, and u is uniform in [-0.25, 0.25],
+    all from one generator seeded with ``seed``.
     The singular values of S are the diagonal, so cond(S) is its max/min
     ratio, at most 10**0.5 by construction; no SVD is needed and no draw
     can be rejected.  S depends only on (n_tr, seed), so a command that
@@ -389,12 +400,7 @@ def draw_similarity(n_tr: int, seed: int = 0) -> Similarity:
     """
     _check_n_tr(n_tr)
     rng = np.random.default_rng(seed)
-    q1, q2 = (
-        np.linalg.qr(
-            rng.standard_normal((n_tr, n_tr)) + 1j * rng.standard_normal((n_tr, n_tr))
-        )[0]
-        for _ in range(2)
-    )
+    q1, q2 = (np.linalg.qr(rng.standard_normal((n_tr, n_tr)))[0] for _ in range(2))
     diag = 10.0 ** rng.uniform(-0.25, 0.25, size=n_tr)
     matrix = q1 @ (diag[:, np.newaxis] * q2)
     matrix.flags.writeable = False
@@ -402,21 +408,28 @@ def draw_similarity(n_tr: int, seed: int = 0) -> Similarity:
 
 
 def _chiral_blocks(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """A = M[0::2, 1::2] and B = M[1::2, 0::2] of M = [[0, A], [B, 0]].
+    """Real factors A / i and i B of AB, for M = [[0, A], [B, 0]].
 
-    Raises RuntimeError unless both diagonal spin blocks of M are exactly
-    zero, which is what lets the spectrum be read from AB alone.
+    A = M[0::2, 1::2] and B = M[1::2, 0::2].  Raises RuntimeError unless
+    both diagonal spin blocks of M are exactly zero, which is what lets the
+    spectrum be read from AB alone, and unless M is exactly i times a real
+    matrix, as every truncation at real parameters is.  The factors are then
+    the imaginary parts A.imag and -B.imag, so their product is AB bit for
+    bit and the rest of the oracle runs in real arithmetic.
     """
     if np.any(m[0::2, 0::2]) or np.any(m[1::2, 1::2]):
         raise RuntimeError("truncation has entries inside a diagonal spin block")
-    return m[0::2, 1::2], m[1::2, 0::2]
+    if np.any(m.real):
+        raise RuntimeError("truncation has entries off the imaginary axis")
+    return m[0::2, 1::2].imag, -m[1::2, 0::2].imag
 
 
 def scramble(rep: TruncatedRep, similarity: Similarity) -> np.ndarray:
-    """Return X = S^-1 (A (B S)) for rep's M = [[0, A], [B, 0]].
+    """Return the real X = S^-1 (A (B S)) for rep's M = [[0, A], [B, 0]].
 
     S must have been drawn for rep's n_tr, else ValueError.  Checks that the
-    diagonal spin blocks of M are exactly zero and that X is dense; an X
+    diagonal spin blocks of M are exactly zero, that M is i times a real
+    matrix (so AB is real; see _chiral_blocks) and that X is dense; an X
     that is exactly zero (B at k = 0 exactly) has no pattern to hide and
     is exempt.  Spectrum invariance is checked after the eigensolve, by
     scrambled_eigensolve.
@@ -478,7 +491,7 @@ def scrambled_eigensolve(rep: TruncatedRep, similarity: Similarity) -> SpectrumR
       ||AB||_2 = max |E^2| <= ||X||_2.  The solve's backward error adds
       eps cond(S) ||X|| and the eig eps ||X||.  With cond(S) at most
       10**0.5, each E^2 moves by a small multiple of the unit
-      eps cond(S)**2 ||X||_F.  The largest move measured was 7.0 units;
+      eps cond(S)**2 ||X||_F.  The largest move measured was 5.0 units;
       the floor takes 16.  X holds the couplings, so this term scales
       with |k| and vanishes at the EP, where the E^2 are a simple
       eigenvalue crossing 0 and not the Jordan block that the pair +-E

@@ -16,6 +16,10 @@ from its summary line.  The numeric files were re-recorded once more when the
 scramble dropped the second similarity factor S2, which cancels exactly in
 the one matrix the eigensolver sees: the levels and landings moved by
 roundoff (at most 2.2e-13 relative), and no verdict or exit code changed.
+They were re-recorded again when the oracle moved to real arithmetic (a real
+S and a real X, since the truncation is i times a real matrix): the levels
+moved by at most 1.3e-13 relative, every numeric E+ now lies exactly on the
+real or the imaginary axis, and no verdict or exit code changed.
 A rework that is not meant to change an output must not move a byte.
 
 Each run happens in a subprocess with BLAS pinned to one thread, because

@@ -207,12 +207,30 @@ def test_eigensolve_certificate_failure_carries_partials():
 
 
 def test_eigensolve_rejects_a_nan_certificate():
-    # finite entries whose eigenvector defects overflow: every certificate
-    # is nan, which must fail like one above tol
+    # finite entries whose eigenvector defects overflow: complex LAPACK
+    # leaves every certificate nan, real LAPACK one of the two, and either
+    # must fail like one above tol
+    m = np.array([[1e200, 3e200], [2e200, 1e200]])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EigensolveError, match="nan") as info:
-            eigensolve(np.array([[1e200, 3e200], [2e200, 1e200]]))
-    assert np.isnan(info.value.residuals).all()
+            eigensolve(m.astype(complex))
+        assert np.isnan(info.value.residuals).all()
+        with pytest.raises(EigensolveError, match="nan") as info:
+            eigensolve(m)
+        assert np.isnan(info.value.residuals).any()
+
+
+def test_eigensolve_certifies_a_conjugate_pair_of_a_real_matrix():
+    # real LAPACK still returns complex eigenvalues, so a real X cannot hide
+    # an E^2 off the real axis: here the structural zero and E^2 = +-i
+    result = eigensolve(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]))
+    assert np.array_equal(result.values, [-1j, 0.0, 1j])
+    assert result.residuals.max() <= 1e-15
+    pair = eigensolve(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert np.array_equal(pair.values, [-1j, 1j])
+    report = classify_spectrum(result.values, 1e-12, result.residuals)
+    assert report.verdict is PhaseVerdict.CRITICAL
+    assert not report.resolved
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +329,22 @@ def test_scramble_rejects_entries_inside_a_spin_block():
             scramble(dataclasses.replace(rep, matrix=tampered), draw_similarity(10, 1))
 
 
+def test_scramble_rejects_an_entry_off_the_imaginary_axis():
+    rep = build_truncated(CO, 10)
+    i, j = np.argwhere(rep.matrix)[3]
+    tampered = rep.matrix.copy()
+    tampered[i, j] += 1e-300
+    with pytest.raises(RuntimeError, match="off the imaginary axis"):
+        scramble(dataclasses.replace(rep, matrix=tampered), draw_similarity(10, 1))
+
+
+def test_scramble_works_in_real_arithmetic():
+    rep = build_truncated(CO_BROKEN, 12, Branch.II, Valley.TIME_REVERSED)
+    assert rep.matrix.dtype == np.complex128
+    assert draw_similarity(12, 3).matrix.dtype == np.float64
+    assert scramble(rep, draw_similarity(12, 3)).dtype == np.float64
+
+
 def test_scramble_exempts_an_all_zero_block():
     rep = build_truncated(derive_coeffs(dataclasses.replace(BASE, k1=0.0, b0=0.0)), 6)
     assert not np.any(rep.matrix[1::2, 0::2])
@@ -349,7 +383,7 @@ def test_invariance_check_catches_a_non_diagonal_ab(seed):
     # cycle in AB, so its diagonal no longer holds its eigenvalues
     rep = build_truncated(CO, 10)
     tampered = rep.matrix.copy()
-    tampered[2, 3] = tampered[0, 5] = 0.5
+    tampered[2, 3] = tampered[0, 5] = 0.5j
     with pytest.raises(RuntimeError, match="drifted the spectrum"):
         scrambled_eigensolve(
             dataclasses.replace(rep, matrix=tampered), draw_similarity(10, seed)
@@ -454,12 +488,8 @@ def _resampling_draw(dim, seed):
     """The draw as first written: measure cond(S) by SVD, resample above 100."""
     rng = np.random.default_rng(seed)
     for _ in range(10):
-        q1 = np.linalg.qr(
-            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        )[0]
-        q2 = np.linalg.qr(
-            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        )[0]
+        q1 = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        q2 = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
         diag = 10.0 ** rng.uniform(-0.25, 0.25, size=dim)
         candidate = q1 @ (diag[:, np.newaxis] * q2)
         if np.linalg.cond(candidate) <= 100.0:
@@ -509,6 +539,34 @@ def test_spectrum_command_takes_no_svd_of_a_full_matrix(monkeypatch, tmp_path):
     assert calls["qr"] == [(12, 12)] * 2
     assert calls["solve"] == [(12, 12)]
     assert calls["eig"] == [(12, 12)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--n_tr", "12"],
+        ["spectrum", "--n_tr", "12", "--lambda", "1.8"],
+        ["critical", "--vary", "lambda", "--n_tr", "12"],
+        ["critical", "--vary", "b0", "--n_tr", "12"],
+        ["sweep", "--vary", "lambda", "--from", "0.1", "--to", "1.3",
+         "--steps", "4", "--numeric", "--n_tr", "12"],
+        ["verify", "--n_tr", "12"],
+    ],
+    ids=["spectrum", "spectrum_broken", "critical_lambda", "critical_b0", "sweep",
+         "verify"],
+)
+def test_numeric_commands_decompose_only_real_matrices(argv, monkeypatch, tmp_path):
+    dtypes = []
+    for name in ("qr", "solve", "eig", "eigvals", "svd"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _original=original, **kwargs):
+            dtypes.append(np.asarray(a).dtype)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    assert cli.main(argv + ["--output", str(tmp_path / "out.txt")]) == 0
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
 
 # ---------------------------------------------------------------------------
