@@ -16,15 +16,16 @@ E^2 = +-(l+1) k of levels l = 0 .. n_tr - 2, plus one structural zero
 where the raising chain is cut.  The truncation adds nothing else, so every
 level it keeps is exact and there is no edge to discard.
 
-The oracle therefore works on n_tr x n_tr matrices, and in real arithmetic:
-at real parameters every entry of the truncation is i times a real number
-(-i lead hbar (l+1) lowering, +-i k / (lead hbar) raising), so M = i M~ with
-M~ real and AB = -A~ B~ is real.  scramble forms X = S^-1 AB S with one
-random real similarity S, which keeps the spectrum and destroys every
-pattern of AB.  (A spin-graded diag(S1, S2) on M would give the same X,
-S1^-1 A S2 S2^-1 B S1, because S2 cancels; one S suffices.)
+At real parameters every entry of the truncation is i times a real number
+(-i lead hbar (l+1) lowering, +-i k / (lead hbar) raising), so A = i a and
+B = -i b with a and b real n_tr x n_tr factors, and AB = ab.  build_truncated
+writes a and b straight from the images of ``apply``; no verdict forms M.
+scramble forms X = S^-1 a b S with one random real similarity S, which
+keeps the spectrum and destroys every pattern of ab.  (A spin-graded
+diag(S1, S2) on M would give the same X, S1^-1 A S2 S2^-1 B S1, because S2
+cancels; one S suffices.)
 scrambled_eigensolve runs the certified eigensolve of X, checks its
-eigenvalues against the diagonal of AB, sets one roundoff floor and returns
+eigenvalues against the diagonal of ab, sets one roundoff floor and returns
 classify_spectrum's report on them.  One verdict makes one real n_tr x n_tr
 solve and one real n_tr x n_tr eig.  A real eig still returns complex
 eigenvalues, as conjugate pairs, so an E^2 off the real axis still shows
@@ -85,62 +86,58 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class TruncatedRep:
-    """Dense matrix of the Hamiltonian on the first n_tr tower levels.
+    """The Hamiltonian on the first n_tr tower levels, as two real factors.
 
-    Basis vector 2*l is the upper-component level-l function, 2*l+1 the
-    lower-component one; dropped_count records raising amplitudes that left
-    the retained span (exactly one per truncation).
+    M = [[0, i a], [-i b, 0]]: index l of the read-only n_tr x n_tr ``a``
+    and ``b`` is level l, a maps lower components to upper ones and b upper
+    to lower.  dropped_count records raising amplitudes that left the
+    retained span (exactly one per truncation).
     """
 
     n_tr: int
-    matrix: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     branch: Branch
     valley: Valley
     coeffs: DerivedCoeffs
     dropped_count: int
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """M on basis 2*l (upper level l) and 2*l+1 (lower), built per call.
 
-def _closed_form_matrix(
+        Every real part and every zero is +0.0: a bare -b would give -0.0.
+        """
+        m = np.zeros((2 * self.n_tr, 2 * self.n_tr), dtype=complex)
+        m.imag[0::2, 1::2] = 0.0 + self.a
+        m.imag[1::2, 0::2] = 0.0 - self.b
+        return m
+
+
+def _closed_form_factors(
     coeffs: DerivedCoeffs, branch: Branch, valley: Valley, n_tr: int
-) -> np.ndarray:
-    """The truncated matrix from closed-form entries, filled block by block.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The factors a and b of the truncation from closed-form entries.
 
-    Derived independently of ``apply``.  The matrix is a permuted direct
-    sum of n_tr - 1 blocks [[0, alpha_l], [beta_l, 0]] on indices (i, j),
-    with a zero left over at each end of the tower.  In the holomorphic
-    pattern block l pairs the upper level-l function (i) with the lower
-    level-(l+1) one (j), otherwise the lower level-l function with the
-    upper level-(l+1) one.  M[i, j] lowers with -i lead hbar (l + 1) and
-    M[j, i] raises with the coupling i k / (lead hbar) (its negative on
-    branch II), lead being a on branch I and b on II.
+    Derived independently of ``apply``.  Level l + 1 lowers to level l with
+    -i lead hbar (l + 1) and level l raises to level l + 1 with the coupling
+    i k / (lead hbar) (its negative on branch II), lead being a on branch I
+    and b on II.  In the holomorphic pattern the lowering takes the lower
+    component to the upper one, so it sits in A, and the raising in B;
+    otherwise the two swap.
     """
-    k = complex(coeffs.k_coef)
-    hbar = complex(coeffs.hbar)
-    if branch is Branch.I:
-        lead = complex(coeffs.a_coef)
-        coupling = 1j * k / (lead * hbar)
-    else:
-        lead = complex(coeffs.b_coef)
-        coupling = -1j * k / (lead * hbar)
-    holo = holomorphic_tower(branch, valley)
-    i = 2 * np.arange(n_tr - 1) + (0 if holo else 1)
-    j = i + (3 if holo else 1)
-    out = np.zeros((2 * n_tr, 2 * n_tr), dtype=complex)
-    out[i, j] = -1j * lead * hbar * np.arange(1, n_tr)
-    out[j, i] = coupling
-    return out
-
-
-def _basis_function(
-    level: int, component: int, coeffs: DerivedCoeffs, branch: Branch, valley: Valley
-) -> SpinorFunction:
-    d = coeffs.d1(branch)
-    mono = (level, 0) if holomorphic_tower(branch, valley) else (0, level)
-    wp = WeightedPolynomial.monomial(mono[0], mono[1], 1.0, float(d))
-    zero = WeightedPolynomial.zero(float(d))
-    if component == 0:
-        return SpinorFunction(wp, zero)
-    return SpinorFunction(zero, wp)
+    hbar = float(coeffs.hbar)
+    k = float(coeffs.k_coef)
+    lead = float(coeffs.a_coef if branch is Branch.I else coeffs.b_coef)
+    sign = 1.0 if branch is Branch.I else -1.0
+    l = np.arange(n_tr - 1)
+    lowering = np.zeros((n_tr, n_tr))
+    lowering[l, l + 1] = -lead * hbar * (l + 1)
+    raising = np.zeros((n_tr, n_tr))
+    raising[l + 1, l] = -sign * k / (lead * hbar)
+    if holomorphic_tower(branch, valley):
+        return lowering, raising
+    return -raising, -lowering
 
 
 def _check_n_tr(n_tr: int) -> None:
@@ -157,9 +154,11 @@ def build_truncated(
     """Project the valley Hamiltonian onto the first n_tr tower levels.
 
     Every image coefficient must land back on the tower pattern; the one
-    raising amplitude out of level n_tr - 1 is discarded and counted.  The
-    assembled matrix is cross-checked against the independent closed-form
-    entries before it is returned.
+    raising amplitude out of level n_tr - 1 is discarded and counted.  A
+    kept coefficient must be exactly zero inside a diagonal spin block and
+    exactly imaginary, else RuntimeError is raised at its write.  The
+    factors are cross-checked against the independent closed-form entries
+    before they are returned.
     """
     _check_n_tr(n_tr)
     if coeffs.d1(branch) is None:
@@ -168,28 +167,41 @@ def build_truncated(
         )
     holo = holomorphic_tower(branch, valley)
     h = build_hamiltonian(coeffs, valley).to_complex()
-    dim = 2 * n_tr
-    matrix = np.zeros((dim, dim), dtype=complex)
+    d = float(coeffs.d1(branch))
+    zero = WeightedPolynomial.zero(d)
+    a = np.zeros((n_tr, n_tr))
+    b = np.zeros((n_tr, n_tr))
     dropped = 0
     for level in range(n_tr):
+        wp = WeightedPolynomial.monomial(*((level, 0) if holo else (0, level)), 1.0, d)
+        basis = (SpinorFunction(wp, zero), SpinorFunction(zero, wp))
         for component in (0, 1):
-            col = 2 * level + component
-            image = h.apply(_basis_function(level, component, coeffs, branch, valley))
+            image = h.apply(basis[component])
             image_scale = max(1.0, image.max_abs_coeff())
+            on_pattern = []
             for out_component, poly in ((0, image.upper), (1, image.lower)):
                 for (m, n), c in poly.sorted_items():
-                    exp = m if holo else n
-                    on_pattern = (n == 0 if holo else m == 0)
-                    if on_pattern:
-                        if exp < n_tr:
-                            matrix[2 * exp + out_component, col] += complex(c)
-                        else:
-                            dropped += 1
+                    if (n == 0 if holo else m == 0):
+                        on_pattern.append((out_component, m if holo else n, complex(c)))
                     elif abs(complex(c)) > _OFF_PATTERN_REL * image_scale:
                         raise RuntimeError(
                             "image left the tower pattern: "
                             f"coefficient {c!r} at z^{m} zbar^{n}"
                         )
+            for out_component, exp, c in on_pattern:
+                if exp >= n_tr:
+                    dropped += 1
+                elif out_component == component:
+                    if c:
+                        raise RuntimeError(
+                            "truncation has entries inside a diagonal spin block"
+                        )
+                elif c.real:
+                    raise RuntimeError("truncation has entries off the imaginary axis")
+                elif component:
+                    a[exp, level] = c.imag
+                else:
+                    b[exp, level] = -c.imag
     a_h = abs(complex(coeffs.a_coef) * complex(coeffs.hbar))
     b_h = abs(complex(coeffs.b_coef) * complex(coeffs.hbar))
     k_abs = abs(complex(coeffs.k_coef))
@@ -202,13 +214,15 @@ def build_truncated(
         abs(complex(coeffs.c1)),
         abs(complex(coeffs.c2)),
     )
-    check = _closed_form_matrix(coeffs, branch, valley, n_tr)
-    worst = float(np.max(np.abs(matrix - check)))
+    check = _closed_form_factors(coeffs, branch, valley, n_tr)
+    worst = max(float(np.max(np.abs(x - y))) for x, y in zip((a, b), check))
     if worst > _CROSS_CHECK_REL * scale:
         raise RuntimeError(
             f"assembled matrix disagrees with closed-form entries by {worst:.3e}"
         )
-    return TruncatedRep(n_tr, matrix, branch, valley, coeffs, dropped)
+    a.flags.writeable = False
+    b.flags.writeable = False
+    return TruncatedRep(n_tr, a, b, branch, valley, coeffs, dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -407,38 +421,20 @@ def draw_similarity(n_tr: int, seed: int = 0) -> Similarity:
     return Similarity(matrix, seed, float(diag.max() / diag.min()))
 
 
-def _chiral_blocks(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Real factors A / i and i B of AB, for M = [[0, A], [B, 0]].
-
-    A = M[0::2, 1::2] and B = M[1::2, 0::2].  Raises RuntimeError unless
-    both diagonal spin blocks of M are exactly zero, which is what lets the
-    spectrum be read from AB alone, and unless M is exactly i times a real
-    matrix, as every truncation at real parameters is.  The factors are then
-    the imaginary parts A.imag and -B.imag, so their product is AB bit for
-    bit and the rest of the oracle runs in real arithmetic.
-    """
-    if np.any(m[0::2, 0::2]) or np.any(m[1::2, 1::2]):
-        raise RuntimeError("truncation has entries inside a diagonal spin block")
-    if np.any(m.real):
-        raise RuntimeError("truncation has entries off the imaginary axis")
-    return m[0::2, 1::2].imag, -m[1::2, 0::2].imag
-
-
 def scramble(rep: TruncatedRep, similarity: Similarity) -> np.ndarray:
-    """Return the real X = S^-1 (A (B S)) for rep's M = [[0, A], [B, 0]].
+    """Return the real X = S^-1 (a (b S)) for rep's factors, AB = ab.
 
-    S must have been drawn for rep's n_tr, else ValueError.  Checks that the
-    diagonal spin blocks of M are exactly zero, that M is i times a real
-    matrix (so AB is real; see _chiral_blocks) and that X is dense; an X
-    that is exactly zero (B at k = 0 exactly) has no pattern to hide and
-    is exempt.  Spectrum invariance is checked after the eigensolve, by
+    S must have been drawn for rep's n_tr, else ValueError.  Chirality and
+    the imaginary axis were checked exactly where the factors were built
+    (build_truncated); this checks that X is dense.  An X that is exactly
+    zero (b at k = 0 exactly) has no pattern to hide and is exempt.
+    Spectrum invariance is checked after the eigensolve, by
     scrambled_eigensolve.
     """
     s = similarity.matrix
     if s.shape != (rep.n_tr, rep.n_tr):
         raise ValueError("similarity was drawn for another dimension")
-    a, b = _chiral_blocks(rep.matrix)
-    x = np.linalg.solve(s, a @ (b @ s))
+    x = np.linalg.solve(s, rep.a @ (rep.b @ s))
     scale = float(np.max(np.abs(x)))
     density = float(np.mean(np.abs(x) > 1e-12 * scale))
     if scale > 0.0 and density < _DENSITY_FLOOR:
@@ -505,7 +501,7 @@ def scrambled_eigensolve(rep: TruncatedRep, similarity: Similarity) -> SpectrumR
     x = scramble(rep, similarity)
     result = eigensolve(x)
     scramble_unit = _EPS * similarity.cond**2 * float(np.linalg.norm(x))
-    reference = np.einsum("ij,ji->i", *_chiral_blocks(rep.matrix))
+    reference = np.einsum("ij,ji->i", rep.a, rep.b)
     spread = max(float(np.max(np.abs(reference))), 1.0)
     check_spectrum_invariance(
         reference,

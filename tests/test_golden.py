@@ -22,6 +22,12 @@ moved by at most 1.3e-13 relative, every numeric E+ now lies exactly on the
 real or the imaginary axis, and no verdict or exit code changed.
 A rework that is not meant to change an output must not move a byte.
 
+The ``spectrum --dump_matrix`` files in ``DUMPS`` hold the truncation itself,
+one per branch and valley.  They pin every byte of it, the sign of each zero
+included, which a numeric round trip through ``parse_matrix`` cannot see.
+The truncation is built in Python float arithmetic and no LAPACK call
+touches it, so these files are compared on every platform.
+
 Each run happens in a subprocess with BLAS pinned to one thread, because
 multithreaded LAPACK reorders floating-point sums and changes the last bits
 of the scrambled spectra.  The bytes also belong to one numpy/BLAS build, so
@@ -43,6 +49,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ptdirac.cli import main
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -60,6 +68,15 @@ CASES = {
     "verify_seed4.txt": (["verify", "--seed", "4"], 0),
     "analytic.txt": (["analytic"], 0),
     "analytic.json": (["analytic", "--format", "json"], 0),
+}
+
+# golden dump file name -> spectrum argv whose --dump_matrix writes it
+DUMPS = {
+    f"dump_n6_{branch}_{valley}.txt": [
+        "spectrum", "--n_tr", "6", "--branch", branch, "--valley", valley
+    ]
+    for branch in ("I", "II")
+    for valley in ("primary", "time_reversed")
 }
 
 _RUNNER = """
@@ -93,6 +110,21 @@ def run_cases(out_dir: Path) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def write_dumps(out_dir: Path) -> None:
+    for name, argv in DUMPS.items():
+        code = main(
+            argv + ["--dump_matrix", str(out_dir / name),
+                    "--output", os.devnull]
+        )
+        assert code == 0, name
+
+
+def test_dump_matrix_matches_golden_bytes(tmp_path):
+    write_dumps(tmp_path)
+    for name in DUMPS:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
 def test_cli_output_matches_golden_bytes(tmp_path):
     recorded = (GOLDEN / "PLATFORM.txt").read_text(encoding="utf-8")
     if recorded != platform_fingerprint():
@@ -105,4 +137,5 @@ def test_cli_output_matches_golden_bytes(tmp_path):
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     run_cases(GOLDEN)
+    write_dumps(GOLDEN)
     (GOLDEN / "PLATFORM.txt").write_text(platform_fingerprint(), encoding="utf-8")

@@ -320,35 +320,50 @@ def test_scramble_seeds_differ():
     assert np.array_equal(scramble(rep, draw_similarity(6, seed=1)), a)
 
 
-def test_scramble_rejects_entries_inside_a_spin_block():
-    rep = build_truncated(CO, 10)
-    for i, j in ((0, 2), (1, 3)):
-        tampered = rep.matrix.copy()
-        tampered[i, j] = 1e-300
-        with pytest.raises(RuntimeError, match="inside a diagonal spin block"):
-            scramble(dataclasses.replace(rep, matrix=tampered), draw_similarity(10, 1))
+@pytest.mark.parametrize("branch", list(Branch))
+@pytest.mark.parametrize("valley", list(Valley))
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        # the identity maps each component onto itself
+        (OperatorExpr.scalar(1e-300), "inside a diagonal spin block"),
+        # sigma_x swaps the components with a real coefficient
+        (OperatorExpr.spin(((0, 1), (1, 0))).scaled(1e-300), "off the imaginary axis"),
+    ],
+    ids=["spin-block", "off-axis"],
+)
+def test_truncation_rejects_a_non_chiral_or_real_entry(
+    monkeypatch, branch, valley, tamper, message
+):
+    # both checks are exact: a 1e-300 entry is far below every tolerance
+    original = spectral.build_hamiltonian
+    monkeypatch.setattr(
+        spectral, "build_hamiltonian", lambda co, v: original(co, v) + tamper
+    )
+    with pytest.raises(RuntimeError, match=message):
+        build_truncated(CO, 10, branch, valley)
 
 
-def test_scramble_rejects_an_entry_off_the_imaginary_axis():
-    rep = build_truncated(CO, 10)
-    i, j = np.argwhere(rep.matrix)[3]
-    tampered = rep.matrix.copy()
-    tampered[i, j] += 1e-300
-    with pytest.raises(RuntimeError, match="off the imaginary axis"):
-        scramble(dataclasses.replace(rep, matrix=tampered), draw_similarity(10, 1))
+def test_truncation_factors_are_read_only():
+    rep = build_truncated(CO, 6)
+    for factor in (rep.a, rep.b):
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0, 1] = 0.0
 
 
 def test_scramble_works_in_real_arithmetic():
     rep = build_truncated(CO_BROKEN, 12, Branch.II, Valley.TIME_REVERSED)
-    assert rep.matrix.dtype == np.complex128
+    assert rep.a.dtype == rep.b.dtype == np.float64
+    assert rep.a.shape == rep.b.shape == (12, 12)
     assert draw_similarity(12, 3).matrix.dtype == np.float64
     assert scramble(rep, draw_similarity(12, 3)).dtype == np.float64
 
 
 def test_scramble_exempts_an_all_zero_block():
     rep = build_truncated(derive_coeffs(dataclasses.replace(BASE, k1=0.0, b0=0.0)), 6)
-    assert not np.any(rep.matrix[1::2, 0::2])
-    assert np.any(rep.matrix[0::2, 1::2])
+    assert not np.any(rep.b)
+    assert np.any(rep.a)
     assert not np.any(scramble(rep, draw_similarity(6, 2)))
     report = phase_verdict_numeric(dataclasses.replace(BASE, k1=0.0, b0=0.0), n_tr=6)
     assert report.verdict is PhaseVerdict.CRITICAL
@@ -382,18 +397,18 @@ def test_invariance_check_catches_a_non_diagonal_ab(seed):
     # still chiral, but two couplings outside the tower pattern close a
     # cycle in AB, so its diagonal no longer holds its eigenvalues
     rep = build_truncated(CO, 10)
-    tampered = rep.matrix.copy()
-    tampered[2, 3] = tampered[0, 5] = 0.5j
+    tampered = rep.a.copy()
+    tampered[1, 1] = tampered[0, 2] = 0.5
     with pytest.raises(RuntimeError, match="drifted the spectrum"):
         scrambled_eigensolve(
-            dataclasses.replace(rep, matrix=tampered), draw_similarity(10, seed)
+            dataclasses.replace(rep, a=tampered, b=rep.b), draw_similarity(10, seed)
         )
 
 
 def test_invariance_check_fires_past_the_budget():
     rep = build_truncated(CO, 20)
     squares = np.array(scrambled_eigensolve(rep, draw_similarity(20, seed=4)).squares)
-    reference = np.diag(rep.matrix[0::2, 1::2] @ rep.matrix[1::2, 0::2])
+    reference = np.diag(rep.a @ rep.b)
     check_spectrum_invariance(reference, squares, 1e-9)
     bumped = squares.copy()
     bumped[3] += 1e-7
@@ -422,6 +437,32 @@ def test_spectrum_command_and_verdict_both_run_the_invariance_check(
     assert calls == [12]
     phase_verdict_numeric(BASE, n_tr=9, seed=2)
     assert calls == [12, 9]
+
+
+def test_no_verdict_forms_the_dense_truncation(monkeypatch, tmp_path):
+    # the oracle reads only the two real factors; M is built for
+    # --dump_matrix and the tests alone
+    factors = []
+    original = spectral.scrambled_eigensolve
+
+    def checked(rep, similarity):
+        factors.append((rep.a, rep.b, rep.n_tr))
+        return original(rep, similarity)
+
+    def refuse(rep):
+        raise AssertionError("a verdict formed the dense 2 n_tr x 2 n_tr M")
+
+    monkeypatch.setattr(spectral.TruncatedRep, "matrix", property(refuse))
+    for module in (spectral, cli):
+        monkeypatch.setattr(module, "scrambled_eigensolve", checked)
+    phase_verdict_numeric(BASE, n_tr=9, seed=2)
+    find_exceptional_point(BASE, Vary.LAMBDA, 0.5, 1.8, n_tr=10)
+    out = tmp_path / "spectrum.txt"
+    assert cli.main(["spectrum", "--n_tr", "12", "--output", str(out)]) == 0
+    assert len(factors) >= 5
+    for a, b, n_tr in factors:
+        assert a.dtype == b.dtype == np.float64
+        assert a.shape == b.shape == (n_tr, n_tr)
 
 
 # ---------------------------------------------------------------------------
