@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import keyword
@@ -793,7 +794,13 @@ def cmd_jc(cfg: RunConfig, degree: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing leaves it unchanged, and each subcommand's ``run`` looks its
+    ``cmd_*`` up when called, so every ``main`` call can share it.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a 'key = value' config file")
     for s in _SETTINGS:

@@ -23,6 +23,8 @@ Layout:
   - WeightedPolynomial / SpinorFunction: the function space.
   - OperatorExpr: linear operators, composition, formal adjoint, collected
     canonical form.
+  - residue_groups / apply_disjoint: one application for a group of
+    monomials whose images cannot meet, split back per monomial.
   - build_hamiltonian / block_operators: the model's first-order blocks for
     either valley.
   - AntilinearOp and the PT machinery: transforms, eigenfactors, commutator
@@ -416,11 +418,14 @@ class _Plan(NamedTuple):
     ``(out_component, image, factor)`` in the order the terms accumulate,
     one per nonzero spin entry, with ``factor = term.coeff * entry``.
     ``spin_scalar`` says whether every matrix is a multiple of the identity.
+    ``reach`` is the longest word: no image key, and no key of an image on
+    the way, lies farther than that from its source in either exponent.
     """
 
     nodes: Tuple[Tuple[int, Callable], ...]
     entries: Tuple[Tuple[int, int, Coeff], ...]
     spin_scalar: bool
+    reach: int
 
 
 def _word_image(nodes: List, index: Dict, component: int, word) -> int:
@@ -450,7 +455,8 @@ def _compile(terms: Sequence[OperatorTerm]) -> _Plan:
         not (m01 or m10) and m00 == m11
         for (m00, m01), (m10, m11) in (t.matrix for t in terms)
     )
-    return _Plan(tuple(nodes), tuple(entries), spin_scalar)
+    reach = max((len(t.word) for t in terms), default=0)
+    return _Plan(tuple(nodes), tuple(entries), spin_scalar, reach)
 
 
 def _run(plan: _Plan, upper: List, lower: List, d) -> List:
@@ -661,6 +667,91 @@ class OperatorExpr:
 
     def __repr__(self) -> str:
         return f"OperatorExpr({len(self.terms)} terms)"
+
+
+# ---------------------------------------------------------------------------
+# application to groups of monomials with disjoint images
+# ---------------------------------------------------------------------------
+# Each primitive moves each exponent by at most 1, so a word of length w moves
+# a monomial's keys by at most w, in every intermediate image as in the
+# final one.  Two monomials more than 2w apart in some exponent therefore
+# never meet, and one application to their sum gives every key the terms it
+# gets from its own monomial, added in the same order: each image is
+# bit-identical to a separate application.  This is the column grouping of
+# sparse Jacobian estimation (Curtis, Powell & Reid 1974; Coleman & More
+# 1983): columns with disjoint row supports cost one evaluation together.
+
+
+def residue_groups(op: OperatorExpr, sources: Sequence[Monomial]) -> List[List[Monomial]]:
+    """``sources`` split by residue mod 2w + 1 of both exponents.
+
+    w is the longest word of ``op`` (``_Plan.reach``), so the monomials of
+    one group are at least 2w + 1 apart in some exponent and their images
+    under ``op`` are disjoint.  Groups, and the monomials within each, keep
+    the order of first appearance in ``sources``.
+    """
+    p = 2 * op._compiled().reach + 1
+    groups: Dict[Monomial, List[Monomial]] = {}
+    for m, n in sources:
+        groups.setdefault((m % p, n % p), []).append((m, n))
+    return list(groups.values())
+
+
+def apply_disjoint(
+    op: OperatorExpr,
+    group: Sequence[Monomial],
+    d,
+    coeff: Coeff = 1,
+    component: Optional[int] = None,
+) -> List[Union[WeightedPolynomial, SpinorFunction]]:
+    """The images of ``coeff * z^m zbar^n`` under ``op`` for each (m, n)
+    of ``group``, in its order, from one application to their sum.
+
+    With ``component`` None the monomials form a WeightedPolynomial with
+    envelope exponent ``d`` and go through ``apply_poly``; with 0 or 1 they
+    fill that component of a SpinorFunction, the other one zero, and go
+    through ``apply``.  Each key of the image goes to the one monomial
+    within w of it in both exponents, so every image is bit-identical to
+    applying ``op`` to its monomial alone.  The group must be one class of
+    ``residue_groups(op, ...)``: distinct monomials congruent mod 2w + 1 in
+    both exponents, which keeps any two from sharing an image key; two
+    monomials that are not raise ValueError.
+    """
+    w = op._compiled().reach
+    p = 2 * w + 1
+    rm, rn = group[0][0] % p, group[0][1] % p
+    index: Dict[Monomial, int] = {}
+    for pos, (m, n) in enumerate(group):
+        if m % p != rm or n % p != rn or (m, n) in index:
+            raise ValueError(
+                f"monomials {group[0]} and {(m, n)} are not distinct and congruent "
+                f"mod {p}, which keeps two images from sharing a key"
+            )
+        index[(m, n)] = pos
+    # (x - r + w) % p is w plus the offset of x from the nearest exponent
+    # congruent to r, which is at most w away
+    zm, zn = w - rm, w - rn
+
+    def split(poly: WeightedPolynomial) -> List[WeightedPolynomial]:
+        parts: List[Dict[Monomial, Coeff]] = [{} for _ in group]
+        for key, c in poly.coeffs.items():
+            m, n = key
+            owner = index.get((m - (m + zm) % p + w, n - (n + zn) % p + w))
+            if owner is None:
+                raise RuntimeError(f"image key z^{m} zbar^{n} has no source within {w}")
+            parts[owner][key] = c
+        return [WeightedPolynomial(part, d) for part in parts]
+
+    total = WeightedPolynomial(dict.fromkeys(index, coeff), d)
+    if component is None:
+        return split(op.apply_poly(total))
+    zero = WeightedPolynomial.zero(d)
+    image = op.apply(
+        SpinorFunction(zero, total) if component else SpinorFunction(total, zero)
+    )
+    return [
+        SpinorFunction(u, l) for u, l in zip(split(image.upper), split(image.lower))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1033,8 +1124,13 @@ def jc_verify(coeffs: DerivedCoeffs, degree: int = 30) -> JCReport:
     convention would leave a factor sqrt(2) behind.
 
     Residuals are worst-case over all monomial probes of total degree at
-    most ``degree``.  On the exact path the square roots cancel symbolically
-    and both residuals are literal zeros.
+    most ``degree``.  The probes are applied by residue class
+    (apply_disjoint): the commutator's words have length 2, so one
+    application per class mod 5 of (m, n), 25 in all, and the
+    factorization's length 1, so one per class mod 3 and spin component,
+    18 in all.  Each probe's image is bit-identical to applying the
+    operator to it alone.  On the exact path the square roots cancel
+    symbolically and both residuals are literal zeros.
     """
     if not isinstance(degree, int) or degree < 2:
         raise ValueError("degree must be an integer >= 2")
@@ -1062,13 +1158,14 @@ def jc_verify(coeffs: DerivedCoeffs, degree: int = 30) -> JCReport:
             + OperatorExpr.spin(E10).to_complex() @ q2d
         ).scaled(sqrt_k)
     d_env = _probe_envelope(coeffs, Fraction(0) if exact else -0.25)
-    zero = WeightedPolynomial.zero(d_env)
+    probes = [(m, n) for m in range(degree + 1) for n in range(degree + 1 - m)]
     comm_res = 0.0
+    for group in residue_groups(comm, probes):
+        for image in apply_disjoint(comm, group, d_env):
+            comm_res = max(comm_res, image.max_abs_coeff())
     fact_res = 0.0
-    for m in range(degree + 1):
-        for n in range(degree + 1 - m):
-            probe = WeightedPolynomial.monomial(m, n, 1, d_env)
-            comm_res = max(comm_res, comm.apply_poly(probe).max_abs_coeff())
-            for s in (SpinorFunction(probe, zero), SpinorFunction(zero, probe)):
-                fact_res = max(fact_res, fact.apply(s).max_abs_coeff())
+    for group in residue_groups(fact, probes):
+        for component in (0, 1):
+            for image in apply_disjoint(fact, group, d_env, component=component):
+                fact_res = max(fact_res, image.max_abs_coeff())
     return JCReport(comm_res, fact_res)

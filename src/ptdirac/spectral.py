@@ -20,6 +20,10 @@ At real parameters every entry of the truncation is i times a real number
 (-i lead hbar (l+1) lowering, +-i k / (lead hbar) raising), so A = i a and
 B = -i b with a and b real n_tr x n_tr factors, and AB = ab.  build_truncated
 writes a and b straight from the images of ``apply``; no verdict forms M.
+H moves a monomial's exponents by at most 1, so the images of levels 3
+apart never meet, and the build applies H once per residue class of levels
+mod 3 and spin component (opalg.apply_disjoint): 6 applications, each
+level's image bit-identical to applying H to that level alone.
 scramble forms X = S^-1 a b S with one random real similarity S, which
 keeps the spectrum and destroys every pattern of ab.  (A spin-graded
 diag(S1, S2) on M would give the same X, S1^-1 A S2 S2^-1 B S1, because S2
@@ -73,11 +77,7 @@ from .params import (
     holomorphic_tower,
     with_varied,
 )
-from .opalg import (
-    SpinorFunction,
-    WeightedPolynomial,
-    build_hamiltonian,
-)
+from .opalg import apply_disjoint, build_hamiltonian, residue_groups
 
 _CROSS_CHECK_REL = 1e-14
 _OFF_PATTERN_REL = 1e-10
@@ -153,12 +153,17 @@ def build_truncated(
 ) -> TruncatedRep:
     """Project the valley Hamiltonian onto the first n_tr tower levels.
 
-    Every image coefficient must land back on the tower pattern; the one
-    raising amplitude out of level n_tr - 1 is discarded and counted.  A
-    kept coefficient must be exactly zero inside a diagonal spin block and
-    exactly imaginary, else RuntimeError is raised at its write.  The
-    factors are cross-checked against the independent closed-form entries
-    before they are returned.
+    H is applied once per spin component to the sum of the basis
+    monomials of each residue class of levels (residue_groups), and
+    apply_disjoint splits each image back per level, bit-identical to an
+    application per level.  Every image coefficient must land back on the
+    tower pattern, within 1e-10 of the scale of its own level's image; the
+    one raising amplitude out of level n_tr - 1 is discarded and counted.
+    A kept coefficient must be exactly zero inside a diagonal spin block
+    and exactly imaginary, else RuntimeError is raised at its write, after
+    the whole image passed the pattern check.  The factors are
+    cross-checked against the independent closed-form entries before they
+    are returned.
     """
     _check_n_tr(n_tr)
     if coeffs.d1(branch) is None:
@@ -168,15 +173,17 @@ def build_truncated(
     holo = holomorphic_tower(branch, valley)
     h = build_hamiltonian(coeffs, valley).to_complex()
     d = float(coeffs.d1(branch))
-    zero = WeightedPolynomial.zero(d)
+    images = [[None, None] for _ in range(n_tr)]
+    for group in residue_groups(h, [(l, 0) if holo else (0, l) for l in range(n_tr)]):
+        for component in (0, 1):
+            for (m, n), image in zip(group, apply_disjoint(h, group, d, 1.0, component)):
+                images[m + n][component] = image  # one exponent is 0
     a = np.zeros((n_tr, n_tr))
     b = np.zeros((n_tr, n_tr))
     dropped = 0
     for level in range(n_tr):
-        wp = WeightedPolynomial.monomial(*((level, 0) if holo else (0, level)), 1.0, d)
-        basis = (SpinorFunction(wp, zero), SpinorFunction(zero, wp))
         for component in (0, 1):
-            image = h.apply(basis[component])
+            image = images[level][component]
             image_scale = max(1.0, image.max_abs_coeff())
             on_pattern = []
             for out_component, poly in ((0, image.upper), (1, image.lower)):

@@ -626,3 +626,25 @@ def test_jc_command(tmp_path):
     assert code == 0
     assert "commutator residual" in text
     assert "factorization residual" in text
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(capsys, monkeypatch):
+    monkeypatch.delenv("PTDIRAC_CONFIG", raising=False)
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["critical"]) == 2
+    assert "--vary" in capsys.readouterr().err
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    for argv in (["analytic", "--lambda", "0.25"], ["jc", "--degree", "8"]):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from ptdirac.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert fresh.returncode == 0
+        assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr)

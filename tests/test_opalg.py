@@ -7,10 +7,12 @@ exists to hide behind.
 
 import cmath
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
+from ptdirac import opalg
 from ptdirac.exact import ComplexRational
 from ptdirac.params import Branch, DegenerateCoefficientsError, PhysParams, Valley, derive_coeffs
 from ptdirac.opalg import (
@@ -18,9 +20,11 @@ from ptdirac.opalg import (
     P2T,
     TIME_REVERSAL,
     OperatorExpr,
+    Prim,
     SpinorFunction,
     WeightedPolynomial,
     analytic_state,
+    apply_disjoint,
     block_operators,
     build_hamiltonian,
     eigen_residual,
@@ -32,6 +36,7 @@ from ptdirac.opalg import (
     pt_commutator_residual,
     pt_eigenfactor,
     pt_transform,
+    residue_groups,
     standard_probes,
     time_reversal_conjugate,
 )
@@ -437,3 +442,128 @@ def test_ladder_pair_adjoint_without_coupling():
     q2d = raiser.to_complex().scaled(1 / sqrt_k)
     scale = max(1.0, abs(complex(co.a_coef)) / abs(sqrt_k))
     assert q2d.adjoint().max_collected_diff(q1) <= 1e-15 * scale
+
+
+# ---------------------------------------------------------------------------
+# application to groups of monomials with disjoint images
+# ---------------------------------------------------------------------------
+
+
+def apply_each(op, group, d, coeff=1, component=None):
+    """apply_disjoint's images, one application per monomial."""
+    zero = WeightedPolynomial.zero(d)
+    out = []
+    for mono in group:
+        wp = WeightedPolynomial({mono: coeff}, d)
+        if component is None:
+            out.append(op.apply_poly(wp))
+        else:
+            out.append(op.apply(SpinorFunction(*((zero, wp) if component else (wp, zero)))))
+    return out
+
+
+def bits(wp):
+    """Every coefficient of wp with its exact bits, in insertion order."""
+    return [
+        (key, c if isinstance(c, ComplexRational) else (c.real.hex(), c.imag.hex()))
+        for key, c in wp.coeffs.items()
+    ]
+
+
+def random_operator(rng, exact):
+    """Six terms with random coefficients, spin matrices and words of
+    length at most 3."""
+    def coeff():
+        if exact:
+            return ComplexRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                                   Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+    op = OperatorExpr([])
+    for _ in range(6):
+        word = [rng.choice(list(Prim)) for _ in range(rng.randint(0, 3))]
+        matrix = tuple(tuple(rng.choice((0, 1, -1)) for _ in range(2)) for _ in range(2))
+        op = op + OperatorExpr.from_word(coeff(), matrix, word)
+    return op
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("seed", range(4))
+def test_grouped_images_are_bit_identical_to_one_application_each(exact, seed):
+    rng = random.Random(seed)
+    op = random_operator(rng, exact)
+    reach = max(len(t.word) for t in op.terms)
+    d = Fraction(-1, 3) if exact else -0.37
+    coeff = 1 if exact else 1.0
+    sources = sorted({(rng.randint(0, 14), rng.randint(0, 14)) for _ in range(60)})
+    groups = residue_groups(op, sources)
+    assert sorted(mono for g in groups for mono in g) == sources
+    for group in groups:
+        p = 2 * reach + 1
+        assert len({(m % p, n % p) for m, n in group}) == 1
+        for component in (0, 1):
+            got = apply_disjoint(op, group, d, coeff, component)
+            want = apply_each(op, group, d, coeff, component)
+            assert [(bits(s.upper), bits(s.lower)) for s in got] == [
+                (bits(s.upper), bits(s.lower)) for s in want
+            ]
+    spin_scalar = OperatorExpr([t for t in op.terms if t.matrix == ((1, 0), (0, 1))])
+    for group in residue_groups(spin_scalar, sources):
+        got = apply_disjoint(spin_scalar, group, d, coeff)
+        assert [bits(w) for w in got] == [bits(w) for w in apply_each(spin_scalar, group, d, coeff)]
+
+
+def test_residue_groups_read_the_stride_from_the_longest_word():
+    levels = [(l, 0) for l in range(8)]
+    assert residue_groups(OperatorExpr.scalar(2.0), levels) == [levels]
+    assert residue_groups(OperatorExpr.mul_z(), levels) == [
+        [(0, 0), (3, 0), (6, 0)], [(1, 0), (4, 0), (7, 0)], [(2, 0), (5, 0)]
+    ]
+    two = OperatorExpr.dz() @ OperatorExpr.mul_zbar()
+    assert [g[0] for g in residue_groups(two + OperatorExpr.identity(), levels)] == [
+        (l, 0) for l in range(5)
+    ]
+
+
+@pytest.mark.parametrize(
+    "group",
+    [[(0, 0), (2, 0)], [(4, 1), (5, 3)], [(3, 3), (0, 0), (3, 3)], [(0, 0), (1, 7)]],
+)
+def test_apply_disjoint_rejects_monomials_that_could_share_a_key(group):
+    # mul_z reaches 1, so a group must be congruent mod 3 in both exponents;
+    # the first three hold two monomials within 2 of each other in both, whose
+    # images could share a key
+    with pytest.raises(ValueError, match="not distinct and congruent mod 3"):
+        apply_disjoint(OperatorExpr.mul_z(), group, -0.5)
+
+
+def test_jc_reports_match_one_application_per_probe(monkeypatch):
+    want = {}
+    cases = [(CO, 30), (CO_BROKEN, 30), (derive_coeffs(EXACT_BASE), 12), (CO, 2)]
+    for co, degree in cases:
+        rep = jc_verify(co, degree=degree)
+        want[id(co), degree] = (rep.commutator_residual, rep.factorization_residual)
+    assert want[id(cases[2][0]), 12] == (0.0, 0.0)
+    monkeypatch.setattr(opalg, "apply_disjoint", apply_each)
+    for co, degree in cases:
+        rep = jc_verify(co, degree=degree)
+        got = (rep.commutator_residual, rep.factorization_residual)
+        assert [x.hex() for x in got] == [x.hex() for x in want[id(co), degree]]
+
+
+@pytest.mark.parametrize("co, degree", [(CO, 30), (derive_coeffs(EXACT_BASE), 20)],
+                         ids=["float", "exact"])
+def test_jc_makes_one_application_per_residue_class(monkeypatch, co, degree):
+    calls = {"apply": 0, "apply_poly": 0}
+    for name in calls:
+        original = getattr(OperatorExpr, name)
+
+        def counting(self, arg, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, arg)
+
+        monkeypatch.setattr(OperatorExpr, name, counting)
+    jc_verify(co, degree=degree)
+    # the commutator reaches 2 (a 5 x 5 grid of (m, n) residues), the
+    # factorization 1 (3 x 3, once per spin component)
+    assert calls == {"apply": 18, "apply_poly": 25}

@@ -26,7 +26,13 @@ from ptdirac.params import (
     level_energy,
 )
 from ptdirac import cli, spectral
-from ptdirac.opalg import OperatorExpr
+from ptdirac.opalg import (
+    OperatorExpr,
+    Prim,
+    SpinorFunction,
+    WeightedPolynomial,
+    build_hamiltonian,
+)
 from ptdirac.spectral import (
     EigensolveError,
     NoTransitionBracketedError,
@@ -157,6 +163,110 @@ def test_truncated_rejects_a_tampered_hamiltonian(
     )
     with pytest.raises(RuntimeError, match=message):
         build_truncated(CO, 6, branch, valley)
+
+
+def level_images(co, n_tr, branch, valley):
+    """H's image of each basis function, one h.apply each: [level][component]."""
+    holo = (branch is Branch.I) == (valley is Valley.PRIMARY)
+    h = build_hamiltonian(co, valley).to_complex()
+    d = float(co.d1(branch))
+    zero = WeightedPolynomial.zero(d)
+    images = []
+    for level in range(n_tr):
+        wp = WeightedPolynomial.monomial(*((level, 0) if holo else (0, level)), 1.0, d)
+        images.append([h.apply(SpinorFunction(wp, zero)), h.apply(SpinorFunction(zero, wp))])
+    return images
+
+
+def factors_one_level_at_a_time(co, n_tr, branch, valley):
+    """a, b and the dropped count from level_images, written as
+    build_truncated writes them; off-pattern coefficients are skipped."""
+    holo = (branch is Branch.I) == (valley is Valley.PRIMARY)
+    a = np.zeros((n_tr, n_tr))
+    b = np.zeros((n_tr, n_tr))
+    dropped = 0
+    for level, pair in enumerate(level_images(co, n_tr, branch, valley)):
+        for component, image in enumerate(pair):
+            for out, poly in enumerate((image.upper, image.lower)):
+                for (m, n), c in poly.sorted_items():
+                    exp, off = (m, n) if holo else (n, m)
+                    if off:
+                        continue
+                    if exp >= n_tr:
+                        dropped += 1
+                    elif out != component:
+                        if component:
+                            a[exp, level] = c.imag
+                        else:
+                            b[exp, level] = -c.imag
+    return a, b, dropped
+
+
+EXACT = PhysParams(
+    v_f=Fraction(137, 100), lam=Fraction(1, 2), k1=Fraction(1, 50),
+    b0=Fraction(100), e=Fraction(1), c=Fraction(137), hbar=Fraction(1),
+)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        BASE,
+        dataclasses.replace(EXACT, b0=critical_point(EXACT, Vary.B0)),
+        dataclasses.replace(BASE, lam=critical_point(BASE, Vary.LAMBDA)),
+    ],
+    ids=["reference", "k-zero-exactly", "lambda-c"],
+)
+@pytest.mark.parametrize("n_tr", [2, 3, 4, 7, 40])
+def test_grouped_build_is_bit_identical_to_one_apply_per_level(p, n_tr):
+    co = derive_coeffs(p)
+    for branch in Branch:
+        for valley in Valley:
+            rep = build_truncated(co, n_tr, branch, valley)
+            a, b, dropped = factors_one_level_at_a_time(co, n_tr, branch, valley)
+            assert np.array_equal(rep.a.view(np.uint64), a.view(np.uint64))
+            assert np.array_equal(rep.b.view(np.uint64), b.view(np.uint64))
+            assert rep.dropped_count == dropped
+
+
+def test_off_pattern_tolerance_is_scaled_per_level(monkeypatch):
+    # A zbar on the lower component leaves the tower by the same t at every
+    # level.  t exceeds 1e-10 of level 0's own image scale but stays below
+    # 1e-10 of the largest scale in every residue class of levels, so only a
+    # per-level scale catches it.
+    n_tr = 40
+    scales = [
+        max(1.0, lower.max_abs_coeff())
+        for _, lower in level_images(CO, n_tr, Branch.I, Valley.PRIMARY)
+    ]
+    group_max = min(max(scales[r::3]) for r in range(3))
+    t = 1e-10 * math.sqrt(scales[0] * group_max)
+    assert 4 * scales[0] < group_max
+    assert 2e-10 * scales[0] < t < 0.5e-10 * group_max
+    tamper = OperatorExpr.from_word(t, ((0, 0), (0, 1)), (Prim.MUL_ZBAR,))
+    original = spectral.build_hamiltonian
+    monkeypatch.setattr(
+        spectral, "build_hamiltonian", lambda co, v: original(co, v) + tamper
+    )
+    with pytest.raises(RuntimeError, match="image left the tower pattern"):
+        build_truncated(CO, n_tr, Branch.I, Valley.PRIMARY)
+
+
+@pytest.mark.parametrize("n_tr, applies", [(2, 4), (3, 6), (7, 6), (40, 6), (200, 6)])
+def test_build_applies_h_once_per_residue_class_and_component(
+    monkeypatch, n_tr, applies
+):
+    calls = []
+    for name in ("apply", "apply_poly"):
+        original = getattr(OperatorExpr, name)
+
+        def counting(self, arg, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, arg)
+
+        monkeypatch.setattr(OperatorExpr, name, counting)
+    build_truncated(CO, n_tr)
+    assert calls == ["apply"] * applies
 
 
 def test_retained_levels_are_exact_for_every_size():
