@@ -64,7 +64,7 @@ from .opalg import (
     build_hamiltonian,
     eigen_residual,
     jc_verify,
-    lll_annihilation_residual,
+    lll_annihilation_residuals,
     lll_state,
     operator_residual_on_probes,
     pt_commutator_residual,
@@ -481,7 +481,7 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
         except DegenerateCoefficientsError:
             skip(name, "degenerate block coefficient")
             continue
-        worst = max(lll_annihilation_residual(s, co, valley) for s in states)
+        worst = max(lll_annihilation_residuals(states, co, valley))
         record(name, worst <= _VERIFY_TOL, f"residual {worst:.3e} over l<=20")
 
     # ladder pair
@@ -763,8 +763,7 @@ def cmd_lll(cfg: RunConfig, l_max: int) -> int:
     d = states[0].d
     lines = [f"valley {valley.value}, envelope exponent {float(d)!r}"]
     worst = 0.0
-    for l, state in enumerate(states):
-        res = lll_annihilation_residual(state, co, valley)
+    for l, res in enumerate(lll_annihilation_residuals(states, co, valley)):
         worst = max(worst, res)
         lines.append(f"l={l} annihilation residual {res!r}")
     lines.append(f"worst residual {worst!r}")

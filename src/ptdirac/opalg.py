@@ -23,8 +23,8 @@ Layout:
   - WeightedPolynomial / SpinorFunction: the function space.
   - OperatorExpr: linear operators, composition, formal adjoint, collected
     canonical form.
-  - residue_groups / apply_disjoint: one application for a group of
-    monomials whose images cannot meet, split back per monomial.
+  - residue_groups / owner_rule: one application for a group of
+    monomials whose images cannot meet, and the source of each image key.
   - build_hamiltonian / block_operators: the model's first-order blocks for
     either valley.
   - AntilinearOp and the PT machinery: transforms, eigenfactors, commutator
@@ -94,9 +94,9 @@ def _step_dz(items, d) -> Dict[Monomial, Coeff]:
     out: Dict[Monomial, Coeff] = {}
     for (m, n), c in items:
         if m > 0:
-            _acc(out, (m - 1, n), m * c)
+            _acc(out, (m - 1, n), c * m)
         if d:
-            _acc(out, (m, n + 1), d * c)
+            _acc(out, (m, n + 1), c * d)
     return {k: c for k, c in out.items() if c}
 
 
@@ -104,9 +104,9 @@ def _step_dzbar(items, d) -> Dict[Monomial, Coeff]:
     out: Dict[Monomial, Coeff] = {}
     for (m, n), c in items:
         if n > 0:
-            _acc(out, (m, n - 1), n * c)
+            _acc(out, (m, n - 1), c * n)
         if d:
-            _acc(out, (m + 1, n), d * c)
+            _acc(out, (m + 1, n), c * d)
     return {k: c for k, c in out.items() if c}
 
 
@@ -481,14 +481,16 @@ class OperatorExpr:
     Words act on the function space and are applied right to left; the
     matrix mixes spin components; the scalar multiplies everything.  The
     terms are fixed at construction, and the first application compiles
-    them once into a plan (``_Plan``) that later applications reuse.
+    them once into a plan (``_Plan``) that later applications reuse; the
+    float form from ``to_complex`` is likewise made once and kept.
     """
 
-    __slots__ = ("terms", "_plan")
+    __slots__ = ("terms", "_plan", "_complex")
 
     def __init__(self, terms: Sequence[OperatorTerm]):
         self.terms = tuple(t for t in terms if t.coeff)
         self._plan: Optional[_Plan] = None
+        self._complex: Optional[OperatorExpr] = None
 
     def _compiled(self) -> _Plan:
         if self._plan is None:
@@ -654,16 +656,18 @@ class OperatorExpr:
         )
 
     def to_complex(self) -> "OperatorExpr":
-        return OperatorExpr(
-            [
-                OperatorTerm(
-                    complex(t.coeff),
-                    tuple(tuple(complex(e) for e in row) for row in t.matrix),
-                    t.word,
-                )
-                for t in self.terms
-            ]
-        )
+        if self._complex is None:
+            self._complex = OperatorExpr(
+                [
+                    OperatorTerm(
+                        complex(t.coeff),
+                        tuple(tuple(complex(e) for e in row) for row in t.matrix),
+                        t.word,
+                    )
+                    for t in self.terms
+                ]
+            )
+        return self._complex
 
     def __repr__(self) -> str:
         return f"OperatorExpr({len(self.terms)} terms)"
@@ -697,61 +701,37 @@ def residue_groups(op: OperatorExpr, sources: Sequence[Monomial]) -> List[List[M
     return list(groups.values())
 
 
-def apply_disjoint(
-    op: OperatorExpr,
-    group: Sequence[Monomial],
-    d,
-    coeff: Coeff = 1,
-    component: Optional[int] = None,
-) -> List[Union[WeightedPolynomial, SpinorFunction]]:
-    """The images of ``coeff * z^m zbar^n`` under ``op`` for each (m, n)
-    of ``group``, in its order, from one application to their sum.
+def owner_rule(
+    op: OperatorExpr, group: Sequence[Monomial]
+) -> Callable[[Monomial], Monomial]:
+    """The map from a key of ``op``'s image of the sum over ``group`` to
+    the monomial of ``group`` that the key came from.
 
-    With ``component`` None the monomials form a WeightedPolynomial with
-    envelope exponent ``d`` and go through ``apply_poly``; with 0 or 1 they
-    fill that component of a SpinorFunction, the other one zero, and go
-    through ``apply``.  Each key of the image goes to the one monomial
-    within w of it in both exponents, so every image is bit-identical to
-    applying ``op`` to its monomial alone.  The group must be one class of
-    ``residue_groups(op, ...)``: distinct monomials congruent mod 2w + 1 in
-    both exponents, which keeps any two from sharing an image key; two
-    monomials that are not raise ValueError.
+    With w the longest word of ``op`` and p = 2w + 1, the exponent
+    congruent to r mod p nearest to e is ``e - (e - r + w) % p + w``, at
+    most w away; a key's source is that monomial for both exponents.  The
+    group must be one class of ``residue_groups(op, ...)``, distinct
+    monomials congruent mod p in both exponents so that no two images
+    share a key, else ValueError.  A key with no source raises RuntimeError.
     """
     w = op._compiled().reach
     p = 2 * w + 1
     rm, rn = group[0][0] % p, group[0][1] % p
-    index: Dict[Monomial, int] = {}
-    for pos, (m, n) in enumerate(group):
-        if m % p != rm or n % p != rn or (m, n) in index:
-            raise ValueError(
-                f"monomials {group[0]} and {(m, n)} are not distinct and congruent "
-                f"mod {p}, which keeps two images from sharing a key"
-            )
-        index[(m, n)] = pos
-    # (x - r + w) % p is w plus the offset of x from the nearest exponent
-    # congruent to r, which is at most w away
-    zm, zn = w - rm, w - rn
+    members = set(group)
+    if len(members) < len(group) or any((m % p, n % p) != (rm, rn) for m, n in group):
+        raise ValueError(
+            f"monomials {list(group)} are not distinct and congruent mod {p}, "
+            "which keeps two images from sharing a key"
+        )
 
-    def split(poly: WeightedPolynomial) -> List[WeightedPolynomial]:
-        parts: List[Dict[Monomial, Coeff]] = [{} for _ in group]
-        for key, c in poly.coeffs.items():
-            m, n = key
-            owner = index.get((m - (m + zm) % p + w, n - (n + zn) % p + w))
-            if owner is None:
-                raise RuntimeError(f"image key z^{m} zbar^{n} has no source within {w}")
-            parts[owner][key] = c
-        return [WeightedPolynomial(part, d) for part in parts]
+    def owner(key: Monomial) -> Monomial:
+        m, n = key
+        source = (m - (m - rm + w) % p + w, n - (n - rn + w) % p + w)
+        if source not in members:
+            raise RuntimeError(f"image key z^{m} zbar^{n} has no source within {w}")
+        return source
 
-    total = WeightedPolynomial(dict.fromkeys(index, coeff), d)
-    if component is None:
-        return split(op.apply_poly(total))
-    zero = WeightedPolynomial.zero(d)
-    image = op.apply(
-        SpinorFunction(zero, total) if component else SpinorFunction(total, zero)
-    )
-    return [
-        SpinorFunction(u, l) for u, l in zip(split(image.upper), split(image.lower))
-    ]
+    return owner
 
 
 # ---------------------------------------------------------------------------
@@ -1076,9 +1056,20 @@ def lll_annihilation_residual(
     wp: WeightedPolynomial, coeffs: DerivedCoeffs, valley: Valley = Valley.PRIMARY
 ) -> float:
     """Size of (annihilating block applied to wp), relative to wp's scale."""
+    return lll_annihilation_residuals([wp], coeffs, valley)[0]
+
+
+def lll_annihilation_residuals(
+    states: Sequence[WeightedPolynomial],
+    coeffs: DerivedCoeffs,
+    valley: Valley = Valley.PRIMARY,
+) -> List[float]:
+    """lll_annihilation_residual of each state, with the block built once."""
     ur, _ = block_operators(coeffs, valley)
-    image = ur.apply_poly(wp)
-    return image.max_abs_coeff() / max(1.0, wp.max_abs_coeff())
+    return [
+        ur.apply_poly(wp).max_abs_coeff() / max(1.0, wp.max_abs_coeff())
+        for wp in states
+    ]
 
 
 def ladder_raise(
@@ -1112,30 +1103,8 @@ def _probe_envelope(coeffs: DerivedCoeffs, fallback):
     return fallback
 
 
-def jc_verify(coeffs: DerivedCoeffs, degree: int = 30) -> JCReport:
-    """Check the pseudo-bosonic pair and the spin-ladder form of H.
-
-    With Q1 = (upper-right block)/sqrt(k_coef) and Q2dag = (lower-left
-    block)/sqrt(k_coef), the commutator [Q1, Q2dag] must be the identity and
-    H must equal sqrt(k_coef) * (sigma_plus Q1 + sigma_minus Q2dag), where
-    sigma_plus/sigma_minus are the matrix units ((0,1),(0,0)) and
-    ((0,0),(1,0)).  That normalization (half of sigma_x +- i sigma_y) is
-    fixed by matching the lowest-level matrix element; the 1/sqrt(2)
-    convention would leave a factor sqrt(2) behind.
-
-    Residuals are worst-case over all monomial probes of total degree at
-    most ``degree``.  The probes are applied by residue class
-    (apply_disjoint): the commutator's words have length 2, so one
-    application per class mod 5 of (m, n), 25 in all, and the
-    factorization's length 1, so one per class mod 3 and spin component,
-    18 in all.  Each probe's image is bit-identical to applying the
-    operator to it alone.  On the exact path the square roots cancel
-    symbolically and both residuals are literal zeros.
-    """
-    if not isinstance(degree, int) or degree < 2:
-        raise ValueError("degree must be an integer >= 2")
-    if not coeffs.k_coef:
-        raise ValueError("k_coef = 0: ladder normalization undefined")
+def _ladder_defects(coeffs: DerivedCoeffs) -> Tuple[OperatorExpr, OperatorExpr, Coeff]:
+    """jc_verify's two defect operators and its probes' envelope exponent."""
     lower_b, raise_b = block_operators(coeffs, Valley.PRIMARY)
     exact = isinstance(coeffs.k_coef, (int, Fraction)) and not isinstance(
         coeffs.k_coef, bool
@@ -1157,15 +1126,44 @@ def jc_verify(coeffs: DerivedCoeffs, degree: int = 30) -> JCReport:
             OperatorExpr.spin(E01).to_complex() @ q1
             + OperatorExpr.spin(E10).to_complex() @ q2d
         ).scaled(sqrt_k)
-    d_env = _probe_envelope(coeffs, Fraction(0) if exact else -0.25)
+    return comm, fact, _probe_envelope(coeffs, Fraction(0) if exact else -0.25)
+
+
+def jc_verify(coeffs: DerivedCoeffs, degree: int = 30) -> JCReport:
+    """Check the pseudo-bosonic pair and the spin-ladder form of H.
+
+    With Q1 = (upper-right block)/sqrt(k_coef) and Q2dag = (lower-left
+    block)/sqrt(k_coef), the commutator [Q1, Q2dag] must be the identity and
+    H must equal sqrt(k_coef) * (sigma_plus Q1 + sigma_minus Q2dag), where
+    sigma_plus/sigma_minus are the matrix units ((0,1),(0,0)) and
+    ((0,0),(1,0)).  That normalization (half of sigma_x +- i sigma_y) is
+    fixed by matching the lowest-level matrix element; the 1/sqrt(2)
+    convention would leave a factor sqrt(2) behind.
+
+    Residuals are worst-case over all monomial probes of total degree at
+    most ``degree``.  The probes are applied by residue class
+    (residue_groups): the commutator's words have length 2, so one
+    application per class mod 5 of (m, n), 25 in all, and the
+    factorization's length 1, so one per class mod 3 and spin component,
+    18 in all.  The probes of a class have disjoint images whose keys
+    partition the image of their sum, each bit-identical to applying the
+    operator to its probe alone, so the largest coefficient of the sum's
+    image is the largest over the probes.  On the exact path the square
+    roots cancel symbolically and both residuals are literal zeros.
+    """
+    if not isinstance(degree, int) or degree < 2:
+        raise ValueError("degree must be an integer >= 2")
+    if not coeffs.k_coef:
+        raise ValueError("k_coef = 0: ladder normalization undefined")
+    comm, fact, d_env = _ladder_defects(coeffs)
     probes = [(m, n) for m in range(degree + 1) for n in range(degree + 1 - m)]
-    comm_res = 0.0
+    comm_res = fact_res = 0.0
+    zero = WeightedPolynomial.zero(d_env)
     for group in residue_groups(comm, probes):
-        for image in apply_disjoint(comm, group, d_env):
-            comm_res = max(comm_res, image.max_abs_coeff())
-    fact_res = 0.0
+        total = WeightedPolynomial(dict.fromkeys(group, 1), d_env)
+        comm_res = max(comm_res, comm.apply_poly(total).max_abs_coeff())
     for group in residue_groups(fact, probes):
-        for component in (0, 1):
-            for image in apply_disjoint(fact, group, d_env, component=component):
-                fact_res = max(fact_res, image.max_abs_coeff())
+        total = WeightedPolynomial(dict.fromkeys(group, 1), d_env)
+        for s in (SpinorFunction(total, zero), SpinorFunction(zero, total)):
+            fact_res = max(fact_res, fact.apply(s).max_abs_coeff())
     return JCReport(comm_res, fact_res)

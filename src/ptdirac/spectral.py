@@ -22,8 +22,8 @@ B = -i b with a and b real n_tr x n_tr factors, and AB = ab.  build_truncated
 writes a and b straight from the images of ``apply``; no verdict forms M.
 H moves a monomial's exponents by at most 1, so the images of levels 3
 apart never meet, and the build applies H once per residue class of levels
-mod 3 and spin component (opalg.apply_disjoint): 6 applications, each
-level's image bit-identical to applying H to that level alone.
+mod 3 and spin component: 6 applications, each read once with every key
+given to its level by opalg.owner_rule, bit-identical to one per level.
 scramble forms X = S^-1 a b S with one random real similarity S, which
 keeps the spectrum and destroys every pattern of ab.  (A spin-graded
 diag(S1, S2) on M would give the same X, S1^-1 A S2 S2^-1 B S1, because S2
@@ -77,7 +77,8 @@ from .params import (
     holomorphic_tower,
     with_varied,
 )
-from .opalg import apply_disjoint, build_hamiltonian, residue_groups
+from .opalg import SpinorFunction, WeightedPolynomial, build_hamiltonian
+from .opalg import owner_rule, residue_groups
 
 _CROSS_CHECK_REL = 1e-14
 _OFF_PATTERN_REL = 1e-10
@@ -155,15 +156,15 @@ def build_truncated(
 
     H is applied once per spin component to the sum of the basis
     monomials of each residue class of levels (residue_groups), and
-    apply_disjoint splits each image back per level, bit-identical to an
-    application per level.  Every image coefficient must land back on the
-    tower pattern, within 1e-10 of the scale of its own level's image; the
-    one raising amplitude out of level n_tr - 1 is discarded and counted.
-    A kept coefficient must be exactly zero inside a diagonal spin block
-    and exactly imaginary, else RuntimeError is raised at its write, after
-    the whole image passed the pattern check.  The factors are
-    cross-checked against the independent closed-form entries before they
-    are returned.
+    owner_rule gives each key of the image to its level, whose keys are
+    bit-identical to an application to that level alone.  Every
+    coefficient must land back on the tower pattern, within 1e-10 of its
+    level's scale, max(1, max |c|) over the level's keys in that image;
+    the one raising amplitude out of level n_tr - 1 is discarded and
+    counted.  Once all images passed that check, a kept coefficient inside
+    a diagonal spin block, or one that is not exactly imaginary, raises
+    RuntimeError at its write.  The factors are cross-checked against the
+    independent closed-form entries before they are returned.
     """
     _check_n_tr(n_tr)
     if coeffs.d1(branch) is None:
@@ -173,42 +174,41 @@ def build_truncated(
     holo = holomorphic_tower(branch, valley)
     h = build_hamiltonian(coeffs, valley).to_complex()
     d = float(coeffs.d1(branch))
-    images = [[None, None] for _ in range(n_tr)]
+    zero = WeightedPolynomial.zero(d)
+    kept = []  # (level, component, out component, exponent, coefficient)
     for group in residue_groups(h, [(l, 0) if holo else (0, l) for l in range(n_tr)]):
-        for component in (0, 1):
-            for (m, n), image in zip(group, apply_disjoint(h, group, d, 1.0, component)):
-                images[m + n][component] = image  # one exponent is 0
-    a = np.zeros((n_tr, n_tr))
-    b = np.zeros((n_tr, n_tr))
+        owner = owner_rule(h, group)
+        total = WeightedPolynomial(dict.fromkeys(group, 1.0), d)
+        spinors = (SpinorFunction(total, zero), SpinorFunction(zero, total))
+        for component, spinor in enumerate(spinors):
+            image = h.apply(spinor)
+            items, scales = [], {}
+            for out_component, poly in enumerate((image.upper, image.lower)):
+                for key, c in poly.coeffs.items():
+                    level = sum(owner(key))  # the source is (l, 0) or (0, l)
+                    scales[level] = max(scales.get(level, 1.0), abs(c))
+                    items.append((level, out_component, key, c))
+            for level, out_component, (m, n), c in items:
+                if n == 0 if holo else m == 0:
+                    kept.append((level, component, out_component, m if holo else n, c))
+                elif abs(c) > _OFF_PATTERN_REL * scales[level]:
+                    raise RuntimeError(
+                        "image left the tower pattern: "
+                        f"coefficient {c!r} at z^{m} zbar^{n}"
+                    )
+    a, b = np.zeros((n_tr, n_tr)), np.zeros((n_tr, n_tr))
     dropped = 0
-    for level in range(n_tr):
-        for component in (0, 1):
-            image = images[level][component]
-            image_scale = max(1.0, image.max_abs_coeff())
-            on_pattern = []
-            for out_component, poly in ((0, image.upper), (1, image.lower)):
-                for (m, n), c in poly.sorted_items():
-                    if (n == 0 if holo else m == 0):
-                        on_pattern.append((out_component, m if holo else n, complex(c)))
-                    elif abs(complex(c)) > _OFF_PATTERN_REL * image_scale:
-                        raise RuntimeError(
-                            "image left the tower pattern: "
-                            f"coefficient {c!r} at z^{m} zbar^{n}"
-                        )
-            for out_component, exp, c in on_pattern:
-                if exp >= n_tr:
-                    dropped += 1
-                elif out_component == component:
-                    if c:
-                        raise RuntimeError(
-                            "truncation has entries inside a diagonal spin block"
-                        )
-                elif c.real:
-                    raise RuntimeError("truncation has entries off the imaginary axis")
-                elif component:
-                    a[exp, level] = c.imag
-                else:
-                    b[exp, level] = -c.imag
+    for level, component, out_component, exp, c in kept:
+        if exp >= n_tr:
+            dropped += 1
+        elif out_component == component:  # images hold no exact zeros
+            raise RuntimeError("truncation has entries inside a diagonal spin block")
+        elif c.real:
+            raise RuntimeError("truncation has entries off the imaginary axis")
+        elif component:
+            a[exp, level] = c.imag
+        else:
+            b[exp, level] = -c.imag
     a_h = abs(complex(coeffs.a_coef) * complex(coeffs.hbar))
     b_h = abs(complex(coeffs.b_coef) * complex(coeffs.hbar))
     k_abs = abs(complex(coeffs.k_coef))

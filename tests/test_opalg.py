@@ -24,15 +24,16 @@ from ptdirac.opalg import (
     SpinorFunction,
     WeightedPolynomial,
     analytic_state,
-    apply_disjoint,
     block_operators,
     build_hamiltonian,
     eigen_residual,
     jc_verify,
     ladder_raise,
     lll_annihilation_residual,
+    lll_annihilation_residuals,
     lll_state,
     operator_residual_on_probes,
+    owner_rule,
     pt_commutator_residual,
     pt_eigenfactor,
     pt_transform,
@@ -382,6 +383,27 @@ def test_zero_modes_annihilated_exactly():
             assert lll_annihilation_residual(state, co, valley) == 0.0
 
 
+def test_each_valley_operator_is_compiled_once_for_all_its_states(monkeypatch):
+    compiled = []
+    original = opalg._compile
+    monkeypatch.setattr(
+        opalg, "_compile", lambda terms: compiled.append(1) or original(terms)
+    )
+    h = build_hamiltonian(CO)
+    for branch in (Branch.I, Branch.II):
+        for n in range(11):
+            s = analytic_state(branch, Valley.PRIMARY, n, CO)
+            eigen_residual(h, s, s.energy)
+    assert len(compiled) == 1  # h.to_complex() is made once and kept
+    compiled.clear()
+    states = [lll_state(l, CO, Valley.TIME_REVERSED) for l in range(21)]
+    residuals = lll_annihilation_residuals(states, CO, Valley.TIME_REVERSED)
+    assert len(compiled) == 1
+    assert [r.hex() for r in residuals] == [
+        lll_annihilation_residual(s, CO, Valley.TIME_REVERSED).hex() for s in states
+    ]
+
+
 def test_zero_mode_requires_envelope():
     co = derive_coeffs(dataclasses.replace(BASE, lam=1.37))
     with pytest.raises(DegenerateCoefficientsError):
@@ -450,7 +472,9 @@ def test_ladder_pair_adjoint_without_coupling():
 
 
 def apply_each(op, group, d, coeff=1, component=None):
-    """apply_disjoint's images, one application per monomial."""
+    """op's image of each monomial of group, one application each: through
+    apply_poly with component None, else through apply with the monomial in
+    that spin component."""
     zero = WeightedPolynomial.zero(d)
     out = []
     for mono in group:
@@ -468,6 +492,19 @@ def bits(wp):
         (key, c if isinstance(c, ComplexRational) else (c.real.hex(), c.imag.hex()))
         for key, c in wp.coeffs.items()
     ]
+
+
+def assert_partition(whole, parts, group, owner):
+    """The parts, one per monomial of group, have pairwise disjoint keys,
+    owner gives each key the monomial of its part, and the union of the
+    parts is whole, key for key and bit for bit."""
+    union = {}
+    for source, part in zip(group, parts):
+        for key, c in bits(part):
+            assert key not in union
+            assert owner(key) == source
+            union[key] = c
+    assert dict(bits(whole)) == union
 
 
 def random_operator(rng, exact):
@@ -489,28 +526,34 @@ def random_operator(rng, exact):
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 @pytest.mark.parametrize("seed", range(4))
-def test_grouped_images_are_bit_identical_to_one_application_each(exact, seed):
+def test_group_images_are_partitioned_by_the_owner_rule(exact, seed):
     rng = random.Random(seed)
     op = random_operator(rng, exact)
     reach = max(len(t.word) for t in op.terms)
     d = Fraction(-1, 3) if exact else -0.37
     coeff = 1 if exact else 1.0
+    zero = WeightedPolynomial.zero(d)
     sources = sorted({(rng.randint(0, 14), rng.randint(0, 14)) for _ in range(60)})
     groups = residue_groups(op, sources)
     assert sorted(mono for g in groups for mono in g) == sources
     for group in groups:
         p = 2 * reach + 1
         assert len({(m % p, n % p) for m, n in group}) == 1
+        owner = owner_rule(op, group)
+        total = WeightedPolynomial(dict.fromkeys(group, coeff), d)
         for component in (0, 1):
-            got = apply_disjoint(op, group, d, coeff, component)
-            want = apply_each(op, group, d, coeff, component)
-            assert [(bits(s.upper), bits(s.lower)) for s in got] == [
-                (bits(s.upper), bits(s.lower)) for s in want
-            ]
+            image = op.apply(
+                SpinorFunction(*((zero, total) if component else (total, zero)))
+            )
+            parts = apply_each(op, group, d, coeff, component)
+            assert_partition(image.upper, [s.upper for s in parts], group, owner)
+            assert_partition(image.lower, [s.lower for s in parts], group, owner)
     spin_scalar = OperatorExpr([t for t in op.terms if t.matrix == ((1, 0), (0, 1))])
     for group in residue_groups(spin_scalar, sources):
-        got = apply_disjoint(spin_scalar, group, d, coeff)
-        assert [bits(w) for w in got] == [bits(w) for w in apply_each(spin_scalar, group, d, coeff)]
+        total = WeightedPolynomial(dict.fromkeys(group, coeff), d)
+        image = spin_scalar.apply_poly(total)
+        parts = apply_each(spin_scalar, group, d, coeff)
+        assert_partition(image, parts, group, owner_rule(spin_scalar, group))
 
 
 def test_residue_groups_read_the_stride_from_the_longest_word():
@@ -529,26 +572,42 @@ def test_residue_groups_read_the_stride_from_the_longest_word():
     "group",
     [[(0, 0), (2, 0)], [(4, 1), (5, 3)], [(3, 3), (0, 0), (3, 3)], [(0, 0), (1, 7)]],
 )
-def test_apply_disjoint_rejects_monomials_that_could_share_a_key(group):
+def test_owner_rule_rejects_monomials_that_could_share_a_key(group):
     # mul_z reaches 1, so a group must be congruent mod 3 in both exponents;
     # the first three hold two monomials within 2 of each other in both, whose
     # images could share a key
     with pytest.raises(ValueError, match="not distinct and congruent mod 3"):
-        apply_disjoint(OperatorExpr.mul_z(), group, -0.5)
+        owner_rule(OperatorExpr.mul_z(), group)
 
 
-def test_jc_reports_match_one_application_per_probe(monkeypatch):
-    want = {}
+def test_owner_rule_rejects_a_key_with_no_source_within_reach():
+    # mul_z reaches 1: a key goes to the exponents congruent to the group's
+    # residue mod 3 nearest to its own, which must be a monomial of the group
+    owner = owner_rule(OperatorExpr.mul_z(), [(1, 0), (4, 0)])
+    assert [owner(key) for key in [(0, 0), (2, 1), (3, 0), (5, 1)]] == [
+        (1, 0), (1, 0), (4, 0), (4, 0)
+    ]
+    for key in [(6, 0), (7, 0), (1, 2), (4, 3)]:
+        with pytest.raises(RuntimeError, match="has no source within 1"):
+            owner(key)
+
+
+def test_jc_reports_match_one_application_per_probe():
     cases = [(CO, 30), (CO_BROKEN, 30), (derive_coeffs(EXACT_BASE), 12), (CO, 2)]
     for co, degree in cases:
-        rep = jc_verify(co, degree=degree)
-        want[id(co), degree] = (rep.commutator_residual, rep.factorization_residual)
-    assert want[id(cases[2][0]), 12] == (0.0, 0.0)
-    monkeypatch.setattr(opalg, "apply_disjoint", apply_each)
-    for co, degree in cases:
+        comm, fact, d = opalg._ladder_defects(co)
+        probes = [(m, n) for m in range(degree + 1) for n in range(degree + 1 - m)]
+        images = apply_each(comm, probes, d)
+        comm_res = max(image.max_abs_coeff() for image in images)
+        images = apply_each(fact, probes, d, component=0) + apply_each(
+            fact, probes, d, component=1
+        )
+        fact_res = max(image.max_abs_coeff() for image in images)
         rep = jc_verify(co, degree=degree)
         got = (rep.commutator_residual, rep.factorization_residual)
-        assert [x.hex() for x in got] == [x.hex() for x in want[id(co), degree]]
+        assert [x.hex() for x in got] == [x.hex() for x in (comm_res, fact_res)]
+        if co is cases[2][0]:
+            assert got == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("co, degree", [(CO, 30), (derive_coeffs(EXACT_BASE), 20)],

@@ -252,6 +252,43 @@ def test_off_pattern_tolerance_is_scaled_per_level(monkeypatch):
         build_truncated(CO, n_tr, Branch.I, Valley.PRIMARY)
 
 
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        (("spin-block",), "entries inside a diagonal spin block"),
+        (
+            ("spin-block", "off-pattern"),
+            r"left the tower pattern: coefficient 1\.0 at z\^5 zbar\^1",
+        ),
+    ],
+    ids=["spin-block-alone", "both"],
+)
+def test_every_image_passes_the_pattern_check_before_any_write(
+    monkeypatch, faults, message
+):
+    # At n_tr = 7 the build reads six images: levels {0, 3, 6}, {1, 4} and
+    # {2, 5}, upper then lower component each.  Level 0 (residue 0) gets a
+    # spin-block entry in the first image, level 5 (residue 2) an off-pattern
+    # coefficient in the last.  Level by level the spin-block entry comes
+    # first, but every image passes the pattern check before any write, so
+    # the off-pattern coefficient is the fault reported.
+    original = OperatorExpr.apply
+
+    def tampered(self, s):
+        image = original(self, s)
+        upper, lower = dict(image.upper.coeffs), dict(image.lower.coeffs)
+        if "spin-block" in faults and (0, 0) in s.upper.coeffs:
+            upper[(0, 0)] = 1j
+        if "off-pattern" in faults and (5, 0) in s.lower.coeffs:
+            lower[(5, 1)] = 1.0
+        d = s.d
+        return SpinorFunction(WeightedPolynomial(upper, d), WeightedPolynomial(lower, d))
+
+    monkeypatch.setattr(OperatorExpr, "apply", tampered)
+    with pytest.raises(RuntimeError, match=message):
+        build_truncated(CO, 7)
+
+
 @pytest.mark.parametrize("n_tr, applies", [(2, 4), (3, 6), (7, 6), (40, 6), (200, 6)])
 def test_build_applies_h_once_per_residue_class_and_component(
     monkeypatch, n_tr, applies
