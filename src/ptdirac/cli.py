@@ -67,7 +67,7 @@ from .opalg import (
     lll_annihilation_residuals,
     lll_state,
     operator_residual_on_probes,
-    pt_commutator_residual,
+    pt_commutator_residuals,
     pt_eigenfactor,
     standard_probes,
     time_reversal_conjugate,
@@ -464,8 +464,7 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
     # symmetry commutators with both valley Hamiltonians
     worst = 0.0
     for hv in (h, h_other):
-        for op in (P1T, P2T):
-            worst = max(worst, pt_commutator_residual(hv, op, probes))
+        worst = max(worst, *pt_commutator_residuals(hv, (P1T, P2T), probes))
     record("symmetry commutators", worst <= _VERIFY_TOL, f"residual {worst:.3e}")
 
     # valley map: T H T^{-1} must equal the other valley Hamiltonian

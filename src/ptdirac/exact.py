@@ -17,6 +17,16 @@ and imaginary parts as two separate ``Fraction`` objects.  ``int`` and
 ``Fraction`` operands enter as ``(numerator, 0, denominator)``.  The parts
 are read back as ``Fraction`` through ``re`` and ``im``.
 
+Products and sums, the two operations the exact operator algebra repeats per
+coefficient, work on the triples directly: a ``ComplexRational`` operand's
+slots are read in place, an ``int`` or ``Fraction`` (exact type) becomes
+its triple through the public ``numerator``/``denominator`` with no
+``isinstance`` chain, and the reduction is inlined, with the divisions
+skipped when the gcd is 1.  Every result is still built through
+``ComplexRational(a, b, q)``, not by filling slots on a bare object: the
+constructor is the one place every value passes, so a wrapper on
+``__init__`` (the benchmark tracer's ``exact.cr_built``) counts them all.
+
 Mixing in a float would silently degrade the whole computation back to
 binary floating point (``Fraction + float`` returns ``float``), so arithmetic
 here accepts only ``ComplexRational``, ``Fraction``, and ``int`` operands and
@@ -34,6 +44,12 @@ RationalLike = Union["ComplexRational", Fraction, int]
 
 def _triple(value: RationalLike) -> Tuple[int, int, int]:
     """The canonical ``(a, b, q)`` of an exact operand."""
+    kind = type(value)
+    if kind is int:
+        return value, 0, 1
+    if kind is Fraction:
+        return value.numerator, 0, value.denominator
+    # subclasses, bool among them, take the general route
     if isinstance(value, ComplexRational):
         return value._a, value._b, value._q
     if isinstance(value, (int, Fraction)):
@@ -84,8 +100,22 @@ class ComplexRational:
     def im(self) -> Fraction:
         return Fraction(self._b, self._q)
 
+    # + and * are the hot pair: they read a ComplexRational operand's slots
+    # and reduce inline, but still build their result through the constructor
     def __add__(self, other: RationalLike) -> "ComplexRational":
-        return _add(self._a, self._b, self._q, *_triple(other))
+        if type(other) is ComplexRational:
+            c, d, r = other._a, other._b, other._q
+        else:
+            c, d, r = _triple(other)
+        a, b, q = self._a, self._b, self._q
+        if q == r:
+            a, b = a + c, b + d
+        else:
+            a, b, q = a * r + c * q, b * r + d * q, q * r
+        g = math.gcd(a, b, q)
+        if g == 1:
+            return ComplexRational(a, b, q)
+        return ComplexRational(a // g, b // g, q // g)
 
     __radd__ = __add__
 
@@ -97,9 +127,20 @@ class ComplexRational:
         return _add(*_triple(other), -self._a, -self._b, self._q)
 
     def __mul__(self, other: RationalLike) -> "ComplexRational":
-        c, d, r = _triple(other)
+        if type(other) is ComplexRational:
+            c, d, r = other._a, other._b, other._q
+        else:
+            c, d, r = _triple(other)
         a, b, q = self._a, self._b, self._q
-        return _reduced(a * c - b * d, a * d + b * c, q * r)
+        if d:
+            a, b = a * c - b * d, a * d + b * c
+        else:
+            a, b = a * c, b * c
+        q *= r
+        g = math.gcd(a, b, q)
+        if g == 1:
+            return ComplexRational(a, b, q)
+        return ComplexRational(a // g, b // g, q // g)
 
     __rmul__ = __mul__
 

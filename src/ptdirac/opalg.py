@@ -44,7 +44,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .exact import ComplexRational, exact_sqrt
+from .exact import ONE, ComplexRational, exact_sqrt
 from .params import (
     Branch,
     DegenerateCoefficientsError,
@@ -92,20 +92,22 @@ def _acc(table: Dict, key, value) -> None:
 
 def _step_dz(items, d) -> Dict[Monomial, Coeff]:
     out: Dict[Monomial, Coeff] = {}
+    envelope = bool(d)  # tested once: an exact d's test is a Fraction call
     for (m, n), c in items:
         if m > 0:
             _acc(out, (m - 1, n), c * m)
-        if d:
+        if envelope:
             _acc(out, (m, n + 1), c * d)
     return {k: c for k, c in out.items() if c}
 
 
 def _step_dzbar(items, d) -> Dict[Monomial, Coeff]:
     out: Dict[Monomial, Coeff] = {}
+    envelope = bool(d)  # tested once: an exact d's test is a Fraction call
     for (m, n), c in items:
         if n > 0:
             _acc(out, (m, n - 1), c * n)
-        if d:
+        if envelope:
             _acc(out, (m + 1, n), c * d)
     return {k: c for k, c in out.items() if c}
 
@@ -911,15 +913,24 @@ def pt_commutator_residual(
     h: OperatorExpr, op: AntilinearOp, probes: Sequence[SpinorFunction]
 ) -> float:
     """Worst relative coefficient norm of (op o H - H o op) over the probes."""
+    return pt_commutator_residuals(h, [op], probes)[0]
+
+
+def pt_commutator_residuals(
+    h: OperatorExpr, ops: Sequence[AntilinearOp], probes: Sequence[SpinorFunction]
+) -> List[float]:
+    """pt_commutator_residual of each op, with H applied once per probe."""
     if not probes:
         raise ValueError("at least one probe is required")
-    worst = 0.0
+    worst = [0.0] * len(ops)
     for s in probes:
-        left = pt_transform(op, h.apply(s))
-        right = h.apply(pt_transform(op, s))
-        diff = left.sub(right)
-        scale = max(1.0, left.max_abs_coeff(), right.max_abs_coeff())
-        worst = max(worst, diff.max_abs_coeff() / scale)
+        image = h.apply(s)
+        for i, op in enumerate(ops):
+            left = pt_transform(op, image)
+            right = h.apply(pt_transform(op, s))
+            diff = left.sub(right)
+            scale = max(1.0, left.max_abs_coeff(), right.max_abs_coeff())
+            worst[i] = max(worst[i], diff.max_abs_coeff() / scale)
     return worst
 
 
@@ -1149,21 +1160,26 @@ def jc_verify(coeffs: DerivedCoeffs, degree: int = 30) -> JCReport:
     partition the image of their sum, each bit-identical to applying the
     operator to its probe alone, so the largest coefficient of the sum's
     image is the largest over the probes.  On the exact path the square
-    roots cancel symbolically and both residuals are literal zeros.
+    roots cancel symbolically and both residuals are literal zeros.  There
+    the probes carry the coefficient ``ComplexRational`` ONE, not ``int``
+    1, so the first step's ``c * d`` on a ``Fraction`` envelope is already
+    a ``ComplexRational`` product and no ``Fraction`` operation runs per
+    coefficient; the float path keeps 1.
     """
     if not isinstance(degree, int) or degree < 2:
         raise ValueError("degree must be an integer >= 2")
     if not coeffs.k_coef:
         raise ValueError("k_coef = 0: ladder normalization undefined")
     comm, fact, d_env = _ladder_defects(coeffs)
+    one = ONE if isinstance(d_env, Fraction) else 1
     probes = [(m, n) for m in range(degree + 1) for n in range(degree + 1 - m)]
     comm_res = fact_res = 0.0
     zero = WeightedPolynomial.zero(d_env)
     for group in residue_groups(comm, probes):
-        total = WeightedPolynomial(dict.fromkeys(group, 1), d_env)
+        total = WeightedPolynomial(dict.fromkeys(group, one), d_env)
         comm_res = max(comm_res, comm.apply_poly(total).max_abs_coeff())
     for group in residue_groups(fact, probes):
-        total = WeightedPolynomial(dict.fromkeys(group, 1), d_env)
+        total = WeightedPolynomial(dict.fromkeys(group, one), d_env)
         for s in (SpinorFunction(total, zero), SpinorFunction(zero, total)):
             fact_res = max(fact_res, fact.apply(s).max_abs_coeff())
     return JCReport(comm_res, fact_res)

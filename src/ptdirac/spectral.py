@@ -159,7 +159,9 @@ def build_truncated(
     owner_rule gives each key of the image to its level, whose keys are
     bit-identical to an application to that level alone.  Every
     coefficient must land back on the tower pattern, within 1e-10 of its
-    level's scale, max(1, max |c|) over the level's keys in that image;
+    level's scale: the largest of 1, the terms that cancel at the
+    off-pattern keys (|c1|, |c2|, |a hbar d|, |b hbar d|) and every |c| over
+    the level's keys in that image;
     the one raising amplitude out of level n_tr - 1 is discarded and
     counted.  Once all images passed that check, a kept coefficient inside
     a diagonal spin block, or one that is not exactly imaginary, raises
@@ -174,6 +176,17 @@ def build_truncated(
     holo = holomorphic_tower(branch, valley)
     h = build_hamiltonian(coeffs, valley).to_complex()
     d = float(coeffs.d1(branch))
+    a_h = abs(complex(coeffs.a_coef) * complex(coeffs.hbar))
+    b_h = abs(complex(coeffs.b_coef) * complex(coeffs.hbar))
+    # the terms that cancel at the off-pattern keys, i c1 zbar against
+    # -i a hbar d zbar (and c2, b alike), leave roundoff of their size
+    cancelling = max(
+        1.0,
+        abs(complex(coeffs.c1)),
+        abs(complex(coeffs.c2)),
+        a_h * abs(d),
+        b_h * abs(d),
+    )
     zero = WeightedPolynomial.zero(d)
     kept = []  # (level, component, out component, exponent, coefficient)
     for group in residue_groups(h, [(l, 0) if holo else (0, l) for l in range(n_tr)]):
@@ -186,7 +199,7 @@ def build_truncated(
             for out_component, poly in enumerate((image.upper, image.lower)):
                 for key, c in poly.coeffs.items():
                     level = sum(owner(key))  # the source is (l, 0) or (0, l)
-                    scales[level] = max(scales.get(level, 1.0), abs(c))
+                    scales[level] = max(scales.get(level, cancelling), abs(c))
                     items.append((level, out_component, key, c))
             for level, out_component, (m, n), c in items:
                 if n == 0 if holo else m == 0:
@@ -209,8 +222,6 @@ def build_truncated(
             a[exp, level] = c.imag
         else:
             b[exp, level] = -c.imag
-    a_h = abs(complex(coeffs.a_coef) * complex(coeffs.hbar))
-    b_h = abs(complex(coeffs.b_coef) * complex(coeffs.hbar))
     k_abs = abs(complex(coeffs.k_coef))
     scale = max(
         1.0,

@@ -8,8 +8,11 @@ canonical.
 """
 
 import copy
+import functools
+import importlib.util
 import math
 import operator
+import pathlib
 import pickle
 from fractions import Fraction
 
@@ -18,6 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptdirac.exact import I, ONE, ZERO, ComplexRational
+from ptdirac.opalg import jc_verify
+from ptdirac.params import PhysParams, derive_coeffs
 
 Z = ComplexRational(Fraction(-7, 3), Fraction(5, 4))
 REALS = [0, 3, -2, True, False, Fraction(0), Fraction(-9, 8), Fraction(22, 7)]
@@ -256,3 +261,110 @@ def test_constants_and_repr():
     assert (ZERO._a, ZERO._b, ZERO._q) == (0, 0, 1)
     assert I * I == -ONE
     assert ONE == 1 and not ZERO and ZERO == 0
+
+
+# -- the direct triple path of + and * ------------------------------------------
+
+_KINDS = {
+    "int": st.integers(-(10**25), 10**25),
+    "bool": st.booleans(),
+    "Fraction": _fractions,
+    "ComplexRational": _values,
+}
+# each operator by its dunder and its reflected dunder, as Python dispatches
+_DUNDERS = [
+    (operator.mul, "__mul__", "__rmul__"),
+    (operator.add, "__add__", "__radd__"),
+    (operator.sub, "__sub__", "__rsub__"),
+]
+
+
+@pytest.mark.parametrize("kind", list(_KINDS))
+@pytest.mark.parametrize(
+    "op, forward, reflected", _DUNDERS, ids=lambda x: getattr(x, "__name__", x)
+)
+@settings(_SETTINGS, max_examples=40)
+@given(z=_values, data=st.data())
+def test_each_operand_kind_on_either_side_matches_two_fractions(
+    kind, op, forward, reflected, z, data
+):
+    x = data.draw(_KINDS[kind])
+    _assert_same(op(z, x), op(_pair(z), _pair(x)))
+    _assert_same(op(x, z), op(_pair(x), _pair(z)))
+    _assert_same(getattr(z, forward)(x), op(_pair(z), _pair(x)))
+    _assert_same(getattr(z, reflected)(x), op(_pair(x), _pair(z)))
+
+
+_inexact = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+)
+
+
+@_SETTINGS
+@given(_values, _inexact, st.sampled_from([d[0] for d in _DUNDERS]))
+def test_float_and_complex_operands_raise_on_either_side(z, x, op):
+    with pytest.raises(TypeError):
+        op(z, x)
+    with pytest.raises(TypeError):
+        op(x, z)
+
+
+def _counting_init(monkeypatch, built):
+    """Count ComplexRational.__init__ calls the way the benchmark tracer
+    does, keeping each object built so no id is reused."""
+    init = ComplexRational.__init__
+
+    @functools.wraps(init)
+    def counted_init(obj, *args, **kwargs):
+        built.append(obj)
+        init(obj, *args, **kwargs)
+
+    monkeypatch.setattr(ComplexRational, "__init__", counted_init)
+
+
+@pytest.mark.parametrize(
+    "x", [Z, Z.conjugate(), ONE, ZERO, 5, True, Fraction(-9, 8)], ids=repr
+)
+def test_every_product_and_sum_is_built_through_the_constructor(monkeypatch, x):
+    built = []
+    _counting_init(monkeypatch, built)
+    for op, _, _ in _DUNDERS:
+        for left, right in ((Z, x), (x, Z)):
+            before = len(built)
+            result = op(left, right)
+            assert len(built) == before + 1
+            assert built[-1] is result
+
+
+def test_exact_jc_verify_builds_every_product_and_sum_through_the_constructor(
+    monkeypatch,
+):
+    co = derive_coeffs(PhysParams(
+        v_f=Fraction(137, 100), lam=Fraction(1, 2), k1=Fraction(1, 50),
+        b0=Fraction(100), e=Fraction(1), c=Fraction(137), hbar=Fraction(1),
+    ))
+    built, results = [], []
+    _counting_init(monkeypatch, built)
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        method = getattr(ComplexRational, name)
+
+        def recorded(self, other, _method=method):
+            result = _method(self, other)
+            results.append(result)
+            return result
+
+        monkeypatch.setattr(ComplexRational, name, recorded)
+    report = jc_verify(co, degree=8)
+    assert (report.commutator_residual, report.factorization_residual) == (0.0, 0.0)
+    assert len(results) > 1000
+    ids = {id(obj) for obj in built}
+    assert all(id(r) in ids for r in results)
+
+
+def test_the_reference_script_passes_on_exact_py_loaded_by_path():
+    path = pathlib.Path(__file__).with_name("exact_reference.py")
+    spec = importlib.util.spec_from_file_location("exact_reference", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.check(script.load_exact(), draws=200) > 4000

@@ -8,6 +8,7 @@ exists to hide behind.
 import cmath
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,7 @@ from ptdirac.opalg import (
     operator_residual_on_probes,
     owner_rule,
     pt_commutator_residual,
+    pt_commutator_residuals,
     pt_eigenfactor,
     pt_transform,
     residue_groups,
@@ -626,3 +628,60 @@ def test_jc_makes_one_application_per_residue_class(monkeypatch, co, degree):
     # the commutator reaches 2 (a 5 x 5 grid of (m, n) residues), the
     # factorization 1 (3 x 3, once per spin component)
     assert calls == {"apply": 18, "apply_poly": 25}
+
+
+@pytest.mark.parametrize("degree", [2, 7, 20])
+def test_exact_jc_residuals_are_literal_zeros(degree):
+    rep = jc_verify(derive_coeffs(EXACT_BASE), degree=degree)
+    assert (rep.commutator_residual, rep.factorization_residual) == (0.0, 0.0)
+
+
+_FRACTION_DUNDERS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__", "__abs__", "__bool__",
+)
+
+
+def test_exact_jc_runs_no_fraction_operation_per_coefficient(monkeypatch):
+    # The probes carry ComplexRational ONE and the steps test the envelope
+    # once each, so the Fraction operations left are the operators' own
+    # construction and one truth test per step: as many at degree 20 as at
+    # degree 8, while the probes go from 45 to 231.
+    calls = Counter()
+    for name in _FRACTION_DUNDERS:
+        original = getattr(Fraction, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    co = derive_coeffs(EXACT_BASE)
+    totals = []
+    for degree in (8, 20):
+        calls.clear()
+        rep = jc_verify(co, degree=degree)
+        assert (rep.commutator_residual, rep.factorization_residual) == (0.0, 0.0)
+        totals.append(sum(calls.values()))
+    assert totals[0] == totals[1] > 0
+
+
+@pytest.mark.parametrize("valley", list(Valley))
+def test_pt_commutator_residuals_apply_h_once_per_probe(monkeypatch, valley):
+    h = build_hamiltonian(CO, valley)
+    ops = (P1T, P2T)
+    want = [pt_commutator_residual(h, op, PROBES) for op in ops]
+    applied = []
+    original = OperatorExpr.apply
+
+    def counting(self, s):
+        applied.append(s)
+        return original(self, s)
+
+    monkeypatch.setattr(OperatorExpr, "apply", counting)
+    got = pt_commutator_residuals(h, ops, PROBES)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    # H s once per probe, and H (op s) once per probe and operator
+    assert len(applied) == (1 + len(ops)) * len(PROBES)
+    with pytest.raises(ValueError, match="at least one probe"):
+        pt_commutator_residuals(h, ops, [])

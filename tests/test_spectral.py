@@ -5,6 +5,7 @@ block action on the level tower.
 """
 
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -23,6 +24,7 @@ from ptdirac.params import (
     classify_phase,
     critical_point,
     derive_coeffs,
+    holomorphic_tower,
     level_energy,
 )
 from ptdirac import cli, spectral
@@ -1063,3 +1065,84 @@ def test_exact_coefficients_build_too():
     rep = build_truncated(co, 4)
     ref = reference_matrix(co, 4, Branch.I, Valley.PRIMARY)
     assert np.max(np.abs(rep.matrix - ref)) <= 1e-13 * float(np.max(np.abs(ref)))
+
+
+# Couplings where the roundoff left at the off-pattern keys, about
+# eps |c1| = 6.3e29 with |c1| = 3.95e45, is above 1e-10 of every kept
+# coefficient of the image it sits in (a hbar (l + 1) is about 5.7e34 (l + 1)).
+LARGE_FLAGS = [
+    "--vf", "1.4410316224903703e+22", "--lambda=-2.2544541471337918e+32",
+    "--k1", "3.4875786276944343e+18", "--b0", "4805680236767382.0",
+    "--hbar", "126.24025690634625",
+]
+LARGE = PhysParams(
+    v_f=1.4410316224903703e22, lam=-2.2544541471337918e32,
+    k1=3.4875786276944343e18, b0=4805680236767382.0, hbar=126.24025690634625,
+)
+
+
+@pytest.mark.parametrize("branch, verdict", [("I", "broken"), ("II", "unbroken")])
+def test_spectrum_at_large_couplings_agrees_with_analytic(capsys, branch, verdict):
+    assert cli.main(["analytic", "--format", "json"] + LARGE_FLAGS) == 0
+    closed = json.loads(capsys.readouterr().out)["branches"][branch]["verdict"]
+    argv = ["spectrum", "--n_tr", "2", "--branch", branch, "--format", "json"]
+    assert cli.main(argv + LARGE_FLAGS) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == closed == verdict
+
+
+def _extreme_point(rng):
+    def log_uniform(lo, hi):
+        return 10 ** rng.uniform(lo, hi)
+
+    def signed(lo, hi):
+        return rng.choice((-1.0, 1.0)) * log_uniform(lo, hi)
+
+    v_f = log_uniform(-2, 25)
+    return PhysParams(
+        v_f=v_f, lam=v_f * signed(-3, 12), k1=signed(-3, 20), b0=signed(-3, 20),
+        hbar=log_uniform(-3, 3),
+    )
+
+
+def test_numeric_verdicts_agree_with_the_closed_form_at_extreme_couplings():
+    rng = random.Random(2024)
+    for _ in range(60):
+        p = _extreme_point(rng)
+        n_tr = rng.choice((2, 3, 8))
+        for branch in Branch:
+            report = phase_verdict_numeric(p, branch=branch, n_tr=n_tr)
+            assert report.verdict is classify_phase(p, branch), (p, branch, n_tr)
+
+
+def _cancelling_scale(co, branch):
+    """max(1, |c1|, |c2|, |a hbar d|, |b hbar d|), as the build derives it."""
+    hbar_d = abs(float(co.hbar) * float(co.d1(branch)))
+    return max(
+        1.0, abs(float(co.c1)), abs(float(co.c2)),
+        abs(float(co.a_coef)) * hbar_d, abs(float(co.b_coef)) * hbar_d,
+    )
+
+
+@pytest.mark.parametrize("branch", list(Branch))
+@pytest.mark.parametrize("valley", list(Valley))
+@pytest.mark.parametrize("rel, raises", [(1e-9, True), (1e-11, False)])
+def test_off_pattern_scale_at_large_couplings_is_the_cancelling_terms(
+    monkeypatch, branch, valley, rel, raises
+):
+    # A lower-to-upper term off the pattern (z^l -> z^l zbar on the
+    # holomorphic tower, zbar^l -> z zbar^l on the other) of rel times the
+    # cancelling terms' size: caught at 1e-9, let through at 1e-11.
+    co = derive_coeffs(LARGE)
+    word = (Prim.MUL_ZBAR,) if holomorphic_tower(branch, valley) else (Prim.MUL_Z,)
+    t = rel * _cancelling_scale(co, branch)
+    assert t > 1e4 * np.finfo(float).eps * abs(float(co.c1))  # far above the leftover
+    tamper = OperatorExpr.from_word(t, ((0, 1), (0, 0)), word)
+    original = spectral.build_hamiltonian
+    monkeypatch.setattr(
+        spectral, "build_hamiltonian", lambda c, v: original(c, v) + tamper
+    )
+    if raises:
+        with pytest.raises(RuntimeError, match="image left the tower pattern"):
+            build_truncated(co, 8, branch, valley)
+    else:
+        build_truncated(co, 8, branch, valley)
