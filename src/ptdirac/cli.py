@@ -64,6 +64,7 @@ from .opalg import (
     build_hamiltonian,
     eigen_residual,
     jc_verify,
+    level_energy_from_coeffs,
     lll_annihilation_residuals,
     lll_state,
     operator_residual_on_probes,
@@ -429,7 +430,8 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
             hv = h if valley is Valley.PRIMARY else h_other
             for n in range(11):
                 s = opalg.analytic_state(branch, valley, n, co)
-                worst = max(worst, eigen_residual(hv, s, s.energy))
+                energy = level_energy_from_coeffs(co, n, branch)
+                worst = max(worst, eigen_residual(hv, s, energy))
         record(
             f"eigenstates branch {branch.value}",
             worst <= _VERIFY_TOL,
@@ -510,12 +512,9 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
         if co.d1(branch) is None:
             skip(name, "degenerate block coefficient")
             continue
-        report = phase_verdict_numeric(
-            p, branch=branch, valley=cfg.valley, n_tr=cfg.n_tr, seed=cfg.seed,
-            similarity=similarity,
-        )
+        report = phase_verdict_numeric(p, similarity, branch=branch, valley=cfg.valley)
         worst = 0.0
-        for n, (num, _) in enumerate(report.retained_pairs[:11]):
+        for n, num in enumerate(report.plus_roots[:11]):
             plus, _ = level_energy(p, n, branch)
             worst = max(worst, abs(num - plus) / max(1.0, abs(plus)))
         record(
@@ -559,8 +558,8 @@ def cmd_spectrum(cfg: RunConfig, dump_path: Optional[str]) -> int:
         "verdict": report.verdict.value,
         "max_residual": report.max_residual,
         "levels": [
-            {"n": i, "re_E_plus": pair[0].real, "im_E_plus": pair[0].imag}
-            for i, pair in enumerate(report.retained_pairs)
+            {"n": i, "re_E_plus": plus.real, "im_E_plus": plus.imag}
+            for i, plus in enumerate(report.plus_roots)
         ],
     }
     if cfg.format == "json":
@@ -574,7 +573,7 @@ def cmd_spectrum(cfg: RunConfig, dump_path: Optional[str]) -> int:
         ]
         lines += [
             f"  n={i} E+=({plus.real!r}, {plus.imag!r})"
-            for i, (plus, _) in enumerate(report.retained_pairs)
+            for i, plus in enumerate(report.plus_roots)
         ]
         text = "\n".join(lines) + "\n"
     _write_output(cfg, text)
@@ -649,14 +648,9 @@ def cmd_sweep(
             if do_numeric:
                 try:
                     report = phase_verdict_numeric(
-                        p,
-                        branch=branch,
-                        valley=cfg.valley,
-                        n_tr=cfg.n_tr,
-                        seed=cfg.seed,
-                        similarity=similarity,
+                        p, similarity, branch=branch, valley=cfg.valley
                     )
-                    numeric_levels = report.retained_pairs
+                    numeric_levels = report.plus_roots
                     numeric_verdict = report.verdict.value
                 except DegenerateCoefficientsError:
                     pass
@@ -676,7 +670,7 @@ def cmd_sweep(
                 ]
                 if numeric:
                     if n < len(numeric_levels):
-                        num_plus = numeric_levels[n][0]
+                        num_plus = numeric_levels[n]
                         row += [repr(num_plus.real), repr(num_plus.imag)]
                     else:
                         row += ["", ""]

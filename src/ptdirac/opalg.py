@@ -239,23 +239,17 @@ class WeightedPolynomial:
 class SpinorFunction:
     """Two WeightedPolynomial components sharing one envelope.
 
-    energy is optional stationary-state metadata (the time phase is implied,
-    never stored); arithmetic that would invalidate it drops it.
+    A spinor carries no energy: a closed-form state's energy is
+    level_energy_from_coeffs of its level, read where it is needed.
     """
 
-    __slots__ = ("upper", "lower", "energy")
+    __slots__ = ("upper", "lower")
 
-    def __init__(
-        self,
-        upper: WeightedPolynomial,
-        lower: WeightedPolynomial,
-        energy: Optional[Coeff] = None,
-    ):
+    def __init__(self, upper: WeightedPolynomial, lower: WeightedPolynomial):
         if not upper.d == lower.d:
             raise ValueError("component envelopes differ")
         self.upper = upper
         self.lower = lower
-        self.energy = energy
 
     @property
     def d(self):
@@ -271,47 +265,27 @@ class SpinorFunction:
         return SpinorFunction(self.upper.sub(other.upper), self.lower.sub(other.lower))
 
     def scaled(self, value: Coeff) -> "SpinorFunction":
-        return SpinorFunction(
-            self.upper.scaled(value), self.lower.scaled(value), self.energy
-        )
+        return SpinorFunction(self.upper.scaled(value), self.lower.scaled(value))
 
     def max_abs_coeff(self) -> float:
         return max(self.upper.max_abs_coeff(), self.lower.max_abs_coeff())
 
     def is_exact(self) -> bool:
-        ok = self.upper.is_exact() and self.lower.is_exact()
-        if self.energy is not None:
-            ok = ok and _is_exact_scalar(self.energy)
-        return ok
+        return self.upper.is_exact() and self.lower.is_exact()
 
     def to_complex(self) -> "SpinorFunction":
-        energy = None if self.energy is None else complex(self.energy)
-        return SpinorFunction(self.upper.to_complex(), self.lower.to_complex(), energy)
+        return SpinorFunction(self.upper.to_complex(), self.lower.to_complex())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpinorFunction):
             return NotImplemented
-        return (
-            self.upper == other.upper
-            and self.lower == other.lower
-            and (
-                (self.energy is None and other.energy is None)
-                or (
-                    self.energy is not None
-                    and other.energy is not None
-                    and self.energy == other.energy
-                )
-            )
-        )
+        return self.upper == other.upper and self.lower == other.lower
 
     def __hash__(self):
         return hash((self.upper, self.lower))
 
     def __repr__(self) -> str:
-        return (
-            f"SpinorFunction(upper={self.upper!r}, lower={self.lower!r}, "
-            f"energy={self.energy!r})"
-        )
+        return f"SpinorFunction(upper={self.upper!r}, lower={self.lower!r})"
 
 
 def standard_probes(
@@ -853,10 +827,7 @@ def _mix(
 
 
 def pt_transform(op: AntilinearOp, s: SpinorFunction) -> SpinorFunction:
-    """Apply an antilinear symmetry to a spinor function.
-
-    Energy metadata maps to its conjugate (the implied time phase reverses).
-    """
+    """Apply an antilinear symmetry to a spinor function."""
     comps = []
     for comp in (s.upper, s.lower):
         wp = comp.conjugated()
@@ -867,18 +838,18 @@ def pt_transform(op: AntilinearOp, s: SpinorFunction) -> SpinorFunction:
         comps.append(wp)
     u, l = comps
     (m00, m01), (m10, m11) = op.matrix
-    energy = None if s.energy is None else s.energy.conjugate()
-    return SpinorFunction(_mix(m00, u, m01, l), _mix(m10, u, m11, l), energy)
+    return SpinorFunction(_mix(m00, u, m01, l), _mix(m10, u, m11, l))
 
 
-def pt_eigenfactor(
-    op: AntilinearOp, s: SpinorFunction, rel_tol: float = 1e-10
-) -> Optional[complex]:
+_PT_FACTOR_REL = 1e-10
+
+
+def pt_eigenfactor(op: AntilinearOp, s: SpinorFunction) -> Optional[complex]:
     """The scalar c with op(s) == c*s on the spatial form, or None.
 
-    Every monomial of both components is compared; energy metadata is
-    ignored (failure of the spatial eigenrelation is exactly what
-    distinguishes the broken phase).  Raises on the zero spinor.
+    Every monomial of both components is compared, within 1e-10 of the
+    largest coefficient; failure of the spatial eigenrelation is exactly
+    what distinguishes the broken phase.  Raises on the zero spinor.
     """
     if s.is_zero():
         raise ValueError("zero spinor has no eigenfactor")
@@ -904,7 +875,7 @@ def pt_eigenfactor(
             tv = complex(tc.coeffs.get(key, 0))
             worst = max(worst, abs(tv - factor * sv))
             scale = max(scale, abs(sv), abs(tv))
-    if worst <= rel_tol * scale:
+    if worst <= _PT_FACTOR_REL * scale:
         return factor
     return None
 
@@ -970,11 +941,7 @@ def level_energy_from_coeffs(coeffs: DerivedCoeffs, n: int, branch: Branch) -> C
 
 
 def analytic_state(
-    branch: Branch,
-    valley: Valley,
-    n: int,
-    coeffs: DerivedCoeffs,
-    a_n: Coeff = 1,
+    branch: Branch, valley: Valley, n: int, coeffs: DerivedCoeffs
 ) -> SpinorFunction:
     """Closed-form level-n bound state for the requested branch and valley.
 
@@ -986,9 +953,10 @@ def analytic_state(
 
     Branch I states in the primary valley are holomorphic-type
     (z-monomials); the other branch or valley flips to zbar-monomials.  The
-    stored energy is the positive principal root.  With Fraction
-    coefficients and a perfect-square radicand the state is exact; otherwise
-    it is built in floats.
+    weight uses the positive principal root, level_energy_from_coeffs, and
+    the leading coefficient is 1.  With Fraction coefficients and a
+    perfect-square radicand the state is exact; otherwise it is built in
+    floats.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("level index must be a nonnegative integer")
@@ -1004,14 +972,16 @@ def analytic_state(
         isinstance(energy, ComplexRational)
         and _is_exact_scalar(denom)
         and _is_exact_scalar(d)
-        and _is_exact_scalar(a_n)
     )
+    a_n = 1  # the leading coefficient
     if not exact_ok:
         # irrational energy (or any float input) forces the state into floats
         energy = complex(energy)
         denom = complex(denom)
         d = float(d)
-        a_n = complex(a_n)
+        # kept as a factor: complex(1) * ratio can differ from ratio in the
+        # sign of a zero real part
+        a_n = complex(1)
     ratio = energy / denom
     if holomorphic_tower(branch, valley):
         upper = WeightedPolynomial({(n, 0): a_n}, d)
@@ -1019,7 +989,7 @@ def analytic_state(
     else:
         upper = WeightedPolynomial({(0, n + 1): -(a_n * ratio)}, d)
         lower = WeightedPolynomial({(0, n): _times_i(a_n)}, d)
-    return SpinorFunction(upper, lower, energy)
+    return SpinorFunction(upper, lower)
 
 
 def eigen_residual(h: OperatorExpr, s: SpinorFunction, energy: Coeff) -> float:

@@ -248,18 +248,13 @@ def check_tol(name: str, tol: float) -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
 
 
-def classify_phase(
-    p: PhysParams, branch: Branch, tol: Optional[float] = None
-) -> PhaseVerdict:
+def classify_phase(p: PhysParams, branch: Branch) -> PhaseVerdict:
     """Sign test on k_coef with a critical band of half-width tol around zero.
 
-    Branch I is unbroken for k_coef > tol and broken for k_coef < -tol;
-    branch II is the mirror image.  tol defaults to default_critical_tol(p)
-    and must be finite and nonnegative.
+    tol is default_critical_tol(p).  Branch I is unbroken for k_coef > tol
+    and broken for k_coef < -tol; branch II is the mirror image.
     """
-    if tol is None:
-        tol = default_critical_tol(p)
-    check_tol("tol", tol)
+    tol = default_critical_tol(p)
     k = derive_coeffs(p).k_coef
     if branch is Branch.II:
         k = -k

@@ -42,9 +42,8 @@ level 0's sign is resolved.
 
 S enters the oracle one way: as a Similarity from draw_similarity, which
 also carries cond(S), known from the construction.  S depends only on
-(n_tr, seed); every command draws it once and drops it when it returns, and
-nothing is cached across commands.  phase_verdict_numeric is the one place
-that draws S when the caller passes none.
+(n_tr, seed); every command draws it once, passes it to each verdict and
+drops it when it returns, and nothing is cached across commands.
 
 The EP is found from the oracle's own numbers, not from the closed form.
 Each report carries level 0's E^2, +-k, and whether it clears the floor.
@@ -82,6 +81,7 @@ from .opalg import owner_rule, residue_groups
 
 _CROSS_CHECK_REL = 1e-14
 _OFF_PATTERN_REL = 1e-10
+_CERT_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
 
@@ -159,14 +159,16 @@ def build_truncated(
     owner_rule gives each key of the image to its level, whose keys are
     bit-identical to an application to that level alone.  Every
     coefficient must land back on the tower pattern, within 1e-10 of its
-    level's scale: the largest of 1, the terms that cancel at the
-    off-pattern keys (|c1|, |c2|, |a hbar d|, |b hbar d|) and every |c| over
-    the level's keys in that image;
+    level's scale: the largest of the terms that cancel at the off-pattern
+    keys (|c1|, |c2|, |a hbar d|, |b hbar d|) and every |c| over the
+    level's keys in that image;
     the one raising amplitude out of level n_tr - 1 is discarded and
     counted.  Once all images passed that check, a kept coefficient inside
     a diagonal spin block, or one that is not exactly imaginary, raises
     RuntimeError at its write.  The factors are cross-checked against the
-    independent closed-form entries before they are returned.
+    independent closed-form entries, within 1e-14 of the largest coupling
+    size, before they are returned.  Neither scale has an absolute floor,
+    so both checks stay relative at small couplings.
     """
     _check_n_tr(n_tr)
     if coeffs.d1(branch) is None:
@@ -181,7 +183,6 @@ def build_truncated(
     # the terms that cancel at the off-pattern keys, i c1 zbar against
     # -i a hbar d zbar (and c2, b alike), leave roundoff of their size
     cancelling = max(
-        1.0,
         abs(complex(coeffs.c1)),
         abs(complex(coeffs.c2)),
         a_h * abs(d),
@@ -224,7 +225,6 @@ def build_truncated(
             b[exp, level] = -c.imag
     k_abs = abs(complex(coeffs.k_coef))
     scale = max(
-        1.0,
         a_h * n_tr,
         b_h * n_tr,
         k_abs / a_h if a_h else 0.0,
@@ -263,7 +263,7 @@ class EigenResult:
     residuals: np.ndarray
 
 
-def eigensolve(m: np.ndarray, tol: float = 1e-9) -> EigenResult:
+def eigensolve(m: np.ndarray) -> EigenResult:
     """Dense nonsymmetric eigenvalues with per-eigenpair residual bounds.
 
     Each certificate is ||M v - w v||_2 / ||M||_F for the unit eigenvector
@@ -271,7 +271,7 @@ def eigensolve(m: np.ndarray, tol: float = 1e-9) -> EigenResult:
     real m goes through real LAPACK, which still returns any complex
     eigenvalues as conjugate pairs (values and vectors are then complex),
     and a complex m through complex LAPACK.  Values are sorted by (real,
-    imag).  Unless every certificate is at most tol (a nan one, from an
+    imag).  Unless every certificate is at most 1e-9 (a nan one, from an
     overflow in the backend or in M v, is not), EigensolveError is raised
     with the partial results attached; such an overflow raises no numpy
     warning, so the error is the one report of it.
@@ -292,9 +292,9 @@ def eigensolve(m: np.ndarray, tol: float = 1e-9) -> EigenResult:
     values = values[order]
     residuals = residuals[order]
     worst = float(residuals.max())
-    if not worst <= tol:
+    if not worst <= _CERT_TOL:
         raise EigensolveError(
-            f"eigenpair residual {worst:.3e} exceeds tol {tol:.3e}",
+            f"eigenpair residual {worst:.3e} exceeds tol {_CERT_TOL:.3e}",
             values,
             residuals,
         )
@@ -310,8 +310,9 @@ def eigensolve(m: np.ndarray, tol: float = 1e-9) -> EigenResult:
 class SpectrumReport:
     """Verdict over the levels of one squared spectrum.
 
-    ``squares`` are the E^2 as given.  ``retained_pairs`` holds every
-    level but the structural zero, smallest |E^2| first, as (E+, -E+).
+    ``squares`` are the E^2 as given.  ``plus_roots`` holds E+ of every
+    level but the structural zero, smallest |E^2| first; -E+ is the other
+    root.  ``max_residual`` is the worst eigenpair certificate.
     ``level`` is Re E^2 of level 0, the first retained one: k_coef on
     branch I and -k_coef on branch II, so positive exactly where the
     spectrum is unbroken, on every branch and valley.  ``resolved`` says
@@ -319,9 +320,9 @@ class SpectrumReport:
     """
 
     squares: Tuple[complex, ...]
-    retained_pairs: Tuple[Tuple[complex, complex], ...]
+    plus_roots: Tuple[complex, ...]
     verdict: PhaseVerdict
-    max_residual: Optional[float]
+    max_residual: float
     floor: float
     level: float
     resolved: bool
@@ -346,13 +347,14 @@ def _plus_root(square: complex) -> complex:
 def classify_spectrum(
     squares: Sequence[complex],
     floor: float,
-    residuals: Optional[Sequence[float]] = None,
+    residuals: Sequence[float],
 ) -> SpectrumReport:
     """Phase verdict from the squared spectrum E^2 of a truncation.
 
     ``squares`` are the eigenvalues of AB (or of its scrambled image), one
-    per level plus the structural zero, and ``floor`` their roundoff floor
-    (see scrambled_eigensolve).  The smallest |E^2| is the structural zero
+    per level plus the structural zero, ``floor`` their roundoff floor
+    (see scrambled_eigensolve) and ``residuals`` their certificates, one
+    per value.  The smallest |E^2| is the structural zero
     and is dropped.  A level is resolved when |E^2| > floor and
     |Im E^2| <= floor.  The verdict is critical if any level is not, or if
     the levels' signs are mixed; otherwise it is unbroken when every
@@ -363,12 +365,9 @@ def classify_spectrum(
     if values.size == 0:
         raise ValueError("empty spectrum")
     check_tol("floor", floor)
-    max_residual = None
-    if residuals is not None:
-        res = [float(r) for r in residuals]
-        if len(res) != values.size:
-            raise ValueError("residuals length does not match eigenvalues")
-        max_residual = max(res)
+    res = [float(r) for r in residuals]
+    if len(res) != values.size:
+        raise ValueError("residuals length does not match eigenvalues")
     levels = _levels(values)
     resolved = (np.abs(levels) > floor) & (np.abs(levels.imag) <= floor)
     positive = levels.real > 0
@@ -376,12 +375,11 @@ def classify_spectrum(
         verdict = PhaseVerdict.CRITICAL
     else:
         verdict = PhaseVerdict.UNBROKEN if positive[0] else PhaseVerdict.BROKEN
-    plus = [_plus_root(complex(e)) for e in levels]
     return SpectrumReport(
         squares=tuple(complex(e) for e in values),
-        retained_pairs=tuple((e, -e) for e in plus),
+        plus_roots=tuple(_plus_root(complex(e)) for e in levels),
         verdict=verdict,
-        max_residual=max_residual,
+        max_residual=max(res),
         floor=floor,
         level=float(levels[0].real) if levels.size else 0.0,
         resolved=bool(resolved[0]) if levels.size else False,
@@ -414,7 +412,6 @@ class Similarity:
     """
 
     matrix: np.ndarray
-    seed: int
     cond: float
 
 
@@ -436,7 +433,7 @@ def draw_similarity(n_tr: int, seed: int = 0) -> Similarity:
     diag = 10.0 ** rng.uniform(-0.25, 0.25, size=n_tr)
     matrix = q1 @ (diag[:, np.newaxis] * q2)
     matrix.flags.writeable = False
-    return Similarity(matrix, seed, float(diag.max() / diag.min()))
+    return Similarity(matrix, float(diag.max() / diag.min()))
 
 
 def scramble(rep: TruncatedRep, similarity: Similarity) -> np.ndarray:
@@ -483,10 +480,10 @@ def check_spectrum_invariance(
 def scrambled_eigensolve(rep: TruncatedRep, similarity: Similarity) -> SpectrumReport:
     """Scramble ``rep``, eigensolve X = S^-1 AB S, check invariance, classify.
 
-    Eigenpair certificates must stay within eigensolve's default tol
-    (1e-9).  This is the one route from a truncation to a report:
-    phase_verdict_numeric (and through it find_exceptional_point) and the
-    ``spectrum`` command all take it, so no caller can skip the check.
+    Eigenpair certificates must stay within eigensolve's 1e-9.  This is
+    the one route from a truncation to a report: phase_verdict_numeric
+    (and through it find_exceptional_point) and the ``spectrum`` command
+    all take it, so no caller can skip the check.
 
     The floor bounds the roundoff in each returned E^2.  It has two parts.
 
@@ -545,28 +542,20 @@ def scrambled_eigensolve(rep: TruncatedRep, similarity: Similarity) -> SpectrumR
 
 def phase_verdict_numeric(
     p: PhysParams,
+    similarity: Similarity,
     *,
     branch: Branch = Branch.I,
     valley: Valley = Valley.PRIMARY,
-    n_tr: int = 40,
-    seed: int = 0,
-    similarity: Optional[Similarity] = None,
 ) -> SpectrumReport:
     """Scrambled-truncation spectrum report straight from parameters.
 
-    Builds the truncation and runs scrambled_eigensolve, which checks
-    spectrum invariance on the eigensolve's eigenvalues and classifies
-    them.  A command that runs several verdicts passes one
-    ``draw_similarity(n_tr, seed)`` as ``similarity``; the E^2 are
-    bit-identical to those from drawing S here, which is what happens when
-    ``similarity`` is None.  A similarity drawn for another seed raises
-    ValueError.
+    Builds the truncation on as many levels as S has rows, so
+    ``draw_similarity(n_tr, seed)`` fixes both numbers, and runs
+    scrambled_eigensolve, which checks spectrum invariance on the
+    eigensolve's eigenvalues and classifies them.
     """
+    n_tr = similarity.matrix.shape[0]
     rep = build_truncated(derive_coeffs(p), n_tr, branch, valley)
-    if similarity is None:
-        similarity = draw_similarity(n_tr, seed)
-    elif similarity.seed != seed:
-        raise ValueError("similarity was drawn for another seed")
     return scrambled_eigensolve(rep, similarity)
 
 
@@ -626,8 +615,7 @@ def find_exceptional_point(
     def run(x: float) -> Optional[SpectrumReport]:
         try:
             return phase_verdict_numeric(
-                with_varied(p, vary, x), branch=branch, valley=valley,
-                n_tr=n_tr, seed=seed, similarity=similarity,
+                with_varied(p, vary, x), similarity, branch=branch, valley=valley
             )
         except DegenerateCoefficientsError:
             return None  # no envelope basis at a vanishing block coefficient

@@ -30,6 +30,7 @@ from ptdirac.opalg import (
     build_hamiltonian,
     eigen_residual,
     jc_verify,
+    level_energy_from_coeffs,
     lll_annihilation_residual,
     lll_state,
     operator_residual_on_probes,
@@ -38,7 +39,11 @@ from ptdirac.opalg import (
     standard_probes,
     time_reversal_conjugate,
 )
-from ptdirac.spectral import find_exceptional_point, phase_verdict_numeric
+from ptdirac.spectral import (
+    draw_similarity,
+    find_exceptional_point,
+    phase_verdict_numeric,
+)
 
 REFERENCE = PhysParams(v_f=1.37, lam=0.5, k1=0.02, b0=100.0)
 REFERENCE_RATIONAL = PhysParams(
@@ -119,7 +124,8 @@ def test_criterion_3_analytic_eigenstates():
             for branch in Branch:
                 for n in range(11):
                     s = analytic_state(branch, valley, n, co)
-                    worst = max(worst, eigen_residual(h, s, s.energy))
+                    energy = level_energy_from_coeffs(co, n, branch)
+                    worst = max(worst, eigen_residual(h, s, energy))
     exact_worst = 0.0
     for n in range(11):
         co = derive_coeffs(_rational_draw(n))
@@ -127,7 +133,8 @@ def test_criterion_3_analytic_eigenstates():
             h = build_hamiltonian(co, valley)
             for branch in Branch:
                 s = analytic_state(branch, valley, n, co)
-                exact_worst = max(exact_worst, eigen_residual(h, s, s.energy))
+                energy = level_energy_from_coeffs(co, n, branch)
+                exact_worst = max(exact_worst, eigen_residual(h, s, energy))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and exact_worst == 0.0 and elapsed < 10.0
     _report(
@@ -175,14 +182,14 @@ def test_criterion_5_oracle_agreement():
     start = time.perf_counter()
     level_err = 0.0
     for p, seed in ((REFERENCE, 5), (BROKEN_POINT, 6)):
-        report = phase_verdict_numeric(p, n_tr=40, seed=seed)
+        report = phase_verdict_numeric(p, draw_similarity(40, seed))
         expected_verdict = (
             PhaseVerdict.UNBROKEN if p is REFERENCE else PhaseVerdict.BROKEN
         )
         assert report.verdict is expected_verdict, report.verdict
         for n in range(11):
             exact = level_energy(p, n, Branch.I)[0]
-            got = report.retained_pairs[n][0]
+            got = report.plus_roots[n]
             level_err = max(level_err, abs(got - exact) / abs(exact))
     rng = random.Random(20260819)
     matches = 0
@@ -196,7 +203,7 @@ def test_criterion_5_oracle_agreement():
         if abs(derive_coeffs(p).k_coef) < 0.05:
             continue
         trials += 1
-        numeric = phase_verdict_numeric(p, n_tr=16, seed=trials).verdict
+        numeric = phase_verdict_numeric(p, draw_similarity(16, trials)).verdict
         if numeric is classify_phase(p, Branch.I):
             matches += 1
     elapsed = time.perf_counter() - start

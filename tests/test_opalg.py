@@ -30,6 +30,7 @@ from ptdirac.opalg import (
     eigen_residual,
     jc_verify,
     ladder_raise,
+    level_energy_from_coeffs,
     lll_annihilation_residual,
     lll_annihilation_residuals,
     lll_state,
@@ -188,14 +189,16 @@ def test_eigen_residual_all_levels_float():
             for branch in (Branch.I, Branch.II):
                 for n in range(11):
                     s = analytic_state(branch, valley, n, co)
-                    assert eigen_residual(h, s, s.energy) <= TIGHT
+                    energy = level_energy_from_coeffs(co, n, branch)
+                    assert eigen_residual(h, s, energy) <= TIGHT
 
 
 def test_eigen_residual_rejects_wrong_energy():
     h = build_hamiltonian(CO)
     s = analytic_state(Branch.I, Valley.PRIMARY, 3, CO)
-    assert eigen_residual(h, s, s.energy + 0.5) > 1e-6
-    assert eigen_residual(h, s, -s.energy) > 1e-6
+    energy = level_energy_from_coeffs(CO, 3, Branch.I)
+    assert eigen_residual(h, s, energy + 0.5) > 1e-6
+    assert eigen_residual(h, s, -energy) > 1e-6
 
 
 def test_squared_action_matches_energy_square():
@@ -203,7 +206,7 @@ def test_squared_action_matches_energy_square():
     for branch in (Branch.I, Branch.II):
         for n in range(6):
             s = analytic_state(branch, Valley.PRIMARY, n, CO)
-            e2 = complex(s.energy) ** 2
+            e2 = complex(level_energy_from_coeffs(CO, n, branch)) ** 2
             image = h2.apply(s.to_complex())
             diff = image.sub(s.to_complex().scaled(e2))
             scale = max(1.0, image.max_abs_coeff())
@@ -236,11 +239,47 @@ def test_exact_eigen_residual_is_literal_zero():
                 h = build_hamiltonian(co, valley)
                 s = analytic_state(branch, valley, n, co)
                 assert s.is_exact()
-                assert eigen_residual(h, s, s.energy) == 0.0
-        s_i = analytic_state(Branch.I, Valley.PRIMARY, n, co)
-        assert s_i.energy == ComplexRational(Fraction(n + 1), Fraction(0))
-        s_ii = analytic_state(Branch.II, Valley.PRIMARY, n, co)
-        assert s_ii.energy == ComplexRational(Fraction(0), Fraction(n + 1))
+                energy = level_energy_from_coeffs(co, n, branch)
+                assert eigen_residual(h, s, energy) == 0.0
+        e_i = level_energy_from_coeffs(co, n, Branch.I)
+        assert e_i == ComplexRational(Fraction(n + 1), Fraction(0))
+        e_ii = level_energy_from_coeffs(co, n, Branch.II)
+        assert e_ii == ComplexRational(Fraction(0), Fraction(n + 1))
+
+
+# The energies analytic states carried when a state still stored its own,
+# recorded at the reference point and at engineered_params(3), k = 4:
+# (real hex, imag hex) for a complex float, the value for an exact root.
+RECORDED_ENERGIES = {
+    ("float", Branch.I): [
+        ("0x1.7dd9cdc319696p+0", "0x0.0p+0"), ("0x1.0e0260a56d6cap+1", "0x0.0p+0"),
+        ("0x1.4ab14701cc46dp+1", "0x0.0p+0"), ("0x1.7dd9cdc319696p+1", "0x0.0p+0"),
+    ],
+    ("float", Branch.II): [
+        ("0x0.0p+0", "0x1.7dd9cdc319696p+0"), ("0x0.0p+0", "0x1.0e0260a56d6cap+1"),
+        ("0x0.0p+0", "0x1.4ab14701cc46dp+1"), ("0x0.0p+0", "0x1.7dd9cdc319696p+1"),
+    ],
+    ("exact", Branch.I): [
+        ComplexRational(Fraction(2), Fraction(0)), ("0x1.6a09e667f3bcdp+1", "0x0.0p+0"),
+        ("0x1.bb67ae8584caap+1", "0x0.0p+0"), ComplexRational(Fraction(4), Fraction(0)),
+    ],
+    ("exact", Branch.II): [
+        ComplexRational(Fraction(0), Fraction(2)), ("0x0.0p+0", "0x1.6a09e667f3bcdp+1"),
+        ("0x0.0p+0", "0x1.bb67ae8584caap+1"), ComplexRational(Fraction(0), Fraction(4)),
+    ],
+}
+
+
+@pytest.mark.parametrize("point, branch", list(RECORDED_ENERGIES))
+def test_level_energies_match_the_recorded_state_energies(point, branch):
+    co = CO if point == "float" else derive_coeffs(engineered_params(3))
+    for n, expected in enumerate(RECORDED_ENERGIES[point, branch]):
+        energy = level_energy_from_coeffs(co, n, branch)
+        if isinstance(expected, ComplexRational):
+            assert type(energy) is ComplexRational and energy == expected
+        else:
+            assert type(energy) is complex
+            assert (energy.real.hex(), energy.imag.hex()) == expected
 
 
 def test_exact_squared_action_is_literal_zero():
@@ -248,7 +287,8 @@ def test_exact_squared_action_is_literal_zero():
     h = build_hamiltonian(co)
     h2 = h @ h
     s = analytic_state(Branch.I, Valley.PRIMARY, 3, co)
-    e2 = s.energy * s.energy
+    energy = level_energy_from_coeffs(co, 3, Branch.I)
+    e2 = energy * energy
     diff = h2.apply(s).sub(s.scaled(e2))
     assert diff.max_abs_coeff() == 0.0
 
@@ -271,7 +311,8 @@ def test_pt_factors_time_reversed_valley():
     h = build_hamiltonian(CO, Valley.TIME_REVERSED)
     for n in range(7):
         s = analytic_state(Branch.I, Valley.TIME_REVERSED, n, CO)
-        assert eigen_residual(h, s, s.energy) <= TIGHT
+        energy = level_energy_from_coeffs(CO, n, Branch.I)
+        assert eigen_residual(h, s, energy) <= TIGHT
         f1 = pt_eigenfactor(P1T, s)
         f2 = pt_eigenfactor(P2T, s)
         assert abs(f1 - (-1j) * (-1) ** n) <= 1e-10
@@ -295,7 +336,7 @@ def test_pt_factor_at_vanishing_coupling():
     # zero-energy state keeps only its single-monomial component
     assert s.lower.is_zero()
     assert pt_eigenfactor(P1T, s) == -1j  # i * (-1)**1
-    assert abs(s.energy) == 0.0
+    assert abs(level_energy_from_coeffs(co, 1, Branch.I)) == 0.0
 
 
 def test_pt_eigenfactor_rejects_zero_spinor():
@@ -314,10 +355,18 @@ def test_pt_transform_is_antilinear():
             assert left.lower == right.lower
 
 
-def test_pt_transform_conjugates_energy():
-    s = analytic_state(Branch.II, Valley.PRIMARY, 0, CO)
-    t = pt_transform(P1T, s)
-    assert t.energy == complex(s.energy).conjugate()
+def test_pt_transform_maps_a_state_to_the_conjugate_energy():
+    # H commutes with the antilinear symmetries, so H (PT s) = PT (E s) =
+    # E* (PT s); on the broken branch E is imaginary and E* = -E
+    h = build_hamiltonian(CO)
+    for n in range(4):
+        s = analytic_state(Branch.II, Valley.PRIMARY, n, CO)
+        energy = complex(level_energy_from_coeffs(CO, n, Branch.II))
+        assert energy.imag > 0
+        for op in (P1T, P2T):
+            t = pt_transform(op, s)
+            assert eigen_residual(h, t, energy.conjugate()) <= TIGHT
+            assert eigen_residual(h, t, energy) > 1e-6
 
 
 def test_symmetry_squares():
@@ -395,7 +444,7 @@ def test_each_valley_operator_is_compiled_once_for_all_its_states(monkeypatch):
     for branch in (Branch.I, Branch.II):
         for n in range(11):
             s = analytic_state(branch, Valley.PRIMARY, n, CO)
-            eigen_residual(h, s, s.energy)
+            eigen_residual(h, s, level_energy_from_coeffs(CO, n, branch))
     assert len(compiled) == 1  # h.to_complex() is made once and kept
     compiled.clear()
     states = [lll_state(l, CO, Valley.TIME_REVERSED) for l in range(21)]

@@ -312,14 +312,13 @@ def test_retained_levels_are_exact_for_every_size():
     # truncation only adds the structural zero; kept levels never move, up
     # to the top one, so accuracy is already saturated at small sizes
     for n_tr in (10, 20, 40, 80):
-        report = phase_verdict_numeric(BASE, n_tr=n_tr, seed=n_tr)
+        report = phase_verdict_numeric(BASE, draw_similarity(n_tr, n_tr))
         assert report.verdict is PhaseVerdict.UNBROKEN
-        assert len(report.retained_pairs) == n_tr - 1
+        assert len(report.plus_roots) == n_tr - 1
         worst = 0.0
-        for n, (plus, minus) in enumerate(report.retained_pairs):
+        for n, plus in enumerate(report.plus_roots):
             exact, _ = level_energy(BASE, n, Branch.I)
             worst = max(worst, abs(plus - exact) / max(1.0, abs(exact)))
-            assert minus == -plus
         assert worst <= 1e-12
 
 
@@ -345,20 +344,10 @@ def test_eigensolve_rejects_bad_matrices():
         eigensolve(np.array([[np.nan]]))
 
 
-def test_eigensolve_certificate_failure_carries_partials():
-    rng = np.random.default_rng(7)
-    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    with pytest.raises(EigensolveError) as info:
-        eigensolve(m, tol=0.0)
-    assert info.value.values.shape == (5,)
-    assert info.value.residuals.shape == (5,)
-    assert info.value.residuals.max() > 0.0
-
-
 def test_eigensolve_rejects_a_nan_certificate():
     # finite entries whose eigenvector defects overflow: complex LAPACK
     # leaves every certificate nan, real LAPACK one of the two, and either
-    # must fail like one above tol
+    # must fail like one above tol; the error carries the partial results
     m = np.array([[1e200, 3e200], [2e200, 1e200]])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EigensolveError, match="nan") as info:
@@ -367,6 +356,8 @@ def test_eigensolve_rejects_a_nan_certificate():
         with pytest.raises(EigensolveError, match="nan") as info:
             eigensolve(m)
         assert np.isnan(info.value.residuals).any()
+    assert info.value.values.shape == (2,)
+    assert info.value.residuals.shape == (2,)
 
 
 def test_eigensolve_certifies_a_conjugate_pair_of_a_real_matrix():
@@ -387,29 +378,33 @@ def test_eigensolve_certifies_a_conjugate_pair_of_a_real_matrix():
 # ---------------------------------------------------------------------------
 
 
+def classify(squares, floor):
+    """classify_spectrum with a zero certificate for every value."""
+    return classify_spectrum(squares, floor, [0.0] * len(squares))
+
+
 def test_classify_rejects_empty():
     with pytest.raises(ValueError):
-        classify_spectrum([], 0.0)
+        classify([], 0.0)
 
 
 def test_classify_drops_the_structural_zero():
-    report = classify_spectrum([4.0, 1e-15, 1.0, 9.0], 1e-12)
+    report = classify([4.0, 1e-15, 1.0, 9.0], 1e-12)
     assert report.verdict is PhaseVerdict.UNBROKEN
-    assert report.retained_pairs == ((1 + 0j, -1 - 0j), (2 + 0j, -2 - 0j), (3 + 0j, -3 - 0j))
+    assert report.plus_roots == (1 + 0j, 2 + 0j, 3 + 0j)
     assert report.floor == 1e-12
     assert report.level == 1.0 and report.resolved
 
 
 def test_classify_broken_spectrum_lists_plus_i_first():
     # the imaginary parts are roundoff; E+ keeps the +i root either way
-    report = classify_spectrum([-1.0 - 1e-16j, 0.0, -4.0 + 1e-16j, -9.0 - 2e-16j], 1e-12)
+    report = classify([-1.0 - 1e-16j, 0.0, -4.0 + 1e-16j, -9.0 - 2e-16j], 1e-12)
     assert report.verdict is PhaseVerdict.BROKEN
-    assert [p[0].imag for p in report.retained_pairs] == [1.0, 2.0, 3.0]
-    assert all(abs(p[0].real) < 1e-15 for p in report.retained_pairs)
+    assert [plus.imag for plus in report.plus_roots] == [1.0, 2.0, 3.0]
+    assert all(abs(plus.real) < 1e-15 for plus in report.plus_roots)
     assert report.level == -1.0 and report.resolved
-    for square, (plus, minus) in zip((-1.0 - 1e-16j, -4.0 + 1e-16j), report.retained_pairs):
+    for square, plus in zip((-1.0 - 1e-16j, -4.0 + 1e-16j), report.plus_roots):
         assert plus * plus == pytest.approx(square, abs=1e-15)
-        assert minus == -plus
 
 
 @pytest.mark.parametrize(
@@ -424,18 +419,18 @@ def test_classify_broken_spectrum_lists_plus_i_first():
     ids=["zero", "mixed", "small", "complex", "empty"],
 )
 def test_classify_critical_cases(squares):
-    assert classify_spectrum(squares, 1e-12).verdict is PhaseVerdict.CRITICAL
+    assert classify(squares, 1e-12).verdict is PhaseVerdict.CRITICAL
 
 
 def test_classify_zero_floor_reads_exact_zeros_as_critical():
-    assert classify_spectrum([0.0, -0.0, 0.0], 0.0).verdict is PhaseVerdict.CRITICAL
-    assert classify_spectrum([0.0, 1e-300], 0.0).verdict is PhaseVerdict.UNBROKEN
+    assert classify([0.0, -0.0, 0.0], 0.0).verdict is PhaseVerdict.CRITICAL
+    assert classify([0.0, 1e-300], 0.0).verdict is PhaseVerdict.UNBROKEN
 
 
 @pytest.mark.parametrize("floor", [math.nan, math.inf, -1e-8])
 def test_classify_rejects_non_finite_or_negative_floor(floor):
     with pytest.raises(ValueError, match="floor must be finite and nonnegative"):
-        classify_spectrum([0.0, 1.0], floor)
+        classify([0.0, 1.0], floor)
 
 
 def test_classify_validates_residuals():
@@ -514,7 +509,9 @@ def test_scramble_exempts_an_all_zero_block():
     assert not np.any(rep.b)
     assert np.any(rep.a)
     assert not np.any(scramble(rep, draw_similarity(6, 2)))
-    report = phase_verdict_numeric(dataclasses.replace(BASE, k1=0.0, b0=0.0), n_tr=6)
+    report = phase_verdict_numeric(
+        dataclasses.replace(BASE, k1=0.0, b0=0.0), draw_similarity(6)
+    )
     assert report.verdict is PhaseVerdict.CRITICAL
     assert report.floor == 0.0
 
@@ -584,7 +581,7 @@ def test_spectrum_command_and_verdict_both_run_the_invariance_check(
     out = tmp_path / "spectrum.txt"
     assert cli.main(["spectrum", "--n_tr", "12", "--output", str(out)]) == 0
     assert calls == [12]
-    phase_verdict_numeric(BASE, n_tr=9, seed=2)
+    phase_verdict_numeric(BASE, draw_similarity(9, 2))
     assert calls == [12, 9]
 
 
@@ -604,7 +601,7 @@ def test_no_verdict_forms_the_dense_truncation(monkeypatch, tmp_path):
     monkeypatch.setattr(spectral.TruncatedRep, "matrix", property(refuse))
     for module in (spectral, cli):
         monkeypatch.setattr(module, "scrambled_eigensolve", checked)
-    phase_verdict_numeric(BASE, n_tr=9, seed=2)
+    phase_verdict_numeric(BASE, draw_similarity(9, 2))
     find_exceptional_point(BASE, Vary.LAMBDA, 0.5, 1.8, n_tr=10)
     out = tmp_path / "spectrum.txt"
     assert cli.main(["spectrum", "--n_tr", "12", "--output", str(out)]) == 0
@@ -647,12 +644,8 @@ def test_shared_similarity_is_read_only():
     assert not shared.matrix.flags.writeable
     with pytest.raises(ValueError):
         shared.matrix[0, 0] = 0.0
-    with pytest.raises(ValueError, match="another seed"):
-        phase_verdict_numeric(BASE, n_tr=6, seed=4, similarity=shared)
     with pytest.raises(ValueError, match="another dimension"):
         scramble(build_truncated(CO, 5), shared)
-    with pytest.raises(ValueError, match="another dimension"):
-        phase_verdict_numeric(BASE, n_tr=5, seed=3, similarity=shared)
 
 
 @pytest.mark.parametrize("p", [BASE, BROKEN])
@@ -664,9 +657,21 @@ def test_shared_similarity_gives_bit_equal_eigenvalues(p):
     reused = scrambled_eigensolve(rep, shared).squares
     assert np.array_equal(fresh, np.array(reused))
     assert draw_similarity(20, seed).cond == shared.cond
-    a = phase_verdict_numeric(p, n_tr=20, seed=seed)
-    b = phase_verdict_numeric(p, n_tr=20, seed=seed, similarity=shared)
+    a = phase_verdict_numeric(p, draw_similarity(20, seed))
+    b = phase_verdict_numeric(p, shared)
     assert a.squares == b.squares and a.floor == b.floor
+
+
+@pytest.mark.parametrize("n_tr", [2, 9, 40])
+@pytest.mark.parametrize("branch", list(Branch))
+@pytest.mark.parametrize("valley", list(Valley))
+def test_verdict_reads_the_truncation_size_from_the_similarity(n_tr, branch, valley):
+    similarity = draw_similarity(n_tr, 5)
+    report = phase_verdict_numeric(BROKEN, similarity, branch=branch, valley=valley)
+    rep = build_truncated(CO_BROKEN, n_tr, branch, valley)
+    assert len(report.squares) == n_tr
+    # repr shows every bit that matters here, the sign of zeros included
+    assert repr(report) == repr(scrambled_eigensolve(rep, similarity))
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +707,6 @@ def test_similarity_is_bit_equal_to_the_resampling_draw(n_tr):
     # draw made it
     for seed in range(3):
         similarity = draw_similarity(n_tr, seed)
-        assert similarity.seed == seed
         assert np.array_equal(similarity.matrix, _resampling_draw(n_tr, seed))
 
 
@@ -765,34 +769,32 @@ def test_numeric_commands_decompose_only_real_matrices(argv, monkeypatch, tmp_pa
 
 
 def test_numeric_agreement_unbroken():
-    report = phase_verdict_numeric(BASE, branch=Branch.I, n_tr=40, seed=3)
+    report = phase_verdict_numeric(BASE, draw_similarity(40, 3), branch=Branch.I)
     assert report.verdict is PhaseVerdict.UNBROKEN
     for n in range(11):
         plus, _ = level_energy(BASE, n, Branch.I)
-        num = report.retained_pairs[n][0]
+        num = report.plus_roots[n]
         assert abs(num - plus) <= 1e-8 * max(1.0, abs(plus))
 
 
 def test_numeric_agreement_broken():
-    report = phase_verdict_numeric(BROKEN, branch=Branch.I, n_tr=40, seed=3)
+    report = phase_verdict_numeric(BROKEN, draw_similarity(40, 3), branch=Branch.I)
     assert report.verdict is PhaseVerdict.BROKEN
     for n in range(11):
         plus, _ = level_energy(BROKEN, n, Branch.I)
-        num = report.retained_pairs[n][0]
+        num = report.plus_roots[n]
         assert num.imag > 0
         assert abs(num - plus) <= 1e-8 * max(1.0, abs(plus))
-        minus = report.retained_pairs[n][1]
-        assert abs(minus + num) <= 1e-8 * max(1.0, abs(num))
 
 
 def test_numeric_agreement_branch_ii_and_valley():
     report = phase_verdict_numeric(
-        BASE, branch=Branch.II, valley=Valley.TIME_REVERSED, n_tr=30, seed=9
+        BASE, draw_similarity(30, 9), branch=Branch.II, valley=Valley.TIME_REVERSED
     )
     assert report.verdict is PhaseVerdict.BROKEN
     for n in range(8):
         plus, _ = level_energy(BASE, n, Branch.II)
-        num = report.retained_pairs[n][0]
+        num = report.plus_roots[n]
         assert abs(num - plus) <= 1e-8 * max(1.0, abs(plus))
 
 
@@ -813,8 +815,7 @@ def test_no_definite_verdict_against_the_sign_of_k_next_to_the_ep(branch, n_tr):
         for valley in Valley:
             for seed in range(3):
                 verdict = phase_verdict_numeric(
-                    p, branch=branch, valley=valley, n_tr=n_tr, seed=seed,
-                    similarity=shared[seed],
+                    p, shared[seed], branch=branch, valley=valley
                 ).verdict
                 if offset == 0.0:
                     expected = {PhaseVerdict.CRITICAL}
@@ -850,7 +851,7 @@ def test_numeric_verdict_never_contradicts_a_definite_closed_form(
     assume(derive_coeffs(p).d1(branch) is not None)
     closed = classify_phase(p, branch)
     numeric = phase_verdict_numeric(
-        p, branch=branch, valley=valley, n_tr=n_tr, seed=seed
+        p, draw_similarity(n_tr, seed), branch=branch, valley=valley
     ).verdict
     assert numeric is PhaseVerdict.CRITICAL or closed in (numeric, PhaseVerdict.CRITICAL)
 
@@ -868,7 +869,7 @@ def test_exactly_zero_k_reads_critical(branch, valley):
     assert derive_coeffs(p).k_coef == 0
     for seed in range(3):
         report = phase_verdict_numeric(
-            p, branch=branch, valley=valley, n_tr=20, seed=seed
+            p, draw_similarity(20, seed), branch=branch, valley=valley
         )
         assert report.verdict is PhaseVerdict.CRITICAL
 
@@ -969,7 +970,7 @@ def test_level_zero_reads_k_next_to_the_exceptional_point(branch, valley, n_tr):
         assert 4e-13 < abs(k) < 6e-12
         for seed in range(5):
             report = phase_verdict_numeric(
-                p, branch=branch, valley=valley, n_tr=n_tr, seed=seed
+                p, draw_similarity(n_tr, seed), branch=branch, valley=valley
             )
             assert abs(report.level - k) <= report.floor
             # the floor here is about 1e-14 on both branches: the
@@ -987,19 +988,19 @@ def test_level_zero_is_found_at_two_levels(p, branch, valley):
     k = derive_coeffs(p).k_coef * (1 if branch is Branch.I else -1)
     for seed in range(3):
         report = phase_verdict_numeric(
-            p, branch=branch, valley=valley, n_tr=2, seed=seed
+            p, draw_similarity(2, seed), branch=branch, valley=valley
         )
         assert report.resolved
         assert abs(report.level - k) <= report.floor
 
 
 def test_classify_reads_level_zero_with_the_verdict_floor():
-    report = classify_spectrum([3.0, 1e-300, -1.0 + 1e-3j], 1e-2)
+    report = classify([3.0, 1e-300, -1.0 + 1e-3j], 1e-2)
     assert (report.level, report.resolved) == (-1.0, True)
     assert report.verdict is PhaseVerdict.CRITICAL  # mixed signs
-    report = classify_spectrum([3.0, 1e-300, -1.0 + 2e-2j], 1e-2)
+    report = classify([3.0, 1e-300, -1.0 + 2e-2j], 1e-2)
     assert (report.level, report.resolved) == (-1.0, False)
-    report = classify_spectrum([1.0], 0.0)  # no level at all
+    report = classify([1.0], 0.0)  # no level at all
     assert (report.level, report.resolved) == (0.0, False)
 
 
@@ -1012,7 +1013,7 @@ def test_a_definite_verdict_has_a_resolved_level_zero_of_its_sign(branch, valley
         p = dataclasses.replace(BASE, lam=lam_c * ratio)
         for seed in range(4):
             report = phase_verdict_numeric(
-                p, branch=branch, valley=valley, n_tr=40, seed=seed
+                p, draw_similarity(40, seed), branch=branch, valley=valley
             )
             if report.verdict is PhaseVerdict.CRITICAL:
                 continue
@@ -1090,35 +1091,38 @@ def test_spectrum_at_large_couplings_agrees_with_analytic(capsys, branch, verdic
     assert json.loads(capsys.readouterr().out)["verdict"] == closed == verdict
 
 
-def _extreme_point(rng):
+def _extreme_point(rng, low):
+    """v_f from 10**(low + 1), k1 and |b0| from 10**low, up to 1e25 and 1e20."""
+
     def log_uniform(lo, hi):
         return 10 ** rng.uniform(lo, hi)
 
     def signed(lo, hi):
         return rng.choice((-1.0, 1.0)) * log_uniform(lo, hi)
 
-    v_f = log_uniform(-2, 25)
+    v_f = log_uniform(low + 1, 25)
     return PhysParams(
-        v_f=v_f, lam=v_f * signed(-3, 12), k1=signed(-3, 20), b0=signed(-3, 20),
+        v_f=v_f, lam=v_f * signed(-3, 12), k1=signed(low, 20), b0=signed(low, 20),
         hbar=log_uniform(-3, 3),
     )
 
 
-def test_numeric_verdicts_agree_with_the_closed_form_at_extreme_couplings():
+@pytest.mark.parametrize("low", [-3, -12])
+def test_numeric_verdicts_agree_with_the_closed_form_at_extreme_couplings(low):
     rng = random.Random(2024)
     for _ in range(60):
-        p = _extreme_point(rng)
+        p = _extreme_point(rng, low)
         n_tr = rng.choice((2, 3, 8))
         for branch in Branch:
-            report = phase_verdict_numeric(p, branch=branch, n_tr=n_tr)
+            report = phase_verdict_numeric(p, draw_similarity(n_tr), branch=branch)
             assert report.verdict is classify_phase(p, branch), (p, branch, n_tr)
 
 
 def _cancelling_scale(co, branch):
-    """max(1, |c1|, |c2|, |a hbar d|, |b hbar d|), as the build derives it."""
+    """max(|c1|, |c2|, |a hbar d|, |b hbar d|), as the build derives it."""
     hbar_d = abs(float(co.hbar) * float(co.d1(branch)))
     return max(
-        1.0, abs(float(co.c1)), abs(float(co.c2)),
+        abs(float(co.c1)), abs(float(co.c2)),
         abs(float(co.a_coef)) * hbar_d, abs(float(co.b_coef)) * hbar_d,
     )
 
@@ -1146,3 +1150,58 @@ def test_off_pattern_scale_at_large_couplings_is_the_cancelling_terms(
             build_truncated(co, 8, branch, valley)
     else:
         build_truncated(co, 8, branch, valley)
+
+
+# Couplings so small that every entry of the truncation is far below 1:
+# the raising amplitudes are about 1e-12 and the lowering ones 1.6e-9 (l + 1).
+SMALL_FLAGS = [
+    "--vf", "1e-6", "--lambda", "2e-7", "--k1", "1e-6", "--b0", "1e-4",
+    "--hbar", "1e-3",
+]
+SMALL = PhysParams(v_f=1e-6, lam=2e-7, k1=1e-6, b0=1e-4, hbar=1e-3)
+
+
+@pytest.mark.parametrize("branch, verdict", [("I", "broken"), ("II", "unbroken")])
+def test_spectrum_at_small_couplings_agrees_with_analytic(capsys, branch, verdict):
+    assert cli.main(["analytic", "--format", "json"] + SMALL_FLAGS) == 0
+    closed = json.loads(capsys.readouterr().out)["branches"][branch]["verdict"]
+    argv = ["spectrum", "--n_tr", "8", "--branch", branch, "--format", "json"]
+    assert cli.main(argv + SMALL_FLAGS) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == closed == verdict
+
+
+SIGMA_PLUS = ((0, 1), (0, 0))  # lower component to upper
+SIGMA_MINUS = ((0, 0), (1, 0))  # upper component to lower
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        # off the tower pattern, 10 and 0.1 times the largest raising amplitude
+        (
+            lambda h: h + OperatorExpr.from_word(1e-11, SIGMA_PLUS, (Prim.MUL_ZBAR,)),
+            "image left the tower pattern",
+        ),
+        (
+            lambda h: h + OperatorExpr.from_word(1e-13, SIGMA_PLUS, (Prim.MUL_ZBAR,)),
+            "image left the tower pattern",
+        ),
+        # on the pattern: every raising amplitude moves by 5e-15, about 0.3%
+        (
+            lambda h: h + OperatorExpr.from_word(5e-15j, SIGMA_MINUS, (Prim.MUL_Z,)),
+            "disagrees with closed-form entries",
+        ),
+        # every entry moves by 1e-7 of itself
+        (lambda h: h.scaled(1 + 1e-7), "disagrees with closed-form entries"),
+    ],
+    ids=["off-pattern-1e-11", "off-pattern-1e-13", "raising-5e-15", "scaled-1e-7"],
+)
+def test_build_checks_are_relative_at_small_couplings(monkeypatch, tamper, message):
+    # An absolute floor of 1 on either check's scale lets each of these
+    # through, since every entry of this truncation is far below 1.
+    original = spectral.build_hamiltonian
+    monkeypatch.setattr(
+        spectral, "build_hamiltonian", lambda co, v: tamper(original(co, v))
+    )
+    with pytest.raises(RuntimeError, match=message):
+        build_truncated(derive_coeffs(SMALL), 8, Branch.I, Valley.PRIMARY)
