@@ -759,17 +759,20 @@ def time_reversal_conjugate(expr: OperatorExpr) -> OperatorExpr:
     return OperatorExpr(out)
 
 
+def _relative_defect(x: SpinorFunction, y: SpinorFunction) -> float:
+    """Largest coefficient of x - y over the largest of x and y (0 if both
+    vanish): no absolute floor, so it stays relative at any coupling size."""
+    scale = max(x.max_abs_coeff(), y.max_abs_coeff()) or 1.0
+    return x.sub(y).max_abs_coeff() / scale
+
+
 def operator_residual_on_probes(
     x: OperatorExpr, y: OperatorExpr, probes: Sequence[SpinorFunction]
 ) -> float:
     """Worst relative coefficient defect of (x - y) over the probes."""
     worst = 0.0
     for s in probes:
-        xi = x.apply(s)
-        yi = y.apply(s)
-        diff = xi.sub(yi)
-        scale = max(1.0, xi.max_abs_coeff(), yi.max_abs_coeff())
-        worst = max(worst, diff.max_abs_coeff() / scale)
+        worst = max(worst, _relative_defect(x.apply(s), y.apply(s)))
     return worst
 
 
@@ -897,11 +900,8 @@ def pt_commutator_residuals(
     for s in probes:
         image = h.apply(s)
         for i, op in enumerate(ops):
-            left = pt_transform(op, image)
-            right = h.apply(pt_transform(op, s))
-            diff = left.sub(right)
-            scale = max(1.0, left.max_abs_coeff(), right.max_abs_coeff())
-            worst[i] = max(worst[i], diff.max_abs_coeff() / scale)
+            left, right = pt_transform(op, image), h.apply(pt_transform(op, s))
+            worst[i] = max(worst[i], _relative_defect(left, right))
     return worst
 
 
@@ -1002,11 +1002,7 @@ def eigen_residual(h: OperatorExpr, s: SpinorFunction, energy: Coeff) -> float:
         h = h.to_complex()
         s = s.to_complex()
         energy = complex(energy)
-    image = h.apply(s)
-    shifted = s.scaled(energy)
-    diff = image.sub(shifted)
-    scale = max(1.0, image.max_abs_coeff(), shifted.max_abs_coeff())
-    return diff.max_abs_coeff() / scale
+    return _relative_defect(h.apply(s), s.scaled(energy))
 
 
 # ---------------------------------------------------------------------------
@@ -1048,7 +1044,7 @@ def lll_annihilation_residuals(
     """lll_annihilation_residual of each state, with the block built once."""
     ur, _ = block_operators(coeffs, valley)
     return [
-        ur.apply_poly(wp).max_abs_coeff() / max(1.0, wp.max_abs_coeff())
+        ur.apply_poly(wp).max_abs_coeff() / (wp.max_abs_coeff() or 1.0)
         for wp in states
     ]
 

@@ -474,6 +474,20 @@ def test_verify_detects_perturbation(tmp_path):
     assert "FAIL" in text
 
 
+def test_verify_residuals_are_relative_at_small_couplings():
+    # The couplings are about 1e-6, so a perturbation of 1e-12 is about 1e-6
+    # of H: an absolute floor of 1 on the residuals' scale lets it through.
+    cfg = default_config(vf=1e-6, lambda_=2e-7, k1=1e-6, b0=1e-4, hbar=1e-3, n_tr=8)
+    assert {status for _, status, _ in cli.run_verify(cfg)} == {"PASS"}
+    failed = {name for name, status, _ in cli.run_verify(cfg, 1e-12) if status == "FAIL"}
+    assert failed == {
+        "eigenstates branch I",
+        "eigenstates branch II",
+        "symmetry commutators",
+        "valley map",
+    }
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_verify_rejects_a_non_finite_perturbation(value, capsys):
     assert main(["verify", "--n_tr", "8", f"--perturb={value}"]) == 2

@@ -233,18 +233,19 @@ def test_grouped_build_is_bit_identical_to_one_apply_per_level(p, n_tr):
 
 def test_off_pattern_tolerance_is_scaled_per_level(monkeypatch):
     # A zbar on the lower component leaves the tower by the same t at every
-    # level.  t exceeds 1e-10 of level 0's own image scale but stays below
-    # 1e-10 of the largest scale in every residue class of levels, so only a
+    # level.  t exceeds the tolerance of level 0's own scale but stays below
+    # that of the largest scale in every residue class of levels, so only a
     # per-level scale catches it.
     n_tr = 40
+    rel = spectral._BUILD_CHECK_UNITS * spectral._EPS
     scales = [
-        max(1.0, lower.max_abs_coeff())
+        max(_cancelling_scale(CO, Branch.I), lower.max_abs_coeff())
         for _, lower in level_images(CO, n_tr, Branch.I, Valley.PRIMARY)
     ]
     group_max = min(max(scales[r::3]) for r in range(3))
-    t = 1e-10 * math.sqrt(scales[0] * group_max)
+    t = rel * math.sqrt(scales[0] * group_max)
     assert 4 * scales[0] < group_max
-    assert 2e-10 * scales[0] < t < 0.5e-10 * group_max
+    assert 2 * rel * scales[0] < t < 0.5 * rel * group_max
     tamper = OperatorExpr.from_word(t, ((0, 0), (0, 1)), (Prim.MUL_ZBAR,))
     original = spectral.build_hamiltonian
     monkeypatch.setattr(
@@ -856,6 +857,24 @@ def test_numeric_verdict_never_contradicts_a_definite_closed_form(
     assert numeric is PhaseVerdict.CRITICAL or closed in (numeric, PhaseVerdict.CRITICAL)
 
 
+@pytest.mark.parametrize("k1", [6.676019576820675e-187, 1e-300, 1e-310, 5e-324])
+@pytest.mark.parametrize("n_tr", [2, 3, 8, 40])
+@pytest.mark.parametrize("valley", list(Valley))
+def test_checks_hold_where_the_raising_amplitudes_underflow(k1, n_tr, valley):
+    # At the critical lambda of a point with k1 this small (lambda = v_f, where
+    # branch I has no envelope), k and the raising amplitudes are near or
+    # below the smallest normal float: the squares in ||X||_F underflow and
+    # rounding is no longer relative.  The scramble runs on factors scaled
+    # by a power of two, so the relative budget and the density check hold.
+    p = PhysParams(v_f=1.0, lam=0.0, k1=k1, b0=1.0, hbar=1.0)
+    p = dataclasses.replace(p, lam=critical_point(p, Vary.LAMBDA))
+    verdict = phase_verdict_numeric(
+        p, draw_similarity(n_tr, 0), branch=Branch.II, valley=valley
+    ).verdict
+    closed = classify_phase(p, Branch.II)
+    assert verdict is PhaseVerdict.CRITICAL or closed in (verdict, PhaseVerdict.CRITICAL)
+
+
 @pytest.mark.parametrize("branch", list(Branch))
 @pytest.mark.parametrize("valley", list(Valley))
 def test_exactly_zero_k_reads_critical(branch, valley):
@@ -1129,17 +1148,20 @@ def _cancelling_scale(co, branch):
 
 @pytest.mark.parametrize("branch", list(Branch))
 @pytest.mark.parametrize("valley", list(Valley))
-@pytest.mark.parametrize("rel, raises", [(1e-9, True), (1e-11, False)])
+@pytest.mark.parametrize("rel, raises", [(1e-9, True), (1e-11, True), (2.2e-16, False)])
 def test_off_pattern_scale_at_large_couplings_is_the_cancelling_terms(
     monkeypatch, branch, valley, rel, raises
 ):
     # A lower-to-upper term off the pattern (z^l -> z^l zbar on the
     # holomorphic tower, zbar^l -> z zbar^l on the other) of rel times the
-    # cancelling terms' size: caught at 1e-9, let through at 1e-11.
+    # cancelling terms' size: caught at 1e-9 and 1e-11, let through at
+    # about 1 eps, which with the roundoff already there stays within the
+    # tolerance of 8 eps.
     co = derive_coeffs(LARGE)
     word = (Prim.MUL_ZBAR,) if holomorphic_tower(branch, valley) else (Prim.MUL_Z,)
     t = rel * _cancelling_scale(co, branch)
-    assert t > 1e4 * np.finfo(float).eps * abs(float(co.c1))  # far above the leftover
+    if raises:  # far above the leftover
+        assert t > 1e4 * np.finfo(float).eps * abs(float(co.c1))
     tamper = OperatorExpr.from_word(t, ((0, 1), (0, 0)), word)
     original = spectral.build_hamiltonian
     monkeypatch.setattr(
@@ -1205,3 +1227,95 @@ def test_build_checks_are_relative_at_small_couplings(monkeypatch, tamper, messa
     )
     with pytest.raises(RuntimeError, match=message):
         build_truncated(derive_coeffs(SMALL), 8, Branch.I, Valley.PRIMARY)
+
+
+def _cross_check_scale(co, n_tr):
+    """The largest coupling size, as the build's cross-check derives it."""
+    a_h = abs(float(co.a_coef) * float(co.hbar))
+    b_h = abs(float(co.b_coef) * float(co.hbar))
+    k = abs(float(co.k_coef))
+    return max(n_tr * a_h, n_tr * b_h, k / a_h, k / b_h, abs(float(co.c1)), abs(float(co.c2)))
+
+
+@pytest.mark.parametrize("p", [BASE, LARGE, SMALL], ids=["base", "large", "small"])
+@pytest.mark.parametrize("branch", list(Branch))
+@pytest.mark.parametrize("valley", list(Valley))
+@pytest.mark.parametrize(
+    "kind, units, message",
+    [
+        ("off-pattern", 1e3, "image left the tower pattern"),
+        ("raising", 20.0, "disagrees with closed-form entries"),
+    ],
+)
+def test_build_checks_hold_to_a_few_eps_at_every_scale(
+    monkeypatch, p, branch, valley, kind, units, message
+):
+    # A term of units eps of a check's scale, above the 8 eps that the check
+    # allows.  Off the pattern (z^l -> z^l zbar on the holomorphic tower,
+    # zbar^l -> z zbar^l on the other): 1000 eps of the cancelling terms'
+    # size, which a tolerance of 1e-10 let through.  On each raising
+    # amplitude (upper to lower on the holomorphic tower, lower to upper on
+    # the other): 20 eps of the largest coupling size, which a tolerance of
+    # 1e-14 (45 eps) let through.
+    co = derive_coeffs(p)
+    if kind == "raising":
+        scale = _cross_check_scale(co, 8)
+    else:
+        scale = _cancelling_scale(co, branch)
+    t = units * np.finfo(float).eps * scale
+    holo = holomorphic_tower(branch, valley)
+    if kind == "off-pattern":
+        tamper = OperatorExpr.from_word(
+            t, SIGMA_PLUS, (Prim.MUL_ZBAR,) if holo else (Prim.MUL_Z,)
+        )
+    elif holo:
+        tamper = OperatorExpr.from_word(t * 1j, SIGMA_MINUS, (Prim.MUL_Z,))
+    else:
+        tamper = OperatorExpr.from_word(t * 1j, SIGMA_PLUS, (Prim.MUL_ZBAR,))
+    original = spectral.build_hamiltonian
+    monkeypatch.setattr(
+        spectral, "build_hamiltonian", lambda c, v: original(c, v) + tamper
+    )
+    with pytest.raises(RuntimeError, match=f"{message}.*, tolerance "):
+        build_truncated(co, 8, branch, valley)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_invariance_check_catches_a_non_diagonal_ab_at_small_couplings(seed):
+    # the tamper of test_invariance_check_catches_a_non_diagonal_ab, scaled
+    # to the couplings: every |E^2| here is below 1e-19, so a budget with an
+    # absolute floor of 1 lets it through
+    rep = build_truncated(derive_coeffs(SMALL), 10)
+    tampered = rep.a.copy()
+    tampered[1, 1] = tampered[0, 2] = 0.5 * float(np.max(np.abs(rep.a)))
+    with pytest.raises(RuntimeError, match="drifted the spectrum"):
+        scrambled_eigensolve(
+            dataclasses.replace(rep, a=tampered, b=rep.b), draw_similarity(10, seed)
+        )
+
+
+@pytest.mark.parametrize("p", [BASE, SMALL, LARGE], ids=["base", "small", "large"])
+@pytest.mark.parametrize("factor, raises", [(2.0, True), (0.5, False)])
+def test_invariance_budget_is_the_scramble_term_of_the_floor(
+    monkeypatch, p, factor, raises
+):
+    # Every eigenvalue moved by a multiple of the floor's scramble term,
+    # 16 eps cond(S)**2 ||X||_F: twice that is caught, half of it is not.
+    rep = build_truncated(derive_coeffs(p), 12)
+    similarity = draw_similarity(12, 3)
+    radius = spectral._SCRAMBLE_FLOOR_UNITS * (
+        spectral._EPS * similarity.cond**2
+        * float(np.linalg.norm(scramble(rep, similarity)))
+    )
+    original = spectral.eigensolve
+
+    def bumped(m):
+        result = original(m)
+        return spectral.EigenResult(result.values + factor * radius, result.residuals)
+
+    monkeypatch.setattr(spectral, "eigensolve", bumped)
+    if raises:
+        with pytest.raises(RuntimeError, match="drifted the spectrum.*, tolerance "):
+            scrambled_eigensolve(rep, similarity)
+    else:
+        scrambled_eigensolve(rep, similarity)
