@@ -714,15 +714,8 @@ def cmd_critical(
         analytic = -analytic
     try:
         numeric = find_exceptional_point(
-            p,
-            vary,
-            lo,
-            hi,
-            tol=bisect_tol,
-            branch=cfg.branch,
-            valley=cfg.valley,
-            n_tr=cfg.n_tr,
-            seed=cfg.seed,
+            p, vary, lo, hi, draw_similarity(cfg.n_tr, cfg.seed),
+            tol=bisect_tol, branch=cfg.branch, valley=cfg.valley,
         )
     except (NoTransitionBracketedError, DegenerateCoefficientsError) as exc:
         sys.stderr.write(f"bisection failed: {exc}\n")

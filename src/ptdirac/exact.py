@@ -101,13 +101,16 @@ class ComplexRational:
         return Fraction(self._b, self._q)
 
     # + and * are the hot pair: they read a ComplexRational operand's slots
-    # and reduce inline, but still build their result through the constructor
-    def __add__(self, other: RationalLike) -> "ComplexRational":
+    # and reduce inline, but still build their result through the constructor.
+    # - goes through +: _sign=-1 adds -self, so the one built value is the result
+    def __add__(self, other: RationalLike, _sign: int = 1) -> "ComplexRational":
         if type(other) is ComplexRational:
             c, d, r = other._a, other._b, other._q
         else:
             c, d, r = _triple(other)
         a, b, q = self._a, self._b, self._q
+        if _sign < 0:
+            a, b = -a, -b
         if q == r:
             a, b = a + c, b + d
         else:
@@ -120,11 +123,13 @@ class ComplexRational:
     __radd__ = __add__
 
     def __sub__(self, other: RationalLike) -> "ComplexRational":
-        c, d, r = _triple(other)
-        return _add(self._a, self._b, self._q, -c, -d, r)
+        if type(other) is ComplexRational:
+            return other.__add__(self, -1)
+        _triple(other)  # an inexact operand raises before it is negated
+        return self + -other
 
     def __rsub__(self, other: RationalLike) -> "ComplexRational":
-        return _add(*_triple(other), -self._a, -self._b, self._q)
+        return self.__add__(other, -1)
 
     def __mul__(self, other: RationalLike) -> "ComplexRational":
         if type(other) is ComplexRational:
@@ -189,13 +194,6 @@ class ComplexRational:
 
     def __reduce__(self):
         return ComplexRational, (self.re, self.im)
-
-
-def _add(a: int, b: int, q: int, c: int, d: int, r: int) -> ComplexRational:
-    """``(a + b*i)/q + (c + d*i)/r``."""
-    if q == r:
-        return _reduced(a + c, b + d, q)
-    return _reduced(a * r + c * q, b * r + d * q, q * r)
 
 
 def _divide(a: int, b: int, q: int, c: int, d: int, r: int) -> ComplexRational:

@@ -96,6 +96,7 @@ class PhysParams:
 class DerivedCoeffs:
     """Block coefficients of the factored Hamiltonian plus both envelope exponents.
 
+    k_scale is the size of the terms that cancel in k_coef (see derive_coeffs).
     d1_branch_i and d1_branch_ii are None when the corresponding block
     coefficient vanishes (v_f = lam, respectively v_f = -lam); every other
     field still evaluates there.
@@ -106,6 +107,7 @@ class DerivedCoeffs:
     c1: Real
     c2: Real
     k_coef: Real
+    k_scale: Real
     d1_branch_i: Optional[Real]
     d1_branch_ii: Optional[Real]
     hbar: Real
@@ -126,6 +128,7 @@ class DerivedCoeffs:
             c1=self.c2,
             c2=self.c1,
             k_coef=-self.k_coef,
+            k_scale=self.k_scale,
             d1_branch_i=self.d1_branch_ii,
             d1_branch_ii=self.d1_branch_i,
             hbar=self.hbar,
@@ -137,16 +140,24 @@ def derive_coeffs(p: PhysParams) -> DerivedCoeffs:
 
     The shared subexpression b0*e/(2c) is deliberate: with it, the float
     identities c1(-lam) == -c2(lam) and c2(-lam) == -c1(lam) hold bitwise,
-    which the operator-adjoint tests rely on.  Finite float inputs can
-    still overflow here; a coefficient that comes out inf or nan raises
-    ValueError instead of reaching a verdict.
+    which the operator-adjoint tests rely on.  k_scale sums the size of
+    every term that cancels on the way to k_coef, inside c1 and c2 too, so
+    each rounding here moves k_coef by at most eps k_scale (Higham 2002,
+    sec. 3.3).
+    Finite float inputs can still overflow here; a coefficient that comes
+    out inf or nan raises ValueError instead of reaching a verdict.
     """
     half_field = p.b0 * p.e / (2 * p.c)
     a_coef = 2 * (p.v_f - p.lam)
     b_coef = 2 * (p.v_f + p.lam)
-    c1 = p.k1 * p.v_f - (p.v_f - p.lam) * half_field
-    c2 = (p.v_f + p.lam) * half_field - p.k1 * p.v_f
+    drive = p.k1 * p.v_f
+    lower = (p.v_f - p.lam) * half_field
+    upper = (p.v_f + p.lam) * half_field
+    c1 = drive - lower
+    c2 = upper - drive
     k_coef = (a_coef * c2 - b_coef * c1) * p.hbar
+    k_scale = abs(p.hbar) * (abs(a_coef) * (abs(drive) + abs(upper))
+                             + abs(b_coef) * (abs(drive) + abs(lower)))
     d1_i = None if a_coef == 0 else c1 / (a_coef * p.hbar)
     d1_ii = None if b_coef == 0 else c2 / (b_coef * p.hbar)
     derived = {"a": a_coef, "b": b_coef, "c1": c1, "c2": c2, "k": k_coef,
@@ -157,7 +168,7 @@ def derive_coeffs(p: PhysParams) -> DerivedCoeffs:
                 f"derived coefficient {name} is {value!r}: the parameters "
                 "overflow floating point"
             )
-    return DerivedCoeffs(a_coef, b_coef, c1, c2, k_coef, d1_i, d1_ii, p.hbar)
+    return DerivedCoeffs(a_coef, b_coef, c1, c2, k_coef, k_scale, d1_i, d1_ii, p.hbar)
 
 
 def holomorphic_tower(branch: Branch, valley: Valley) -> bool:

@@ -82,10 +82,11 @@ from .opalg import owner_rule, residue_groups
 _CERT_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-# Both build checks allow this many roundings of their scale, eps (scale +
-# tiny): below tiny, the smallest normal float, rounding is to a grid of
-# spacing eps tiny.  Over the 44,900 builds of the sweep at _BUILD_FLOOR_UNITS
-# the worst was 0.93 eps off the pattern and 2.8 eps against the closed form.
+# The roundings the build leaves: both build checks allow this many of
+# their scale, eps (scale + tiny), below tiny on a grid of spacing eps tiny
+# (worst seen: 0.93 eps off the pattern, 2.8 eps against the closed form),
+# and the build floor this many eps k_scale per level (worst seen: k_coef
+# 0.98 eps k_scale from the exact k of its float inputs near the EP).
 _BUILD_CHECK_UNITS = 8.0
 
 
@@ -96,16 +97,15 @@ class TruncatedRep:
     M = [[0, i a], [-i b, 0]]: index l of the read-only n_tr x n_tr ``a``
     and ``b`` is level l, a maps lower components to upper ones and b upper
     to lower.  dropped_count records raising amplitudes that left the
-    retained span (exactly one per truncation).
+    retained span (exactly one per truncation).  build_floor bounds the
+    roundoff of the build in each squared level (see build_truncated).
     """
 
     n_tr: int
     a: np.ndarray
     b: np.ndarray
-    branch: Branch
-    valley: Valley
-    coeffs: DerivedCoeffs
     dropped_count: int
+    build_floor: float
 
     @property
     def matrix(self) -> np.ndarray:
@@ -173,7 +173,11 @@ def build_truncated(
     independent closed-form entries, within 8 roundings of the largest
     coupling size, before they are returned.  A rounding is eps (scale +
     tiny), so both checks stay at the roundoff of their scale at every
-    coupling size.
+    coupling size; off the pattern tiny grows to tiny (1 + |a hbar| +
+    |b hbar|), as d's subnormal rounding reaches there times a or b hbar.
+    The build floor is 8 eps k_scale n_tr: level l holds (l + 1) k, and
+    each rounding of k is at most eps k_scale (derive_coeffs), so a level
+    whose k is roundoff, at or next to the EP, does not read as definite.
     """
     _check_n_tr(n_tr)
     if coeffs.d1(branch) is None:
@@ -193,6 +197,7 @@ def build_truncated(
         a_h * abs(d),
         b_h * abs(d),
     )
+    grid = _TINY * (1.0 + a_h + b_h)  # d's subnormal rounding, times a or b hbar
     zero = WeightedPolynomial.zero(d)
     kept = []  # (level, component, out component, exponent, coefficient)
     for group in residue_groups(h, [(l, 0) if holo else (0, l) for l in range(n_tr)]):
@@ -210,7 +215,7 @@ def build_truncated(
             for level, out_component, (m, n), c in items:
                 if n == 0 if holo else m == 0:
                     kept.append((level, component, out_component, m if holo else n, c))
-                elif abs(c) > (tol := _BUILD_CHECK_UNITS * _EPS * (scales[level] + _TINY)):
+                elif abs(c) > (tol := _BUILD_CHECK_UNITS * _EPS * (scales[level] + grid)):
                     raise RuntimeError(
                         "image left the tower pattern: "
                         f"coefficient {c!r} at z^{m} zbar^{n}, tolerance {tol:.3e}"
@@ -246,7 +251,8 @@ def build_truncated(
         )
     a.flags.writeable = False
     b.flags.writeable = False
-    return TruncatedRep(n_tr, a, b, branch, valley, coeffs, dropped)
+    build_floor = _BUILD_CHECK_UNITS * _EPS * float(coeffs.k_scale) * n_tr
+    return TruncatedRep(n_tr, a, b, dropped, build_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +403,12 @@ def classify_spectrum(
 # ---------------------------------------------------------------------------
 
 _DENSITY_FLOOR = 0.9
-# Multiples of the two roundoff units in the level floor (see
+# Multiples of the scramble unit in the level floor (see
 # scrambled_eigensolve).  Over 7500 draws with v_f, |k1|, |b0| log-uniform
 # in [1e-12, 1e12], hbar in [1e-5, 1e5], n_tr in [2, 120], every branch and
 # valley, 45% at or within 1e-10 of the EP and 20% next to lambda = +-v_f,
-# the diagonal of AB stayed within 2.6 build units of (l + 1) k_coef and the
-# eigenvalues of X within 5.5 scramble units of it; 3000 more draws with k1
-# down to the subnormal floats stayed within 2.0 and 4.0.
-_BUILD_FLOOR_UNITS = 8.0
+# the eigenvalues of X stayed within 5.5 scramble units of the diagonal of
+# AB; 3000 more draws with k1 down to the subnormal floats stayed within 4.0.
 _SCRAMBLE_FLOOR_UNITS = 16.0
 
 
@@ -493,13 +497,8 @@ def scrambled_eigensolve(rep: TruncatedRep, similarity: Similarity) -> SpectrumR
 
     The floor bounds the roundoff in each returned E^2.  It has two parts.
 
-    - Building the truncation.  The couplings carry k as ``apply`` forms
-      it from a, b, c1 and c2, while k_coef forms the same difference
-      a c2 - b c1 its own way; the two agree to a few eps kscale, with
-      kscale = |hbar| (|a c2| + |b c1|) the size of the cancelling terms.
-      Level l holds (l + 1) times that, so 8 eps kscale n_tr covers every
-      level.  This term keeps a level whose k is roundoff, at or next to
-      the EP, from reading as definite.
+    - Building the truncation: rep.build_floor, which build_truncated
+      sizes from the terms that cancel in k.
     - The similarity.  AB is diagonal, so the eigenvectors of X are the
       columns of S^-1 and Bauer-Fike bounds each eigenvalue's move by
       cond(S) times the perturbation of X.  A and B hold at most one
@@ -529,12 +528,7 @@ def scrambled_eigensolve(rep: TruncatedRep, similarity: Similarity) -> SpectrumR
     scramble_unit = _EPS * similarity.cond**2 * float(np.linalg.norm(x))
     radius = _SCRAMBLE_FLOOR_UNITS * scramble_unit
     check_spectrum_invariance(np.einsum("ij,ji->i", a, b), result.values, radius)
-    co = rep.coeffs
-    kscale = abs(complex(co.hbar)) * (
-        abs(complex(co.a_coef) * complex(co.c2))
-        + abs(complex(co.b_coef) * complex(co.c1))
-    )
-    floor = _BUILD_FLOOR_UNITS * _EPS * kscale * rep.n_tr + radius * back
+    floor = rep.build_floor + radius * back
     return classify_spectrum(result.values * back, floor, result.residuals)
 
 
@@ -576,18 +570,18 @@ def find_exceptional_point(
     vary: Vary,
     lo: float,
     hi: float,
+    similarity: Similarity,
     tol: float = 1e-6,
     *,
     branch: Branch = Branch.I,
     valley: Valley = Valley.PRIMARY,
-    n_tr: int = 40,
-    seed: int = 0,
 ) -> float:
     """Illinois regula falsi for the phase boundary on the oracle's level.
 
-    Every point is one phase_verdict_numeric run on the one drawn S.  The
-    endpoints must produce distinct definite verdicts, otherwise
-    NoTransitionBracketedError is raised.  Inside, each step is regula
+    Every point is one phase_verdict_numeric run on the given S, so
+    ``draw_similarity(n_tr, seed)`` fixes the truncation size and the
+    scramble of the whole search.  The endpoints must produce distinct
+    definite verdicts, otherwise NoTransitionBracketedError is raised.  Inside, each step is regula
     falsi on the reports' level 0, with the Illinois rule (Dowell & Jarratt
     1971): when the same end of the bracket moves twice running, the level
     kept for the other end is halved.  The step is taken where
@@ -613,7 +607,6 @@ def find_exceptional_point(
         raise ValueError(
             f"tol {tol!r} must be below the bracket width {hi - lo!r}"
         )
-    similarity = draw_similarity(n_tr, seed)
 
     def run(x: float) -> Optional[SpectrumReport]:
         try:

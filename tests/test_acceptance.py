@@ -83,7 +83,9 @@ def _rational_draw(n: int) -> PhysParams:
 def test_criterion_1_critical_coupling():
     start = time.perf_counter()
     analytic = critical_point(REFERENCE, Vary.LAMBDA)
-    bisected = find_exceptional_point(REFERENCE, Vary.LAMBDA, 0.7, 2.0)
+    bisected = find_exceptional_point(
+        REFERENCE, Vary.LAMBDA, 0.7, 2.0, draw_similarity(40, 0)
+    )
     elapsed = time.perf_counter() - start
     ok = (
         abs(analytic - 1.33193) <= 1e-4
@@ -100,7 +102,9 @@ def test_criterion_1_critical_coupling():
 def test_criterion_2_critical_field():
     start = time.perf_counter()
     analytic = critical_point(REFERENCE, Vary.B0)
-    bisected = find_exceptional_point(REFERENCE, Vary.B0, 3.0, 12.0)
+    bisected = find_exceptional_point(
+        REFERENCE, Vary.B0, 3.0, 12.0, draw_similarity(40, 0)
+    )
     elapsed = time.perf_counter() - start
     ok = (
         abs(analytic - 6.32209) <= 1e-4

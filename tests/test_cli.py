@@ -444,7 +444,7 @@ def test_critical_degenerate_exits_two(capsys):
 def test_critical_agreement_is_relative(tmp_path, monkeypatch):
     # a landing 1e-7 relative off the closed form is a miss, though it is
     # far inside any absolute tolerance of 1e-4
-    def off_by_1e7(p, vary, lo, hi, **kwargs):
+    def off_by_1e7(p, vary, lo, hi, similarity, **kwargs):
         return critical_point(p, vary) * (1 + 1e-7)
 
     monkeypatch.setattr(cli, "find_exceptional_point", off_by_1e7)

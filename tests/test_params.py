@@ -7,6 +7,7 @@ code under test.
 
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,12 @@ from ptdirac.params import (
 # reference parameter point used throughout: vf = 1.37, k1 = 0.02, b0 = 100
 BASE = PhysParams(v_f=1.37, lam=0.5, k1=0.02, b0=100.0)
 BASE_L0 = dataclasses.replace(BASE, lam=0.0)
+
+# lambda_c is small here, so c1 and c2 cancel internally
+C1_CANCELS = PhysParams(
+    v_f=0.8180723703928774, lam=0.026077848138812317, k1=0.04750887723521491,
+    b0=13.030673549437026, hbar=4.164772326468675,
+)
 
 # hand-computed oracles at the reference point
 K_AT_L0 = 2.589848            # 2*1.8769*100/137 - 0.08*1.8769
@@ -211,6 +218,60 @@ def test_critical_band_rejects_an_overflowing_scale():
         default_critical_tol(p)
     with pytest.raises(ValueError, match="overflows floating point"):
         classify_phase(p, Branch.I)
+
+
+def _exact_k(p):
+    """k_coef of the float inputs in exact arithmetic (Fraction(x) is exact)."""
+    v_f, lam, k1, b0, e, c, hbar = (
+        Fraction(x) for x in (p.v_f, p.lam, p.k1, p.b0, p.e, p.c, p.hbar)
+    )
+    return hbar * (2 * (v_f * v_f - lam * lam) * b0 * e / c - 4 * k1 * v_f * v_f)
+
+
+def _near_critical_draws(count, seed):
+    """Points within 1e-16 .. 1e-8 relative of a critical lambda or b0.
+
+    Half the lambda_c sit below 1e-2 v_f, where c1 and c2 cancel internally.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        v_f, hbar = 10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-2, 2)
+        k1 = 10 ** rng.uniform(-4, 2)
+        b0 = 2 * k1 * 137.0 / (1 - 10 ** rng.uniform(-8, -0.01))
+        p = PhysParams(v_f=v_f, lam=v_f * rng.uniform(-0.95, 0.95), k1=k1, b0=b0,
+                       hbar=hbar)
+        vary = rng.choice(list(Vary))
+        x = critical_point(p, vary)
+        offset = rng.uniform(-1, 1) * 10 ** rng.uniform(-16, -8)
+        out.append(with_varied(p, vary, x * (1 + offset)))
+    return out
+
+
+def test_k_scale_bounds_the_roundoff_of_k_coef():
+    # each rounding on the way to k_coef is at most eps k_scale; the build
+    # floor allows 8 of them per level (measured worst: 0.98)
+    eps = sys.float_info.epsilon
+    for p in _near_critical_draws(2000, 22) + [C1_CANCELS]:
+        co = derive_coeffs(p)
+        error = abs(Fraction(co.k_coef) - _exact_k(p))
+        assert error <= 8 * eps * Fraction(co.k_scale), p
+
+
+def test_k_scale_is_the_same_in_both_valleys():
+    for p in (BASE, BASE_L0, C1_CANCELS, dataclasses.replace(BASE, lam=1.8, k1=-0.3)):
+        co = derive_coeffs(p)
+        q = dataclasses.replace(p, lam=-p.lam, k1=-p.k1, b0=-p.b0)
+        assert co.swapped().k_scale == derive_coeffs(q).k_scale == co.k_scale
+
+
+def test_critical_band_is_far_wider_than_the_build_term():
+    # for |lam| <= v_f, k_scale <= the band's scale, so the band 1e-12 scale
+    # is at least 1e-12 / (8 eps), about 563, times the build floor's 8 eps
+    # k_scale per level: the closed form needs no wider band for the roundoff
+    eps = sys.float_info.epsilon
+    for p in _near_critical_draws(2000, 23) + [BASE, C1_CANCELS]:
+        assert default_critical_tol(p) >= 560 * 8 * eps * derive_coeffs(p).k_scale
 
 
 def test_verdict_flips_across_lambda_boundary():

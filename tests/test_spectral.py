@@ -26,6 +26,7 @@ from ptdirac.params import (
     derive_coeffs,
     holomorphic_tower,
     level_energy,
+    with_varied,
 )
 from ptdirac import cli, spectral
 from ptdirac.opalg import (
@@ -603,7 +604,7 @@ def test_no_verdict_forms_the_dense_truncation(monkeypatch, tmp_path):
     for module in (spectral, cli):
         monkeypatch.setattr(module, "scrambled_eigensolve", checked)
     phase_verdict_numeric(BASE, draw_similarity(9, 2))
-    find_exceptional_point(BASE, Vary.LAMBDA, 0.5, 1.8, n_tr=10)
+    find_exceptional_point(BASE, Vary.LAMBDA, 0.5, 1.8, draw_similarity(10, 0))
     out = tmp_path / "spectrum.txt"
     assert cli.main(["spectrum", "--n_tr", "12", "--output", str(out)]) == 0
     assert len(factors) >= 5
@@ -635,7 +636,9 @@ def test_bisection_draws_the_similarity_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "scrambled_eigensolve", counting_run)
     target = critical_point(BASE, Vary.LAMBDA)
-    find_exceptional_point(BASE, Vary.LAMBDA, 0.5 * target, 1.5 * target, n_tr=8)
+    find_exceptional_point(
+        BASE, Vary.LAMBDA, 0.5 * target, 1.5 * target, draw_similarity(8, 0)
+    )
     assert len(runs) >= 3
     assert len(calls) == 2  # the two QR factors of the one S
 
@@ -828,6 +831,34 @@ def test_no_definite_verdict_against_the_sign_of_k_next_to_the_ep(branch, n_tr):
     assert wrong == []
 
 
+@pytest.mark.parametrize("n_tr", [10, 40, 200])
+@pytest.mark.parametrize("branch", list(Branch))
+def test_no_definite_verdict_against_the_exact_sign_of_k_next_to_the_critical_field(
+    branch, n_tr
+):
+    # the b0 twin of the lambda grid above, with the sign of k taken in exact
+    # arithmetic on the float inputs
+    b0_c = critical_point(BASE, Vary.B0)
+    shared = [draw_similarity(n_tr, seed) for seed in range(3)]
+    wrong = []
+    for offset in EP_OFFSETS:
+        p = dataclasses.replace(BASE, b0=b0_c * (1 + offset))
+        k = _exact_k(p) * (1 if branch is Branch.I else -1)
+        for valley in Valley:
+            for seed in range(3):
+                verdict = phase_verdict_numeric(
+                    p, shared[seed], branch=branch, valley=valley
+                ).verdict
+                if offset == 0.0:
+                    expected = {PhaseVerdict.CRITICAL}
+                else:
+                    sign = PhaseVerdict.UNBROKEN if k > 0 else PhaseVerdict.BROKEN
+                    expected = {sign, PhaseVerdict.CRITICAL}
+                if verdict not in expected:
+                    wrong.append((offset, valley.value, seed, verdict.value))
+    assert wrong == []
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     v_f=st.floats(0.3, 3.0),
@@ -909,7 +940,7 @@ def test_find_exceptional_point_matches_analytic():
         target = critical_point(p, vary)
         assert target is not None
         found = find_exceptional_point(
-            p, vary, 0.5 * target, 1.5 * target, tol=1e-6, n_tr=16
+            p, vary, 0.5 * target, 1.5 * target, draw_similarity(16, 0), tol=1e-6
         )
         assert abs(found - target) <= 1e-6 * max(1.0, target)
 
@@ -927,8 +958,8 @@ def test_lambda_bracket_lands_on_its_root_in_four_runs(
     for seed in range(4):
         oracle_runs.clear()
         found = find_exceptional_point(
-            BASE, Vary.LAMBDA, lo * lam_c, hi * lam_c, tol=1e-6,
-            branch=branch, valley=valley, n_tr=16, seed=seed,
+            BASE, Vary.LAMBDA, lo * lam_c, hi * lam_c, draw_similarity(16, seed),
+            tol=1e-6, branch=branch, valley=valley,
         )
         assert abs(found - root * lam_c) <= 1e-6 * max(1.0, lam_c)
         assert len(oracle_runs) <= 4
@@ -936,28 +967,32 @@ def test_lambda_bracket_lands_on_its_root_in_four_runs(
 
 def test_find_exceptional_point_requires_bracket():
     with pytest.raises(NoTransitionBracketedError) as info:
-        find_exceptional_point(BASE, Vary.LAMBDA, 0.1, 0.3, n_tr=8)
+        find_exceptional_point(BASE, Vary.LAMBDA, 0.1, 0.3, draw_similarity(8, 0))
     assert "no transition bracketed" in str(info.value)
     with pytest.raises(ValueError):
-        find_exceptional_point(BASE, Vary.LAMBDA, 0.3, 0.1, n_tr=8)
+        find_exceptional_point(BASE, Vary.LAMBDA, 0.3, 0.1, draw_similarity(8, 0))
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-6])
 def test_find_exceptional_point_rejects_non_finite_or_negative_tol(tol):
     with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
-        find_exceptional_point(BASE, Vary.LAMBDA, 1.0, 1.5, tol=tol, n_tr=8)
+        find_exceptional_point(
+            BASE, Vary.LAMBDA, 1.0, 1.5, draw_similarity(8, 0), tol=tol
+        )
 
 
 @pytest.mark.parametrize("tol", [0.5, 2.0])
 def test_find_exceptional_point_rejects_tol_not_below_the_bracket(tol):
     with pytest.raises(ValueError, match="below the bracket width"):
-        find_exceptional_point(BASE, Vary.LAMBDA, 1.0, 1.5, tol=tol, n_tr=8)
+        find_exceptional_point(
+            BASE, Vary.LAMBDA, 1.0, 1.5, draw_similarity(8, 0), tol=tol
+        )
 
 
 def test_find_exceptional_point_zero_tol_bisects_to_adjacent_floats():
     target = critical_point(BASE, Vary.LAMBDA)
     found = find_exceptional_point(
-        BASE, Vary.LAMBDA, 0.5 * target, 1.5 * target, tol=0.0, n_tr=8
+        BASE, Vary.LAMBDA, 0.5 * target, 1.5 * target, draw_similarity(8, 0), tol=0.0
     )
     assert abs(found - target) <= 1e-4
 
@@ -965,15 +1000,15 @@ def test_find_exceptional_point_zero_tol_bisects_to_adjacent_floats():
 @pytest.mark.parametrize("vary", list(Vary))
 def test_zero_tol_with_a_zero_floor_ends_at_adjacent_floats(monkeypatch, vary):
     def closed_form_squares(rep, similarity):
-        # the structural zero, then level l at (l + 1) k, with no floor
-        k = float(rep.coeffs.k_coef)
-        values = k * np.arange(rep.n_tr, dtype=complex)
+        # the diagonal of ab: the structural zero and level l at (l + 1) k,
+        # with no floor
+        values = np.einsum("ij,ji->i", rep.a, rep.b).astype(complex)
         return classify_spectrum(values, 0.0, np.zeros(rep.n_tr))
 
     monkeypatch.setattr(spectral, "scrambled_eigensolve", closed_form_squares)
     target = critical_point(BASE, vary)
     found = find_exceptional_point(
-        BASE, vary, 0.5 * target, 1.5 * target, tol=0.0, n_tr=8
+        BASE, vary, 0.5 * target, 1.5 * target, draw_similarity(8, 0), tol=0.0
     )
     assert abs(found - target) <= 4 * math.ulp(target)
 
@@ -1049,6 +1084,101 @@ def test_critical_needs_few_oracle_runs(tmp_path, oracle_runs, vary, most, seed)
     assert cli.main(["critical", "--vary", vary, "--seed", str(seed),
                      "--output", str(out)]) == 0
     assert 3 <= len(oracle_runs) <= most
+
+
+# ---------------------------------------------------------------------------
+# the floor against the exact levels of the float inputs
+# ---------------------------------------------------------------------------
+
+
+def _exact_k(p):
+    """k_coef of the float inputs in exact arithmetic (Fraction(x) is exact)."""
+    v_f, lam, k1, b0, e, c, hbar = (
+        Fraction(x) for x in (p.v_f, p.lam, p.k1, p.b0, p.e, p.c, p.hbar)
+    )
+    return hbar * (2 * (v_f * v_f - lam * lam) * b0 * e / c - 4 * k1 * v_f * v_f)
+
+
+def _floor_coverage(p, similarity, branch, valley):
+    """The report, and its largest |E^2 - (l + 1) k| in floors, k exact.
+
+    The E^2, structural zero included, are paired with the exact levels in
+    sorted order, as the invariance check pairs them.
+    """
+    report = phase_verdict_numeric(p, similarity, branch=branch, valley=valley)
+    k = _exact_k(p) * (1 if branch is Branch.I else -1)
+    exact = sorted([Fraction(0)] + [l * k for l in range(1, len(report.squares))])
+    got = np.sort_complex(np.asarray(report.squares))
+    worst = max(
+        abs(complex(float(Fraction(g.real) - x), g.imag)) for g, x in zip(got, exact)
+    )
+    return report, worst / report.floor
+
+
+# c1 cancels internally at this small lambda_c, so c1 and c2 carry roundoff
+# far above eps |a c2 - b c1|; the E^2 sat 1.41 floors from the exact levels
+# when the floor was sized from c1 and c2 after they cancel
+C1_CANCELS = PhysParams(
+    v_f=0.8180723703928774, lam=0.026077848138812317, k1=0.04750887723521491,
+    b0=13.030673549437026, hbar=4.164772326468675,
+)
+
+
+@pytest.mark.parametrize("valley", list(Valley))
+def test_floor_covers_the_exact_levels_where_c1_cancels(valley):
+    for seed in range(20):
+        report, ratio = _floor_coverage(
+            C1_CANCELS, draw_similarity(4, seed), Branch.II, valley
+        )
+        assert ratio <= 1.0, (seed, ratio)
+
+
+def test_floor_covers_the_exact_levels_next_to_the_ep():
+    # lambda or b0 within 1e-16 .. 1e-10 relative of its critical value (or
+    # on it), lambda_c down to 1e-3 v_f where c1 cancels, n_tr 2 .. 12
+    rng = random.Random(2210)
+    worst, wrong = 0.0, []
+    for _ in range(60):
+        v_f, k1, hbar = (10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-3, 0),
+                         10 ** rng.uniform(-1, 1))
+        b0 = 2 * k1 * 137.0 / (1 - 10 ** rng.uniform(-6, -0.01))
+        lam = v_f * rng.uniform(0.0, 0.9)
+        points = [
+            PhysParams(v_f=v_f, lam=0.0, k1=k1, b0=b0, hbar=hbar),
+            PhysParams(v_f=v_f, lam=lam, k1=k1, b0=1.0, hbar=hbar),
+        ]
+        n_tr = rng.randint(2, 12)
+        similarity = draw_similarity(n_tr, rng.randrange(2**31))
+        for p, vary in zip(points, Vary):
+            x = critical_point(p, vary)
+            if rng.random() < 0.9:
+                x *= 1 + rng.choice((-1, 1)) * 10 ** rng.uniform(-16, -10)
+            p = with_varied(p, vary, x)
+            for branch in Branch:
+                k = _exact_k(p) * (1 if branch is Branch.I else -1)
+                for valley in Valley:
+                    report, ratio = _floor_coverage(p, similarity, branch, valley)
+                    worst = max(worst, ratio)
+                    if report.verdict is not PhaseVerdict.CRITICAL and (
+                        (report.verdict is PhaseVerdict.UNBROKEN) != (k > 0) or k == 0
+                    ):
+                        wrong.append((p, branch.value, valley.value, n_tr))
+    assert wrong == []
+    assert worst <= 1.0
+
+
+@pytest.mark.parametrize("valley", list(Valley))
+def test_build_holds_where_the_envelope_exponent_is_subnormal(valley):
+    # b0 = 0 and |k1| ~ 1e-312 make c1, c2 and d subnormal; d rounds on the
+    # subnormal grid, and that error reaches the off-pattern keys times a hbar
+    p = PhysParams(
+        v_f=6.213256500335942, lam=-1.3667882447398596, k1=-1.34589730223e-312,
+        b0=0.0, hbar=1.9398914851463105,
+    )
+    rep = build_truncated(derive_coeffs(p), 40, Branch.I, valley)
+    assert rep.dropped_count == 1
+    verdict = scrambled_eigensolve(rep, draw_similarity(40, 0)).verdict
+    assert verdict in (classify_phase(p, Branch.I), PhaseVerdict.CRITICAL)
 
 
 # ---------------------------------------------------------------------------
