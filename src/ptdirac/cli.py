@@ -516,7 +516,7 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
         worst = 0.0
         for n, num in enumerate(report.plus_roots[:11]):
             plus, _ = level_energy(p, n, branch)
-            worst = max(worst, abs(num - plus) / max(1.0, abs(plus)))
+            worst = max(worst, abs(num - plus) / abs(plus))  # no E+ is 0: critical k skipped
         record(
             name,
             report.verdict is verdict and worst <= _AGREE_TOL,

@@ -45,13 +45,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import ONE, ComplexRational, exact_sqrt
-from .params import (
-    Branch,
-    DegenerateCoefficientsError,
-    DerivedCoeffs,
-    Valley,
-    holomorphic_tower,
-)
+from .params import Branch, DerivedCoeffs, Valley
 
 Coeff = Union[int, float, complex, Fraction, ComplexRational]
 Monomial = Tuple[int, int]
@@ -720,19 +714,16 @@ def block_operators(
 ) -> Tuple[OperatorExpr, OperatorExpr]:
     """The two spin-scalar first-order blocks (upper-right, lower-left).
 
-    Primary valley: (a*Pi_z + i*c1*zbar, b*Pi_zbar + i*c2*z).  The
-    time-reversed valley swaps a <-> b and c1 <-> c2 inside the same pattern.
+    (a*Pi_z + i*c1*zbar, b*Pi_zbar + i*c2*z) of coeffs.relabeled(valley):
+    the time-reversed valley swaps a <-> b and c1 <-> c2.
     """
+    coeffs = coeffs.relabeled(valley)
     hbar = coeffs.hbar
-    if valley is Valley.PRIMARY:
-        first, second = (coeffs.a_coef, coeffs.c1), (coeffs.b_coef, coeffs.c2)
-    else:
-        first, second = (coeffs.b_coef, coeffs.c2), (coeffs.a_coef, coeffs.c1)
-    ur = OperatorExpr.pi_z(hbar).scaled(first[0]) + OperatorExpr.mul_zbar().scaled(
-        _times_i(first[1])
+    ur = OperatorExpr.pi_z(hbar).scaled(coeffs.a_coef) + OperatorExpr.mul_zbar().scaled(
+        _times_i(coeffs.c1)
     )
-    ll = OperatorExpr.pi_zbar(hbar).scaled(second[0]) + OperatorExpr.mul_z().scaled(
-        _times_i(second[1])
+    ll = OperatorExpr.pi_zbar(hbar).scaled(coeffs.b_coef) + OperatorExpr.mul_z().scaled(
+        _times_i(coeffs.c2)
     )
     return ur, ll
 
@@ -747,10 +738,11 @@ def build_hamiltonian(
 
 
 def time_reversal_conjugate(expr: OperatorExpr) -> OperatorExpr:
-    """T expr T^{-1} with T = (i sigma_y) K: conjugate scalars, swap z with
-    zbar (hence d/dz with d/dzbar), sandwich the matrix."""
-    s = ((0, 1), (-1, 0))
-    s_inv = ((0, -1), (1, 0))
+    """T expr T^{-1} with T = TIME_REVERSAL = (i sigma_y) K, whose inverse
+    is -T: conjugate scalars, swap z with zbar (hence d/dz with d/dzbar),
+    sandwich the matrix.  verify checks the relabeled build against it."""
+    s = TIME_REVERSAL.matrix
+    s_inv = tuple(tuple(-x for x in row) for row in s)
     out = []
     for t in expr.terms:
         word = tuple(_TIME_REVERSAL_MAP[p] for p in t.word)
@@ -951,8 +943,8 @@ def analytic_state(
     k_coef = 0 the weight vanishes and the single-component zero-energy
     state survives.
 
-    Branch I states in the primary valley are holomorphic-type
-    (z-monomials); the other branch or valley flips to zbar-monomials.  The
+    The valley is relabeled at entry (DerivedCoeffs.relabeled); branch I
+    states are then z-monomials and branch II ones zbar-monomials.  The
     weight uses the positive principal root, level_energy_from_coeffs, and
     the leading coefficient is 1.  With Fraction coefficients and a
     perfect-square radicand the state is exact; otherwise it is built in
@@ -960,11 +952,8 @@ def analytic_state(
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("level index must be a nonnegative integer")
-    d = coeffs.d1(branch)
-    if d is None:
-        raise DegenerateCoefficientsError(
-            f"envelope for branch {branch.value} undefined at these coefficients"
-        )
+    d = coeffs.envelope(branch)
+    coeffs, branch = coeffs.relabeled(valley), branch.relabeled(valley)
     block_coef = coeffs.a_coef if branch is Branch.I else coeffs.b_coef
     energy = level_energy_from_coeffs(coeffs, n, branch)
     denom = (n + 1) * block_coef * coeffs.hbar
@@ -983,7 +972,7 @@ def analytic_state(
         # sign of a zero real part
         a_n = complex(1)
     ratio = energy / denom
-    if holomorphic_tower(branch, valley):
+    if branch is Branch.I:
         upper = WeightedPolynomial({(n, 0): a_n}, d)
         lower = WeightedPolynomial({(n + 1, 0): _times_i(a_n * ratio)}, d)
     else:
@@ -1015,17 +1004,13 @@ def lll_state(
 ) -> WeightedPolynomial:
     """Degree-l member of the infinitely degenerate zero-mode family.
 
-    Primary valley: zbar^l exp((c1/(a hbar)) z zbar); the time-reversed
-    valley carries the other envelope.  Each is annihilated by the
-    upper-right block of its valley Hamiltonian.
+    zbar^l exp((c1/(a hbar)) z zbar) of DerivedCoeffs.relabeled(valley),
+    so the time-reversed valley reads branch II's envelope.  Each is
+    annihilated by the upper-right block of its valley Hamiltonian.
     """
     if not isinstance(l, int) or isinstance(l, bool) or l < 0:
         raise ValueError("degree must be a nonnegative integer")
-    d = coeffs.d1_branch_i if valley is Valley.PRIMARY else coeffs.d1_branch_ii
-    if d is None:
-        raise DegenerateCoefficientsError(
-            "zero-mode envelope undefined at these coefficients"
-        )
+    d = coeffs.envelope(Branch.I.relabeled(valley))
     return WeightedPolynomial.monomial(0, l, 1, d)
 
 

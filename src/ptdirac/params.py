@@ -39,6 +39,12 @@ class Branch(Enum):
     I = "I"
     II = "II"
 
+    def relabeled(self, valley: Valley) -> Branch:
+        """This branch of ``valley`` in DerivedCoeffs.relabeled(valley)."""
+        if valley is Valley.PRIMARY:
+            return self
+        return Branch.II if self is Branch.I else Branch.I
+
 
 class Valley(Enum):
     """Primary sector, or the one generated from it by time reversal."""
@@ -99,7 +105,9 @@ class DerivedCoeffs:
     k_scale is the size of the terms that cancel in k_coef (see derive_coeffs).
     d1_branch_i and d1_branch_ii are None when the corresponding block
     coefficient vanishes (v_f = lam, respectively v_f = -lam); every other
-    field still evaluates there.
+    field still evaluates there, and envelope(branch) is the reader that
+    raises.  The time-reversed valley is the primary valley of
+    relabeled(valley) on branch.relabeled(valley).
     """
 
     a_coef: Real
@@ -114,6 +122,20 @@ class DerivedCoeffs:
 
     def d1(self, branch: Branch) -> Optional[Real]:
         return self.d1_branch_i if branch is Branch.I else self.d1_branch_ii
+
+    def envelope(self, branch: Branch) -> Real:
+        """d1(branch), or DegenerateCoefficientsError where it is undefined."""
+        d = self.d1(branch)
+        if d is None:
+            raise DegenerateCoefficientsError(
+                f"branch {branch.value} envelope undefined at these coefficients"
+            )
+        return d
+
+    def relabeled(self, valley: Valley) -> DerivedCoeffs:
+        """Coefficients whose primary valley is ``valley``: T = (i sigma_y) K
+        maps the primary blocks onto the time-reversed ones by swapped()."""
+        return self if valley is Valley.PRIMARY else self.swapped()
 
     def swapped(self) -> "DerivedCoeffs":
         """Relabeling a_coef <-> b_coef, c1 <-> c2.
@@ -169,15 +191,6 @@ def derive_coeffs(p: PhysParams) -> DerivedCoeffs:
                 "overflow floating point"
             )
     return DerivedCoeffs(a_coef, b_coef, c1, c2, k_coef, k_scale, d1_i, d1_ii, p.hbar)
-
-
-def holomorphic_tower(branch: Branch, valley: Valley) -> bool:
-    """True when the level-l tower function is built on z**l, False on zbar**l.
-
-    Branch I in the primary valley and branch II in the time-reversed one
-    are holomorphic; the two other pairings are antiholomorphic.
-    """
-    return (branch is Branch.I) == (valley is Valley.PRIMARY)
 
 
 def with_varied(p: PhysParams, vary: Vary, x: Real) -> PhysParams:
@@ -283,9 +296,4 @@ def normalizability(p: PhysParams, branch: Branch) -> bool:
     reports False.  Raises DegenerateCoefficientsError when the envelope is
     undefined (v_f = -+lam).
     """
-    d1 = derive_coeffs(p).d1(branch)
-    if d1 is None:
-        raise DegenerateCoefficientsError(
-            f"envelope for branch {branch.value} undefined at these parameters"
-        )
-    return d1 < 0
+    return derive_coeffs(p).envelope(branch) < 0

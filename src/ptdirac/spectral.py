@@ -73,7 +73,6 @@ from .params import (
     Vary,
     check_tol,
     derive_coeffs,
-    holomorphic_tower,
     with_varied,
 )
 from .opalg import SpinorFunction, WeightedPolynomial, build_hamiltonian
@@ -85,8 +84,9 @@ _TINY = float(np.finfo(float).tiny)
 # The roundings the build leaves: both build checks allow this many of
 # their scale, eps (scale + tiny), below tiny on a grid of spacing eps tiny
 # (worst seen: 0.93 eps off the pattern, 2.8 eps against the closed form),
-# and the build floor this many eps k_scale per level (worst seen: k_coef
-# 0.98 eps k_scale from the exact k of its float inputs near the EP).
+# and the build floor this many eps (k_scale + grid) per level (worst seen:
+# k_coef 0.98 eps k_scale from the exact k of its float inputs near the EP,
+# and E^2 0.84 grid terms from its exact level with subnormal couplings).
 _BUILD_CHECK_UNITS = 8.0
 
 
@@ -120,16 +120,16 @@ class TruncatedRep:
 
 
 def _closed_form_factors(
-    coeffs: DerivedCoeffs, branch: Branch, valley: Valley, n_tr: int
+    coeffs: DerivedCoeffs, branch: Branch, n_tr: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The factors a and b of the truncation from closed-form entries.
+    """The factors a and b of the primary-valley truncation, closed form.
 
     Derived independently of ``apply``.  Level l + 1 lowers to level l with
     -i lead hbar (l + 1) and level l raises to level l + 1 with the coupling
     i k / (lead hbar) (its negative on branch II), lead being a on branch I
-    and b on II.  In the holomorphic pattern the lowering takes the lower
-    component to the upper one, so it sits in A, and the raising in B;
-    otherwise the two swap.
+    and b on II.  On branch I's z^l tower the lowering takes the lower
+    component to the upper one, so it sits in A, and the raising in B; on
+    branch II's zbar^l tower the two swap.
     """
     hbar = float(coeffs.hbar)
     k = float(coeffs.k_coef)
@@ -140,7 +140,7 @@ def _closed_form_factors(
     lowering[l, l + 1] = -lead * hbar * (l + 1)
     raising = np.zeros((n_tr, n_tr))
     raising[l + 1, l] = -sign * k / (lead * hbar)
-    if holomorphic_tower(branch, valley):
+    if branch is Branch.I:
         return lowering, raising
     return -raising, -lowering
 
@@ -158,6 +158,8 @@ def build_truncated(
 ) -> TruncatedRep:
     """Project the valley Hamiltonian onto the first n_tr tower levels.
 
+    The valley is relabeled at entry (DerivedCoeffs.relabeled), so the
+    build reads the primary valley only: branch I on z^l, II on zbar^l.
     H is applied once per spin component to the sum of the basis
     monomials of each residue class of levels (residue_groups), and
     owner_rule gives each key of the image to its level, whose keys are
@@ -175,18 +177,19 @@ def build_truncated(
     tiny), so both checks stay at the roundoff of their scale at every
     coupling size; off the pattern tiny grows to tiny (1 + |a hbar| +
     |b hbar|), as d's subnormal rounding reaches there times a or b hbar.
-    The build floor is 8 eps k_scale n_tr: level l holds (l + 1) k, and
-    each rounding of k is at most eps k_scale (derive_coeffs), so a level
+    The build floor is 8 eps (k_scale + grid) n_tr: level l holds (l + 1) k,
+    and each rounding of k is at most eps k_scale (derive_coeffs) plus, below
+    tiny, eps tiny / 2 times its reach into k: |a b hbar| for hf, |a hbar
+    b hbar| for d, at most |a hbar| + |b hbar| for each of the other five
+    (drive, lower or upper, c1 or c2, apply's product and sum).  So a level
     whose k is roundoff, at or next to the EP, does not read as definite.
+    With c1 = c2 = 0 every level is an exact 0 and grid is 0.
     """
     _check_n_tr(n_tr)
-    if coeffs.d1(branch) is None:
-        raise DegenerateCoefficientsError(
-            f"branch {branch.value} envelope undefined at these coefficients"
-        )
-    holo = holomorphic_tower(branch, valley)
-    h = build_hamiltonian(coeffs, valley).to_complex()
-    d = float(coeffs.d1(branch))
+    d = float(coeffs.envelope(branch))
+    coeffs, branch = coeffs.relabeled(valley), branch.relabeled(valley)
+    holo = branch is Branch.I
+    h = build_hamiltonian(coeffs, Valley.PRIMARY).to_complex()
     a_h = abs(complex(coeffs.a_coef) * complex(coeffs.hbar))
     b_h = abs(complex(coeffs.b_coef) * complex(coeffs.hbar))
     # the terms that cancel at the off-pattern keys, i c1 zbar against
@@ -242,7 +245,7 @@ def build_truncated(
         abs(complex(coeffs.c1)),
         abs(complex(coeffs.c2)),
     )
-    check = _closed_form_factors(coeffs, branch, valley, n_tr)
+    check = _closed_form_factors(coeffs, branch, n_tr)
     worst = max(float(np.max(np.abs(x - y))) for x, y in zip((a, b), check))
     if worst > (tol := _BUILD_CHECK_UNITS * _EPS * (scale + _TINY)):
         raise RuntimeError(
@@ -251,7 +254,10 @@ def build_truncated(
         )
     a.flags.writeable = False
     b.flags.writeable = False
-    build_floor = _BUILD_CHECK_UNITS * _EPS * float(coeffs.k_scale) * n_tr
+    unit = 0.5 * _TINY  # tiny first, so no product of couplings overflows
+    reach = unit * a_h * (b_h + abs(float(coeffs.b_coef))) + 5.0 * unit * (a_h + b_h)
+    k_grid = reach if coeffs.c1 or coeffs.c2 else 0.0
+    build_floor = _BUILD_CHECK_UNITS * _EPS * (float(coeffs.k_scale) + k_grid) * n_tr
     return TruncatedRep(n_tr, a, b, dropped, build_floor)
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: config layering, output formats,
 determinism and exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -486,6 +487,24 @@ def test_verify_residuals_are_relative_at_small_couplings():
         "symmetry commutators",
         "valley map",
     }
+
+
+def test_verify_numeric_agreement_is_relative_at_small_couplings(monkeypatch):
+    # |E+| is about 5e-11 here, so levels 50% off lie far below a floor of 1
+    # on the agreement's scale
+    cfg = default_config(vf=1e-6, lambda_=2e-7, k1=1e-6, b0=1e-4, hbar=1e-3, n_tr=8)
+    original = cli.phase_verdict_numeric
+
+    def off_by_half(*args, **kwargs):
+        report = original(*args, **kwargs)
+        return dataclasses.replace(
+            report, plus_roots=tuple(1.5 * e for e in report.plus_roots)
+        )
+
+    monkeypatch.setattr(cli, "phase_verdict_numeric", off_by_half)
+    rows = {name: status for name, status, _ in cli.run_verify(cfg)}
+    assert rows["numeric agreement branch I"] == "FAIL"
+    assert rows["numeric agreement branch II"] == "FAIL"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -18,13 +18,11 @@ from ptdirac.params import (
     DegenerateCoefficientsError,
     PhaseVerdict,
     PhysParams,
-    Valley,
     Vary,
     classify_phase,
     critical_point,
     default_critical_tol,
     derive_coeffs,
-    holomorphic_tower,
     level_energy,
     mass_gap,
     normalizability,
@@ -421,13 +419,6 @@ def test_degenerate_envelope_fields():
     assert co.a_coef == 0.0
     assert co.d1_branch_i is None
     assert co.d1_branch_ii is not None
-
-
-def test_holomorphic_tower_pairs_branch_with_valley():
-    assert holomorphic_tower(Branch.I, Valley.PRIMARY)
-    assert holomorphic_tower(Branch.II, Valley.TIME_REVERSED)
-    assert not holomorphic_tower(Branch.I, Valley.TIME_REVERSED)
-    assert not holomorphic_tower(Branch.II, Valley.PRIMARY)
 
 
 def test_with_varied_sets_the_named_field():

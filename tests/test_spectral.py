@@ -24,8 +24,8 @@ from ptdirac.params import (
     classify_phase,
     critical_point,
     derive_coeffs,
-    holomorphic_tower,
     level_energy,
+    normalizability,
     with_varied,
 )
 from ptdirac import cli, spectral
@@ -34,7 +34,9 @@ from ptdirac.opalg import (
     Prim,
     SpinorFunction,
     WeightedPolynomial,
+    analytic_state,
     build_hamiltonian,
+    lll_state,
 )
 from ptdirac.spectral import (
     EigensolveError,
@@ -1181,6 +1183,32 @@ def test_build_holds_where_the_envelope_exponent_is_subnormal(valley):
     assert verdict in (classify_phase(p, Branch.I), PhaseVerdict.CRITICAL)
 
 
+def test_floor_covers_the_subnormal_grid_next_to_the_ep():
+    # c1, c2, d and hf round on the subnormal grid, k_coef is -3.1e-322
+    # against an exact -5e-324, and 8 eps k_scale underflows to 0; the
+    # grid's rounding reaches each level times |a b hbar|, |a hbar b hbar|
+    # and |a hbar| + |b hbar|
+    p = PhysParams(
+        v_f=7.531611281293586, lam=0.340574255291245, k1=1.503971745e-315,
+        b0=4.1293261678e-313, hbar=2.9767150936456397,
+    )
+    wrong = []
+    for n_tr in (2, 4, 8, 12):
+        for seed in range(10):
+            for branch in Branch:
+                k = _exact_k(p) * (1 if branch is Branch.I else -1)
+                for valley in Valley:
+                    report, ratio = _floor_coverage(
+                        p, draw_similarity(n_tr, seed), branch, valley
+                    )
+                    assert ratio <= 1.0, (n_tr, seed, branch, valley, ratio)
+                    if report.verdict is not PhaseVerdict.CRITICAL and (
+                        (report.verdict is PhaseVerdict.UNBROKEN) != (k > 0)
+                    ):
+                        wrong.append((n_tr, seed, branch.value, valley.value))
+    assert wrong == []
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -1288,7 +1316,8 @@ def test_off_pattern_scale_at_large_couplings_is_the_cancelling_terms(
     # about 1 eps, which with the roundoff already there stays within the
     # tolerance of 8 eps.
     co = derive_coeffs(LARGE)
-    word = (Prim.MUL_ZBAR,) if holomorphic_tower(branch, valley) else (Prim.MUL_Z,)
+    holo = (branch is Branch.I) == (valley is Valley.PRIMARY)
+    word = (Prim.MUL_ZBAR,) if holo else (Prim.MUL_Z,)
     t = rel * _cancelling_scale(co, branch)
     if raises:  # far above the leftover
         assert t > 1e4 * np.finfo(float).eps * abs(float(co.c1))
@@ -1393,7 +1422,7 @@ def test_build_checks_hold_to_a_few_eps_at_every_scale(
     else:
         scale = _cancelling_scale(co, branch)
     t = units * np.finfo(float).eps * scale
-    holo = holomorphic_tower(branch, valley)
+    holo = (branch is Branch.I) == (valley is Valley.PRIMARY)
     if kind == "off-pattern":
         tamper = OperatorExpr.from_word(
             t, SIGMA_PLUS, (Prim.MUL_ZBAR,) if holo else (Prim.MUL_Z,)
@@ -1449,3 +1478,54 @@ def test_invariance_budget_is_the_scramble_term_of_the_floor(
             scrambled_eigensolve(rep, similarity)
     else:
         scrambled_eigensolve(rep, similarity)
+
+
+# ---------------------------------------------------------------------------
+# the time-reversed valley and the envelope
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_tr", [2, 3, 8, 40])
+@pytest.mark.parametrize("branch", list(Branch))
+def test_time_reversed_valley_is_the_primary_valley_relabeled(branch, n_tr):
+    # T = (i sigma_y) K relabels a <-> b and c1 <-> c2, which exchanges the
+    # two envelopes and so the branches: the time-reversed truncation and
+    # zero modes are the primary ones of the swapped coefficients, bit for bit
+    other = Branch.II if branch is Branch.I else Branch.I
+    lam_c = critical_point(BASE, Vary.LAMBDA)
+    for p in (BASE, SMALL, LARGE, dataclasses.replace(BASE, lam=lam_c)):
+        co = derive_coeffs(p)
+        left = build_truncated(co, n_tr, branch, Valley.TIME_REVERSED)
+        right = build_truncated(co.swapped(), n_tr, other, Valley.PRIMARY)
+        assert left.a.tobytes() == right.a.tobytes()
+        assert left.b.tobytes() == right.b.tobytes()
+        assert left.dropped_count == right.dropped_count
+        assert left.build_floor.hex() == right.build_floor.hex()
+        for l in range(n_tr):
+            left_mode = lll_state(l, co, Valley.TIME_REVERSED)
+            right_mode = lll_state(l, co.swapped(), Valley.PRIMARY)
+            assert repr((left_mode.d, left_mode.coeffs)) == repr(
+                (right_mode.d, right_mode.coeffs)
+            )
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_every_envelope_reader_raises_one_message(sign):
+    # lambda = v_f leaves branch I without an envelope, -v_f branch II; the
+    # zero modes read branch I's envelope in the primary valley, II's in the
+    # time-reversed one
+    p = dataclasses.replace(BASE, lam=sign * BASE.v_f)
+    co = derive_coeffs(p)
+    branch, modes = (
+        (Branch.I, Valley.PRIMARY) if sign > 0 else (Branch.II, Valley.TIME_REVERSED)
+    )
+    calls = [lambda: normalizability(p, branch), lambda: lll_state(0, co, modes)]
+    for valley in Valley:
+        calls.append(lambda valley=valley: build_truncated(co, 4, branch, valley))
+        calls.append(lambda valley=valley: analytic_state(branch, valley, 0, co))
+    messages = set()
+    for call in calls:
+        with pytest.raises(DegenerateCoefficientsError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {f"branch {branch.value} envelope undefined at these coefficients"}
