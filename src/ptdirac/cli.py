@@ -376,13 +376,17 @@ def _perturbation(mu: float) -> OperatorExpr:
 
 def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str]]:
     """Battery of cross-checks; returns (name, status, detail) rows where
-    status is PASS, FAIL or SKIP.  A non-finite perturb raises ValueError:
-    its nan residuals would fail no comparison."""
+    status is PASS, FAIL or SKIP.  The four kinds of row that read the sign
+    of k_coef or its square root (eigenstates, symmetry eigenfactors,
+    ladder pair, numeric agreement) skip at a critical point, where
+    classify_phase finds k_coef within 1e-12 k_scale of 0.  A non-finite
+    perturb raises ValueError: its nan residuals would fail no comparison."""
     if not math.isfinite(perturb):
         raise ValueError(f"perturb must be finite, got {perturb!r}")
     p = cfg.params()
     co = derive_coeffs(p)
-    k = float(co.k_coef)
+    verdict_i = classify_phase(p, Branch.I)
+    critical = verdict_i is PhaseVerdict.CRITICAL
     rows: List[Tuple[str, str, str]] = []
 
     def record(name: str, ok: bool, detail: str) -> None:
@@ -419,9 +423,10 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
 
     # closed-form eigenstates against the full first-order equation
     for branch in (Branch.I, Branch.II):
-        if co.d1(branch) is None:
+        if critical or co.d1(branch) is None:
             skip(
                 f"eigenstates branch {branch.value}",
+                "critical point" if critical else
                 "degenerate A=0" if branch is Branch.I else "degenerate B=0",
             )
             continue
@@ -439,9 +444,10 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
         )
 
     # symmetry eigenfactors: present on the real branch, absent on the other
-    real, broken = (Branch.I, Branch.II) if k > 0 else (Branch.II, Branch.I)
-    if not abs(k) > 0.0:  # k = 0, or nan after an overflow
-        skip("symmetry eigenfactors", "k = 0 (critical point)")
+    unbroken = verdict_i is PhaseVerdict.UNBROKEN
+    real, broken = (Branch.I, Branch.II) if unbroken else (Branch.II, Branch.I)
+    if critical:
+        skip("symmetry eigenfactors", "critical point")
     elif co.d1(real) is None:
         skip("symmetry eigenfactors", "real branch degenerate")
     else:
@@ -485,14 +491,17 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
         worst = max(lll_annihilation_residuals(states, co, valley))
         record(name, worst <= _VERIFY_TOL, f"residual {worst:.3e} over l<=20")
 
-    # ladder pair
-    if k == 0.0:
-        skip("ladder pair", "k = 0: normalization undefined")
+    # ladder pair: [Q1, Q2dag] - 1 is dimensionless, the factorization
+    # defect is measured against H's coefficients
+    if critical:
+        skip("ladder pair", "critical point")
     else:
         rep = jc_verify(co, degree=30)
+        h_size = max(abs(float(x)) for x in (
+            co.a_coef * co.hbar, co.b_coef * co.hbar, co.c1, co.c2))
         ok = (
             rep.commutator_residual <= _VERIFY_TOL
-            and rep.factorization_residual <= _VERIFY_TOL
+            and rep.factorization_residual <= _VERIFY_TOL * h_size
         )
         record(
             "ladder pair",
@@ -505,13 +514,10 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
     similarity = draw_similarity(cfg.n_tr, cfg.seed)
     for branch in (Branch.I, Branch.II):
         name = f"numeric agreement branch {branch.value}"
+        if critical or co.d1(branch) is None:
+            skip(name, "critical point" if critical else "degenerate block coefficient")
+            continue
         verdict = classify_phase(p, branch)
-        if verdict is PhaseVerdict.CRITICAL:
-            skip(name, "critical point")
-            continue
-        if co.d1(branch) is None:
-            skip(name, "degenerate block coefficient")
-            continue
         report = phase_verdict_numeric(p, similarity, branch=branch, valley=cfg.valley)
         worst = 0.0
         for n, num in enumerate(report.plus_roots[:11]):

@@ -25,12 +25,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 Real = Union[float, Fraction]
+
+_TINY = sys.float_info.min  # the smallest normal float; below it the grid is eps tiny
 
 
 class Branch(Enum):
@@ -102,7 +105,10 @@ class PhysParams:
 class DerivedCoeffs:
     """Block coefficients of the factored Hamiltonian plus both envelope exponents.
 
-    k_scale is the size of the terms that cancel in k_coef (see derive_coeffs).
+    k_scale is the roundoff size of k_coef, the one answer to "is k_coef
+    distinguishable from 0?": the closed form's critical band, the numeric
+    oracle's build floor and verify's critical skips all read it (see
+    derive_coeffs).
     d1_branch_i and d1_branch_ii are None when the corresponding block
     coefficient vanishes (v_f = lam, respectively v_f = -lam); every other
     field still evaluates there, and envelope(branch) is the reader that
@@ -165,7 +171,14 @@ def derive_coeffs(p: PhysParams) -> DerivedCoeffs:
     which the operator-adjoint tests rely on.  k_scale sums the size of
     every term that cancels on the way to k_coef, inside c1 and c2 too, so
     each rounding here moves k_coef by at most eps k_scale (Higham 2002,
-    sec. 3.3).
+    sec. 3.3).  Below tiny a rounding errs by up to eps tiny / 2 at any
+    size, so k_scale adds tiny / 2 times each rounding's reach into k_coef:
+    |a b hbar| for half_field, |a hbar b hbar| for the build's envelope
+    exponent d, and at most |a hbar| + |b hbar| for each of the other five
+    (drive, lower or upper, c1 or c2, and the build's product and sum).
+    That term is written symmetric in a <-> b, so k_scale is bitwise the
+    same in both valleys, and it is 0 when c1 = c2 = 0, where every level
+    is an exact 0.
     Finite float inputs can still overflow here; a coefficient that comes
     out inf or nan raises ValueError instead of reaching a verdict.
     """
@@ -180,6 +193,11 @@ def derive_coeffs(p: PhysParams) -> DerivedCoeffs:
     k_coef = (a_coef * c2 - b_coef * c1) * p.hbar
     k_scale = abs(p.hbar) * (abs(a_coef) * (abs(drive) + abs(upper))
                              + abs(b_coef) * (abs(drive) + abs(lower)))
+    if c1 or c2:  # tiny first, so no product of couplings overflows
+        a_h, b_h = abs(a_coef * p.hbar), abs(b_coef * p.hbar)
+        quarter = 0.25 * _TINY
+        k_scale += (quarter * a_h * (b_h + abs(b_coef))
+                    + quarter * b_h * (a_h + abs(a_coef)) + 2.5 * _TINY * (a_h + b_h))
     d1_i = None if a_coef == 0 else c1 / (a_coef * p.hbar)
     d1_ii = None if b_coef == 0 else c2 / (b_coef * p.hbar)
     derived = {"a": a_coef, "b": b_coef, "c1": c1, "c2": c2, "k": k_coef,
@@ -244,19 +262,14 @@ def critical_point(p: PhysParams, vary: Vary) -> Optional[Real]:
 
 
 def default_critical_tol(p: PhysParams) -> float:
-    """Width of the default critical band: 1e-12 times the natural size of k_coef.
+    """Half-width of the default critical band: 1e-12 k_scale.
 
-    The scale is the sum of magnitudes of the terms whose cancellation
-    produces k_coef, so a k_coef that is zero only through round-off falls
-    inside the band.  Raises ValueError when the scale overflows.
+    k_scale bounds each rounding of k_coef (derive_coeffs), so a k_coef that
+    is zero only through roundoff falls inside the band, about 560 times
+    the build floor's 8 eps k_scale per level.  Raises ValueError when
+    k_scale overflows.
     """
-    v2 = float(p.v_f) * float(p.v_f)
-    field = float(p.b0) * float(p.e) / float(p.c)
-    scale = float(p.hbar) * (
-        abs(2 * v2 * field)
-        + abs(2 * float(p.lam) * float(p.lam) * field)
-        + abs(4 * float(p.k1) * v2)
-    )
+    scale = float(derive_coeffs(p).k_scale)
     if not math.isfinite(scale):
         raise ValueError("critical band overflows floating point at these parameters")
     return 1e-12 * scale
@@ -275,8 +288,9 @@ def check_tol(name: str, tol: float) -> None:
 def classify_phase(p: PhysParams, branch: Branch) -> PhaseVerdict:
     """Sign test on k_coef with a critical band of half-width tol around zero.
 
-    tol is default_critical_tol(p).  Branch I is unbroken for k_coef > tol
-    and broken for k_coef < -tol; branch II is the mirror image.
+    tol is default_critical_tol(p), 1e-12 k_scale.  Branch I is unbroken for
+    k_coef > tol and broken for k_coef < -tol; branch II is the mirror
+    image, so both branches read critical at the same points.
     """
     tol = default_critical_tol(p)
     k = derive_coeffs(p).k_coef

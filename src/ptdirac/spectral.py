@@ -84,9 +84,8 @@ _TINY = float(np.finfo(float).tiny)
 # The roundings the build leaves: both build checks allow this many of
 # their scale, eps (scale + tiny), below tiny on a grid of spacing eps tiny
 # (worst seen: 0.93 eps off the pattern, 2.8 eps against the closed form),
-# and the build floor this many eps (k_scale + grid) per level (worst seen:
-# k_coef 0.98 eps k_scale from the exact k of its float inputs near the EP,
-# and E^2 0.84 grid terms from its exact level with subnormal couplings).
+# and the build floor this many eps k_scale per level (worst seen: k_coef
+# 0.98 eps k_scale from the exact k of its float inputs near the EP).
 _BUILD_CHECK_UNITS = 8.0
 
 
@@ -177,13 +176,9 @@ def build_truncated(
     tiny), so both checks stay at the roundoff of their scale at every
     coupling size; off the pattern tiny grows to tiny (1 + |a hbar| +
     |b hbar|), as d's subnormal rounding reaches there times a or b hbar.
-    The build floor is 8 eps (k_scale + grid) n_tr: level l holds (l + 1) k,
-    and each rounding of k is at most eps k_scale (derive_coeffs) plus, below
-    tiny, eps tiny / 2 times its reach into k: |a b hbar| for hf, |a hbar
-    b hbar| for d, at most |a hbar| + |b hbar| for each of the other five
-    (drive, lower or upper, c1 or c2, apply's product and sum).  So a level
-    whose k is roundoff, at or next to the EP, does not read as definite.
-    With c1 = c2 = 0 every level is an exact 0 and grid is 0.
+    The build floor is 8 eps k_scale n_tr: level l holds (l + 1) k, and each
+    rounding of k is at most eps k_scale (derive_coeffs), so a level whose k
+    is roundoff, at or next to the EP, does not read as definite.
     """
     _check_n_tr(n_tr)
     d = float(coeffs.envelope(branch))
@@ -254,10 +249,7 @@ def build_truncated(
         )
     a.flags.writeable = False
     b.flags.writeable = False
-    unit = 0.5 * _TINY  # tiny first, so no product of couplings overflows
-    reach = unit * a_h * (b_h + abs(float(coeffs.b_coef))) + 5.0 * unit * (a_h + b_h)
-    k_grid = reach if coeffs.c1 or coeffs.c2 else 0.0
-    build_floor = _BUILD_CHECK_UNITS * _EPS * (float(coeffs.k_scale) + k_grid) * n_tr
+    build_floor = _BUILD_CHECK_UNITS * _EPS * float(coeffs.k_scale) * n_tr
     return TruncatedRep(n_tr, a, b, dropped, build_floor)
 
 

@@ -29,6 +29,7 @@ from ptdirac.cli import (
     jsonable,
     main,
 )
+from ptdirac.opalg import JCReport
 from ptdirac.spectral import build_truncated, parse_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -505,6 +506,35 @@ def test_verify_numeric_agreement_is_relative_at_small_couplings(monkeypatch):
     rows = {name: status for name, status, _ in cli.run_verify(cfg)}
     assert rows["numeric agreement branch I"] == "FAIL"
     assert rows["numeric agreement branch II"] == "FAIL"
+
+
+def test_verify_ladder_pair_is_relative_at_small_couplings(monkeypatch):
+    # H's coefficients are about 1e-9 here, so a factorization defect of
+    # 1e-6 of them lies far below an absolute 1e-12
+    cfg = default_config(vf=1e-6, lambda_=2e-7, k1=1e-6, b0=1e-4, hbar=1e-3, n_tr=8)
+    co = derive_coeffs(cfg.params())
+    size = max(abs(x) for x in (co.a_coef * co.hbar, co.b_coef * co.hbar, co.c1, co.c2))
+    monkeypatch.setattr(cli, "jc_verify", lambda *a, **kw: JCReport(0.0, 1e-6 * size))
+    rows = {name: status for name, status, _ in cli.run_verify(cfg)}
+    assert rows["ladder pair"] == "FAIL"
+
+
+@pytest.mark.parametrize("vary", list(Vary))
+def test_verify_skips_the_rows_that_read_k_at_a_critical_point(vary, tmp_path):
+    # at the printed critical value k_coef is roundoff: its sign and sqrt
+    # mean nothing, so the rows that read them skip and the rest pass
+    flag = "--lambda" if vary is Vary.LAMBDA else "--b0"
+    code, text = run_to_file(tmp_path, ["verify", flag, repr(critical_point(BASE, vary))])
+    assert code == 0
+    rows = dict(line.split("  ", 1) for line in text.splitlines()[:-1])
+    reading_k = {
+        "eigenstates branch I", "eigenstates branch II", "symmetry eigenfactors",
+        "ladder pair", "numeric agreement branch I", "numeric agreement branch II",
+    }
+    for name, rest in rows.items():
+        expected = ["SKIP", "critical", "point"] if name in reading_k else ["PASS"]
+        assert rest.split()[:len(expected)] == expected, name
+    assert reading_k <= rows.keys()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -28,6 +28,7 @@ from ptdirac.params import (
     normalizability,
     with_varied,
 )
+from ptdirac.spectral import build_truncated
 
 # reference parameter point used throughout: vf = 1.37, k1 = 0.02, b0 = 100
 BASE = PhysParams(v_f=1.37, lam=0.5, k1=0.02, b0=100.0)
@@ -209,9 +210,12 @@ def test_derive_coeffs_rejects_non_finite_coefficients():
 
 
 def test_critical_band_rejects_an_overflowing_scale():
-    # the coefficients stay finite, but v_f**2 does not
-    p = PhysParams(v_f=1e160, lam=0.0, k1=0.0, b0=1e-200)
-    derive_coeffs(p)
+    # at the EP a c2 and b c1 are both about 1.15e308, so every coefficient
+    # and k_coef stay finite, but k_scale, at least |a c2| + |b c1|, does not
+    p = PhysParams(v_f=1.2e154, lam=4.8e153, k1=1.0, b0=326.1904761904762)
+    co = derive_coeffs(p)
+    assert abs(co.a_coef * co.c2) > 1e308 and abs(co.b_coef * co.c1) > 1e308
+    assert co.k_scale == float("inf")
     with pytest.raises(ValueError, match="overflows floating point"):
         default_critical_tol(p)
     with pytest.raises(ValueError, match="overflows floating point"):
@@ -257,19 +261,38 @@ def test_k_scale_bounds_the_roundoff_of_k_coef():
 
 
 def test_k_scale_is_the_same_in_both_valleys():
-    for p in (BASE, BASE_L0, C1_CANCELS, dataclasses.replace(BASE, lam=1.8, k1=-0.3)):
+    # the last two points are subnormal, where k_scale carries the grid's
+    # reach; at the second, |a hbar| (|b hbar| + |b|) and |b hbar| (|a hbar|
+    # + |a|) round apart, so a grid term that is not symmetric shows there
+    subnormal = [
+        PhysParams(
+            v_f=0.8713275317543699, lam=0.3959494577303741, k1=2.93443470977e-313,
+            b0=1.0132746824012e-310, hbar=2.8610706541825857,
+        ),
+        PhysParams(v_f=6.335793, lam=-4.656229, k1=1.70948e-314, b0=1.49639e-310,
+                   hbar=0.867238),
+    ]
+    for p in [BASE, BASE_L0, C1_CANCELS, dataclasses.replace(BASE, lam=1.8, k1=-0.3),
+              *subnormal]:
         co = derive_coeffs(p)
         q = dataclasses.replace(p, lam=-p.lam, k1=-p.k1, b0=-p.b0)
         assert co.swapped().k_scale == derive_coeffs(q).k_scale == co.k_scale
 
 
 def test_critical_band_is_far_wider_than_the_build_term():
-    # for |lam| <= v_f, k_scale <= the band's scale, so the band 1e-12 scale
-    # is at least 1e-12 / (8 eps), about 563, times the build floor's 8 eps
-    # k_scale per level: the closed form needs no wider band for the roundoff
+    # the band 1e-12 k_scale is 1e-12 / (8 eps), about 563, times the build
+    # floor's 8 eps k_scale per level, on either side of |lam| = v_f
     eps = sys.float_info.epsilon
-    for p in _near_critical_draws(2000, 23) + [BASE, C1_CANCELS]:
-        assert default_critical_tol(p) >= 560 * 8 * eps * derive_coeffs(p).k_scale
+    rng = random.Random(23)
+    beyond = [
+        dataclasses.replace(p, lam=p.v_f * rng.choice((-1, 1)) * rng.uniform(1.05, 3))
+        for p in _near_critical_draws(200, 24)
+    ]
+    for p in _near_critical_draws(200, 23) + beyond + [BASE, C1_CANCELS]:
+        per_level = build_truncated(derive_coeffs(p), 2).build_floor / 2
+        assert default_critical_tol(p) == pytest.approx(
+            1e-12 / (8 * eps) * per_level, rel=4 * eps
+        ), p
 
 
 def test_verdict_flips_across_lambda_boundary():

@@ -1184,28 +1184,42 @@ def test_build_holds_where_the_envelope_exponent_is_subnormal(valley):
 
 
 def test_floor_covers_the_subnormal_grid_next_to_the_ep():
-    # c1, c2, d and hf round on the subnormal grid, k_coef is -3.1e-322
-    # against an exact -5e-324, and 8 eps k_scale underflows to 0; the
-    # grid's rounding reaches each level times |a b hbar|, |a hbar b hbar|
-    # and |a hbar| + |b hbar|
-    p = PhysParams(
-        v_f=7.531611281293586, lam=0.340574255291245, k1=1.503971745e-315,
-        b0=4.1293261678e-313, hbar=2.9767150936456397,
-    )
+    # c1, c2, d and hf round on the subnormal grid, and eps times the
+    # cancelling terms underflows to 0; the grid's rounding reaches each
+    # level times |a b hbar|, |a hbar b hbar| and |a hbar| + |b hbar|, and
+    # k_scale carries that reach into the build floor and the closed form's
+    # critical band alike.  k_coef is -3.1e-322 against an exact -5e-324 at
+    # the first point, 1.5e-323 against an exact k just below 0 at the second.
+    points = [
+        PhysParams(
+            v_f=7.531611281293586, lam=0.340574255291245, k1=1.503971745e-315,
+            b0=4.1293261678e-313, hbar=2.9767150936456397,
+        ),
+        PhysParams(
+            v_f=0.8713275317543699, lam=0.3959494577303741, k1=2.93443470977e-313,
+            b0=1.0132746824012e-310, hbar=2.8610706541825857,
+        ),
+    ]
     wrong = []
-    for n_tr in (2, 4, 8, 12):
-        for seed in range(10):
-            for branch in Branch:
-                k = _exact_k(p) * (1 if branch is Branch.I else -1)
-                for valley in Valley:
-                    report, ratio = _floor_coverage(
-                        p, draw_similarity(n_tr, seed), branch, valley
-                    )
-                    assert ratio <= 1.0, (n_tr, seed, branch, valley, ratio)
-                    if report.verdict is not PhaseVerdict.CRITICAL and (
-                        (report.verdict is PhaseVerdict.UNBROKEN) != (k > 0)
-                    ):
-                        wrong.append((n_tr, seed, branch.value, valley.value))
+    for p in points:
+        for branch in Branch:
+            k = _exact_k(p) * (1 if branch is Branch.I else -1)
+            closed = classify_phase(p, branch)
+            if closed is not PhaseVerdict.CRITICAL and (
+                (closed is PhaseVerdict.UNBROKEN) != (k > 0)
+            ):
+                wrong.append((p, branch.value, "closed form"))
+            for n_tr in (2, 4, 8, 12):
+                for seed in range(10):
+                    for valley in Valley:
+                        report, ratio = _floor_coverage(
+                            p, draw_similarity(n_tr, seed), branch, valley
+                        )
+                        assert ratio <= 1.0, (p, n_tr, seed, branch, valley, ratio)
+                        if report.verdict is not PhaseVerdict.CRITICAL and (
+                            (report.verdict is PhaseVerdict.UNBROKEN) != (k > 0)
+                        ):
+                            wrong.append((p, n_tr, seed, branch.value, valley.value))
     assert wrong == []
 
 
