@@ -365,7 +365,6 @@ def cmd_analytic(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 _VERIFY_TOL = 1e-12
-_AGREE_TOL = 1e-8
 
 
 def _perturbation(mu: float) -> OperatorExpr:
@@ -376,159 +375,170 @@ def _perturbation(mu: float) -> OperatorExpr:
 
 def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str]]:
     """Battery of cross-checks; returns (name, status, detail) rows where
-    status is PASS, FAIL or SKIP.  The four kinds of row that read the sign
-    of k_coef or its square root (eigenstates, symmetry eigenfactors,
-    ladder pair, numeric agreement) skip at a critical point, where
-    classify_phase finds k_coef within 1e-12 k_scale of 0.  A non-finite
-    perturb raises ValueError: its nan residuals would fail no comparison."""
+    status is PASS, FAIL or SKIP.
+
+    Every row passes at _VERIFY_TOL times the size its residual cancels,
+    with h_size = max(|a hbar|, |b hbar|, |c1|, |c2|), kappa =
+    k_scale / |k_coef| and d_size = max(1, |d|) over the defined envelope
+    exponents d:
+
+    - primitive commutators: d_size, for derivatives of exp(d z zbar)
+      bring d-terms that the identity cancels;
+    - eigenstates: max(kappa, h_size / sqrt|k_coef|), for the lower
+      component holds k_coef / (a hbar), formed by cancellation at
+      k_scale, and the upper one cancels terms of size H against |E0|;
+    - zero modes: h_size, for the state's coefficient is 1 and the
+      residual is in H's units;
+    - ladder pair: kappa d_size for the commutator, h_size for the
+      factorization;
+    - symmetry commutators, valley map: 1.
+
+    Numeric agreement needs equal verdicts and each level within the
+    oracle's own floor, |E+num - E+| |E+num + E+| <= report.floor.
+    Symmetry eigenfactors are a present/absent test.
+
+    Every skip goes through one path: a row that reads the sign of k_coef
+    or its square root (eigenstates, symmetry eigenfactors, ladder pair,
+    numeric agreement) skips with "critical point" where classify_phase
+    finds k_coef within 1e-12 k_scale of 0, and a row whose envelope is
+    undefined (DerivedCoeffs.envelope raises DegenerateCoefficientsError)
+    skips with "degenerate block coefficient".  A non-finite perturb
+    raises ValueError: its nan residuals would fail no comparison."""
     if not math.isfinite(perturb):
         raise ValueError(f"perturb must be finite, got {perturb!r}")
     p = cfg.params()
     co = derive_coeffs(p)
     verdict_i = classify_phase(p, Branch.I)
     critical = verdict_i is PhaseVerdict.CRITICAL
+    k = abs(float(co.k_coef))
+    kappa = float(co.k_scale) / k if k else math.inf  # read only off critical points
+    h_size = max(abs(float(x)) for x in (
+        co.a_coef * co.hbar, co.b_coef * co.hbar, co.c1, co.c2))
+    envelopes = [float(d) for d in (co.d1_branch_i, co.d1_branch_ii) if d is not None]
+    d_size = max([1.0] + [abs(d) for d in envelopes])
     rows: List[Tuple[str, str, str]] = []
 
-    def record(name: str, ok: bool, detail: str) -> None:
+    def row(name: str, check, reads_k: bool = False) -> None:
+        """Append check()'s (ok, detail) as PASS or FAIL, or the SKIP."""
+        if reads_k and critical:
+            rows.append((name, "SKIP", "critical point"))
+            return
+        try:
+            ok, detail = check()
+        except DegenerateCoefficientsError:
+            rows.append((name, "SKIP", "degenerate block coefficient"))
+            return
         rows.append((name, "PASS" if ok else "FAIL", detail))
 
-    def skip(name: str, detail: str) -> None:
-        rows.append((name, "SKIP", detail))
+    def residual(worst: float, size: float, over: str = "") -> Tuple[bool, str]:
+        return worst <= _VERIFY_TOL * size, f"residual {worst:.3e}{over}"
 
     h = build_hamiltonian(co, Valley.PRIMARY)
     h_other = build_hamiltonian(co, Valley.TIME_REVERSED)
     if perturb:
         h = h + _perturbation(perturb)
-    d_probe = -0.25
-    for candidate in (co.d1_branch_i, co.d1_branch_ii):
-        if candidate is not None and float(candidate) < 0:
-            d_probe = float(candidate)
-            break
+    d_probe = next((d for d in envelopes if d < 0), -0.25)
     probes = standard_probes(d_probe, max_degree=4, random_count=8)
 
-    # primitive algebra
+    # primitive algebra: [d/dz, z] = 1, [d/dzbar, zbar] = 1, [d/dz, zbar] = 0
     ident = OperatorExpr.identity()
     pairs = [
-        ("[d/dz, z] = 1", OperatorExpr.dz() @ OperatorExpr.mul_z()
+        (OperatorExpr.dz() @ OperatorExpr.mul_z()
          - OperatorExpr.mul_z() @ OperatorExpr.dz(), ident),
-        ("[d/dzbar, zbar] = 1", OperatorExpr.dzbar() @ OperatorExpr.mul_zbar()
+        (OperatorExpr.dzbar() @ OperatorExpr.mul_zbar()
          - OperatorExpr.mul_zbar() @ OperatorExpr.dzbar(), ident),
-        ("[d/dz, zbar] = 0", OperatorExpr.dz() @ OperatorExpr.mul_zbar()
+        (OperatorExpr.dz() @ OperatorExpr.mul_zbar()
          - OperatorExpr.mul_zbar() @ OperatorExpr.dz(), OperatorExpr([])),
     ]
-    worst = max(
-        operator_residual_on_probes(x, y, probes) for _, x, y in pairs
-    )
-    record("primitive commutators", worst <= _VERIFY_TOL, f"residual {worst:.3e}")
+    row("primitive commutators", lambda: residual(
+        max(operator_residual_on_probes(x, y, probes) for x, y in pairs), d_size))
 
     # closed-form eigenstates against the full first-order equation
-    for branch in (Branch.I, Branch.II):
-        if critical or co.d1(branch) is None:
-            skip(
-                f"eigenstates branch {branch.value}",
-                "critical point" if critical else
-                "degenerate A=0" if branch is Branch.I else "degenerate B=0",
-            )
-            continue
+    def eigenstates(branch: Branch) -> Tuple[bool, str]:
         worst = 0.0
-        for valley in (Valley.PRIMARY, Valley.TIME_REVERSED):
-            hv = h if valley is Valley.PRIMARY else h_other
+        for valley, hv in ((Valley.PRIMARY, h), (Valley.TIME_REVERSED, h_other)):
             for n in range(11):
                 s = opalg.analytic_state(branch, valley, n, co)
                 energy = level_energy_from_coeffs(co, n, branch)
                 worst = max(worst, eigen_residual(hv, s, energy))
-        record(
-            f"eigenstates branch {branch.value}",
-            worst <= _VERIFY_TOL,
-            f"residual {worst:.3e} over n<=10, both valleys",
-        )
+        size = max(kappa, h_size / math.sqrt(k))
+        return residual(worst, size, " over n<=10, both valleys")
+
+    for branch in (Branch.I, Branch.II):
+        row(f"eigenstates branch {branch.value}",
+            functools.partial(eigenstates, branch), reads_k=True)
 
     # symmetry eigenfactors: present on the real branch, absent on the other
     unbroken = verdict_i is PhaseVerdict.UNBROKEN
     real, broken = (Branch.I, Branch.II) if unbroken else (Branch.II, Branch.I)
-    if critical:
-        skip("symmetry eigenfactors", "critical point")
-    elif co.d1(real) is None:
-        skip("symmetry eigenfactors", "real branch degenerate")
-    else:
+
+    def eigenfactors() -> Tuple[bool, str]:
         details = []
         for branch, present in ((real, True), (broken, False)):
-            if co.d1(branch) is None:
-                continue
-            for n in range(7):
-                s = opalg.analytic_state(branch, Valley.PRIMARY, n, co)
+            try:
+                states = [opalg.analytic_state(branch, Valley.PRIMARY, n, co)
+                          for n in range(7)]
+            except DegenerateCoefficientsError:
+                if present:
+                    raise
+                continue  # a degenerate broken branch has no state to carry one
+            for n, s in enumerate(states):
                 for op in (P1T, P2T):
                     if (pt_eigenfactor(op, s) is not None) != present:
                         details.append(
                             f"{op.name} factor missing at n={n}" if present else
                             f"unexpected {op.name} factor on broken branch n={n}"
                         )
-        record(
-            "symmetry eigenfactors",
-            not details,
-            "; ".join(details) or "present/absent as required",
-        )
+        return not details, "; ".join(details) or "present/absent as required"
+
+    row("symmetry eigenfactors", eigenfactors, reads_k=True)
 
     # symmetry commutators with both valley Hamiltonians
-    worst = 0.0
-    for hv in (h, h_other):
-        worst = max(worst, *pt_commutator_residuals(hv, (P1T, P2T), probes))
-    record("symmetry commutators", worst <= _VERIFY_TOL, f"residual {worst:.3e}")
+    row("symmetry commutators", lambda: residual(max(
+        max(pt_commutator_residuals(hv, (P1T, P2T), probes)) for hv in (h, h_other)
+    ), 1.0))
 
     # valley map: T H T^{-1} must equal the other valley Hamiltonian
-    mapped = time_reversal_conjugate(h)
-    worst = operator_residual_on_probes(mapped, h_other, probes)
-    record("valley map", worst <= _VERIFY_TOL, f"residual {worst:.3e}")
+    row("valley map", lambda: residual(
+        operator_residual_on_probes(time_reversal_conjugate(h), h_other, probes), 1.0))
 
     # zero-mode family
-    for valley in (Valley.PRIMARY, Valley.TIME_REVERSED):
-        name = f"zero modes {valley.value}"
-        try:
-            states = [lll_state(l, co, valley) for l in range(21)]
-        except DegenerateCoefficientsError:
-            skip(name, "degenerate block coefficient")
-            continue
+    def zero_modes(valley: Valley) -> Tuple[bool, str]:
+        states = [lll_state(l, co, valley) for l in range(21)]
         worst = max(lll_annihilation_residuals(states, co, valley))
-        record(name, worst <= _VERIFY_TOL, f"residual {worst:.3e} over l<=20")
+        return residual(worst, h_size, " over l<=20")
+
+    for valley in (Valley.PRIMARY, Valley.TIME_REVERSED):
+        row(f"zero modes {valley.value}", functools.partial(zero_modes, valley))
 
     # ladder pair: [Q1, Q2dag] - 1 is dimensionless, the factorization
-    # defect is measured against H's coefficients
-    if critical:
-        skip("ladder pair", "critical point")
-    else:
+    # defect is in H's units
+    def ladder() -> Tuple[bool, str]:
         rep = jc_verify(co, degree=30)
-        h_size = max(abs(float(x)) for x in (
-            co.a_coef * co.hbar, co.b_coef * co.hbar, co.c1, co.c2))
-        ok = (
-            rep.commutator_residual <= _VERIFY_TOL
-            and rep.factorization_residual <= _VERIFY_TOL * h_size
-        )
-        record(
-            "ladder pair",
-            ok,
-            f"commutator {rep.commutator_residual:.3e}, "
-            f"factorization {rep.factorization_residual:.3e}",
-        )
+        ok = (rep.commutator_residual <= _VERIFY_TOL * kappa * d_size
+              and rep.factorization_residual <= _VERIFY_TOL * h_size)
+        return ok, (f"commutator {rep.commutator_residual:.3e}, "
+                    f"factorization {rep.factorization_residual:.3e}")
+
+    row("ladder pair", ladder, reads_k=True)
 
     # numeric route agreement; both branches share one similarity
     similarity = draw_similarity(cfg.n_tr, cfg.seed)
-    for branch in (Branch.I, Branch.II):
-        name = f"numeric agreement branch {branch.value}"
-        if critical or co.d1(branch) is None:
-            skip(name, "critical point" if critical else "degenerate block coefficient")
-            continue
+
+    def agreement(branch: Branch) -> Tuple[bool, str]:
         verdict = classify_phase(p, branch)
         report = phase_verdict_numeric(p, similarity, branch=branch, valley=cfg.valley)
-        worst = 0.0
+        ok, worst = report.verdict is verdict, 0.0
         for n, num in enumerate(report.plus_roots[:11]):
-            plus, _ = level_energy(p, n, branch)
-            worst = max(worst, abs(num - plus) / abs(plus))  # no E+ is 0: critical k skipped
-        record(
-            name,
-            report.verdict is verdict and worst <= _AGREE_TOL,
-            f"verdict {report.verdict.value} vs {verdict.value}, "
-            f"level error {worst:.3e}",
-        )
+            plus, _ = level_energy(p, n, branch)  # never 0: critical k skipped
+            worst = max(worst, abs(num - plus) / abs(plus))
+            ok = ok and abs(num - plus) * abs(num + plus) <= report.floor
+        return ok, (f"verdict {report.verdict.value} vs {verdict.value}, "
+                    f"level error {worst:.3e}")
+
+    for branch in (Branch.I, Branch.II):
+        row(f"numeric agreement branch {branch.value}",
+            functools.partial(agreement, branch), reads_k=True)
     return rows
 
 

@@ -44,8 +44,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .exact import ONE, ComplexRational, exact_sqrt
-from .params import Branch, DerivedCoeffs, Valley
+from .exact import ONE, ComplexRational
+from .params import Branch, DerivedCoeffs, Valley, level_energy_from_coeffs
 
 Coeff = Union[int, float, complex, Fraction, ComplexRational]
 Monomial = Tuple[int, int]
@@ -900,36 +900,6 @@ def pt_commutator_residuals(
 # ---------------------------------------------------------------------------
 # closed-form states
 # ---------------------------------------------------------------------------
-
-
-def _exact_principal_sqrt(radicand: Fraction) -> Optional[ComplexRational]:
-    """Principal square root as a ComplexRational, or None if irrational."""
-    if radicand >= 0:
-        root = exact_sqrt(radicand)
-        return None if root is None else ComplexRational(root, Fraction(0))
-    root = exact_sqrt(-radicand)
-    return None if root is None else ComplexRational(Fraction(0), root)
-
-
-def level_energy_from_coeffs(coeffs: DerivedCoeffs, n: int, branch: Branch) -> Coeff:
-    """Positive-root level energy from already-derived coefficients.
-
-    Fraction k_coef with a perfect-square radicand gives an exact
-    ComplexRational; anything else falls back to a complex float.
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError("level index must be a nonnegative integer")
-    k = coeffs.k_coef
-    radicand = (n + 1) * k if branch is Branch.I else -((n + 1) * k)
-    if isinstance(radicand, Fraction):
-        exact = _exact_principal_sqrt(radicand)
-        if exact is not None:
-            return exact
-    elif isinstance(radicand, int):
-        exact = _exact_principal_sqrt(Fraction(radicand))
-        if exact is not None:
-            return exact
-    return cmath.sqrt(complex(radicand))
 
 
 def analytic_state(

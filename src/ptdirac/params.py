@@ -31,6 +31,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
+from .exact import ComplexRational, exact_sqrt
+
 Real = Union[float, Fraction]
 
 _TINY = sys.float_info.min  # the smallest normal float; below it the grid is eps tiny
@@ -216,19 +218,44 @@ def with_varied(p: PhysParams, vary: Vary, x: Real) -> PhysParams:
     return replace(p, **{"lam" if vary is Vary.LAMBDA else "b0": x})
 
 
-def level_energy(p: PhysParams, n: int, branch: Branch) -> Tuple[complex, complex]:
-    """Energies (+E, -E) of level n.
+def _exact_principal_sqrt(radicand: Fraction) -> Optional[ComplexRational]:
+    """Principal square root as a ComplexRational, or None if irrational."""
+    if radicand >= 0:
+        root = exact_sqrt(radicand)
+        return None if root is None else ComplexRational(root, Fraction(0))
+    root = exact_sqrt(-radicand)
+    return None if root is None else ComplexRational(Fraction(0), root)
+
+
+def level_energy_from_coeffs(
+    coeffs: DerivedCoeffs, n: int, branch: Branch
+) -> Union[complex, ComplexRational]:
+    """Positive-root level energy from already-derived coefficients.
 
     Branch I: E = sqrt((n+1)*k_coef); branch II: E = sqrt(-(n+1)*k_coef).
     Principal square root, so the member with positive real part (or, for a
-    negative radicand, +i times a positive number) is listed first.
+    negative radicand, +i times a positive number) is the one returned.
+    Fraction k_coef with a perfect-square radicand gives an exact
+    ComplexRational; anything else falls back to a complex float.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("level index must be a nonnegative integer")
-    k = derive_coeffs(p).k_coef
+    k = coeffs.k_coef
     radicand = (n + 1) * k if branch is Branch.I else -((n + 1) * k)
-    plus = cmath.sqrt(complex(radicand))
-    return (plus, -plus)
+    if isinstance(radicand, (int, Fraction)):
+        exact = _exact_principal_sqrt(Fraction(radicand))
+        if exact is not None:
+            return exact
+    return cmath.sqrt(complex(radicand))
+
+
+def level_energy(p: PhysParams, n: int, branch: Branch) -> Tuple[complex, complex]:
+    """Energies (+E, -E) of level n: level_energy_from_coeffs as complex floats.
+
+    An exact root (Fraction inputs, perfect-square radicand) is rounded once.
+    """
+    plus = complex(level_energy_from_coeffs(derive_coeffs(p), n, branch))
+    return plus, -plus
 
 
 def mass_gap(p: PhysParams) -> complex:

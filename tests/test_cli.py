@@ -1,6 +1,7 @@
 """End-to-end command-line tests: config layering, output formats,
 determinism and exit codes."""
 
+import cmath
 import dataclasses
 import json
 import os
@@ -561,13 +562,107 @@ def test_verify_decomposes_nothing_larger_than_n_tr(tmp_path, monkeypatch):
     assert largest and max(largest) == 12
 
 
+def _verify_table(text):
+    """verify's rows as {name: (status, detail)}, the summary line dropped."""
+    table = {}
+    for line in text.splitlines()[:-1]:
+        name, rest = line.split("  ", 1)
+        status, _, detail = rest.strip().partition("  ")
+        table[name] = (status, detail)
+    return table
+
+
 def test_verify_degenerate_point_skips(tmp_path):
+    # at lambda = v_f the block coefficient a vanishes, so every row that
+    # reads branch I's envelope skips; the real branch II still carries the
+    # symmetry eigenfactors
     code, text = run_to_file(
         tmp_path, ["verify", "--lambda", "1.37", "--n_tr", "16"]
     )
     assert code == 0
-    assert "SKIP" in text
-    assert "degenerate" in text
+    table = _verify_table(text)
+    skipped = {name for name, (status, _) in table.items() if status == "SKIP"}
+    assert skipped == {
+        "eigenstates branch I", "zero modes primary", "numeric agreement branch I",
+    }
+    for name in skipped:
+        assert table[name][1] == "degenerate block coefficient"
+    assert table["symmetry eigenfactors"][0] == "PASS"
+
+
+# The LARGE point of test_spectral.py: H's coefficients reach 4e45 and the
+# envelope exponents 7e10, so fixed residual tolerances failed five rows
+# there although spectrum and analytic agree.
+LARGE_FLAGS = [
+    "--vf", "1.4410316224903703e+22", "--lambda=-2.2544541471337918e+32",
+    "--k1", "3.4875786276944343e+18", "--b0", "4805680236767382.0",
+    "--hbar", "126.24025690634625",
+]
+LARGE = PhysParams(
+    v_f=1.4410316224903703e22, lam=-2.2544541471337918e32,
+    k1=3.4875786276944343e18, b0=4805680236767382.0, hbar=126.24025690634625,
+)
+# Next to the EP the ladder commutator reads 4.7e-11: roundoff times
+# k_scale / |k_coef|, which a fixed 1e-12 failed.
+NEAR_EP_FLAGS = [
+    "--vf", "3.390979818026962", "--lambda", "0.12106483447653558",
+    "--k1", "0.040741782364899636", "--b0", "11.177448959751246",
+    "--hbar", "0.2778793993027819",
+]
+ALL_PASS = "11 checks: 11 passed, 0 failed, 0 skipped"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [LARGE_FLAGS, NEAR_EP_FLAGS, ["--lambda", "1.3319331364"]],
+    ids=["large", "near_ep", "lambda_1.3319331364"],
+)
+def test_verify_passes_every_row_at_the_edges(tmp_path, args):
+    code, text = run_to_file(tmp_path, ["verify"] + args)
+    assert code == 0, text
+    assert text.splitlines()[-1] == ALL_PASS
+
+
+@pytest.mark.parametrize("vary", list(Vary))
+@pytest.mark.parametrize("offset", [1e-10, 1e-7, 1e-4])
+def test_verify_passes_next_to_the_critical_point(tmp_path, vary, offset):
+    # off the critical band every row that reads k_coef holds at its own
+    # roundoff, so none fails and none skips
+    flag = "--lambda" if vary is Vary.LAMBDA else "--b0"
+    value = critical_point(BASE, vary) * (1 + offset)
+    code, text = run_to_file(tmp_path, ["verify", flag, repr(value)])
+    assert code == 0, text
+    assert text.splitlines()[-1] == ALL_PASS
+
+
+def test_verify_numeric_agreement_holds_levels_to_the_floor(monkeypatch):
+    # each E^2 moved by two of the oracle's floors: far inside a relative
+    # 1e-8 at the defaults, but outside the floor
+    original = cli.phase_verdict_numeric
+
+    def off_by_two_floors(*args, **kwargs):
+        report = original(*args, **kwargs)
+        moved = tuple(cmath.sqrt(e * e + 2 * report.floor) for e in report.plus_roots)
+        return dataclasses.replace(report, plus_roots=moved)
+
+    monkeypatch.setattr(cli, "phase_verdict_numeric", off_by_two_floors)
+    rows = {name: status for name, status, _ in cli.run_verify(default_config())}
+    assert rows["numeric agreement branch I"] == "FAIL"
+    assert rows["numeric agreement branch II"] == "FAIL"
+
+
+def test_verify_detects_a_perturbation_at_large_couplings(tmp_path):
+    # the gates widened with what each row cancels; the symmetry rows still
+    # catch a potential of 1e-12 of H's coefficients
+    co = derive_coeffs(LARGE)
+    h_size = max(abs(x) for x in (co.a_coef * co.hbar, co.b_coef * co.hbar, co.c1, co.c2))
+    code, text = run_to_file(
+        tmp_path, ["verify", "--perturb", repr(1e-12 * h_size)] + LARGE_FLAGS
+    )
+    assert code == 1
+    table = _verify_table(text)
+    assert table["symmetry commutators"][0] == "FAIL"
+    assert table["valley map"][0] == "FAIL"
 
 
 # ---------------------------------------------------------------------------
