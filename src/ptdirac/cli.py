@@ -18,13 +18,33 @@ the shared flags, the config-file parsing and the merge are all built from
 that table.  Config files hold 'key = value' lines; '#' starts a comment;
 unknown keys are rejected.
 
+Each command returns one record, a plain dict of the values its text
+prints (all but spectrum's seed, which its text reads from the settings),
+and an exit code; ``main`` writes every output at one place.
+``--format json`` writes the record as sorted, indented JSON; ``--format
+text`` (the default) writes the command's text rendering of it, which for
+``sweep`` is its CSV.  The records:
+
+  analytic   build_analytic_report: params, derived, branches, critical
+  verify     {checks: [{name, status, detail}],
+             counts: {total, passed, failed, skipped}}
+  spectrum   {n_tr, branch, valley, verdict, max_residual, levels}
+  sweep      {rows: [...]}, one dict per CSV row keyed by the header,
+             null where a numeric column has no value
+  critical   {analytic, bisected, difference}
+  lll        {valley, envelope, residuals, worst}
+  jc         {degree, commutator_residual, factorization_residual}
+
+A command that declines a request (no analytic critical point, a failed
+bisection, an undefined zero-mode envelope or ladder normalization) raises
+``Refusal``; ``main`` writes its message to stderr verbatim and exits 2.
+
 Exit codes: 0 success, 1 a verification or agreement check failed, 2 bad
 input (usage, config, a non-finite or negative --bisect_tol, a non-finite
 --perturb, parameters whose derived coefficients overflow or whose
-eigenpair certificates fail, degenerate or unbracketed requests, an output
-path that cannot be written).  Floats are
-printed with repr for exact round-tripping; JSON output stores floats as
-repr strings.
+eigenpair certificates fail, degenerate or unbracketed requests, a
+refusal, an output path that cannot be written).  Floats are printed with
+repr for exact round-tripping; JSON output stores floats as repr strings.
 """
 
 from __future__ import annotations
@@ -89,6 +109,10 @@ class ConfigError(Exception):
     pass
 
 
+class Refusal(Exception):
+    """A request a command declines; main writes the message and exits 2."""
+
+
 class _Setting(NamedTuple):
     """One row of the settings table.
 
@@ -142,7 +166,7 @@ _SETTINGS = (
     _Setting("n_tr", int, 40, minimum=2),
     _Setting("seed", int, 0, minimum=0),
     _Setting("output", str, None),
-    _Setting("format", str, "csv", choices=("csv", "json", "text")),
+    _Setting("format", str, "text", choices=("text", "json")),
 )
 _BY_KEY = {s.key: s for s in _SETTINGS}
 _PHYSICAL = tuple(s for s in _SETTINGS if s.physical)
@@ -216,13 +240,6 @@ def _write_file(path: str, text: str) -> None:
     """Write text to path; an OSError reaches main, which exits 2."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-
-
-def _write_output(cfg: RunConfig, text: str) -> None:
-    if cfg.output is None:
-        sys.stdout.write(text)
-    else:
-        _write_file(cfg.output, text)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +334,7 @@ def build_analytic_report(cfg: RunConfig) -> dict:
     return report
 
 
-def _render_analytic_text(report: dict) -> str:
+def _render_analytic_text(report: dict, cfg: RunConfig) -> str:
     lines: List[str] = []
     pr = report["params"]
     lines.append(
@@ -334,30 +351,15 @@ def _render_analytic_text(report: dict) -> str:
             f"normalizable={info['normalizable']} "
             f"gap={info['re_gap']!r}{info['im_gap']:+}j".replace("+0.0j", "")
         )
-        for lv in info["levels"]:
-            lines.append(
-                "  n={n} E+=({rp!r}, {ip!r}) E-=({rm!r}, {im!r})".format(
-                    n=lv["n"],
-                    rp=lv["re_E_plus"],
-                    ip=lv["im_E_plus"],
-                    rm=lv["re_E_minus"],
-                    im=lv["im_E_minus"],
-                )
-            )
+        lines += [
+            "  n={n} E+=({re_E_plus!r}, {im_E_plus!r}) "
+            "E-=({re_E_minus!r}, {im_E_minus!r})".format(**lv)
+            for lv in info["levels"]
+        ]
     crit = report["critical"]
     lines.append(f"critical lambda: {crit['lambda']!r}")
     lines.append(f"critical b0: {crit['b0']!r}")
     return "\n".join(lines) + "\n"
-
-
-def cmd_analytic(cfg: RunConfig) -> int:
-    report = build_analytic_report(cfg)
-    if cfg.format == "json":
-        text = json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n"
-    else:
-        text = _render_analytic_text(report)
-    _write_output(cfg, text)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -542,19 +544,23 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
     return rows
 
 
-def cmd_verify(cfg: RunConfig, perturb: float) -> int:
+def cmd_verify(cfg: RunConfig, perturb: float) -> Tuple[dict, int]:
     rows = run_verify(cfg, perturb)
-    width = max(len(name) for name, _, _ in rows)
-    lines = [f"{name:<{width}}  {status:<4}  {detail}" for name, status, detail in rows]
-    failed = sum(1 for _, status, _ in rows if status == "FAIL")
-    lines.append(
-        f"{len(rows)} checks: "
-        f"{sum(1 for _, s, _ in rows if s == 'PASS')} passed, "
-        f"{failed} failed, "
-        f"{sum(1 for _, s, _ in rows if s == 'SKIP')} skipped"
-    )
-    _write_output(cfg, "\n".join(lines) + "\n")
-    return 1 if failed else 0
+    statuses = [status for _, status, _ in rows]
+    counts = {"total": len(rows), "passed": statuses.count("PASS"),
+              "failed": statuses.count("FAIL"), "skipped": statuses.count("SKIP")}
+    checks = [{"name": name, "status": status, "detail": detail}
+              for name, status, detail in rows]
+    return {"checks": checks, "counts": counts}, 1 if counts["failed"] else 0
+
+
+def _render_verify_text(record: dict, cfg: RunConfig) -> str:
+    width = max(len(c["name"]) for c in record["checks"])
+    lines = [f"{c['name']:<{width}}  {c['status']:<4}  {c['detail']}"
+             for c in record["checks"]]
+    lines.append("{total} checks: {passed} passed, {failed} failed, "
+                 "{skipped} skipped".format(**record["counts"]))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +568,12 @@ def cmd_verify(cfg: RunConfig, perturb: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_spectrum(cfg: RunConfig, dump_path: Optional[str]) -> int:
+def cmd_spectrum(cfg: RunConfig, dump_path: Optional[str]) -> Tuple[dict, int]:
     rep = build_truncated(derive_coeffs(cfg.params()), cfg.n_tr, cfg.branch, cfg.valley)
     if dump_path is not None:
         _write_file(dump_path, dump_matrix(rep.matrix))
     report = scrambled_eigensolve(rep, draw_similarity(cfg.n_tr, cfg.seed))
-    payload = {
+    record = {
         "n_tr": cfg.n_tr,
         "branch": cfg.branch.value,
         "valley": cfg.valley.value,
@@ -578,22 +584,22 @@ def cmd_spectrum(cfg: RunConfig, dump_path: Optional[str]) -> int:
             for i, plus in enumerate(report.plus_roots)
         ],
     }
-    if cfg.format == "json":
-        text = json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
-    else:
-        lines = [
-            f"truncation n_tr={cfg.n_tr} branch={cfg.branch.value} "
-            f"valley={cfg.valley.value} (scrambled, seed={cfg.seed})",
-            f"verdict: {report.verdict.value}",
-            f"worst eigenpair residual: {report.max_residual!r}",
-        ]
-        lines += [
-            f"  n={i} E+=({plus.real!r}, {plus.imag!r})"
-            for i, plus in enumerate(report.plus_roots)
-        ]
-        text = "\n".join(lines) + "\n"
-    _write_output(cfg, text)
-    return 0
+    return record, 0
+
+
+def _render_spectrum_text(record: dict, cfg: RunConfig) -> str:
+    """The seed comes from the settings; spectrum's record does not hold it."""
+    lines = [
+        f"truncation n_tr={record['n_tr']} branch={record['branch']} "
+        f"valley={record['valley']} (scrambled, seed={cfg.seed})",
+        f"verdict: {record['verdict']}",
+        f"worst eigenpair residual: {record['max_residual']!r}",
+    ]
+    lines += [
+        f"  n={lv['n']} E+=({lv['re_E_plus']!r}, {lv['im_E_plus']!r})"
+        for lv in record["levels"]
+    ]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +647,7 @@ def cmd_sweep(
     log: bool,
     numeric: bool,
     numeric_every: Optional[int],
-) -> int:
+) -> Tuple[dict, int]:
     grid = _sweep_grid(lo, hi, steps, log)
     base = cfg.params()
     every = numeric_every if numeric_every is not None else max(1, steps // 10)
@@ -649,10 +655,8 @@ def cmd_sweep(
         raise ConfigError("numeric_every must be at least 1")
     # every numeric point shares one similarity, drawn for (dim, seed)
     similarity = draw_similarity(cfg.n_tr, cfg.seed) if numeric else None
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = _SWEEP_HEADER + (_NUMERIC_HEADER if numeric else [])
-    writer.writerow(header)
+    rows: List[dict] = []
     for idx, x in enumerate(grid):
         p = with_varied(base, vary, x)
         do_numeric = numeric and idx % every == 0
@@ -660,7 +664,7 @@ def cmd_sweep(
             verdict = classify_phase(p, branch)
             gap, _ = level_energy(p, 0, branch)
             numeric_levels: Sequence = ()
-            numeric_verdict = ""
+            numeric_verdict = None
             if do_numeric:
                 try:
                     report = phase_verdict_numeric(
@@ -672,28 +676,26 @@ def cmd_sweep(
                     pass
             for n in range(cfg.n_max):
                 plus, minus = level_energy(p, n, branch)
-                row = [
-                    repr(x),
-                    n,
-                    branch.value,
-                    repr(plus.real),
-                    repr(plus.imag),
-                    repr(minus.real),
-                    repr(minus.imag),
-                    repr(gap.real),
-                    repr(gap.imag),
-                    verdict.value,
-                ]
+                row = [x, n, branch.value, plus.real, plus.imag, minus.real,
+                       minus.imag, gap.real, gap.imag, verdict.value]
                 if numeric:
-                    if n < len(numeric_levels):
-                        num_plus = numeric_levels[n]
-                        row += [repr(num_plus.real), repr(num_plus.imag)]
-                    else:
-                        row += ["", ""]
+                    num = numeric_levels[n] if n < len(numeric_levels) else None
+                    row += [None, None] if num is None else [num.real, num.imag]
                     row.append(numeric_verdict)
-                writer.writerow(row)
-    _write_output(cfg, buf.getvalue())
-    return 0
+                rows.append(dict(zip(header, row)))
+    return {"rows": rows}, 0
+
+
+def _render_sweep_text(record: dict, cfg: RunConfig) -> str:
+    """CSV; csv writes a float as its repr and None as an empty field."""
+    numeric = _NUMERIC_HEADER[0] in record["rows"][0]
+    buf = io.StringIO()
+    writer = csv.DictWriter(
+        buf, _SWEEP_HEADER + (_NUMERIC_HEADER if numeric else []), lineterminator="\n"
+    )
+    writer.writeheader()
+    writer.writerows(record["rows"])
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -709,22 +711,23 @@ def cmd_critical(
     lo: Optional[float],
     hi: Optional[float],
     bisect_tol: float,
-) -> int:
+) -> Tuple[dict, int]:
+    """A missing bracket end is min / max of 0.5 and 1.5 times the analytic
+    value, so a negative critical field gets an ordered bracket too."""
     p = cfg.params()
     try:
         analytic = critical_point(p, vary)
     except (DegenerateCoefficientsError, ValueError) as exc:
-        sys.stderr.write(f"analytic critical point unavailable: {exc}\n")
-        return 2
+        raise Refusal(f"analytic critical point unavailable: {exc}") from exc
     if analytic is None:
-        sys.stderr.write(
-            "analytic critical point unavailable: no real boundary here\n"
-        )
-        return 2
+        raise Refusal("analytic critical point unavailable: no real boundary here")
+    if (lo is None or hi is None) and analytic == 0:
+        raise Refusal("analytic critical point is 0, so the default bracket "
+                      "[0.5, 1.5] x 0 is empty: give --lo and --hi")
     if lo is None:
-        lo = 0.5 * analytic
+        lo = min(0.5 * analytic, 1.5 * analytic)
     if hi is None:
-        hi = 1.5 * analytic
+        hi = max(0.5 * analytic, 1.5 * analytic)
     if vary is Vary.LAMBDA and not lo <= analytic <= hi and lo <= -analytic <= hi:
         # k depends on lambda**2, so -analytic is a critical coupling too.
         analytic = -analytic
@@ -734,17 +737,16 @@ def cmd_critical(
             tol=bisect_tol, branch=cfg.branch, valley=cfg.valley,
         )
     except (NoTransitionBracketedError, DegenerateCoefficientsError) as exc:
-        sys.stderr.write(f"bisection failed: {exc}\n")
-        return 2
+        raise Refusal(f"bisection failed: {exc}") from exc
     diff = abs(numeric - analytic)
-    text = (
-        f"analytic: {analytic!r}\n"
-        f"bisected: {numeric!r}\n"
-        f"difference: {diff!r}\n"
-    )
-    _write_output(cfg, text)
     agree_tol = _CRITICAL_AGREE_REL * max(1.0, abs(analytic))
-    return 0 if diff <= max(agree_tol, bisect_tol) else 1
+    record = {"analytic": analytic, "bisected": numeric, "difference": diff}
+    return record, 0 if diff <= max(agree_tol, bisect_tol) else 1
+
+
+def _render_critical_text(record: dict, cfg: RunConfig) -> str:
+    return "".join(f"{key}: {record[key]!r}\n"
+                   for key in ("analytic", "bisected", "difference"))
 
 
 # ---------------------------------------------------------------------------
@@ -752,42 +754,46 @@ def cmd_critical(
 # ---------------------------------------------------------------------------
 
 
-def cmd_lll(cfg: RunConfig, l_max: int) -> int:
+def cmd_lll(cfg: RunConfig, l_max: int) -> Tuple[dict, int]:
     if l_max < 0:
         raise ConfigError("l_max must be nonnegative")
     co = derive_coeffs(cfg.params())
     valley = cfg.valley
     try:
         states = [lll_state(l, co, valley) for l in range(l_max + 1)]
-    except DegenerateCoefficientsError:
-        sys.stderr.write("zero-mode envelope undefined: degenerate coefficients\n")
-        return 2
-    d = states[0].d
-    lines = [f"valley {valley.value}, envelope exponent {float(d)!r}"]
-    worst = 0.0
-    for l, res in enumerate(lll_annihilation_residuals(states, co, valley)):
-        worst = max(worst, res)
-        lines.append(f"l={l} annihilation residual {res!r}")
-    lines.append(f"worst residual {worst!r}")
-    if float(d) >= 0:
+    except DegenerateCoefficientsError as exc:
+        raise Refusal("zero-mode envelope undefined: degenerate coefficients") from exc
+    residuals = lll_annihilation_residuals(states, co, valley)
+    record = {"valley": valley.value, "envelope": float(states[0].d),
+              "residuals": residuals, "worst": max(0.0, *residuals)}
+    return record, 0
+
+
+def _render_lll_text(record: dict, cfg: RunConfig) -> str:
+    lines = [f"valley {record['valley']}, envelope exponent {record['envelope']!r}"]
+    lines += [f"l={l} annihilation residual {res!r}"
+              for l, res in enumerate(record["residuals"])]
+    lines.append(f"worst residual {record['worst']!r}")
+    if record["envelope"] >= 0:
         lines.append("warning: envelope does not decay; family not normalizable")
-    _write_output(cfg, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_jc(cfg: RunConfig, degree: int) -> int:
+def cmd_jc(cfg: RunConfig, degree: int) -> Tuple[dict, int]:
     co = derive_coeffs(cfg.params())
     try:
         rep = jc_verify(co, degree=degree)
     except ValueError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 2
-    text = (
-        f"commutator residual (degree {degree}): {rep.commutator_residual!r}\n"
-        f"factorization residual: {rep.factorization_residual!r}\n"
-    )
-    _write_output(cfg, text)
-    return 0
+        raise Refusal(str(exc)) from exc
+    record = {"degree": degree, "commutator_residual": rep.commutator_residual,
+              "factorization_residual": rep.factorization_residual}
+    return record, 0
+
+
+def _render_jc_text(record: dict, cfg: RunConfig) -> str:
+    return (f"commutator residual (degree {record['degree']}): "
+            f"{record['commutator_residual']!r}\n"
+            f"factorization residual: {record['factorization_residual']!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +806,9 @@ def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process.
 
     Parsing leaves it unchanged, and each subcommand's ``run`` looks its
-    ``cmd_*`` up when called, so every ``main`` call can share it.
+    command function up when called, so every ``main`` call can share it.
+    ``run`` returns (record, exit code); ``text`` renders the record under
+    the settings for ``--format text``.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a 'key = value' config file")
@@ -817,15 +825,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analytic = sub.add_parser("analytic", parents=[common])
-    p_analytic.set_defaults(run=lambda cfg, a: cmd_analytic(cfg))
+    p_analytic.set_defaults(
+        run=lambda cfg, a: (build_analytic_report(cfg), 0), text=_render_analytic_text
+    )
 
     p_verify = sub.add_parser("verify", parents=[common])
     p_verify.add_argument("--perturb", type=float, default=0.0)
-    p_verify.set_defaults(run=lambda cfg, a: cmd_verify(cfg, a.perturb))
+    p_verify.set_defaults(
+        run=lambda cfg, a: cmd_verify(cfg, a.perturb), text=_render_verify_text
+    )
 
     p_spectrum = sub.add_parser("spectrum", parents=[common])
     p_spectrum.add_argument("--dump_matrix", dest="dump_matrix_path")
-    p_spectrum.set_defaults(run=lambda cfg, a: cmd_spectrum(cfg, a.dump_matrix_path))
+    p_spectrum.set_defaults(
+        run=lambda cfg, a: cmd_spectrum(cfg, a.dump_matrix_path),
+        text=_render_spectrum_text,
+    )
 
     p_sweep = sub.add_parser("sweep", parents=[common])
     p_sweep.add_argument("--vary", choices=["lambda", "b0"], required=True)
@@ -839,7 +854,8 @@ def _build_parser() -> argparse.ArgumentParser:
         run=lambda cfg, a: cmd_sweep(
             cfg, Vary(a.vary), a.sweep_from, a.sweep_to, a.steps, a.log,
             a.numeric, a.numeric_every,
-        )
+        ),
+        text=_render_sweep_text,
     )
 
     p_critical = sub.add_parser("critical", parents=[common])
@@ -848,16 +864,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_critical.add_argument("--hi", type=float)
     p_critical.add_argument("--bisect_tol", type=float, default=1e-6)
     p_critical.set_defaults(
-        run=lambda cfg, a: cmd_critical(cfg, Vary(a.vary), a.lo, a.hi, a.bisect_tol)
+        run=lambda cfg, a: cmd_critical(cfg, Vary(a.vary), a.lo, a.hi, a.bisect_tol),
+        text=_render_critical_text,
     )
 
     p_lll = sub.add_parser("lll", parents=[common])
     p_lll.add_argument("--l_max", type=int, default=20)
-    p_lll.set_defaults(run=lambda cfg, a: cmd_lll(cfg, a.l_max))
+    p_lll.set_defaults(run=lambda cfg, a: cmd_lll(cfg, a.l_max), text=_render_lll_text)
 
     p_jc = sub.add_parser("jc", parents=[common])
     p_jc.add_argument("--degree", type=int, default=30)
-    p_jc.set_defaults(run=lambda cfg, a: cmd_jc(cfg, a.degree))
+    p_jc.set_defaults(run=lambda cfg, a: cmd_jc(cfg, a.degree), text=_render_jc_text)
 
     return parser
 
@@ -870,7 +887,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _resolve_config(args)
-        return args.run(cfg, args)
+        record, code = args.run(cfg, args)
+        if cfg.format == "json":
+            text = json.dumps(jsonable(record), indent=2, sort_keys=True) + "\n"
+        else:
+            text = args.text(record, cfg)
+        if cfg.output is None:
+            sys.stdout.write(text)
+        else:
+            _write_file(cfg.output, text)
+        return code
+    except Refusal as exc:
+        sys.stderr.write(f"{exc}\n")
+        return 2
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

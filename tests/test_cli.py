@@ -46,7 +46,7 @@ def default_config(**overrides) -> RunConfig:
     fields = dict(
         vf=1.37, lambda_=0.5, k1=0.02, b0=100.0, e=1.0, c=137.0, hbar=1.0,
         n_max=5, branch=Branch.I, valley=Valley.PRIMARY, n_tr=40,
-        seed=0, output=None, format="csv",
+        seed=0, output=None, format="text",
     )
     fields.update(overrides)
     return RunConfig(**fields)
@@ -93,6 +93,49 @@ def test_analytic_reports_expected_values(tmp_path):
     assert report["branches"]["II"]["verdict"] == "broken"
     assert abs(report["critical"]["lambda"] - 1.3319332) < 1e-6
     assert abs(report["critical"]["b0"] - 6.3220923) < 1e-6
+
+
+# One short command line per subcommand; sweep's reaches the degenerate
+# lambda = v_f, where the numeric columns are null.
+COMMANDS = [
+    ["analytic", "--n_max", "3"],
+    ["verify", "--n_tr", "8"],
+    ["spectrum", "--n_tr", "8"],
+    ["sweep", "--vary", "lambda", "--from", "1.0", "--to", "1.37", "--steps", "3",
+     "--numeric", "--n_tr", "8", "--n_max", "2"],
+    ["critical", "--vary", "lambda", "--n_tr", "8", "--bisect_tol", "1e-5"],
+    ["lll", "--l_max", "4"],
+    ["jc", "--degree", "8"],
+]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+def test_text_is_the_json_record_rendered(tmp_path, argv):
+    # the text renderer applied to the parsed JSON gives the text bytes, so
+    # the text goldens pin every JSON record too
+    code, text = run_to_file(tmp_path, argv + ["--format", "text"], "out.txt")
+    assert code == 0
+    code, wire = run_to_file(tmp_path, argv + ["--format", "json"], "out.json")
+    assert code == 0
+    assert wire != text
+    args = cli._build_parser().parse_args(argv)
+    record = from_jsonable(json.loads(wire))
+    assert args.text(record, cli._resolve_config(args)) == text
+    if argv[0] == "sweep":
+        assert any(row["num_verdict"] is None for row in record["rows"])
+
+
+def test_format_csv_is_rejected_as_flag_and_config_value(tmp_path, capsys):
+    argv = ["sweep", "--vary", "b0", "--from", "5.0", "--to", "50.0", "--steps", "2"]
+    assert main(argv + ["--format", "csv"]) == 2
+    err = capsys.readouterr().err
+    assert "--format" in err and "csv" in err
+    conf = tmp_path / "run.conf"
+    conf.write_text("format = csv\n", encoding="utf-8")
+    assert main(argv + ["--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert "format" in captured.err and "'csv'" in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +242,12 @@ SETTING_VALUES = {
 def resolved(monkeypatch, argv) -> RunConfig:
     """The RunConfig that main hands to the analytic command."""
     seen = []
-    monkeypatch.setattr(cli, "cmd_analytic", lambda cfg: seen.append(cfg) or 0)
+    build = cli.build_analytic_report
+    monkeypatch.setattr(
+        cli, "build_analytic_report", lambda cfg: seen.append(cfg) or build(cfg)
+    )
+    # the output key's values are bare file names: write nothing
+    monkeypatch.setattr(cli, "_write_file", lambda path, text: None)
     assert main(["analytic"] + argv) == 0
     return seen[0]
 
@@ -413,6 +461,27 @@ def test_critical_without_spin_coupling_lands_on_vf(tmp_path):
             # the boundary coincides with the degenerate point here, and the
             # bisection steers onto it from below
             assert abs(float(line.split(":")[1]) - 1.37) <= 1e-6
+
+
+@pytest.mark.parametrize("flags", [["--lambda", "2.0"], ["--k1", "-0.02"]])
+def test_critical_negative_field_gets_an_ordered_default_bracket(tmp_path, flags):
+    # lambda > v_f or k1 < 0 puts the critical field below zero, where
+    # [0.5, 1.5] x analytic runs backwards
+    code, text = run_to_file(
+        tmp_path, ["critical", "--vary", "b0", "--format", "json"] + flags
+    )
+    assert code == 0
+    record = from_jsonable(json.loads(text))
+    assert record["analytic"] < 0
+    assert record["difference"] <= 1e-12 * abs(record["analytic"])
+
+
+def test_critical_at_a_zero_field_asks_for_a_bracket(capsys):
+    # k1 = 0 puts the critical field at 0, where the default bracket is empty
+    assert main(["critical", "--vary", "b0", "--k1", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "give --lo and --hi" in captured.err
+    assert captured.out == ""
 
 
 def test_critical_unbracketed_exits_two(capsys):
