@@ -19,8 +19,7 @@ that table.  Config files hold 'key = value' lines; '#' starts a comment;
 unknown keys are rejected.
 
 Each command returns one record, a plain dict of the values its text
-prints (all but spectrum's seed, which its text reads from the settings),
-and an exit code; ``main`` writes every output at one place.
+prints, and an exit code; ``main`` writes every output at one place.
 ``--format json`` writes the record as sorted, indented JSON; ``--format
 text`` (the default) writes the command's text rendering of it, which for
 ``sweep`` is its CSV.  The records:
@@ -28,7 +27,7 @@ text`` (the default) writes the command's text rendering of it, which for
   analytic   build_analytic_report: params, derived, branches, critical
   verify     {checks: [{name, status, detail}],
              counts: {total, passed, failed, skipped}}
-  spectrum   {n_tr, branch, valley, verdict, max_residual, levels}
+  spectrum   {n_tr, seed, branch, valley, verdict, max_residual, levels}
   sweep      {rows: [...]}, one dict per CSV row keyed by the header,
              null where a numeric column has no value
   critical   {analytic, bisected, difference}
@@ -40,7 +39,7 @@ bisection, an undefined zero-mode envelope or ladder normalization) raises
 ``Refusal``; ``main`` writes its message to stderr verbatim and exits 2.
 
 Exit codes: 0 success, 1 a verification or agreement check failed, 2 bad
-input (usage, config, a non-finite or negative --bisect_tol, a non-finite
+input (usage, config, an argument out of range, a non-finite
 --perturb, parameters whose derived coefficients overflow or whose
 eigenpair certificates fail, degenerate or unbracketed requests, a
 refusal, an output path that cannot be written).  Floats are printed with
@@ -69,6 +68,7 @@ from .params import (
     PhysParams,
     Valley,
     Vary,
+    check_tol,
     classify_phase,
     critical_point,
     derive_coeffs,
@@ -334,7 +334,7 @@ def build_analytic_report(cfg: RunConfig) -> dict:
     return report
 
 
-def _render_analytic_text(report: dict, cfg: RunConfig) -> str:
+def _render_analytic_text(report: dict) -> str:
     lines: List[str] = []
     pr = report["params"]
     lines.append(
@@ -395,14 +395,16 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
       factorization;
     - symmetry commutators, valley map: 1.
 
-    Numeric agreement needs equal verdicts and each level within the
-    oracle's own floor, |E+num - E+| |E+num + E+| <= report.floor.
+    Numeric agreement needs each level within the oracle's own floor,
+    |E+num - E+| |E+num + E+| <= report.floor, and equal verdicts, or an
+    oracle verdict of critical where |k_coef| <= report.floor: there the
+    oracle cannot resolve a k that the closed form can.
     Symmetry eigenfactors are a present/absent test.
 
     Every skip goes through one path: a row that reads the sign of k_coef
     or its square root (eigenstates, symmetry eigenfactors, ladder pair,
     numeric agreement) skips with "critical point" where classify_phase
-    finds k_coef within 1e-12 k_scale of 0, and a row whose envelope is
+    finds k_coef within 8 eps k_scale of 0, and a row whose envelope is
     undefined (DerivedCoeffs.envelope raises DegenerateCoefficientsError)
     skips with "degenerate block coefficient".  A non-finite perturb
     raises ValueError: its nan residuals would fail no comparison."""
@@ -530,7 +532,8 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
     def agreement(branch: Branch) -> Tuple[bool, str]:
         verdict = classify_phase(p, branch)
         report = phase_verdict_numeric(p, similarity, branch=branch, valley=cfg.valley)
-        ok, worst = report.verdict is verdict, 0.0
+        unresolved = report.verdict is PhaseVerdict.CRITICAL and k <= report.floor
+        ok, worst = report.verdict is verdict or unresolved, 0.0
         for n, num in enumerate(report.plus_roots[:11]):
             plus, _ = level_energy(p, n, branch)  # never 0: critical k skipped
             worst = max(worst, abs(num - plus) / abs(plus))
@@ -554,7 +557,7 @@ def cmd_verify(cfg: RunConfig, perturb: float) -> Tuple[dict, int]:
     return {"checks": checks, "counts": counts}, 1 if counts["failed"] else 0
 
 
-def _render_verify_text(record: dict, cfg: RunConfig) -> str:
+def _render_verify_text(record: dict) -> str:
     width = max(len(c["name"]) for c in record["checks"])
     lines = [f"{c['name']:<{width}}  {c['status']:<4}  {c['detail']}"
              for c in record["checks"]]
@@ -575,6 +578,7 @@ def cmd_spectrum(cfg: RunConfig, dump_path: Optional[str]) -> Tuple[dict, int]:
     report = scrambled_eigensolve(rep, draw_similarity(cfg.n_tr, cfg.seed))
     record = {
         "n_tr": cfg.n_tr,
+        "seed": cfg.seed,
         "branch": cfg.branch.value,
         "valley": cfg.valley.value,
         "verdict": report.verdict.value,
@@ -587,11 +591,10 @@ def cmd_spectrum(cfg: RunConfig, dump_path: Optional[str]) -> Tuple[dict, int]:
     return record, 0
 
 
-def _render_spectrum_text(record: dict, cfg: RunConfig) -> str:
-    """The seed comes from the settings; spectrum's record does not hold it."""
+def _render_spectrum_text(record: dict) -> str:
     lines = [
         f"truncation n_tr={record['n_tr']} branch={record['branch']} "
-        f"valley={record['valley']} (scrambled, seed={cfg.seed})",
+        f"valley={record['valley']} (scrambled, seed={record['seed']})",
         f"verdict: {record['verdict']}",
         f"worst eigenpair residual: {record['max_residual']!r}",
     ]
@@ -686,7 +689,7 @@ def cmd_sweep(
     return {"rows": rows}, 0
 
 
-def _render_sweep_text(record: dict, cfg: RunConfig) -> str:
+def _render_sweep_text(record: dict) -> str:
     """CSV; csv writes a float as its repr and None as an empty field."""
     numeric = _NUMERIC_HEADER[0] in record["rows"][0]
     buf = io.StringIO()
@@ -714,6 +717,10 @@ def cmd_critical(
 ) -> Tuple[dict, int]:
     """A missing bracket end is min / max of 0.5 and 1.5 times the analytic
     value, so a negative critical field gets an ordered bracket too."""
+    try:
+        check_tol("bisect_tol", bisect_tol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     p = cfg.params()
     try:
         analytic = critical_point(p, vary)
@@ -744,7 +751,7 @@ def cmd_critical(
     return record, 0 if diff <= max(agree_tol, bisect_tol) else 1
 
 
-def _render_critical_text(record: dict, cfg: RunConfig) -> str:
+def _render_critical_text(record: dict) -> str:
     return "".join(f"{key}: {record[key]!r}\n"
                    for key in ("analytic", "bisected", "difference"))
 
@@ -769,7 +776,7 @@ def cmd_lll(cfg: RunConfig, l_max: int) -> Tuple[dict, int]:
     return record, 0
 
 
-def _render_lll_text(record: dict, cfg: RunConfig) -> str:
+def _render_lll_text(record: dict) -> str:
     lines = [f"valley {record['valley']}, envelope exponent {record['envelope']!r}"]
     lines += [f"l={l} annihilation residual {res!r}"
               for l, res in enumerate(record["residuals"])]
@@ -780,17 +787,19 @@ def _render_lll_text(record: dict, cfg: RunConfig) -> str:
 
 
 def cmd_jc(cfg: RunConfig, degree: int) -> Tuple[dict, int]:
+    if degree < 2:
+        raise ConfigError("degree must be an integer >= 2")
     co = derive_coeffs(cfg.params())
     try:
         rep = jc_verify(co, degree=degree)
-    except ValueError as exc:
+    except ValueError as exc:  # k_coef = 0: no ladder normalization
         raise Refusal(str(exc)) from exc
     record = {"degree": degree, "commutator_residual": rep.commutator_residual,
               "factorization_residual": rep.factorization_residual}
     return record, 0
 
 
-def _render_jc_text(record: dict, cfg: RunConfig) -> str:
+def _render_jc_text(record: dict) -> str:
     return (f"commutator residual (degree {record['degree']}): "
             f"{record['commutator_residual']!r}\n"
             f"factorization residual: {record['factorization_residual']!r}\n")
@@ -807,8 +816,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     Parsing leaves it unchanged, and each subcommand's ``run`` looks its
     command function up when called, so every ``main`` call can share it.
-    ``run`` returns (record, exit code); ``text`` renders the record under
-    the settings for ``--format text``.
+    ``run`` returns (record, exit code); ``text`` renders the record for
+    ``--format text``.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a 'key = value' config file")
@@ -891,7 +900,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if cfg.format == "json":
             text = json.dumps(jsonable(record), indent=2, sort_keys=True) + "\n"
         else:
-            text = args.text(record, cfg)
+            text = args.text(record)
         if cfg.output is None:
             sys.stdout.write(text)
         else:

@@ -842,9 +842,13 @@ _PT_FACTOR_REL = 1e-10
 def pt_eigenfactor(op: AntilinearOp, s: SpinorFunction) -> Optional[complex]:
     """The scalar c with op(s) == c*s on the spatial form, or None.
 
-    Every monomial of both components is compared, within 1e-10 of the
-    largest coefficient; failure of the spatial eigenrelation is exactly
-    what distinguishes the broken phase.  Raises on the zero spinor.
+    c is read at the largest coefficient.  Every monomial of each component
+    is compared, within 1e-10 of that component's own largest coefficient:
+    for the spin-diagonal P1T and P2T, op(s) == c*s is one equation per
+    component, and a broken-branch state whose lower component is far
+    smaller than its upper one fails only in the lower.  Failure of the
+    spatial eigenrelation is exactly what distinguishes the broken phase.
+    Raises on the zero spinor.
     """
     if s.is_zero():
         raise ValueError("zero spinor has no eigenfactor")
@@ -862,17 +866,16 @@ def pt_eigenfactor(op: AntilinearOp, s: SpinorFunction) -> Optional[complex]:
     if t_ref is None:
         return None
     factor = complex(t_ref) / complex(s_parts[ref_comp].coeffs[ref_key])
-    worst = 0.0
-    scale = 0.0
     for sc, tc in zip(s_parts, t_parts):
+        worst = scale = 0.0
         for key in set(sc.coeffs) | set(tc.coeffs):
             sv = complex(sc.coeffs.get(key, 0))
             tv = complex(tc.coeffs.get(key, 0))
             worst = max(worst, abs(tv - factor * sv))
             scale = max(scale, abs(sv), abs(tv))
-    if worst <= _PT_FACTOR_REL * scale:
-        return factor
-    return None
+        if not worst <= _PT_FACTOR_REL * scale:
+            return None
+    return factor
 
 
 def pt_commutator_residual(

@@ -35,7 +35,14 @@ from .exact import ComplexRational, exact_sqrt
 
 Real = Union[float, Fraction]
 
+_EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min  # the smallest normal float; below it the grid is eps tiny
+# A rounding of k_coef is at most eps k_scale (derive_coeffs), and this many
+# of them is the one answer to "is k_coef distinguishable from 0?": the
+# closed form's critical band is _ROUNDINGS eps k_scale and spectral's build
+# floor the same per level (worst seen: k_coef 0.98 eps k_scale from the
+# exact k of its float inputs next to the EP, 2.1 at subnormal couplings).
+_ROUNDINGS = 8.0
 
 
 class Branch(Enum):
@@ -107,10 +114,11 @@ class PhysParams:
 class DerivedCoeffs:
     """Block coefficients of the factored Hamiltonian plus both envelope exponents.
 
-    k_scale is the roundoff size of k_coef, the one answer to "is k_coef
-    distinguishable from 0?": the closed form's critical band, the numeric
-    oracle's build floor and verify's critical skips all read it (see
-    derive_coeffs).
+    k_scale is the roundoff size of k_coef: each rounding moves k_coef by at
+    most eps k_scale (see derive_coeffs), and eight of them are the one
+    answer to "is k_coef distinguishable from 0?".  The closed form's
+    critical band is 8 eps k_scale, the numeric oracle's build floor the
+    same per level, and verify's critical skips read the band.
     d1_branch_i and d1_branch_ii are None when the corresponding block
     coefficient vanishes (v_f = lam, respectively v_f = -lam); every other
     field still evaluates there, and envelope(branch) is the reader that
@@ -288,18 +296,23 @@ def critical_point(p: PhysParams, vary: Vary) -> Optional[Real]:
     return 2 * p.k1 * p.v_f**2 * p.c / denom
 
 
-def default_critical_tol(p: PhysParams) -> float:
-    """Half-width of the default critical band: 1e-12 k_scale.
-
-    k_scale bounds each rounding of k_coef (derive_coeffs), so a k_coef that
-    is zero only through roundoff falls inside the band, about 560 times
-    the build floor's 8 eps k_scale per level.  Raises ValueError when
-    k_scale overflows.
-    """
-    scale = float(derive_coeffs(p).k_scale)
+def _critical_band(coeffs: DerivedCoeffs) -> float:
+    """default_critical_tol from coefficients already derived."""
+    scale = float(coeffs.k_scale)
     if not math.isfinite(scale):
         raise ValueError("critical band overflows floating point at these parameters")
-    return 1e-12 * scale
+    return _ROUNDINGS * _EPS * scale
+
+
+def default_critical_tol(p: PhysParams) -> float:
+    """Half-width of the default critical band: 8 eps k_scale.
+
+    k_scale bounds each rounding of k_coef (derive_coeffs), so a k_coef that
+    is zero only through roundoff falls inside the band.  It is the build
+    floor's count of roundings per level, so spectral's build_floor is this
+    band times n_tr.  Raises ValueError when k_scale overflows.
+    """
+    return _critical_band(derive_coeffs(p))
 
 
 def check_tol(name: str, tol: float) -> None:
@@ -315,14 +328,14 @@ def check_tol(name: str, tol: float) -> None:
 def classify_phase(p: PhysParams, branch: Branch) -> PhaseVerdict:
     """Sign test on k_coef with a critical band of half-width tol around zero.
 
-    tol is default_critical_tol(p), 1e-12 k_scale.  Branch I is unbroken for
-    k_coef > tol and broken for k_coef < -tol; branch II is the mirror
-    image, so both branches read critical at the same points.
+    tol is default_critical_tol(p), 8 eps k_scale: eight roundings of k_coef.
+    Branch I is unbroken for k_coef > tol and broken for k_coef < -tol;
+    branch II is the mirror image, so both branches read critical at the
+    same points.
     """
-    tol = default_critical_tol(p)
-    k = derive_coeffs(p).k_coef
-    if branch is Branch.II:
-        k = -k
+    coeffs = derive_coeffs(p)
+    tol = _critical_band(coeffs)
+    k = coeffs.k_coef if branch is Branch.I else -coeffs.k_coef
     if k > tol:
         return PhaseVerdict.UNBROKEN
     if k < -tol:

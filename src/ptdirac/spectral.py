@@ -71,6 +71,9 @@ from .params import (
     PhysParams,
     Valley,
     Vary,
+    _EPS,
+    _ROUNDINGS,
+    _TINY,
     check_tol,
     derive_coeffs,
     with_varied,
@@ -79,14 +82,11 @@ from .opalg import SpinorFunction, WeightedPolynomial, build_hamiltonian
 from .opalg import owner_rule, residue_groups
 
 _CERT_TOL = 1e-9
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
-# The roundings the build leaves: both build checks allow this many of
-# their scale, eps (scale + tiny), below tiny on a grid of spacing eps tiny
-# (worst seen: 0.93 eps off the pattern, 2.8 eps against the closed form),
-# and the build floor this many eps k_scale per level (worst seen: k_coef
-# 0.98 eps k_scale from the exact k of its float inputs near the EP).
-_BUILD_CHECK_UNITS = 8.0
+# Both build checks allow _ROUNDINGS roundings of their own scale, eps (scale
+# + tiny), below tiny on a grid of spacing eps tiny (worst seen: 0.93 eps off
+# the pattern, 2.8 eps against the closed form).  The build floor is
+# _ROUNDINGS eps k_scale per level: the closed form's critical band
+# (params.default_critical_tol), so build_floor is that band times n_tr.
 
 
 @dataclass(frozen=True)
@@ -176,9 +176,10 @@ def build_truncated(
     tiny), so both checks stay at the roundoff of their scale at every
     coupling size; off the pattern tiny grows to tiny (1 + |a hbar| +
     |b hbar|), as d's subnormal rounding reaches there times a or b hbar.
-    The build floor is 8 eps k_scale n_tr: level l holds (l + 1) k, and each
-    rounding of k is at most eps k_scale (derive_coeffs), so a level whose k
-    is roundoff, at or next to the EP, does not read as definite.
+    The build floor is 8 eps k_scale n_tr, the closed form's critical band
+    times n_tr: level l holds (l + 1) k, and each rounding of k is at most
+    eps k_scale (derive_coeffs), so a level whose k is roundoff, at or next
+    to the EP, does not read as definite.
     """
     _check_n_tr(n_tr)
     d = float(coeffs.envelope(branch))
@@ -213,7 +214,7 @@ def build_truncated(
             for level, out_component, (m, n), c in items:
                 if n == 0 if holo else m == 0:
                     kept.append((level, component, out_component, m if holo else n, c))
-                elif abs(c) > (tol := _BUILD_CHECK_UNITS * _EPS * (scales[level] + grid)):
+                elif abs(c) > (tol := _ROUNDINGS * _EPS * (scales[level] + grid)):
                     raise RuntimeError(
                         "image left the tower pattern: "
                         f"coefficient {c!r} at z^{m} zbar^{n}, tolerance {tol:.3e}"
@@ -242,14 +243,14 @@ def build_truncated(
     )
     check = _closed_form_factors(coeffs, branch, n_tr)
     worst = max(float(np.max(np.abs(x - y))) for x, y in zip((a, b), check))
-    if worst > (tol := _BUILD_CHECK_UNITS * _EPS * (scale + _TINY)):
+    if worst > (tol := _ROUNDINGS * _EPS * (scale + _TINY)):
         raise RuntimeError(
             f"assembled matrix disagrees with closed-form entries by {worst:.3e}, "
             f"tolerance {tol:.3e}"
         )
     a.flags.writeable = False
     b.flags.writeable = False
-    build_floor = _BUILD_CHECK_UNITS * _EPS * float(coeffs.k_scale) * n_tr
+    build_floor = _ROUNDINGS * _EPS * float(coeffs.k_scale) * n_tr
     return TruncatedRep(n_tr, a, b, dropped, build_floor)
 
 

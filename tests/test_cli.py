@@ -33,6 +33,8 @@ from ptdirac.cli import (
 from ptdirac.opalg import JCReport
 from ptdirac.spectral import build_truncated, parse_matrix
 
+from edge_points import LARGE, LARGE_FLAGS, NEAR_EP_FLAGS
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 BASE = PhysParams(v_f=1.37, lam=0.5, k1=0.02, b0=100.0)
 
@@ -120,7 +122,7 @@ def test_text_is_the_json_record_rendered(tmp_path, argv):
     assert wire != text
     args = cli._build_parser().parse_args(argv)
     record = from_jsonable(json.loads(wire))
-    assert args.text(record, cli._resolve_config(args)) == text
+    assert args.text(record) == text
     if argv[0] == "sweep":
         assert any(row["num_verdict"] is None for row in record["rows"])
 
@@ -659,32 +661,18 @@ def test_verify_degenerate_point_skips(tmp_path):
     assert table["symmetry eigenfactors"][0] == "PASS"
 
 
-# The LARGE point of test_spectral.py: H's coefficients reach 4e45 and the
-# envelope exponents 7e10, so fixed residual tolerances failed five rows
-# there although spectrum and analytic agree.
-LARGE_FLAGS = [
-    "--vf", "1.4410316224903703e+22", "--lambda=-2.2544541471337918e+32",
-    "--k1", "3.4875786276944343e+18", "--b0", "4805680236767382.0",
-    "--hbar", "126.24025690634625",
-]
-LARGE = PhysParams(
-    v_f=1.4410316224903703e22, lam=-2.2544541471337918e32,
-    k1=3.4875786276944343e18, b0=4805680236767382.0, hbar=126.24025690634625,
-)
-# Next to the EP the ladder commutator reads 4.7e-11: roundoff times
-# k_scale / |k_coef|, which a fixed 1e-12 failed.
-NEAR_EP_FLAGS = [
-    "--vf", "3.390979818026962", "--lambda", "0.12106483447653558",
-    "--k1", "0.040741782364899636", "--b0", "11.177448959751246",
-    "--hbar", "0.2778793993027819",
-]
 ALL_PASS = "11 checks: 11 passed, 0 failed, 0 skipped"
 
 
+# At weak fields a broken-branch state's lower component is far below its
+# upper one, and the symmetry eigenfactors read a P1T and P2T factor there
+# when both components were held to one scale.
 @pytest.mark.parametrize(
     "args",
-    [LARGE_FLAGS, NEAR_EP_FLAGS, ["--lambda", "1.3319331364"]],
-    ids=["large", "near_ep", "lambda_1.3319331364"],
+    [LARGE_FLAGS, NEAR_EP_FLAGS, ["--lambda", "1.3319331364"],
+     ["--b0", "1e-24", "--k1", "1e-24"], ["--b0", "1e-20", "--k1=-1e-20"]],
+    ids=["large", "near_ep", "lambda_1.3319331364", "weak_field",
+         "weak_field_negative_k1"],
 )
 def test_verify_passes_every_row_at_the_edges(tmp_path, args):
     code, text = run_to_file(tmp_path, ["verify"] + args)
@@ -693,15 +681,27 @@ def test_verify_passes_every_row_at_the_edges(tmp_path, args):
 
 
 @pytest.mark.parametrize("vary", list(Vary))
-@pytest.mark.parametrize("offset", [1e-10, 1e-7, 1e-4])
+@pytest.mark.parametrize("offset", [1e-14, 1e-10, 1e-7, 1e-4])
 def test_verify_passes_next_to_the_critical_point(tmp_path, vary, offset):
-    # off the critical band every row that reads k_coef holds at its own
-    # roundoff, so none fails and none skips
+    # off the critical band, 8 eps k_scale, every row that reads k_coef
+    # holds at its own roundoff, so none fails and none skips
     flag = "--lambda" if vary is Vary.LAMBDA else "--b0"
     value = critical_point(BASE, vary) * (1 + offset)
     code, text = run_to_file(tmp_path, ["verify", flag, repr(value)])
     assert code == 0, text
     assert text.splitlines()[-1] == ALL_PASS
+
+
+def test_verify_accepts_an_oracle_critical_within_its_floor(tmp_path):
+    # k_coef clears the closed form's band but not the oracle's floor at
+    # n_tr 40, so the oracle honestly reads critical on both branches
+    code, text = run_to_file(tmp_path, ["verify", "--lambda", "1.3319331364599367"])
+    assert code == 0, text
+    assert text.splitlines()[-1] == ALL_PASS
+    table = _verify_table(text)
+    for branch, closed in (("I", "broken"), ("II", "unbroken")):
+        _, detail = table[f"numeric agreement branch {branch}"]
+        assert detail.startswith(f"verdict critical vs {closed}"), detail
 
 
 def test_verify_numeric_agreement_holds_levels_to_the_floor(monkeypatch):
@@ -795,7 +795,7 @@ def test_spectrum_at_the_critical_coupling_counts_no_levels(tmp_path, branch):
     payload = json.loads(text)
     assert payload["verdict"] == "critical"
     assert set(payload) == {
-        "n_tr", "branch", "valley", "verdict", "max_residual", "levels"
+        "n_tr", "seed", "branch", "valley", "verdict", "max_residual", "levels"
     }
 
 
@@ -845,6 +845,19 @@ def test_lll_degenerate_valley_exits_two(capsys):
     assert main(["lll", "--lambda", "1.37"]) == 2
     captured = capsys.readouterr()
     assert "zero-mode envelope undefined" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["jc", "--degree", "-1"], "degree must be an integer >= 2"),
+    (["lll", "--l_max", "-1"], "l_max must be nonnegative"),
+    (["critical", "--vary", "lambda", "--bisect_tol", "nan"],
+     "bisect_tol must be finite and nonnegative"),
+], ids=["jc", "lll", "critical"])
+def test_bad_argument_values_are_config_errors(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {message}"), captured.err
     assert captured.out == ""
 
 

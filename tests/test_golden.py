@@ -20,6 +20,9 @@ They were re-recorded again when the oracle moved to real arithmetic (a real
 S and a real X, since the truncation is i times a real matrix): the levels
 moved by at most 1.3e-13 relative, every numeric E+ now lies exactly on the
 real or the imaginary axis, and no verdict or exit code changed.
+The ``spectrum`` file was re-recorded when its record gained the ``seed``
+of the similarity, so the JSON alone says which S produced its levels; it
+gained exactly that key and no other byte moved.
 A rework that is not meant to change an output must not move a byte.
 
 The ``spectrum --dump_matrix`` files in ``DUMPS`` hold the truncation itself,

@@ -30,6 +30,8 @@ from ptdirac.params import (
 )
 from ptdirac.spectral import build_truncated
 
+from edge_points import SUBNORMAL, exact_k
+
 # reference parameter point used throughout: vf = 1.37, k1 = 0.02, b0 = 100
 BASE = PhysParams(v_f=1.37, lam=0.5, k1=0.02, b0=100.0)
 BASE_L0 = dataclasses.replace(BASE, lam=0.0)
@@ -222,14 +224,6 @@ def test_critical_band_rejects_an_overflowing_scale():
         classify_phase(p, Branch.I)
 
 
-def _exact_k(p):
-    """k_coef of the float inputs in exact arithmetic (Fraction(x) is exact)."""
-    v_f, lam, k1, b0, e, c, hbar = (
-        Fraction(x) for x in (p.v_f, p.lam, p.k1, p.b0, p.e, p.c, p.hbar)
-    )
-    return hbar * (2 * (v_f * v_f - lam * lam) * b0 * e / c - 4 * k1 * v_f * v_f)
-
-
 def _near_critical_draws(count, seed):
     """Points within 1e-16 .. 1e-8 relative of a critical lambda or b0.
 
@@ -256,7 +250,7 @@ def test_k_scale_bounds_the_roundoff_of_k_coef():
     eps = sys.float_info.epsilon
     for p in _near_critical_draws(2000, 22) + [C1_CANCELS]:
         co = derive_coeffs(p)
-        error = abs(Fraction(co.k_coef) - _exact_k(p))
+        error = abs(Fraction(co.k_coef) - exact_k(p))
         assert error <= 8 * eps * Fraction(co.k_scale), p
 
 
@@ -265,10 +259,7 @@ def test_k_scale_is_the_same_in_both_valleys():
     # reach; at the second, |a hbar| (|b hbar| + |b|) and |b hbar| (|a hbar|
     # + |a|) round apart, so a grid term that is not symmetric shows there
     subnormal = [
-        PhysParams(
-            v_f=0.8713275317543699, lam=0.3959494577303741, k1=2.93443470977e-313,
-            b0=1.0132746824012e-310, hbar=2.8610706541825857,
-        ),
+        SUBNORMAL,
         PhysParams(v_f=6.335793, lam=-4.656229, k1=1.70948e-314, b0=1.49639e-310,
                    hbar=0.867238),
     ]
@@ -279,20 +270,20 @@ def test_k_scale_is_the_same_in_both_valleys():
         assert co.swapped().k_scale == derive_coeffs(q).k_scale == co.k_scale
 
 
-def test_critical_band_is_far_wider_than_the_build_term():
-    # the band 1e-12 k_scale is 1e-12 / (8 eps), about 563, times the build
-    # floor's 8 eps k_scale per level, on either side of |lam| = v_f
-    eps = sys.float_info.epsilon
+def test_critical_band_is_the_build_floor_per_level():
+    # one count of roundings says whether k is zero: the band is the build
+    # floor's 8 eps k_scale per level, bit for bit, on either side of
+    # |lam| = v_f (a division by n_tr is exact only for a power of two)
     rng = random.Random(23)
     beyond = [
         dataclasses.replace(p, lam=p.v_f * rng.choice((-1, 1)) * rng.uniform(1.05, 3))
         for p in _near_critical_draws(200, 24)
     ]
     for p in _near_critical_draws(200, 23) + beyond + [BASE, C1_CANCELS]:
-        per_level = build_truncated(derive_coeffs(p), 2).build_floor / 2
-        assert default_critical_tol(p) == pytest.approx(
-            1e-12 / (8 * eps) * per_level, rel=4 * eps
-        ), p
+        band = default_critical_tol(p)
+        assert band == 8 * sys.float_info.epsilon * derive_coeffs(p).k_scale, p
+        for n_tr in (2, 3, 12):
+            assert band * n_tr == build_truncated(derive_coeffs(p), n_tr).build_floor, p
 
 
 def test_verdict_flips_across_lambda_boundary():

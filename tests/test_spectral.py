@@ -54,6 +54,8 @@ from ptdirac.spectral import (
     scrambled_eigensolve,
 )
 
+from edge_points import LARGE, LARGE_FLAGS, SMALL, SMALL_FLAGS, SUBNORMAL, exact_k, flags
+
 BASE = PhysParams(v_f=1.37, lam=0.5, k1=0.02, b0=100.0)
 BROKEN = dataclasses.replace(BASE, lam=1.8)
 CO = derive_coeffs(BASE)
@@ -240,7 +242,7 @@ def test_off_pattern_tolerance_is_scaled_per_level(monkeypatch):
     # that of the largest scale in every residue class of levels, so only a
     # per-level scale catches it.
     n_tr = 40
-    rel = spectral._BUILD_CHECK_UNITS * spectral._EPS
+    rel = spectral._ROUNDINGS * spectral._EPS
     scales = [
         max(_cancelling_scale(CO, Branch.I), lower.max_abs_coeff())
         for _, lower in level_images(CO, n_tr, Branch.I, Valley.PRIMARY)
@@ -845,7 +847,7 @@ def test_no_definite_verdict_against_the_exact_sign_of_k_next_to_the_critical_fi
     wrong = []
     for offset in EP_OFFSETS:
         p = dataclasses.replace(BASE, b0=b0_c * (1 + offset))
-        k = _exact_k(p) * (1 if branch is Branch.I else -1)
+        k = exact_k(p) * (1 if branch is Branch.I else -1)
         for valley in Valley:
             for seed in range(3):
                 verdict = phase_verdict_numeric(
@@ -1093,14 +1095,6 @@ def test_critical_needs_few_oracle_runs(tmp_path, oracle_runs, vary, most, seed)
 # ---------------------------------------------------------------------------
 
 
-def _exact_k(p):
-    """k_coef of the float inputs in exact arithmetic (Fraction(x) is exact)."""
-    v_f, lam, k1, b0, e, c, hbar = (
-        Fraction(x) for x in (p.v_f, p.lam, p.k1, p.b0, p.e, p.c, p.hbar)
-    )
-    return hbar * (2 * (v_f * v_f - lam * lam) * b0 * e / c - 4 * k1 * v_f * v_f)
-
-
 def _floor_coverage(p, similarity, branch, valley):
     """The report, and its largest |E^2 - (l + 1) k| in floors, k exact.
 
@@ -1108,7 +1102,7 @@ def _floor_coverage(p, similarity, branch, valley):
     sorted order, as the invariance check pairs them.
     """
     report = phase_verdict_numeric(p, similarity, branch=branch, valley=valley)
-    k = _exact_k(p) * (1 if branch is Branch.I else -1)
+    k = exact_k(p) * (1 if branch is Branch.I else -1)
     exact = sorted([Fraction(0)] + [l * k for l in range(1, len(report.squares))])
     got = np.sort_complex(np.asarray(report.squares))
     worst = max(
@@ -1157,7 +1151,7 @@ def test_floor_covers_the_exact_levels_next_to_the_ep():
                 x *= 1 + rng.choice((-1, 1)) * 10 ** rng.uniform(-16, -10)
             p = with_varied(p, vary, x)
             for branch in Branch:
-                k = _exact_k(p) * (1 if branch is Branch.I else -1)
+                k = exact_k(p) * (1 if branch is Branch.I else -1)
                 for valley in Valley:
                     report, ratio = _floor_coverage(p, similarity, branch, valley)
                     worst = max(worst, ratio)
@@ -1195,15 +1189,12 @@ def test_floor_covers_the_subnormal_grid_next_to_the_ep():
             v_f=7.531611281293586, lam=0.340574255291245, k1=1.503971745e-315,
             b0=4.1293261678e-313, hbar=2.9767150936456397,
         ),
-        PhysParams(
-            v_f=0.8713275317543699, lam=0.3959494577303741, k1=2.93443470977e-313,
-            b0=1.0132746824012e-310, hbar=2.8610706541825857,
-        ),
+        SUBNORMAL,
     ]
     wrong = []
     for p in points:
         for branch in Branch:
-            k = _exact_k(p) * (1 if branch is Branch.I else -1)
+            k = exact_k(p) * (1 if branch is Branch.I else -1)
             closed = classify_phase(p, branch)
             if closed is not PhaseVerdict.CRITICAL and (
                 (closed is PhaseVerdict.UNBROKEN) != (k > 0)
@@ -1221,6 +1212,67 @@ def test_floor_covers_the_subnormal_grid_next_to_the_ep():
                         ):
                             wrong.append((p, n_tr, seed, branch.value, valley.value))
     assert wrong == []
+
+
+def _near_ep_point(rng, box):
+    """lambda or b0 on its critical value or 1e-16 .. 1e-9 relative from it.
+
+    normal: v_f and hbar in 0.1 .. 10, k1 in 1e-3 .. 1; wide: v_f and |k1|
+    in 1e-12 .. 1e12, hbar in 1e-5 .. 1e5, |lambda| up to 3 v_f; subnormal:
+    |k1| in 1e-315 .. 1e-308, with b0 next to its critical value.
+    """
+    if box == "wide":
+        v_f, k1, hbar = (10 ** rng.uniform(-12, 12), 10 ** rng.uniform(-12, 12),
+                         10 ** rng.uniform(-5, 5))
+        lam = v_f * rng.uniform(-3, 3)
+    else:
+        v_f, hbar = 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-1, 1)
+        k1 = 10 ** rng.uniform(*((-315, -308) if box == "subnormal" else (-3, 0)))
+        lam = v_f * rng.uniform(-0.9, 0.9)
+    vary = Vary.B0 if box == "subnormal" else rng.choice(list(Vary))
+    if vary is Vary.LAMBDA:
+        b0 = 2 * k1 * 137.0 / (1 - 10 ** rng.uniform(-6, -0.01))
+    else:
+        k1 *= rng.choice((-1, 1))
+        b0 = 0.0
+    p = PhysParams(v_f=v_f, lam=lam, k1=k1, b0=b0, hbar=hbar)
+    x = critical_point(p, vary)
+    if vary is Vary.LAMBDA:
+        x *= rng.choice((-1, 1))  # k is even in lambda
+    if rng.random() < 0.9:
+        x *= 1 + rng.choice((-1, 1)) * 10 ** rng.uniform(-16, -9)
+    return with_varied(p, vary, x)
+
+
+@pytest.mark.parametrize("box", ["normal", "wide", "subnormal"])
+def test_both_routes_decide_next_to_the_ep(box):
+    # against the exact sign of k: no definite closed-form verdict is wrong,
+    # the closed form is definite wherever the oracle is, and verify fails
+    # no row
+    rng = random.Random(f"near-ep/{box}")
+    wrong, undecided, failed = [], [], []
+    for _ in range(50):
+        p = _near_ep_point(rng, box)
+        seed, valley = rng.randrange(1000), rng.choice(list(Valley))
+        similarity = draw_similarity(12, seed)
+        for branch in Branch:
+            k = exact_k(p) * (1 if branch is Branch.I else -1)
+            closed = classify_phase(p, branch)
+            if closed is not PhaseVerdict.CRITICAL and (
+                (closed is PhaseVerdict.UNBROKEN) != (k > 0) or k == 0
+            ):
+                wrong.append((p, branch.value))
+            oracle = phase_verdict_numeric(p, similarity, branch=branch, valley=valley)
+            if closed is PhaseVerdict.CRITICAL and oracle.verdict is not closed:
+                undecided.append((p, branch.value, oracle.verdict.value))
+        argv = ["verify", "--n_tr", "12", "--seed", str(seed),
+                "--valley", valley.value] + flags(p)
+        cfg = cli._resolve_config(cli._build_parser().parse_args(argv))
+        failed += [(p, name, detail) for name, status, detail in cli.run_verify(cfg)
+                   if status == "FAIL"]
+    assert wrong == []
+    assert undecided == []
+    assert failed == []
 
 
 # ---------------------------------------------------------------------------
@@ -1257,20 +1309,6 @@ def test_exact_coefficients_build_too():
     rep = build_truncated(co, 4)
     ref = reference_matrix(co, 4, Branch.I, Valley.PRIMARY)
     assert np.max(np.abs(rep.matrix - ref)) <= 1e-13 * float(np.max(np.abs(ref)))
-
-
-# Couplings where the roundoff left at the off-pattern keys, about
-# eps |c1| = 6.3e29 with |c1| = 3.95e45, is above 1e-10 of every kept
-# coefficient of the image it sits in (a hbar (l + 1) is about 5.7e34 (l + 1)).
-LARGE_FLAGS = [
-    "--vf", "1.4410316224903703e+22", "--lambda=-2.2544541471337918e+32",
-    "--k1", "3.4875786276944343e+18", "--b0", "4805680236767382.0",
-    "--hbar", "126.24025690634625",
-]
-LARGE = PhysParams(
-    v_f=1.4410316224903703e22, lam=-2.2544541471337918e32,
-    k1=3.4875786276944343e18, b0=4805680236767382.0, hbar=126.24025690634625,
-)
 
 
 @pytest.mark.parametrize("branch, verdict", [("I", "broken"), ("II", "unbroken")])
@@ -1345,15 +1383,6 @@ def test_off_pattern_scale_at_large_couplings_is_the_cancelling_terms(
             build_truncated(co, 8, branch, valley)
     else:
         build_truncated(co, 8, branch, valley)
-
-
-# Couplings so small that every entry of the truncation is far below 1:
-# the raising amplitudes are about 1e-12 and the lowering ones 1.6e-9 (l + 1).
-SMALL_FLAGS = [
-    "--vf", "1e-6", "--lambda", "2e-7", "--k1", "1e-6", "--b0", "1e-4",
-    "--hbar", "1e-3",
-]
-SMALL = PhysParams(v_f=1e-6, lam=2e-7, k1=1e-6, b0=1e-4, hbar=1e-3)
 
 
 @pytest.mark.parametrize("branch, verdict", [("I", "broken"), ("II", "unbroken")])
