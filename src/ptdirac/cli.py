@@ -406,8 +406,11 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
     numeric agreement) skips with "critical point" where classify_phase
     finds k_coef within 8 eps k_scale of 0, and a row whose envelope is
     undefined (DerivedCoeffs.envelope raises DegenerateCoefficientsError)
-    skips with "degenerate block coefficient".  A non-finite perturb
-    raises ValueError: its nan residuals would fail no comparison."""
+    skips with "degenerate block coefficient".  A row whose float
+    arithmetic raises OverflowError skips with the error's message: the
+    ladder pair, where jc_verify's 1/k_coef normalization overflows.  A
+    non-finite perturb raises ValueError: its nan residuals would fail no
+    comparison."""
     if not math.isfinite(perturb):
         raise ValueError(f"perturb must be finite, got {perturb!r}")
     p = cfg.params()
@@ -431,6 +434,9 @@ def run_verify(cfg: RunConfig, perturb: float = 0.0) -> List[Tuple[str, str, str
             ok, detail = check()
         except DegenerateCoefficientsError:
             rows.append((name, "SKIP", "degenerate block coefficient"))
+            return
+        except OverflowError as exc:
+            rows.append((name, "SKIP", str(exc)))
             return
         rows.append((name, "PASS" if ok else "FAIL", detail))
 
@@ -735,6 +741,12 @@ def cmd_critical(
         lo = min(0.5 * analytic, 1.5 * analytic)
     if hi is None:
         hi = max(0.5 * analytic, 1.5 * analytic)
+    if not lo < hi:
+        raise ConfigError("require lo < hi")
+    if bisect_tol >= hi - lo:
+        raise ConfigError(
+            f"bisect_tol {bisect_tol!r} must be below the bracket width {hi - lo!r}"
+        )
     if vary is Vary.LAMBDA and not lo <= analytic <= hi and lo <= -analytic <= hi:
         # k depends on lambda**2, so -analytic is a critical coupling too.
         analytic = -analytic
@@ -792,7 +804,7 @@ def cmd_jc(cfg: RunConfig, degree: int) -> Tuple[dict, int]:
     co = derive_coeffs(cfg.params())
     try:
         rep = jc_verify(co, degree=degree)
-    except ValueError as exc:  # k_coef = 0: no ladder normalization
+    except (ValueError, OverflowError) as exc:  # no float ladder normalization
         raise Refusal(str(exc)) from exc
     record = {"degree": degree, "commutator_residual": rep.commutator_residual,
               "factorization_residual": rep.factorization_residual}

@@ -18,6 +18,9 @@ the primitive steps its words need, with shared word tails stepped once.
 Each primitive has one dict-level rule (``_step_*``) that the plan and the
 WeightedPolynomial methods both run, in the float and the exact mode alike,
 so both modes take one code path and float round-off does not depend on it.
+An application is one pass: coefficient dicts are read in insertion order,
+never sorted, and both spin outputs fill in one sweep over the plan; the
+primitive-steps comment below says why no order can move a bit.
 
 Layout:
   - WeightedPolynomial / SpinorFunction: the function space.
@@ -38,6 +41,7 @@ Layout:
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -75,38 +79,61 @@ def _acc(table: Dict, key, value) -> None:
     table[key] = value if prev is None else prev + value
 
 
+def _nan_max(values: Sequence[float]) -> float:
+    """Largest of nonnegative ``values`` (0.0 if none), nan once any is nan.
+
+    Builtin max keeps a nan only when it comes first, so a residual's nan
+    would hang on key order.  Over nonnegative values the sum is nan
+    exactly when some value is.
+    """
+    return math.nan if math.isnan(sum(values)) else max(values, default=0.0)
+
+
 # ---------------------------------------------------------------------------
 # primitive steps
 # ---------------------------------------------------------------------------
-# One rule per primitive, on coefficient tables: a step maps the sorted
-# (monomial, coefficient) items of a function to the coefficient dict of its
-# image, with exact zeros pruned.  WeightedPolynomial's methods and the
-# compiled OperatorExpr kernel both run these, so the two routes round alike.
+# One rule per primitive, on coefficient tables: a step maps the
+# (monomial, coefficient) items of a function, in any order, to the
+# coefficient dict of its image, with exact zeros pruned.  The order cannot
+# change a bit of the image: a key gets at most two terms (for d/dz, the
+# derivative of (m+1, n) and the envelope term of (m, n-1); the shifts are
+# injective), and a sum of two terms is commutative.  WeightedPolynomial's
+# methods and the compiled OperatorExpr kernel both run these.
 
 
 def _step_dz(items, d) -> Dict[Monomial, Coeff]:
     out: Dict[Monomial, Coeff] = {}
+    get = out.get
     envelope = bool(d)  # tested once: an exact d's test is a Fraction call
     for (m, n), c in items:
         if m > 0:
-            _acc(out, (m - 1, n), c * m)
+            key = (m - 1, n)
+            prev = get(key)
+            out[key] = c * m if prev is None else prev + c * m
         if envelope:
-            _acc(out, (m, n + 1), c * d)
+            key = (m, n + 1)
+            prev = get(key)
+            out[key] = c * d if prev is None else prev + c * d
     return {k: c for k, c in out.items() if c}
 
 
 def _step_dzbar(items, d) -> Dict[Monomial, Coeff]:
     out: Dict[Monomial, Coeff] = {}
+    get = out.get
     envelope = bool(d)  # tested once: an exact d's test is a Fraction call
     for (m, n), c in items:
         if n > 0:
-            _acc(out, (m, n - 1), c * n)
+            key = (m, n - 1)
+            prev = get(key)
+            out[key] = c * n if prev is None else prev + c * n
         if envelope:
-            _acc(out, (m + 1, n), c * d)
+            key = (m + 1, n)
+            prev = get(key)
+            out[key] = c * d if prev is None else prev + c * d
     return {k: c for k, c in out.items() if c}
 
 
-# Shifts are injective and keep the items' order; nonzero in, nonzero out.
+# Shifts are injective; nonzero in, nonzero out.
 def _step_z(items, d) -> Dict[Monomial, Coeff]:
     return {(m + 1, n): c for (m, n), c in items}
 
@@ -161,7 +188,7 @@ class WeightedPolynomial:
     def add(self, other: "WeightedPolynomial") -> "WeightedPolynomial":
         self._require_same_d(other)
         out = dict(self.coeffs)
-        for mono, c in other.sorted_items():
+        for mono, c in other.coeffs.items():
             _acc(out, mono, c)
         return WeightedPolynomial(out, self.d)
 
@@ -206,7 +233,7 @@ class WeightedPolynomial:
         return WeightedPolynomial(_step_zbar(self.sorted_items(), self.d), self.d)
 
     def max_abs_coeff(self) -> float:
-        return max((float(abs(c)) for c in self.coeffs.values()), default=0.0)
+        return _nan_max([float(abs(c)) for c in self.coeffs.values()])
 
     def is_exact(self) -> bool:
         return _is_exact_scalar(self.d) and all(
@@ -262,7 +289,8 @@ class SpinorFunction:
         return SpinorFunction(self.upper.scaled(value), self.lower.scaled(value))
 
     def max_abs_coeff(self) -> float:
-        return max(self.upper.max_abs_coeff(), self.lower.max_abs_coeff())
+        parts = (self.upper.coeffs, self.lower.coeffs)
+        return _nan_max([float(abs(c)) for coeffs in parts for c in coeffs.values()])
 
     def is_exact(self) -> bool:
         return self.upper.is_exact() and self.lower.is_exact()
@@ -381,7 +409,7 @@ class OperatorTerm:
 class _Plan(NamedTuple):
     """An operator compiled for application.
 
-    Images are sorted (monomial, coefficient) lists.  Images 0 and 1 are the
+    Images are (monomial, coefficient) items.  Images 0 and 1 are the
     input's upper and lower component; ``nodes[k] = (source, step)`` makes
     image 2 + k by one primitive step from an earlier image, so a word tail
     that several terms share is stepped through once.  ``entries`` are
@@ -429,20 +457,23 @@ def _compile(terms: Sequence[OperatorTerm]) -> _Plan:
     return _Plan(tuple(nodes), tuple(entries), spin_scalar, reach)
 
 
-def _run(plan: _Plan, upper: List, lower: List, d) -> List:
+def _run(plan: _Plan, upper, lower, d) -> Tuple[Dict, Dict]:
+    """Both output components' coefficients, in one sweep over the entries.
+
+    A key gets at most one term per entry, added in ``plan.entries`` order
+    whatever order the images' items come in.
+    """
     images = [upper, lower]
     for src, step in plan.nodes:
-        images.append(sorted(step(images[src], d).items()))
-    return images
-
-
-def _image_sum(plan: _Plan, images: List, out: int) -> Dict[Monomial, Coeff]:
-    acc: Dict[Monomial, Coeff] = {}
+        images.append(step(images[src], d).items())
+    outs: Tuple[Dict, Dict] = ({}, {})
     for o, image, factor in plan.entries:
-        if o == out:
-            for mono, c in images[image]:
-                _acc(acc, mono, factor * c)
-    return acc
+        acc = outs[o]
+        get = acc.get
+        for mono, c in images[image]:
+            prev = get(mono)
+            acc[mono] = factor * c if prev is None else prev + factor * c
+    return outs
 
 
 class OperatorExpr:
@@ -546,17 +577,17 @@ class OperatorExpr:
 
         Runs the compiled plan: each distinct word tail steps once per input
         component through the dict-level primitive rules (``_step_*``),
-        then every term adds ``factor * c`` over its sorted image.  The
-        float and the exact mode share this one path, so float round-off
-        follows the term-by-term order exactly.
+        then one sweep over the plan's entries adds ``factor * c`` over
+        each entry's image into its output component.  Every key sums its
+        terms in term order, whatever the order of the items, so float
+        round-off follows the term-by-term reference bit for bit; the float
+        and the exact mode share this one path.
         """
-        plan = self._compiled()
         d = s.d
-        images = _run(plan, s.upper.sorted_items(), s.lower.sorted_items(), d)
-        return SpinorFunction(
-            WeightedPolynomial(_image_sum(plan, images, 0), d),
-            WeightedPolynomial(_image_sum(plan, images, 1), d),
+        upper, lower = _run(
+            self._compiled(), s.upper.coeffs.items(), s.lower.coeffs.items(), d
         )
+        return SpinorFunction(WeightedPolynomial(upper, d), WeightedPolynomial(lower, d))
 
     def apply_poly(self, wp: WeightedPolynomial) -> WeightedPolynomial:
         """Apply a spin-scalar operator to a single component.
@@ -568,8 +599,8 @@ class OperatorExpr:
             raise ValueError(
                 "operator mixes spin components; apply it to a SpinorFunction"
             )
-        images = _run(plan, wp.sorted_items(), [], wp.d)
-        return WeightedPolynomial(_image_sum(plan, images, 0), wp.d)
+        upper, _ = _run(plan, wp.coeffs.items(), (), wp.d)
+        return WeightedPolynomial(upper, wp.d)
 
     # -- structural maps -------------------------------------------------
 
@@ -753,19 +784,32 @@ def time_reversal_conjugate(expr: OperatorExpr) -> OperatorExpr:
 
 def _relative_defect(x: SpinorFunction, y: SpinorFunction) -> float:
     """Largest coefficient of x - y over the largest of x and y (0 if both
-    vanish): no absolute floor, so it stays relative at any coupling size."""
-    scale = max(x.max_abs_coeff(), y.max_abs_coeff()) or 1.0
-    return x.sub(y).max_abs_coeff() / scale
+    vanish): no absolute floor, so it stays relative at any coupling size.
+
+    One pass over the union of keys; ``x_k - y_k`` is bit for bit the
+    ``x_k + (-y_k)`` of ``x.sub(y)``, and a key in one function only
+    contributes its own magnitude.
+    """
+    if not x.d == y.d:
+        raise ValueError("envelope exponents differ")
+    defects, sizes = [], []
+    for xc, yc in ((x.upper, y.upper), (x.lower, y.lower)):
+        xs, ys = xc.coeffs, yc.coeffs
+        get = ys.get
+        for key, xv in xs.items():
+            yv = get(key)
+            defects.append(float(abs(xv if yv is None else xv - yv)))
+        defects.extend(float(abs(yv)) for key, yv in ys.items() if key not in xs)
+        sizes += [float(abs(v)) for v in xs.values()]
+        sizes += [float(abs(v)) for v in ys.values()]
+    return _nan_max(defects) / (_nan_max(sizes) or 1.0)
 
 
 def operator_residual_on_probes(
     x: OperatorExpr, y: OperatorExpr, probes: Sequence[SpinorFunction]
 ) -> float:
     """Worst relative coefficient defect of (x - y) over the probes."""
-    worst = 0.0
-    for s in probes:
-        worst = max(worst, _relative_defect(x.apply(s), y.apply(s)))
-    return worst
+    return _nan_max([_relative_defect(x.apply(s), y.apply(s)) for s in probes])
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +858,7 @@ def _mix(
 ) -> WeightedPolynomial:
     acc: Dict[Monomial, Coeff] = {}
     for entry, wp in ((e1, w1), (e2, w2)):
-        for mono, c in wp.sorted_items():
+        for mono, c in wp.coeffs.items():
             v = _scale_entry(entry, c)
             if v is not None:
                 _acc(acc, mono, v)
@@ -891,13 +935,16 @@ def pt_commutator_residuals(
     """pt_commutator_residual of each op, with H applied once per probe."""
     if not probes:
         raise ValueError("at least one probe is required")
-    worst = [0.0] * len(ops)
+    defects = []  # one row per probe, one column per op
     for s in probes:
         image = h.apply(s)
-        for i, op in enumerate(ops):
-            left, right = pt_transform(op, image), h.apply(pt_transform(op, s))
-            worst[i] = max(worst[i], _relative_defect(left, right))
-    return worst
+        defects.append(
+            [
+                _relative_defect(pt_transform(op, image), h.apply(pt_transform(op, s)))
+                for op in ops
+            ]
+        )
+    return [_nan_max(column) for column in zip(*defects)]
 
 
 # ---------------------------------------------------------------------------
@@ -1061,6 +1108,12 @@ def _ladder_defects(coeffs: DerivedCoeffs) -> Tuple[OperatorExpr, OperatorExpr, 
             OperatorExpr.spin(E01).to_complex() @ q1
             + OperatorExpr.spin(E10).to_complex() @ q2d
         ).scaled(sqrt_k)
+        if any(cmath.isinf(t.coeff) for t in comm.terms):
+            # (block coefficient)^2 / k_coef: at a subnormal k_coef the
+            # commutator's terms are inf and its images inf - inf = nan
+            raise OverflowError(
+                f"ladder normalization 1/k_coef overflows at k_coef = {coeffs.k_coef!r}"
+            )
     return comm, fact, _probe_envelope(coeffs, Fraction(0) if exact else -0.25)
 
 
@@ -1088,7 +1141,9 @@ def jc_verify(coeffs: DerivedCoeffs, degree: int = 30) -> JCReport:
     the probes carry the coefficient ``ComplexRational`` ONE, not ``int``
     1, so the first step's ``c * d`` on a ``Fraction`` envelope is already
     a ``ComplexRational`` product and no ``Fraction`` operation runs per
-    coefficient; the float path keeps 1.
+    coefficient; the float path keeps 1.  A float k_coef so small that the
+    normalized commutator's coefficients overflow raises OverflowError; a
+    nan that reaches any image makes its residual nan.
     """
     if not isinstance(degree, int) or degree < 2:
         raise ValueError("degree must be an integer >= 2")
@@ -1097,13 +1152,14 @@ def jc_verify(coeffs: DerivedCoeffs, degree: int = 30) -> JCReport:
     comm, fact, d_env = _ladder_defects(coeffs)
     one = ONE if isinstance(d_env, Fraction) else 1
     probes = [(m, n) for m in range(degree + 1) for n in range(degree + 1 - m)]
-    comm_res = fact_res = 0.0
     zero = WeightedPolynomial.zero(d_env)
+    comm_res = []
     for group in residue_groups(comm, probes):
         total = WeightedPolynomial(dict.fromkeys(group, one), d_env)
-        comm_res = max(comm_res, comm.apply_poly(total).max_abs_coeff())
+        comm_res.append(comm.apply_poly(total).max_abs_coeff())
+    fact_res = []
     for group in residue_groups(fact, probes):
         total = WeightedPolynomial(dict.fromkeys(group, one), d_env)
         for s in (SpinorFunction(total, zero), SpinorFunction(zero, total)):
-            fact_res = max(fact_res, fact.apply(s).max_abs_coeff())
-    return JCReport(comm_res, fact_res)
+            fact_res.append(fact.apply(s).max_abs_coeff())
+    return JCReport(_nan_max(comm_res), _nan_max(fact_res))

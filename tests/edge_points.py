@@ -55,3 +55,12 @@ SUBNORMAL = PhysParams(
     v_f=0.8713275317543699, lam=0.3959494577303741, k1=2.93443470977e-313,
     b0=1.0132746824012e-310, hbar=2.8610706541825857,
 )
+
+# k_coef = -9.45e-319 sits 1.4e-12 k_scale from 0, outside the critical
+# band, and (a hbar)(b hbar) / k_coef overflows: the float ladder
+# commutator's coefficients are inf and its images inf - inf = nan.
+SUBNORMAL_K = PhysParams(
+    v_f=8.501721549170652, lam=3.1000612912184686, k1=-4.888085364676e-311,
+    b0=-1.544724734658859e-308, hbar=0.13021746425664166,
+)
+SUBNORMAL_K_FLAGS = flags(SUBNORMAL_K)

@@ -33,7 +33,7 @@ from ptdirac.cli import (
 from ptdirac.opalg import JCReport
 from ptdirac.spectral import build_truncated, parse_matrix
 
-from edge_points import LARGE, LARGE_FLAGS, NEAR_EP_FLAGS
+from edge_points import LARGE, LARGE_FLAGS, NEAR_EP_FLAGS, SUBNORMAL_K_FLAGS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BASE = PhysParams(v_f=1.37, lam=0.5, k1=0.02, b0=100.0)
@@ -853,11 +853,30 @@ def test_lll_degenerate_valley_exits_two(capsys):
     (["lll", "--l_max", "-1"], "l_max must be nonnegative"),
     (["critical", "--vary", "lambda", "--bisect_tol", "nan"],
      "bisect_tol must be finite and nonnegative"),
-], ids=["jc", "lll", "critical"])
+    (["critical", "--vary", "lambda", "--bisect_tol", "2", "--n_tr", "8"],
+     "bisect_tol 2.0 must be below the bracket width "),
+    (["critical", "--vary", "lambda", "--lo", "1.5", "--hi", "1.0"],
+     "require lo < hi"),
+], ids=["jc", "lll", "critical", "critical_tol_above_bracket",
+        "critical_reversed_bracket"])
 def test_bad_argument_values_are_config_errors(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"config error: {message}"), captured.err
+    assert captured.out == ""
+
+
+def test_an_overflowing_ladder_normalization_skips_and_refuses(capsys):
+    # the float ladder commutator is nan here; verify skips its row and jc
+    # refuses, where both read a hidden nan as a residual of 0
+    assert main(["verify"] + SUBNORMAL_K_FLAGS) == 0
+    ladder = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("ladder pair")]
+    reason = "ladder normalization 1/k_coef overflows at k_coef = -9.45014e-319"
+    assert ladder == ["ladder pair                  SKIP  " + reason]
+    assert main(["jc"] + SUBNORMAL_K_FLAGS) == 2
+    captured = capsys.readouterr()
+    assert captured.err == reason + "\n"
     assert captured.out == ""
 
 

@@ -7,6 +7,8 @@ order the terms accumulate, so the two must agree exactly with
 Fraction/ComplexRational coefficients and bit for bit in floats.
 """
 
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,12 +17,19 @@ from hypothesis import given, settings, strategies as st
 from ptdirac import opalg
 from ptdirac.exact import I, ComplexRational
 from ptdirac.opalg import (
+    P1T,
+    P2T,
     OperatorExpr,
     OperatorTerm,
     Prim,
     SpinorFunction,
     WeightedPolynomial,
+    build_hamiltonian,
+    jc_verify,
+    operator_residual_on_probes,
+    pt_commutator_residuals,
 )
+from ptdirac.params import PhysParams, derive_coeffs
 
 _METHOD = {
     Prim.DZ: WeightedPolynomial.diff_z,
@@ -97,8 +106,11 @@ _exact_scalar = st.one_of(
     _fractions,
     st.integers(-3, 3),
 ).filter(bool)
-_words = st.lists(st.sampled_from(list(Prim)), max_size=2).map(tuple)
 _exponents = st.tuples(st.integers(0, 5), st.integers(0, 5))
+
+
+def _words(max_size):
+    return st.lists(st.sampled_from(list(Prim)), max_size=max_size).map(tuple)
 
 
 def _entries(exact):
@@ -117,9 +129,9 @@ def _scalar_matrices(exact):
     return _entries(exact).map(lambda e: ((e, 0), (0, e)))
 
 
-def _operators(exact, matrices):
+def _operators(exact, matrices, word_length=2):
     scalar = _exact_scalar if exact else _float_scalar
-    term = st.builds(OperatorTerm, scalar, matrices(exact), _words)
+    term = st.builds(OperatorTerm, scalar, matrices(exact), _words(word_length))
     return st.lists(term, min_size=1, max_size=4).map(OperatorExpr)
 
 
@@ -137,10 +149,10 @@ def _components(exact, d, min_size):
 
 
 @st.composite
-def cases(draw, matrices=_matrices):
+def cases(draw, matrices=_matrices, word_length=2):
     """(exact, operator, spinor): 1-6 monomials per nonempty component."""
     exact = draw(st.booleans())
-    op = draw(_operators(exact, matrices))
+    op = draw(_operators(exact, matrices, word_length))
     d = draw(_envelope(exact))
     upper = draw(_components(exact, d, 0))
     lower = draw(_components(exact, d, 0 if upper.coeffs else 1))
@@ -276,3 +288,89 @@ def test_identity_term_reads_the_input_directly():
     out = op.apply_poly(wp)
     assert out.coeffs == {(1, 1): ComplexRational(Fraction(1), Fraction(-2))}
     assert op._compiled().nodes == ()
+
+
+# ---------------------------------------------------------------------------
+# key order
+# ---------------------------------------------------------------------------
+# The kernel reads each dict in insertion order and never sorts.  A key of a
+# step image gets at most two terms and a key of the output at most one per
+# plan entry, added in entry order, so no insertion order moves a bit.
+
+CO = derive_coeffs(PhysParams(v_f=1.37, lam=0.5, k1=0.02, b0=100.0))
+
+
+@st.composite
+def reordered(draw, matrices=_matrices):
+    """A case with words up to length 3, and its spinor rebuilt with the
+    keys of each component inserted in reverse sorted order, then shuffled."""
+    exact, op, s = draw(cases(matrices=matrices, word_length=3))
+    others = []
+    for shuffle in (False, True):
+        comps = []
+        for wp in (s.upper, s.lower):
+            items = sorted(wp.coeffs.items(), reverse=True)
+            if shuffle:
+                items = draw(st.permutations(items))
+            comps.append(WeightedPolynomial(dict(items), wp.d))
+        others.append(SpinorFunction(*comps))
+    return exact, op, s, others
+
+
+@_SETTINGS
+@given(reordered())
+def test_apply_is_independent_of_insertion_order(case):
+    exact, op, s, others = case
+    want = reference_apply(op, s)
+    for other in others:
+        assert_spinors_identical(op.apply(other), want, exact)
+
+
+@_SETTINGS
+@given(reordered(matrices=_scalar_matrices))
+def test_apply_poly_is_independent_of_insertion_order(case):
+    exact, op, s, others = case
+    for other in others:
+        for got, wp in ((other.upper, s.upper), (other.lower, s.lower)):
+            assert_identical(op.apply_poly(got), reference_apply_poly(op, wp), exact)
+
+
+@_SETTINGS
+@given(cases(), st.data())
+def test_relative_defect_is_the_difference_polynomial_bit_for_bit(case, data):
+    exact, a, s = case
+    b = data.draw(_operators(exact, _matrices))
+    x, y = a.apply(s), b.apply(s)
+    for left, right in ((x, y), (y, x), (x, s), (x, x)):
+        scale = max(left.max_abs_coeff(), right.max_abs_coeff()) or 1.0
+        want = left.sub(right).max_abs_coeff() / scale
+        got = opalg._relative_defect(left, right)
+        assert repr(got) == repr(want)
+    assert opalg._relative_defect(x, x) == 0.0
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["nan_last", "nan_first"])
+def test_a_nan_is_never_hidden_by_key_order(order):
+    def spinor(*items):
+        upper = WeightedPolynomial(dict(items[::order]), -0.25)
+        return SpinorFunction(upper, WeightedPolynomial.zero(-0.25))
+
+    clean = spinor(((0, 0), 1.0), ((1, 0), 0.5))
+    poisoned = spinor(((0, 0), 1.0), ((1, 0), math.nan))
+    assert math.isnan(poisoned.upper.max_abs_coeff())
+    assert math.isnan(SpinorFunction(clean.lower, poisoned.upper).max_abs_coeff())
+    assert math.isnan(opalg._relative_defect(poisoned, clean))
+    assert math.isnan(opalg._relative_defect(clean, poisoned))
+    ident = OperatorExpr.identity()
+    probes = [clean, poisoned][::order]
+    assert math.isnan(operator_residual_on_probes(ident, ident.scaled(2.0), probes))
+    h = build_hamiltonian(CO)
+    assert all(math.isnan(r) for r in pt_commutator_residuals(h, [P1T, P2T], probes))
+
+
+def test_jc_verify_keeps_a_nan_coefficient():
+    # a nan c1 poisons the c1 terms of both defect operators, not the rest
+    co = dataclasses.replace(CO, c1=math.nan)
+    report = jc_verify(co, degree=4)
+    assert math.isnan(report.commutator_residual)
+    assert math.isnan(report.factorization_residual)
