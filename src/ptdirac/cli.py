@@ -712,6 +712,7 @@ def _render_sweep_text(record: dict) -> str:
 # ---------------------------------------------------------------------------
 
 _CRITICAL_AGREE_REL = 1e-9
+_DEFAULT_BISECT_TOL = 1e-6
 
 
 def cmd_critical(
@@ -719,14 +720,18 @@ def cmd_critical(
     vary: Vary,
     lo: Optional[float],
     hi: Optional[float],
-    bisect_tol: float,
+    bisect_tol: Optional[float],
 ) -> Tuple[dict, int]:
     """A missing bracket end is min / max of 0.5 and 1.5 times the analytic
-    value, so a negative critical field gets an ordered bracket too."""
-    try:
-        check_tol("bisect_tol", bisect_tol)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    value, so a negative critical field gets an ordered bracket too.  A
+    missing ``bisect_tol`` is ``1e-6 * min(1, hi - lo)``: 1e-6 on a bracket
+    at least 1 wide and a millionth of a narrower one, so a critical
+    coupling below 1e-6 is bisected rather than refused."""
+    if bisect_tol is not None:
+        try:
+            check_tol("bisect_tol", bisect_tol)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     p = cfg.params()
     try:
         analytic = critical_point(p, vary)
@@ -743,6 +748,8 @@ def cmd_critical(
         hi = max(0.5 * analytic, 1.5 * analytic)
     if not lo < hi:
         raise ConfigError("require lo < hi")
+    if bisect_tol is None:
+        bisect_tol = _DEFAULT_BISECT_TOL * min(1.0, hi - lo)
     if bisect_tol >= hi - lo:
         raise ConfigError(
             f"bisect_tol {bisect_tol!r} must be below the bracket width {hi - lo!r}"
@@ -883,7 +890,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_critical.add_argument("--vary", choices=["lambda", "b0"], required=True)
     p_critical.add_argument("--lo", type=float)
     p_critical.add_argument("--hi", type=float)
-    p_critical.add_argument("--bisect_tol", type=float, default=1e-6)
+    p_critical.add_argument("--bisect_tol", type=float)
     p_critical.set_defaults(
         run=lambda cfg, a: cmd_critical(cfg, Vary(a.vary), a.lo, a.hi, a.bisect_tol),
         text=_render_critical_text,

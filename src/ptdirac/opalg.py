@@ -20,7 +20,10 @@ WeightedPolynomial methods both run, in the float and the exact mode alike,
 so both modes take one code path and float round-off does not depend on it.
 An application is one pass: coefficient dicts are read in insertion order,
 never sorted, and both spin outputs fill in one sweep over the plan; the
-primitive-steps comment below says why no order can move a bit.
+primitive-steps comment below says why no order can move a bit.  The
+antilinear maps are one pass too, with no intermediate polynomial: each
+output key gets one term per nonzero spin entry, in entry order, exactly as
+conjugating, mapping and mixing as separate polynomials adds them.
 
 Layout:
   - WeightedPolynomial / SpinorFunction: the function space.
@@ -200,25 +203,6 @@ class WeightedPolynomial:
 
     def scaled(self, value: Coeff) -> "WeightedPolynomial":
         return WeightedPolynomial({k: value * c for k, c in self.coeffs.items()}, self.d)
-
-    def conjugated(self) -> "WeightedPolynomial":
-        # d is real, so the envelope is invariant under conjugation.
-        return WeightedPolynomial(
-            {k: c.conjugate() for k, c in self.coeffs.items()}, self.d
-        )
-
-    def with_parity_signs(self) -> "WeightedPolynomial":
-        """Coefficient sign (-1)**(m+n): the pullback under z -> -z."""
-        return WeightedPolynomial(
-            {k: (-c if (k[0] + k[1]) % 2 else c) for k, c in self.coeffs.items()},
-            self.d,
-        )
-
-    def swapped_exponents(self) -> "WeightedPolynomial":
-        """The pullback under z <-> zbar (the envelope is symmetric)."""
-        return WeightedPolynomial(
-            {(n, m): c for (m, n), c in self.coeffs.items()}, self.d
-        )
 
     def diff_z(self) -> "WeightedPolynomial":
         return WeightedPolynomial(_step_dz(self.sorted_items(), self.d), self.d)
@@ -786,23 +770,38 @@ def _relative_defect(x: SpinorFunction, y: SpinorFunction) -> float:
     """Largest coefficient of x - y over the largest of x and y (0 if both
     vanish): no absolute floor, so it stays relative at any coupling size.
 
-    One pass over the union of keys; ``x_k - y_k`` is bit for bit the
-    ``x_k + (-y_k)`` of ``x.sub(y)``, and a key in one function only
-    contributes its own magnitude.
+    One pass over each function's items with two running maxima and no
+    lists: ``x_k - y_k`` is bit for bit the ``x_k + (-y_k)`` of
+    ``x.sub(y)``, a key in one function only contributes its own magnitude,
+    and the maximum of nonnegative floats does not depend on their order.
+    nan as soon as any defect or size is nan, whatever the key order.
     """
     if not x.d == y.d:
         raise ValueError("envelope exponents differ")
-    defects, sizes = [], []
-    for xc, yc in ((x.upper, y.upper), (x.lower, y.lower)):
-        xs, ys = xc.coeffs, yc.coeffs
+    worst = scale = 0.0
+    for xs, ys in ((x.upper.coeffs, y.upper.coeffs), (x.lower.coeffs, y.lower.coeffs)):
         get = ys.get
         for key, xv in xs.items():
+            size = float(abs(xv))
             yv = get(key)
-            defects.append(float(abs(xv if yv is None else xv - yv)))
-        defects.extend(float(abs(yv)) for key, yv in ys.items() if key not in xs)
-        sizes += [float(abs(v)) for v in xs.values()]
-        sizes += [float(abs(v)) for v in ys.values()]
-    return _nan_max(defects) / (_nan_max(sizes) or 1.0)
+            defect = size if yv is None else float(abs(xv - yv))
+            if not defect <= worst:
+                if defect != defect:
+                    return math.nan
+                worst = defect
+            if not size <= scale:
+                if size != size:
+                    return math.nan
+                scale = size
+        for key, yv in ys.items():
+            size = float(abs(yv))
+            if not size <= scale:
+                if size != size:
+                    return math.nan
+                scale = size
+            if size > worst and key not in xs:  # a shared key's defect is above
+                worst = size
+    return worst / (scale or 1.0)
 
 
 def operator_residual_on_probes(
@@ -838,10 +837,8 @@ TIME_REVERSAL = AntilinearOp("T", ((0, 1), (-1, 0)), CoordMap.SWAP)
 
 
 def _scale_entry(entry, value):
-    """entry * value where entry is drawn from {0, +-1, +-i}; exactness of
-    the operand is preserved for those entries."""
-    if entry == 0:
-        return None
+    """entry * value where entry is drawn from {+-1, +-i}; exactness of the
+    operand is preserved for those entries."""
     if entry == 1:
         return value
     if entry == -1:
@@ -853,31 +850,41 @@ def _scale_entry(entry, value):
     return entry * value
 
 
-def _mix(
-    e1, w1: WeightedPolynomial, e2, w2: WeightedPolynomial
-) -> WeightedPolynomial:
-    acc: Dict[Monomial, Coeff] = {}
-    for entry, wp in ((e1, w1), (e2, w2)):
-        for mono, c in wp.coeffs.items():
-            v = _scale_entry(entry, c)
-            if v is not None:
-                _acc(acc, mono, v)
-    return WeightedPolynomial(acc, w1.d)
-
-
 def pt_transform(op: AntilinearOp, s: SpinorFunction) -> SpinorFunction:
-    """Apply an antilinear symmetry to a spinor function."""
-    comps = []
-    for comp in (s.upper, s.lower):
-        wp = comp.conjugated()
-        if op.coord_map is CoordMap.NEGATE:
-            wp = wp.with_parity_signs()
-        elif op.coord_map is CoordMap.SWAP:
-            wp = wp.swapped_exponents()
-        comps.append(wp)
-    u, l = comps
-    (m00, m01), (m10, m11) = op.matrix
-    return SpinorFunction(_mix(m00, u, m01, l), _mix(m10, u, m11, l))
+    """Apply an antilinear symmetry to a spinor function.
+
+    One pass: each input component is read once into its conjugated,
+    coordinate-mapped items (``c.conjugate()``, then the sign (-1)**(m+n)
+    of z -> -z or the key swap of z <-> zbar; the envelope is real and
+    symmetric, so it stays).  Each output component is then one dict: for
+    each nonzero spin entry of its row, in entry order, ``_scale_entry``
+    of each item is added at its key.  A key gets at most one term per
+    entry, so every coefficient is bit for bit the one that conjugating,
+    mapping and mixing as separate polynomials gives.
+    """
+    negate = op.coord_map is CoordMap.NEGATE
+    swap = op.coord_map is CoordMap.SWAP
+    parts = [
+        [
+            ((n, m) if swap else (m, n),
+             -c.conjugate() if negate and (m + n) % 2 else c.conjugate())
+            for (m, n), c in comp.coeffs.items()
+        ]
+        for comp in (s.upper, s.lower)
+    ]
+    outs = []
+    for row in op.matrix:
+        acc: Dict[Monomial, Coeff] = {}
+        get = acc.get
+        for entry, items in zip(row, parts):
+            if entry == 0:
+                continue
+            for key, c in items:
+                v = _scale_entry(entry, c)
+                prev = get(key)
+                acc[key] = v if prev is None else prev + v
+        outs.append(WeightedPolynomial(acc, s.d))
+    return SpinorFunction(*outs)
 
 
 _PT_FACTOR_REL = 1e-10
@@ -892,7 +899,10 @@ def pt_eigenfactor(op: AntilinearOp, s: SpinorFunction) -> Optional[complex]:
     component, and a broken-branch state whose lower component is far
     smaller than its upper one fails only in the lower.  Failure of the
     spatial eigenrelation is exactly what distinguishes the broken phase.
-    Raises on the zero spinor.
+    Each component is one pass over its keys, folding the largest defect
+    and the largest size; a nan in either fails the component, so a spinor
+    with a nan coefficient has no factor, whatever its key order.  Raises
+    on the zero spinor.
     """
     if s.is_zero():
         raise ValueError("zero spinor has no eigenfactor")
@@ -902,21 +912,20 @@ def pt_eigenfactor(op: AntilinearOp, s: SpinorFunction) -> Optional[complex]:
     for idx, comp in enumerate((s.upper, s.lower)):
         for mono, c in comp.sorted_items():
             mag = float(abs(c))
-            if mag > ref_mag:
+            if not mag <= ref_mag:  # a nan is taken too, and fails the fold below
                 ref_comp, ref_key, ref_mag = idx, mono, mag
-    s_parts = (s.upper, s.lower)
-    t_parts = (t.upper, t.lower)
-    t_ref = t_parts[ref_comp].coeffs.get(ref_key)
+    s_parts = (s.upper.coeffs, s.lower.coeffs)
+    t_parts = (t.upper.coeffs, t.lower.coeffs)
+    t_ref = t_parts[ref_comp].get(ref_key)
     if t_ref is None:
         return None
-    factor = complex(t_ref) / complex(s_parts[ref_comp].coeffs[ref_key])
+    factor = complex(t_ref) / complex(s_parts[ref_comp][ref_key])
     for sc, tc in zip(s_parts, t_parts):
         worst = scale = 0.0
-        for key in set(sc.coeffs) | set(tc.coeffs):
-            sv = complex(sc.coeffs.get(key, 0))
-            tv = complex(tc.coeffs.get(key, 0))
-            worst = max(worst, abs(tv - factor * sv))
-            scale = max(scale, abs(sv), abs(tv))
+        for key in sc.keys() | tc.keys():
+            sv, tv = complex(sc.get(key, 0)), complex(tc.get(key, 0))
+            worst = _nan_max((worst, abs(tv - factor * sv)))
+            scale = _nan_max((scale, abs(sv), abs(tv)))
         if not worst <= _PT_FACTOR_REL * scale:
             return None
     return factor

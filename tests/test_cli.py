@@ -510,6 +510,24 @@ def test_critical_rejects_bisect_tol_not_below_the_bracket(capsys):
     assert "bisected" not in captured.out
 
 
+SMALL_FIELD_CRITICAL = ["critical", "--vary", "b0", "--vf", "1e-3", "--lambda",
+                        "1e-4", "--k1", "1e-9", "--b0", "1e-3"]
+
+
+def test_critical_default_tol_follows_a_narrow_bracket(tmp_path, capsys):
+    # the critical field is 2.77e-7, so the default bracket [0.5, 1.5] x
+    # analytic is narrower than 1e-6: the default tolerance is a millionth
+    # of its width, while a given tolerance keeps its absolute meaning
+    code, text = run_to_file(tmp_path, SMALL_FIELD_CRITICAL + ["--format", "json"])
+    assert code == 0
+    record = from_jsonable(json.loads(text))
+    assert record["analytic"] == pytest.approx(2.7676767676767676e-07, rel=1e-12)
+    assert record["difference"] <= 1e-6 * record["analytic"]
+    assert main(SMALL_FIELD_CRITICAL + ["--bisect_tol", "1e-6"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: bisect_tol 1e-06 must be below the bracket width ")
+
+
 def test_critical_degenerate_exits_two(capsys):
     assert main(["critical", "--vary", "b0", "--lambda", "1.37"]) == 2
     assert "unavailable" in capsys.readouterr().err

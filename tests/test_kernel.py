@@ -4,7 +4,10 @@
 over dict-level primitive steps.  The references below apply each term on
 its own through the public ``WeightedPolynomial`` primitive methods, in the
 order the terms accumulate, so the two must agree exactly with
-Fraction/ComplexRational coefficients and bit for bit in floats.
+Fraction/ComplexRational coefficients and bit for bit in floats.  The
+one-pass antilinear map ``pt_transform`` is held the same way against the
+three-step route of separate polynomials: conjugate, map the coordinates,
+then mix the spin components.
 """
 
 import dataclasses
@@ -19,6 +22,9 @@ from ptdirac.exact import I, ComplexRational
 from ptdirac.opalg import (
     P1T,
     P2T,
+    TIME_REVERSAL,
+    AntilinearOp,
+    CoordMap,
     OperatorExpr,
     OperatorTerm,
     Prim,
@@ -28,6 +34,7 @@ from ptdirac.opalg import (
     jc_verify,
     operator_residual_on_probes,
     pt_commutator_residuals,
+    pt_transform,
 )
 from ptdirac.params import PhysParams, derive_coeffs
 
@@ -291,6 +298,88 @@ def test_identity_term_reads_the_input_directly():
 
 
 # ---------------------------------------------------------------------------
+# antilinear maps
+# ---------------------------------------------------------------------------
+# The route the one-pass pt_transform replaced, one polynomial per step:
+# conjugate, map the coordinates, then mix the spin components row by row.
+
+
+def _conjugated(wp):
+    return WeightedPolynomial({k: c.conjugate() for k, c in wp.coeffs.items()}, wp.d)
+
+
+def _with_parity_signs(wp):
+    """Coefficient sign (-1)**(m+n): the pullback under z -> -z."""
+    return WeightedPolynomial(
+        {k: (-c if (k[0] + k[1]) % 2 else c) for k, c in wp.coeffs.items()}, wp.d
+    )
+
+
+def _swapped_exponents(wp):
+    """The pullback under z <-> zbar (the envelope is symmetric)."""
+    return WeightedPolynomial({(n, m): c for (m, n), c in wp.coeffs.items()}, wp.d)
+
+
+_COORD_MAPS = {
+    CoordMap.NEGATE: _with_parity_signs,
+    CoordMap.FIX: lambda wp: wp,
+    CoordMap.SWAP: _swapped_exponents,
+}
+
+
+def _mix(e1, w1, e2, w2):
+    acc = {}
+    for entry, wp in ((e1, w1), (e2, w2)):
+        if entry != 0:
+            for mono, c in wp.coeffs.items():
+                prev = acc.get(mono)
+                v = opalg._scale_entry(entry, c)
+                acc[mono] = v if prev is None else prev + v
+    return WeightedPolynomial(acc, w1.d)
+
+
+def reference_pt_transform(op, s):
+    u, l = (_COORD_MAPS[op.coord_map](_conjugated(wp)) for wp in (s.upper, s.lower))
+    (m00, m01), (m10, m11) = op.matrix
+    return SpinorFunction(_mix(m00, u, m01, l), _mix(m10, u, m11, l))
+
+
+# each row of these adds two nonzero entries, the upper part first
+_MIXING = [AntilinearOp(f"mix_{c.value}", ((1, 1j), (-1j, -1)), c) for c in CoordMap]
+
+
+# a value on an axis carries a signed zero, which a wrong sign step flips
+_axis_scalar = st.one_of(
+    st.builds(complex, st.sampled_from([0.0, -0.0]), _floats),
+    st.builds(complex, _floats, st.sampled_from([0.0, -0.0])),
+).filter(bool)
+
+
+@st.composite
+def shuffled_spinors(draw):
+    """A float or exact spinor, each component's keys in a drawn order."""
+    exact = draw(st.booleans())
+    d = draw(_envelope(exact))
+    scalar = _exact_scalar if exact else st.one_of(_float_scalar, _axis_scalar)
+    comps = []
+    for _ in range(2):
+        coeffs = draw(st.dictionaries(_exponents, scalar, max_size=6))
+        items = draw(st.permutations(list(coeffs.items())))
+        comps.append(WeightedPolynomial(dict(items), d))
+    return SpinorFunction(*comps)
+
+
+@_SETTINGS
+@given(shuffled_spinors())
+def test_pt_transform_matches_the_three_step_route(s):
+    for op in [P1T, P2T, TIME_REVERSAL] + _MIXING:
+        got, want = pt_transform(op, s), reference_pt_transform(op, s)
+        for g, w in ((got.upper, want.upper), (got.lower, want.lower)):
+            assert g.d == w.d
+            assert bits(g) == bits(w)  # key sets, and every bit of each value
+
+
+# ---------------------------------------------------------------------------
 # key order
 # ---------------------------------------------------------------------------
 # The kernel reads each dict in insertion order and never sorts.  A key of a
@@ -347,6 +436,20 @@ def test_relative_defect_is_the_difference_polynomial_bit_for_bit(case, data):
         got = opalg._relative_defect(left, right)
         assert repr(got) == repr(want)
     assert opalg._relative_defect(x, x) == 0.0
+    # a non-finite coefficient at a key both functions hold, or at one
+    # that only the poisoned one holds; the reference keeps every nan
+    special = data.draw(st.sampled_from(
+        [math.inf, -math.inf, complex(1.0, -math.inf), math.nan, complex(math.nan, 1.0)]
+    ))
+    x, y = x.to_complex(), y.to_complex()
+    key = data.draw(st.sampled_from(sorted(y.upper.coeffs) + [(9, 9)]))
+    poisoned = SpinorFunction(
+        WeightedPolynomial({**x.upper.coeffs, key: special}, x.d), x.lower
+    )
+    for left, right in ((poisoned, y), (y, poisoned), (poisoned, x)):
+        scale = opalg._nan_max([left.max_abs_coeff(), right.max_abs_coeff()]) or 1.0
+        want = left.sub(right).max_abs_coeff() / scale
+        assert repr(opalg._relative_defect(left, right)) == repr(want)
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["nan_last", "nan_first"])

@@ -7,6 +7,7 @@ exists to hide behind.
 
 import cmath
 import dataclasses
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -343,6 +344,27 @@ def test_pt_eigenfactor_rejects_zero_spinor():
     zero = WeightedPolynomial.zero(-0.25)
     with pytest.raises(ValueError):
         pt_eigenfactor(P1T, SpinorFunction(zero, zero))
+
+
+def _nan_spinor(upper_items, lower_items):
+    return SpinorFunction(
+        WeightedPolynomial(dict(upper_items), -0.25),
+        WeightedPolynomial(dict(lower_items), -0.25),
+    )
+
+
+@pytest.mark.parametrize("spinor", [
+    _nan_spinor([((0, 0), 1.0), ((1, 0), math.nan)], []),
+    _nan_spinor([((1, 0), math.nan), ((0, 0), 1.0)], []),
+    # the largest coefficient sits in the upper component, the nan in the lower
+    _nan_spinor([((0, 0), 1.0)], [((1, 0), 1e-3j), ((2, 0), complex(0.0, math.nan))]),
+    _nan_spinor([((0, 0), 1.0)], [((2, 0), complex(0.0, math.nan)), ((1, 0), 1e-3j)]),
+    _nan_spinor([((1, 0), math.nan)], []),
+], ids=["nan_last", "nan_first", "nan_lower", "nan_lower_first", "nan_only"])
+def test_pt_eigenfactor_gives_no_factor_to_a_nan_spinor(spinor):
+    # with 0.5 in place of each nan each is a P2T eigenstate of factor -1
+    for op in (P1T, P2T):
+        assert pt_eigenfactor(op, spinor) is None
 
 
 def test_pt_transform_is_antilinear():
