@@ -18,14 +18,17 @@ and imaginary parts as two separate ``Fraction`` objects.  ``int`` and
 are read back as ``Fraction`` through ``re`` and ``im``.
 
 Products and sums, the two operations the exact operator algebra repeats per
-coefficient, work on the triples directly: a ``ComplexRational`` operand's
-slots are read in place, an ``int`` or ``Fraction`` (exact type) becomes
-its triple through the public ``numerator``/``denominator`` with no
-``isinstance`` chain, and the reduction is inlined, with the divisions
-skipped when the gcd is 1.  Every result is still built through
-``ComplexRational(a, b, q)``, not by filling slots on a bare object: the
-constructor is the one place every value passes, so a wrapper on
-``__init__`` (the benchmark tracer's ``exact.cr_built``) counts them all.
+coefficient on ``ComplexRational`` coefficients (exact states, their
+eigen-residuals and the zero modes; the exact ``jc_verify`` clears its
+denominators once and runs on ints), work on the triples directly: a
+``ComplexRational`` operand's slots are read in place, an ``int`` or
+``Fraction`` (exact type) becomes its triple through the public
+``numerator``/``denominator`` with no ``isinstance`` chain, and the
+reduction is inlined, with the divisions skipped when the gcd is 1.  Every
+result is still built through ``ComplexRational(a, b, q)``, not by filling
+slots on a bare object: the constructor is the one place every value
+passes, so a wrapper on ``__init__`` (the benchmark tracer's
+``exact.cr_built``) counts them all.
 
 Mixing in a float would silently degrade the whole computation back to
 binary floating point (``Fraction + float`` returns ``float``), so arithmetic

@@ -25,6 +25,11 @@ antilinear maps are one pass too, with no intermediate polynomial: each
 output key gets one term per nonzero spin entry, in entry order, exactly as
 conjugating, mapping and mixing as separate polynomials adds them.
 
+The exact residuals of ``jc_verify`` run that same kernel on Python ints:
+the substitution z = q u, with q the denominator of the probes' envelope
+exponent, and one lcm clear every denominator before the first step, and
+the one ``ComplexRational`` per nonzero image key reads a size back.
+
 Layout:
   - WeightedPolynomial / SpinorFunction: the function space.
   - OperatorExpr: linear operators, composition, formal adjoint, collected
@@ -902,18 +907,24 @@ def pt_eigenfactor(op: AntilinearOp, s: SpinorFunction) -> Optional[complex]:
     Each component is one pass over its keys, folding the largest defect
     and the largest size; a nan in either fails the component, so a spinor
     with a nan coefficient has no factor, whatever its key order.  Raises
-    on the zero spinor.
+    ValueError on the zero spinor and on an exact one whose largest
+    coefficient lies outside the float range.
     """
     if s.is_zero():
         raise ValueError("zero spinor has no eigenfactor")
     t = pt_transform(op, s)
     ref_comp = ref_key = None
     ref_mag = 0.0
-    for idx, comp in enumerate((s.upper, s.lower)):
-        for mono, c in comp.sorted_items():
-            mag = float(abs(c))
-            if not mag <= ref_mag:  # a nan is taken too, and fails the fold below
-                ref_comp, ref_key, ref_mag = idx, mono, mag
+    try:
+        for idx, comp in enumerate((s.upper, s.lower)):
+            for mono, c in comp.sorted_items():
+                mag = float(abs(c))
+                if not mag <= ref_mag:  # a nan is taken too, and fails the fold below
+                    ref_comp, ref_key, ref_mag = idx, mono, mag
+    except OverflowError:  # an exact size above the float range
+        ref_key = None
+    if ref_key is None:  # or every size below it
+        raise ValueError("spinor's largest coefficient lies outside the float range")
     s_parts = (s.upper.coeffs, s.lower.coeffs)
     t_parts = (t.upper.coeffs, t.lower.coeffs)
     t_ref = t_parts[ref_comp].get(ref_key)
@@ -1126,6 +1137,102 @@ def _ladder_defects(coeffs: DerivedCoeffs) -> Tuple[OperatorExpr, OperatorExpr, 
     return comm, fact, _probe_envelope(coeffs, Fraction(0) if exact else -0.25)
 
 
+def _cleared(op: OperatorExpr, q: int) -> Tuple[int, OperatorExpr, OperatorExpr]:
+    """An exact ``op`` in u = z/q as ``(L, re, im)``: (re + i im)/L, with
+    ``re`` and ``im`` holding int coefficients.
+
+    z = q u makes d/dz (1/q) d/du and z. q u., so a word of w primitives,
+    s of them multiplications, takes the factor q^(2s - w).  L is the lcm
+    of the scaled coefficients' denominators.  The spin matrices are kept,
+    so their entries must be real (ints, in the ladder defects).
+    """
+    scaled = []
+    for t in op.terms:
+        muls = sum(p is Prim.MUL_Z or p is Prim.MUL_ZBAR for p in t.word)
+        power = 2 * muls - len(t.word)
+        c = ONE * t.coeff
+        scaled.append((c * q**power if power >= 0 else c / q**-power, t))
+    lcm = math.lcm(*(c._q for c, _ in scaled))
+    re = [OperatorTerm(c._a * (lcm // c._q), t.matrix, t.word) for c, t in scaled]
+    im = [OperatorTerm(c._b * (lcm // c._q), t.matrix, t.word) for c, t in scaled]
+    return lcm, OperatorExpr(re), OperatorExpr(im)
+
+
+def _images(
+    op: OperatorExpr, total: WeightedPolynomial, zero: Optional[WeightedPolynomial]
+) -> List[Dict]:
+    """The coefficient dicts of ``op`` on ``total``: one by ``apply_poly``
+    when ``zero`` is None, else the upper and lower by ``apply`` of
+    ``total`` in each spin component beside ``zero``.  An operator with no
+    terms is not applied."""
+    if not op.terms:
+        return [{}] * (1 if zero is None else 4)
+    if zero is None:
+        return [op.apply_poly(total).coeffs]
+    out = []
+    for s in (SpinorFunction(total, zero), SpinorFunction(zero, total)):
+        image = op.apply(s)
+        out += [image.upper.coeffs, image.lower.coeffs]
+    return out
+
+
+def _exact_residual(op: OperatorExpr, d_env: Fraction, probes, spinor: bool) -> float:
+    """Largest coefficient size of ``op``'s images of the probes, run on ints.
+
+    With d_env = p/q and z = q u, the envelope exponent in u is the int p q
+    and the probe z^a zbar^b is q^(a+b) u^a ubar^b.  The int parts of
+    ``_cleared(op, q)`` run on the probe groups of ``residue_groups(op)``
+    through the same plan and steps as any operator, an empty part not at
+    all.  An image key (m, n) in u holds re + i im; its coefficient in z is
+    (re + i im)/(L q^(m+n)), and its size is ``abs`` of that value as a
+    ``ComplexRational``, so the residual is bit for bit the one that
+    ``ComplexRational`` probes give.
+    """
+    q = d_env.denominator
+    lcm, re, im = _cleared(op, q)
+    d = d_env.numerator * q
+    zero = WeightedPolynomial.zero(d) if spinor else None
+    sizes = []
+    for group in residue_groups(op, probes):
+        total = WeightedPolynomial({(m, n): q ** (m + n) for m, n in group}, d)
+        for re_c, im_c in zip(_images(re, total, zero), _images(im, total, zero)):
+            for key in re_c.keys() | im_c.keys():
+                den = lcm * q ** (key[0] + key[1])
+                c = ComplexRational(
+                    Fraction(re_c.get(key, 0), den), Fraction(im_c.get(key, 0), den)
+                )
+                sizes.append(abs(c))
+    return _nan_max(sizes)
+
+
+def _ladder_residuals(
+    comm: OperatorExpr, fact: OperatorExpr, d_env, degree: int
+) -> JCReport:
+    """jc_verify's report from its defect operators, on the monomial probes
+    of total degree at most ``degree`` with envelope exponent ``d_env``.
+
+    A ``Fraction`` d_env takes the exact route (``_exact_residual``), a
+    float one applies the operators to probes of coefficient 1.
+    """
+    probes = [(m, n) for m in range(degree + 1) for n in range(degree + 1 - m)]
+    if isinstance(d_env, Fraction):
+        return JCReport(
+            _exact_residual(comm, d_env, probes, False),
+            _exact_residual(fact, d_env, probes, True),
+        )
+    zero = WeightedPolynomial.zero(d_env)
+    comm_res = []
+    for group in residue_groups(comm, probes):
+        total = WeightedPolynomial(dict.fromkeys(group, 1), d_env)
+        comm_res.append(comm.apply_poly(total).max_abs_coeff())
+    fact_res = []
+    for group in residue_groups(fact, probes):
+        total = WeightedPolynomial(dict.fromkeys(group, 1), d_env)
+        for s in (SpinorFunction(total, zero), SpinorFunction(zero, total)):
+            fact_res.append(fact.apply(s).max_abs_coeff())
+    return JCReport(_nan_max(comm_res), _nan_max(fact_res))
+
+
 def jc_verify(coeffs: DerivedCoeffs, degree: int = 30) -> JCReport:
     """Check the pseudo-bosonic pair and the spin-ladder form of H.
 
@@ -1147,28 +1254,16 @@ def jc_verify(coeffs: DerivedCoeffs, degree: int = 30) -> JCReport:
     operator to its probe alone, so the largest coefficient of the sum's
     image is the largest over the probes.  On the exact path the square
     roots cancel symbolically and both residuals are literal zeros.  There
-    the probes carry the coefficient ``ComplexRational`` ONE, not ``int``
-    1, so the first step's ``c * d`` on a ``Fraction`` envelope is already
-    a ``ComplexRational`` product and no ``Fraction`` operation runs per
-    coefficient; the float path keeps 1.  A float k_coef so small that the
-    normalized commutator's coefficients overflow raises OverflowError; a
-    nan that reaches any image makes its residual nan.
+    the kernel runs on Python ints (``_exact_residual``): z = q u, with q
+    the denominator of the probes' envelope exponent, clears every
+    denominator once; the commutator is all real and the factorization all
+    imaginary, so each runs one int operator, and no ``ComplexRational``
+    or ``Fraction`` operation runs per coefficient.  A float k_coef so
+    small that the normalized commutator's coefficients overflow raises
+    OverflowError; a nan that reaches any image makes its residual nan.
     """
     if not isinstance(degree, int) or degree < 2:
         raise ValueError("degree must be an integer >= 2")
     if not coeffs.k_coef:
         raise ValueError("k_coef = 0: ladder normalization undefined")
-    comm, fact, d_env = _ladder_defects(coeffs)
-    one = ONE if isinstance(d_env, Fraction) else 1
-    probes = [(m, n) for m in range(degree + 1) for n in range(degree + 1 - m)]
-    zero = WeightedPolynomial.zero(d_env)
-    comm_res = []
-    for group in residue_groups(comm, probes):
-        total = WeightedPolynomial(dict.fromkeys(group, one), d_env)
-        comm_res.append(comm.apply_poly(total).max_abs_coeff())
-    fact_res = []
-    for group in residue_groups(fact, probes):
-        total = WeightedPolynomial(dict.fromkeys(group, one), d_env)
-        for s in (SpinorFunction(total, zero), SpinorFunction(zero, total)):
-            fact_res.append(fact.apply(s).max_abs_coeff())
-    return JCReport(_nan_max(comm_res), _nan_max(fact_res))
+    return _ladder_residuals(*_ladder_defects(coeffs), degree)

@@ -13,9 +13,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ptdirac import opalg
-from ptdirac.exact import ComplexRational
+from ptdirac.exact import ONE, ComplexRational
 from ptdirac.params import Branch, DegenerateCoefficientsError, PhysParams, Valley, derive_coeffs
 from ptdirac.opalg import (
     P1T,
@@ -344,6 +345,19 @@ def test_pt_eigenfactor_rejects_zero_spinor():
     zero = WeightedPolynomial.zero(-0.25)
     with pytest.raises(ValueError):
         pt_eigenfactor(P1T, SpinorFunction(zero, zero))
+
+
+@pytest.mark.parametrize("coeff", [
+    ComplexRational(Fraction(1, 10**400), Fraction(0)),
+    Fraction(10**400),
+], ids=["below_float_range", "above_float_range"])
+def test_pt_eigenfactor_rejects_an_exact_spinor_outside_the_float_range(coeff):
+    d = Fraction(-1, 4)
+    upper = WeightedPolynomial({(0, 0): coeff}, d)
+    s = SpinorFunction(upper, WeightedPolynomial.zero(d))
+    for op in (P1T, P2T):
+        with pytest.raises(ValueError, match="outside the float range"):
+            pt_eigenfactor(op, s)
 
 
 def _nan_spinor(upper_items, lower_items):
@@ -699,6 +713,108 @@ def test_jc_makes_one_application_per_residue_class(monkeypatch, co, degree):
     # the commutator reaches 2 (a 5 x 5 grid of (m, n) residues), the
     # factorization 1 (3 x 3, once per spin component)
     assert calls == {"apply": 18, "apply_poly": 25}
+
+
+def complex_rational_residuals(comm, fact, d, degree):
+    """The exact residuals on ComplexRational probes, one application per
+    residue class: the route the int route replaced."""
+    probes = [(m, n) for m in range(degree + 1) for n in range(degree + 1 - m)]
+    zero = WeightedPolynomial.zero(d)
+    comm_res, fact_res = [0.0], [0.0]
+    for group in residue_groups(comm, probes):
+        total = WeightedPolynomial(dict.fromkeys(group, ONE), d)
+        comm_res.append(comm.apply_poly(total).max_abs_coeff())
+    for group in residue_groups(fact, probes):
+        total = WeightedPolynomial(dict.fromkeys(group, ONE), d)
+        for s in (SpinorFunction(total, zero), SpinorFunction(zero, total)):
+            fact_res.append(fact.apply(s).max_abs_coeff())
+    return max(comm_res), max(fact_res)
+
+
+def broken_defects(rng, comm, fact):
+    """comm and fact each plus one term whose coefficient has a nonzero real
+    and imaginary part, a word of length at most 2 and, in fact, a random
+    spin matrix: both int parts are nonempty and the residuals nonzero."""
+    def extra(matrix):
+        coeff = ComplexRational(
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6)),
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6)),
+        )
+        word = [rng.choice(list(Prim)) for _ in range(rng.randint(0, 2))]
+        return OperatorExpr.from_word(coeff, matrix, word)
+
+    spin = tuple(tuple(rng.choice((0, 1, -1)) for _ in range(2)) for _ in range(2))
+    return comm + extra(((1, 0), (0, 1))), fact + extra(spin)
+
+
+def exact_draw(rng):
+    """Exact parameters in the ranges of the benchmark's exact draws."""
+    vf = Fraction(rng.randint(100, 200), 100)
+    return dataclasses.replace(
+        EXACT_BASE, v_f=vf, lam=vf * Fraction(rng.randint(0, 80), 100),
+        k1=Fraction(rng.randint(5, 50), 1000), b0=Fraction(rng.randint(20, 200)),
+    )
+
+
+def wide_envelope(rng, sign):
+    """An envelope exponent whose denominator is drawn above 10^9."""
+    return Fraction(sign * rng.randint(1, 10**15), rng.randint(10**9, 10**12))
+
+
+ENVELOPES = {
+    "own": lambda rng, d: d,
+    "zero": lambda rng, d: Fraction(0),
+    "negative_wide": lambda rng, d: wide_envelope(rng, -1),
+    "positive_wide": lambda rng, d: wide_envelope(rng, 1),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    envelope=st.sampled_from(sorted(ENVELOPES)),
+    broken=st.booleans(),
+    degree=st.integers(2, 8),
+)
+@example(seed=0, envelope="zero", broken=True, degree=5)
+@example(seed=1, envelope="negative_wide", broken=True, degree=8)
+@example(seed=2, envelope="own", broken=False, degree=8)
+def test_int_route_residuals_are_bit_identical_to_complex_rational_probes(
+    seed, envelope, broken, degree
+):
+    rng = random.Random(seed)
+    comm, fact, d = opalg._ladder_defects(derive_coeffs(exact_draw(rng)))
+    d = ENVELOPES[envelope](rng, d)
+    if broken:
+        comm, fact = broken_defects(rng, comm, fact)
+    rep = opalg._ladder_residuals(comm, fact, d, degree)
+    got = (rep.commutator_residual, rep.factorization_residual)
+    want = complex_rational_residuals(comm, fact, d, degree)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert (got == (0.0, 0.0)) is not broken
+
+
+def test_int_route_applies_both_parts_of_a_mixed_operator(monkeypatch):
+    comm, fact, d = opalg._ladder_defects(derive_coeffs(EXACT_BASE))
+    comm, fact = broken_defects(random.Random(3), comm, fact)
+    want = complex_rational_residuals(comm, fact, d, 8)
+    calls = Counter()
+    for name in ("apply", "apply_poly"):
+        original = getattr(OperatorExpr, name)
+
+        def counting(self, arg, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, arg)
+
+        monkeypatch.setattr(OperatorExpr, name, counting)
+    rep = opalg._ladder_residuals(comm, fact, d, 8)
+    got = (rep.commutator_residual, rep.factorization_residual)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert min(got) > 0.0
+    # each class once for the real and once for the imaginary part
+    probes = [(m, n) for m in range(9) for n in range(9 - m)]
+    assert calls == {"apply_poly": 2 * len(residue_groups(comm, probes)),
+                     "apply": 4 * len(residue_groups(fact, probes))}
 
 
 @pytest.mark.parametrize("degree", [2, 7, 20])
