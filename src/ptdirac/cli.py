@@ -639,12 +639,12 @@ def _sweep_grid(lo: float, hi: float, steps: int, log: bool) -> List[float]:
         if lo <= 0:
             raise ConfigError("log grid requires from > 0")
         la, lb = math.log10(lo), math.log10(hi)
-        grid = [10.0 ** (la + i * (lb - la) / (steps - 1)) for i in range(steps)]
+        inner = [10.0 ** (la + i * (lb - la) / (steps - 1))
+                 for i in range(1, steps - 1)]
     else:
-        grid = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
-    grid[0] = lo
-    grid[-1] = hi
-    return grid
+        inner = [lo + i * (hi - lo) / (steps - 1) for i in range(1, steps - 1)]
+    # the ends are the user's values, never a rounded power that could overflow
+    return [lo] + inner + [hi]
 
 
 def cmd_sweep(

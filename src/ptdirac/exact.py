@@ -13,22 +13,18 @@ and ``gcd(a, b, q) == 1``.  Each value has exactly one such triple (zero is
 ``(0, 0, 1)``), so equality is a compare of the triples.  Arithmetic works on
 the common denominator with integer operations and reduces the result by one
 ``math.gcd`` (Knuth, TAOCP Vol. 2, 4.5.1), instead of normalizing the real
-and imaginary parts as two separate ``Fraction`` objects.  ``int`` and
-``Fraction`` operands enter as ``(numerator, 0, denominator)``.  The parts
-are read back as ``Fraction`` through ``re`` and ``im``.
+and imaginary parts as two separate ``Fraction`` objects.  Every operation
+reads its other operand through one reader, ``_triple`` (an ``int`` or
+``Fraction`` enters as ``(numerator, 0, denominator)``), and builds its one
+result through ``_reduced``, which calls ``ComplexRational(a, b, q)``: the
+constructor is the one place every value passes, so a wrapper on
+``__init__`` (the benchmark tracer's ``exact.cr_built``) counts them all.
+The parts are read back as ``Fraction`` through ``re`` and ``im``.
 
-Products and sums, the two operations the exact operator algebra repeats per
-coefficient on ``ComplexRational`` coefficients (exact states, their
-eigen-residuals and the zero modes; the exact ``jc_verify`` clears its
-denominators once and runs on ints), work on the triples directly: a
-``ComplexRational`` operand's slots are read in place, an ``int`` or
-``Fraction`` (exact type) becomes its triple through the public
-``numerator``/``denominator`` with no ``isinstance`` chain, and the
-reduction is inlined, with the divisions skipped when the gcd is 1.  Every
-result is still built through ``ComplexRational(a, b, q)``, not by filling
-slots on a bare object: the constructor is the one place every value
-passes, so a wrapper on ``__init__`` (the benchmark tracer's
-``exact.cr_built``) counts them all.
+The exact operator algebra uses these values as coefficients of exact
+states, their eigen-residuals and the zero modes; the exact ``jc_verify``
+clears its denominators once and runs on ints, so no operation here runs
+per coefficient there.
 
 Mixing in a float would silently degrade the whole computation back to
 binary floating point (``Fraction + float`` returns ``float``), so arithmetic
@@ -47,12 +43,6 @@ RationalLike = Union["ComplexRational", Fraction, int]
 
 def _triple(value: RationalLike) -> Tuple[int, int, int]:
     """The canonical ``(a, b, q)`` of an exact operand."""
-    kind = type(value)
-    if kind is int:
-        return value, 0, 1
-    if kind is Fraction:
-        return value.numerator, 0, value.denominator
-    # subclasses, bool among them, take the general route
     if isinstance(value, ComplexRational):
         return value._a, value._b, value._q
     if isinstance(value, (int, Fraction)):
@@ -103,52 +93,27 @@ class ComplexRational:
     def im(self) -> Fraction:
         return Fraction(self._b, self._q)
 
-    # + and * are the hot pair: they read a ComplexRational operand's slots
-    # and reduce inline, but still build their result through the constructor.
-    # - goes through +: _sign=-1 adds -self, so the one built value is the result
-    def __add__(self, other: RationalLike, _sign: int = 1) -> "ComplexRational":
-        if type(other) is ComplexRational:
-            c, d, r = other._a, other._b, other._q
-        else:
-            c, d, r = _triple(other)
+    def __add__(self, other: RationalLike) -> "ComplexRational":
+        c, d, r = _triple(other)
         a, b, q = self._a, self._b, self._q
-        if _sign < 0:
-            a, b = -a, -b
-        if q == r:
-            a, b = a + c, b + d
-        else:
-            a, b, q = a * r + c * q, b * r + d * q, q * r
-        g = math.gcd(a, b, q)
-        if g == 1:
-            return ComplexRational(a, b, q)
-        return ComplexRational(a // g, b // g, q // g)
+        return _reduced(a * r + c * q, b * r + d * q, q * r)
 
     __radd__ = __add__
 
     def __sub__(self, other: RationalLike) -> "ComplexRational":
-        if type(other) is ComplexRational:
-            return other.__add__(self, -1)
-        _triple(other)  # an inexact operand raises before it is negated
-        return self + -other
+        c, d, r = _triple(other)
+        a, b, q = self._a, self._b, self._q
+        return _reduced(a * r - c * q, b * r - d * q, q * r)
 
     def __rsub__(self, other: RationalLike) -> "ComplexRational":
-        return self.__add__(other, -1)
+        c, d, r = _triple(other)
+        a, b, q = self._a, self._b, self._q
+        return _reduced(c * q - a * r, d * q - b * r, q * r)
 
     def __mul__(self, other: RationalLike) -> "ComplexRational":
-        if type(other) is ComplexRational:
-            c, d, r = other._a, other._b, other._q
-        else:
-            c, d, r = _triple(other)
-        a, b, q = self._a, self._b, self._q
-        if d:
-            a, b = a * c - b * d, a * d + b * c
-        else:
-            a, b = a * c, b * c
-        q *= r
-        g = math.gcd(a, b, q)
-        if g == 1:
-            return ComplexRational(a, b, q)
-        return ComplexRational(a // g, b // g, q // g)
+        c, d, r = _triple(other)
+        a, b = self._a, self._b
+        return _reduced(a * c - b * d, a * d + b * c, self._q * r)
 
     __rmul__ = __mul__
 

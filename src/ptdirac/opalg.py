@@ -25,10 +25,11 @@ antilinear maps are one pass too, with no intermediate polynomial: each
 output key gets one term per nonzero spin entry, in entry order, exactly as
 conjugating, mapping and mixing as separate polynomials adds them.
 
-The exact residuals of ``jc_verify`` run that same kernel on Python ints:
-the substitution z = q u, with q the denominator of the probes' envelope
-exponent, and one lcm clear every denominator before the first step, and
-the one ``ComplexRational`` per nonzero image key reads a size back.
+The residuals of ``jc_verify`` take one driver in both modes, and the
+exact one runs that same kernel on Python ints: the substitution z = q u,
+with q the denominator of the probes' envelope exponent, and one lcm clear
+every denominator before the first step, and each nonzero image key's size
+is read back from two correctly rounded int quotients.
 
 Layout:
   - WeightedPolynomial / SpinorFunction: the function space.
@@ -1176,61 +1177,58 @@ def _images(
     return out
 
 
-def _exact_residual(op: OperatorExpr, d_env: Fraction, probes, spinor: bool) -> float:
-    """Largest coefficient size of ``op``'s images of the probes, run on ints.
+def _residual(op: OperatorExpr, d_env, probes, spinor: bool) -> float:
+    """Largest coefficient size of ``op``'s images of the probes.
 
-    With d_env = p/q and z = q u, the envelope exponent in u is the int p q
-    and the probe z^a zbar^b is q^(a+b) u^a ubar^b.  The int parts of
-    ``_cleared(op, q)`` run on the probe groups of ``residue_groups(op)``
-    through the same plan and steps as any operator, an empty part not at
-    all.  An image key (m, n) in u holds re + i im; its coefficient in z is
-    (re + i im)/(L q^(m+n)), and its size is ``abs`` of that value as a
-    ``ComplexRational``, so the residual is bit for bit the one that
-    ``ComplexRational`` probes give.
+    The probes of each group of ``residue_groups(op)`` are summed and
+    applied at once by ``_images``.  A float d_env applies ``op`` to probes
+    of coefficient 1.  A ``Fraction`` d_env = p/q runs on ints: with z = q u
+    the envelope exponent in u is the int p q and the probe z^a zbar^b is
+    q^(a+b) u^a ubar^b, and the int parts of ``_cleared(op, q)`` are applied
+    in its place, an empty part not at all.  An image key (m, n) in u holds
+    re + i im; its coefficient in z is (re + i im)/(L q^(m+n)), and its size
+    is ``hypot`` of the two correctly rounded quotients, bit for bit the
+    ``abs`` of that value as a ``ComplexRational``, so the residual is the
+    one ``ComplexRational`` probes give.
+
+    A float residual that is not finite although ``op``'s coefficients and
+    d_env are raises OverflowError: the images overflowed.
     """
-    q = d_env.denominator
-    lcm, re, im = _cleared(op, q)
-    d = d_env.numerator * q
+    exact = isinstance(d_env, Fraction)
+    if exact:
+        q = d_env.denominator
+        lcm, re, im = _cleared(op, q)
+        d = d_env.numerator * q
+    else:
+        q, re, im, d = 1, op, OperatorExpr([]), d_env
     zero = WeightedPolynomial.zero(d) if spinor else None
     sizes = []
     for group in residue_groups(op, probes):
         total = WeightedPolynomial({(m, n): q ** (m + n) for m, n in group}, d)
         for re_c, im_c in zip(_images(re, total, zero), _images(im, total, zero)):
+            if not exact:
+                sizes += map(abs, re_c.values())
+                continue
             for key in re_c.keys() | im_c.keys():
                 den = lcm * q ** (key[0] + key[1])
-                c = ComplexRational(
-                    Fraction(re_c.get(key, 0), den), Fraction(im_c.get(key, 0), den)
-                )
-                sizes.append(abs(c))
-    return _nan_max(sizes)
+                sizes.append(math.hypot(re_c.get(key, 0) / den, im_c.get(key, 0) / den))
+    worst = _nan_max(sizes)
+    inputs = [d_env] + [t.coeff for t in op.terms]
+    if exact or math.isfinite(worst) or not all(map(cmath.isfinite, inputs)):
+        return worst
+    raise OverflowError(f"ladder residual overflows at envelope exponent {d_env!r}")
 
 
 def _ladder_residuals(
     comm: OperatorExpr, fact: OperatorExpr, d_env, degree: int
 ) -> JCReport:
     """jc_verify's report from its defect operators, on the monomial probes
-    of total degree at most ``degree`` with envelope exponent ``d_env``.
-
-    A ``Fraction`` d_env takes the exact route (``_exact_residual``), a
-    float one applies the operators to probes of coefficient 1.
-    """
+    of total degree at most ``degree`` with envelope exponent ``d_env``
+    (``_residual``: ints for a ``Fraction`` d_env, floats otherwise)."""
     probes = [(m, n) for m in range(degree + 1) for n in range(degree + 1 - m)]
-    if isinstance(d_env, Fraction):
-        return JCReport(
-            _exact_residual(comm, d_env, probes, False),
-            _exact_residual(fact, d_env, probes, True),
-        )
-    zero = WeightedPolynomial.zero(d_env)
-    comm_res = []
-    for group in residue_groups(comm, probes):
-        total = WeightedPolynomial(dict.fromkeys(group, 1), d_env)
-        comm_res.append(comm.apply_poly(total).max_abs_coeff())
-    fact_res = []
-    for group in residue_groups(fact, probes):
-        total = WeightedPolynomial(dict.fromkeys(group, 1), d_env)
-        for s in (SpinorFunction(total, zero), SpinorFunction(zero, total)):
-            fact_res.append(fact.apply(s).max_abs_coeff())
-    return JCReport(_nan_max(comm_res), _nan_max(fact_res))
+    return JCReport(
+        _residual(comm, d_env, probes, False), _residual(fact, d_env, probes, True)
+    )
 
 
 def jc_verify(coeffs: DerivedCoeffs, degree: int = 30) -> JCReport:
@@ -1252,15 +1250,17 @@ def jc_verify(coeffs: DerivedCoeffs, degree: int = 30) -> JCReport:
     18 in all.  The probes of a class have disjoint images whose keys
     partition the image of their sum, each bit-identical to applying the
     operator to its probe alone, so the largest coefficient of the sum's
-    image is the largest over the probes.  On the exact path the square
-    roots cancel symbolically and both residuals are literal zeros.  There
-    the kernel runs on Python ints (``_exact_residual``): z = q u, with q
-    the denominator of the probes' envelope exponent, clears every
-    denominator once; the commutator is all real and the factorization all
-    imaginary, so each runs one int operator, and no ``ComplexRational``
-    or ``Fraction`` operation runs per coefficient.  A float k_coef so
-    small that the normalized commutator's coefficients overflow raises
-    OverflowError; a nan that reaches any image makes its residual nan.
+    image is the largest over the probes.  Both modes take one residual
+    driver (``_residual``).  On the exact path the square roots cancel
+    symbolically and both residuals are literal zeros.  There the kernel
+    runs on Python ints: z = q u, with q the denominator of the probes'
+    envelope exponent, clears every denominator once; the commutator is all
+    real and the factorization all imaginary, so each runs one int
+    operator, and no ``ComplexRational`` or ``Fraction`` operation runs per
+    coefficient.  A float k_coef so small that the normalized commutator's
+    coefficients overflow raises OverflowError, and so does a float
+    residual that overflows from finite coefficients and envelope exponent;
+    a nan coefficient makes its residual nan.
     """
     if not isinstance(degree, int) or degree < 2:
         raise ValueError("degree must be an integer >= 2")

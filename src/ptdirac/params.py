@@ -173,6 +173,15 @@ class DerivedCoeffs:
         )
 
 
+def _require_finite(what: str, values: dict) -> None:
+    """Raise ValueError naming the first float in ``values`` that is inf or nan."""
+    for name, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(
+                f"{what} {name} is {value!r}: the parameters overflow floating point"
+            )
+
+
 def derive_coeffs(p: PhysParams) -> DerivedCoeffs:
     """Evaluate the block coefficients from the physical inputs.
 
@@ -189,8 +198,9 @@ def derive_coeffs(p: PhysParams) -> DerivedCoeffs:
     That term is written symmetric in a <-> b, so k_scale is bitwise the
     same in both valleys, and it is 0 when c1 = c2 = 0, where every level
     is an exact 0.
-    Finite float inputs can still overflow here; a coefficient that comes
-    out inf or nan raises ValueError instead of reaching a verdict.
+    Finite float inputs can still overflow here, or underflow a hbar or
+    b hbar to 0; a coefficient that comes out inf or nan raises ValueError
+    instead of reaching a verdict.
     """
     half_field = p.b0 * p.e / (2 * p.c)
     a_coef = 2 * (p.v_f - p.lam)
@@ -208,16 +218,12 @@ def derive_coeffs(p: PhysParams) -> DerivedCoeffs:
         quarter = 0.25 * _TINY
         k_scale += (quarter * a_h * (b_h + abs(b_coef))
                     + quarter * b_h * (a_h + abs(a_coef)) + 2.5 * _TINY * (a_h + b_h))
-    d1_i = None if a_coef == 0 else c1 / (a_coef * p.hbar)
-    d1_ii = None if b_coef == 0 else c2 / (b_coef * p.hbar)
-    derived = {"a": a_coef, "b": b_coef, "c1": c1, "c2": c2, "k": k_coef,
-               "d1": d1_i, "d2": d1_ii}
-    for name, value in derived.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(
-                f"derived coefficient {name} is {value!r}: the parameters "
-                "overflow floating point"
-            )
+    # a float a hbar that underflows to 0 divides as nan, refused below
+    d1_i = None if a_coef == 0 else c1 / (a_coef * p.hbar or math.nan)
+    d1_ii = None if b_coef == 0 else c2 / (b_coef * p.hbar or math.nan)
+    _require_finite("derived coefficient", {
+        "a": a_coef, "b": b_coef, "c1": c1, "c2": c2, "k": k_coef,
+        "d1": d1_i, "d2": d1_ii})
     return DerivedCoeffs(a_coef, b_coef, c1, c2, k_coef, k_scale, d1_i, d1_ii, p.hbar)
 
 
@@ -279,12 +285,17 @@ def critical_point(p: PhysParams, vary: Vary) -> Optional[Real]:
 
     Vary.B0: returns 2*k1*v_f**2*c/((v_f**2 - lam**2)*e); raises
     DegenerateCoefficientsError when v_f**2 == lam**2.
+
+    Either direction raises ValueError where a float term of its quotient
+    overflows, for the quotient would read 0, inf or nan.
     """
     if vary is Vary.LAMBDA:
         drive = p.b0 * p.e
         if not drive > 0:
             raise ValueError("critical coupling needs b0*e > 0")
-        radicand = 1 - 2 * p.k1 * p.c / drive
+        numerator = 2 * p.k1 * p.c
+        _require_finite("critical lambda term", {"2 k1 c": numerator, "b0 e": drive})
+        radicand = 1 - numerator / drive
         if radicand < 0:
             return None
         return p.v_f * math.sqrt(radicand)
@@ -293,7 +304,13 @@ def critical_point(p: PhysParams, vary: Vary) -> Optional[Real]:
         raise DegenerateCoefficientsError(
             "v_f**2 == lam**2: critical field undefined"
         )
-    return 2 * p.k1 * p.v_f**2 * p.c / denom
+    try:
+        numerator = 2 * p.k1 * p.v_f**2 * p.c
+    except OverflowError:  # a float ** raises where * gives inf
+        numerator = math.inf
+    _require_finite("critical b0 term",
+                    {"2 k1 v_f**2 c": numerator, "(v_f**2 - lam**2) e": denom})
+    return numerator / denom
 
 
 def _critical_band(coeffs: DerivedCoeffs) -> float:

@@ -64,3 +64,9 @@ SUBNORMAL_K = PhysParams(
     b0=-1.544724734658859e-308, hbar=0.13021746425664166,
 )
 SUBNORMAL_K_FLAGS = flags(SUBNORMAL_K)
+
+# d = -1.8e199: the ladder commutator's coefficients, about 9.1e198, times d
+# overflow inside its images, so the float residual is inf - inf = nan from
+# finite coefficients and a finite envelope exponent.
+HUGE_ENVELOPE = PhysParams(v_f=1e-200, lam=0.5, k1=0.02, b0=100.0, hbar=1e-200)
+HUGE_ENVELOPE_FLAGS = flags(HUGE_ENVELOPE)

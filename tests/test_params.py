@@ -7,6 +7,7 @@ code under test.
 
 import dataclasses
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -209,6 +210,26 @@ def test_derive_coeffs_rejects_non_finite_coefficients():
         derive_coeffs(huge)
     with pytest.raises(ValueError, match="overflow floating point"):
         derive_coeffs(PhysParams(v_f=1e200, lam=0.5, k1=1e200, b0=1e200))
+    # a hbar underflows to 0 while a = 2e-200 does not: d1 has no float value
+    with pytest.raises(ValueError, match="overflow floating point"):
+        derive_coeffs(PhysParams(v_f=1e-200, lam=0.0, k1=0.02, b0=100.0, hbar=1e-200))
+
+
+@pytest.mark.parametrize("p, vary, term", [
+    # float v_f**2 raises OverflowError
+    (PhysParams(v_f=1e160, lam=0.5, k1=1e-200, b0=1e-200), Vary.B0,
+     "2 k1 v_f**2 c is inf"),
+    # the denominator overflows, so the quotient would be 0.0, not 5.48e-250
+    (PhysParams(v_f=1e100, lam=0.5, k1=0.02, b0=1e-300, e=1e250), Vary.B0,
+     "(v_f**2 - lam**2) e is inf"),
+    # 2 k1 c and b0 e both overflow, so the radicand would be nan
+    (PhysParams(v_f=1.37, lam=0.5, k1=1e300, b0=1e300, e=1e10, c=1e10), Vary.LAMBDA,
+     "2 k1 c is inf"),
+], ids=["b0_square", "b0_denominator", "lambda_nan"])
+def test_critical_point_rejects_an_overflowing_term(p, vary, term):
+    message = f"{term}: the parameters overflow floating point"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        critical_point(p, vary)
 
 
 def test_critical_band_rejects_an_overflowing_scale():
