@@ -25,11 +25,15 @@ antilinear maps are one pass too, with no intermediate polynomial: each
 output key gets one term per nonzero spin entry, in entry order, exactly as
 conjugating, mapping and mixing as separate polynomials adds them.
 
-The residuals of ``jc_verify`` take one driver in both modes, and the
-exact one runs that same kernel on Python ints: the substitution z = q u,
-with q the denominator of the probes' envelope exponent, and one lcm clear
-every denominator before the first step, and each nonzero image key's size
-is read back from two correctly rounded int quotients.
+Float probe residuals (the float ``jc_verify``, ``operator_residual_on_probes``
+and ``pt_commutator_residuals``) run a plan on a whole batch of probes at
+once: the batch kernel, numpy arrays with the probe axis last, bit for bit
+the dict kernel while every value is finite.  Exact inputs keep the dict
+kernel, and the exact ``jc_verify`` runs it on Python ints: the
+substitution z = q u, with q the denominator of the probes' envelope
+exponent, and one lcm clear every denominator before the first step, and
+each nonzero image key's size is read back from two correctly rounded int
+quotients.
 
 Layout:
   - WeightedPolynomial / SpinorFunction: the function space.
@@ -41,6 +45,8 @@ Layout:
     either valley.
   - AntilinearOp and the PT machinery: transforms, eigenfactors, commutator
     residuals, time-reversal conjugation.
+  - the batch kernel: a plan and the antilinear maps on arrays of float
+    probes, and the driver that sends every other probe to the dict kernel.
   - analytic_state / eigen_residual: closed-form level states and their
     defect under the full first-order eigen-equation.
   - lll_state / ladder_raise / jc_verify: zero modes, the pseudo-bosonic
@@ -813,8 +819,21 @@ def _relative_defect(x: SpinorFunction, y: SpinorFunction) -> float:
 def operator_residual_on_probes(
     x: OperatorExpr, y: OperatorExpr, probes: Sequence[SpinorFunction]
 ) -> float:
-    """Worst relative coefficient defect of (x - y) over the probes."""
-    return _nan_max([_relative_defect(x.apply(s), y.apply(s)) for s in probes])
+    """Worst relative coefficient defect (``_relative_defect``) of x s
+    against y s over the probes s.
+
+    Float probes run through the batch kernel, a batch per envelope
+    exponent; any other probe takes one ``apply`` of each operator
+    (``_worst_over_probes``).
+    """
+
+    def on_batch(layout: "_Layout", comps) -> List[float]:
+        return [_batch_defect(*(_batch_run(e._compiled(), comps, layout) for e in (x, y)))]
+
+    def on_probe(s: SpinorFunction) -> List[float]:
+        return [_relative_defect(x.apply(s), y.apply(s))]
+
+    return _worst_over_probes(probes, (x, y), True, on_batch, on_probe, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -953,19 +972,375 @@ def pt_commutator_residual(
 def pt_commutator_residuals(
     h: OperatorExpr, ops: Sequence[AntilinearOp], probes: Sequence[SpinorFunction]
 ) -> List[float]:
-    """pt_commutator_residual of each op, with H applied once per probe."""
+    """pt_commutator_residual of each op, with H applied once per probe.
+
+    Float probes run through the batch kernel, a batch per envelope
+    exponent, with each op's antilinear map on arrays (``_batch_pt``) when
+    every spin entry of the ops is 0, +-1 or +-i.  Any other probe takes
+    ``apply`` once for H s and once per op for H (op s)
+    (``_worst_over_probes``).
+    """
     if not probes:
         raise ValueError("at least one probe is required")
-    defects = []  # one row per probe, one column per op
-    for s in probes:
+    plan = h._compiled()
+    units = all(e in _UNIT_ENTRIES for op in ops for row in op.matrix for e in row)
+
+    def on_batch(layout: "_Layout", comps) -> List[float]:
+        image = _batch_run(plan, comps, layout)
+        row = []
+        for op in ops:
+            mapped, mapped_layout = _batch_pt(op, comps, layout)
+            want, _ = _batch_pt(op, image, layout)
+            row.append(_batch_defect(want, _batch_run(plan, mapped, mapped_layout)))
+        return row
+
+    def on_probe(s: SpinorFunction) -> List[float]:
         image = h.apply(s)
-        defects.append(
-            [
-                _relative_defect(pt_transform(op, image), h.apply(pt_transform(op, s)))
-                for op in ops
-            ]
+        return [
+            _relative_defect(pt_transform(op, image), h.apply(pt_transform(op, s)))
+            for op in ops
+        ]
+
+    return _worst_over_probes(probes, (h,), units, on_batch, on_probe, len(ops))
+
+
+# ---------------------------------------------------------------------------
+# the batch kernel
+# ---------------------------------------------------------------------------
+# A compiled plan run on a batch of float probes at once, with numpy.  Probe
+# p gets its own window of the (m, n) exponent plane, its support plus the
+# plan's reach on each side, clamped at exponent 0: element (i, j, p) holds
+# the coefficient of z^(om[p] + i) zbar^(on[p] + j).  No key of an image,
+# nor of an image on the way, leaves the window (the reach argument of
+# residue_groups), and the probe axis comes last, so each primitive step is
+# one shifted slice over every probe together.  An image is a pair (re, im)
+# of float64 arrays, im None while every value is real, or None when empty;
+# a key the dict kernel does not hold holds 0.
+#
+# While every value is finite this is the dict kernel bit for bit, up to
+# the signs of zeros, which no size or defect reads:
+#  - each value is formed by the same correctly rounded float64 operations,
+#    one ufunc call each, so none is fused.  A product with a complex
+#    factor is written out as CPython forms it, re = fr*xr - fi*xi and
+#    im = fr*xi + fi*xr: numpy's complex multiply rounds differently;
+#  - CPython promotes a real operand x of a complex operation to (x, 0.0),
+#    and the products with that 0.0 are signed zeros;
+#  - a key takes its terms in the dict kernel's order (at most two in a
+#    step, where order cannot matter, and one per plan entry, in entry
+#    order), and a 0 stays 0 under every step and finite factor;
+#  - a derivative of exponent 0 has no term: the only window row (or
+#    column) at that exponent is the first, which no derivative reads.
+# An inf or a nan breaks the second and third points (inf * 0.0 is nan),
+# and values then differ.  Which values are finite does not: the first
+# inf or nan comes from the same operation on the same finite values, and
+# both kernels carry it into every value that reads it (a factor of 0
+# gives nan) and drop it only where a derivative of exponent 0 or a zero
+# envelope has no term.  No residual reads more than that:
+#  - a relative defect is nan wherever an image holds an inf or a nan,
+#    for its size, its defect and so the scale are inf or nan (inf / inf);
+#    an inf from finite images is an overflowed difference, formed alike;
+#  - the float jc_verify runs the batch kernel on finite inputs only, and
+#    its residual then raises OverflowError as soon as it is not finite.
+
+_UNIT_ENTRIES = (0, 1, -1, 1j, -1j)
+
+
+class _Layout(NamedTuple):
+    """A batch's windows: element (i, j, p) is the key (om[p] + i, on[p] + j).
+
+    ``m_exp`` (shape (Wm - 1, 1, P)) and ``n_exp`` ((1, Wn - 1, P)) hold the
+    exponents of rows and columns 1 and up, the multipliers of d/dz and
+    d/dzbar; ``d`` is the probes' envelope exponent.
+    """
+
+    om: object
+    on: object
+    shape: Tuple[int, int, int]
+    d: float
+    m_exp: object
+    n_exp: object
+
+
+def _layout(om, on, wm: int, wn: int, d: float) -> _Layout:
+    import numpy as np
+
+    m_exp = (np.arange(1, wm)[:, None, None] + om).astype(float)
+    n_exp = (np.arange(1, wn)[None, :, None] + on).astype(float)
+    return _Layout(om, on, (wm, wn, len(om)), d, m_exp, n_exp)
+
+
+def _swapped(layout: _Layout) -> _Layout:
+    """The layout of the key swap (m, n) -> (n, m) of its images."""
+    wm, wn, p = layout.shape
+    return layout._replace(
+        om=layout.on, on=layout.om, shape=(wn, wm, p),
+        m_exp=layout.n_exp.transpose(1, 0, 2), n_exp=layout.m_exp.transpose(1, 0, 2),
+    )
+
+
+_FLOAT_TYPES = {float, complex}
+
+
+def _batches(probes: Sequence[SpinorFunction], reach: int) -> Tuple[List, List]:
+    """The float probes laid out a batch per envelope exponent, as
+    (layout, (upper, lower) images) pairs, and the rest.
+
+    A float probe is a nonzero spinor with a finite float envelope exponent
+    and float or complex coefficients.
+    """
+    import numpy as np
+
+    groups: Dict[float, List[SpinorFunction]] = {}
+    rest = []
+    for s in probes:
+        d, u, l = s.upper.d, s.upper.coeffs, s.lower.coeffs
+        if (
+            type(d) is float
+            and math.isfinite(d)
+            and {*map(type, u.values()), *map(type, l.values())} <= _FLOAT_TYPES
+            and (u or l)
+        ):
+            groups.setdefault(d, []).append(s)
+        else:
+            rest.append(s)
+    batches = []
+    for d, group in groups.items():
+        parts = ([s.upper.coeffs for s in group], [s.lower.coeffs for s in group])
+        # every key of the batch, the upper component's first, with its probe
+        keys = np.array([k for dicts in parts for c in dicts for k in c]).reshape(-1, 2)
+        owner = np.array([p for dicts in parts for p, c in enumerate(dicts) for _ in c])
+        lo = np.full((len(group), 2), keys.max())
+        hi = np.zeros((len(group), 2), dtype=keys.dtype)
+        np.minimum.at(lo, owner, keys)
+        np.maximum.at(hi, owner, keys)
+        origin = np.maximum(lo - reach, 0)
+        wm, wn = (hi - lo).max(axis=0) + 1 + 2 * reach
+        layout = _layout(origin[:, 0], origin[:, 1], int(wm), int(wn), d)
+        at = (*(keys - origin[owner]).T, owner)  # each key's element
+        comps = []
+        start = 0
+        for dicts in parts:
+            values = np.array([c for coeffs in dicts for c in coeffs.values()])
+            stop = start + len(values)
+            comps.append(_filled(layout, values, tuple(i[start:stop] for i in at)))
+            start = stop
+        batches.append((layout, tuple(comps)))
+    return batches, rest
+
+
+def _filled(layout: _Layout, values, at):
+    """The image holding ``values`` at the elements ``at`` of ``layout``."""
+    import numpy as np
+
+    if not len(values):
+        return None
+    re = np.zeros(layout.shape)
+    re[at] = values.real
+    if values.dtype.kind != "c":  # complex128 as soon as one value is complex
+        return re, None
+    im = np.zeros(layout.shape)
+    im[at] = values.imag
+    return re, im
+
+
+def _float_factors(plan: _Plan) -> bool:
+    """Whether every factor of ``plan`` is a finite int, float or complex."""
+    try:
+        return all(
+            type(f) in (int, float, complex) and cmath.isfinite(f)
+            for _, _, f in plan.entries
         )
-    return [_nan_max(column) for column in zip(*defects)]
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _worst_over_probes(
+    probes: Sequence[SpinorFunction],
+    exprs: Sequence[OperatorExpr],
+    batchable: bool,
+    on_batch: Callable[..., List[float]],
+    on_probe: Callable[[SpinorFunction], List[float]],
+    width: int,
+) -> List[float]:
+    """Column by column, the worst over the probes of ``on_probe``'s rows.
+
+    When ``batchable`` and every factor of ``exprs`` is a finite float
+    (``_float_factors``), the float probes run as batches through
+    ``on_batch(layout, comps)``, which gives the worst row of a batch laid
+    out with the windows that ``exprs``' longest reach needs; every other
+    probe runs through ``on_probe``.  The worst of nonnegative values does
+    not depend on their order, and it is nan as soon as one is.
+    """
+    import numpy as np
+
+    batches, rest = [], list(probes)
+    plans = [e._compiled() for e in exprs]
+    if batchable and all(map(_float_factors, plans)):
+        batches, rest = _batches(probes, max(plan.reach for plan in plans))
+    rows = [on_probe(s) for s in rest]
+    with np.errstate(all="ignore"):  # an overflow shows in the rows
+        rows += [on_batch(*batch) for batch in batches]
+    return [_nan_max([row[k] for row in rows]) for k in range(width)]
+
+
+def _derivative_m(x, layout: _Layout):
+    """d/dz of one part of an image: (m, n) -> m (m-1, n) + d (m, n+1)."""
+    import numpy as np
+
+    out = np.zeros(layout.shape)
+    np.multiply(x[1:], layout.m_exp, out=out[:-1])
+    if layout.d:
+        out[:, 1:] += x[:, :-1] * layout.d
+    return out
+
+
+def _derivative_n(x, layout: _Layout):
+    """d/dzbar of one part of an image: (m, n) -> n (m, n-1) + d (m+1, n)."""
+    import numpy as np
+
+    out = np.zeros(layout.shape)
+    np.multiply(x[:, 1:], layout.n_exp, out=out[:, :-1])
+    if layout.d:
+        out[1:] += x[:-1] * layout.d
+    return out
+
+
+def _shift_m(x, layout: _Layout):
+    import numpy as np
+
+    out = np.zeros(layout.shape)
+    out[1:] = x[:-1]
+    return out
+
+
+def _shift_n(x, layout: _Layout):
+    import numpy as np
+
+    out = np.zeros(layout.shape)
+    out[:, 1:] = x[:, :-1]
+    return out
+
+
+_BATCH_STEPS = {
+    _step_dz: _derivative_m,
+    _step_dzbar: _derivative_n,
+    _step_z: _shift_m,
+    _step_zbar: _shift_n,
+}
+
+
+def _times(factor: Coeff, image):
+    """factor * image as CPython forms each coefficient (see above)."""
+    re, im = image
+    if type(factor) is complex:
+        fr, fi = factor.real, factor.imag
+        if im is None:
+            return re * fr, re * fi
+        return re * fr - im * fi, im * fr + re * fi
+    f = float(factor)
+    return re * f, None if im is None else im * f
+
+
+def _plus(a, b):
+    (ar, ai), (br, bi) = a, b
+    return ar + br, (bi if ai is None else ai if bi is None else ai + bi)
+
+
+def _minus(a, b):
+    (ar, ai), (br, bi) = a, b
+    if bi is None:
+        return ar - br, ai
+    return ar - br, -bi if ai is None else ai - bi
+
+
+def _sizes(image):
+    import numpy as np
+
+    re, im = image
+    return np.abs(re) if im is None else np.hypot(re, im)
+
+
+def _batch_run(plan: _Plan, comps, layout: _Layout):
+    """``_run`` on a batch: the (upper, lower) images of the plan.
+
+    An empty input component is never stepped, and an entry of an empty
+    image adds nothing; the first term of an output is its value, and
+    later ones are added in ``plan.entries`` order.
+    """
+    images = list(comps)
+    for src, step in plan.nodes:
+        x = images[src]
+        if x is not None:
+            rule = _BATCH_STEPS[step]
+            x = (rule(x[0], layout), None if x[1] is None else rule(x[1], layout))
+        images.append(x)
+    outs = [None, None]
+    for o, image, factor in plan.entries:
+        x = images[image]
+        if x is not None:
+            term = _times(factor, x)
+            outs[o] = term if outs[o] is None else _plus(outs[o], term)
+    return outs
+
+
+def _batch_pt(op: AntilinearOp, comps, layout: _Layout):
+    """``pt_transform`` on a batch whose spin entries are 0, +-1 or +-i,
+    and the layout of the result (swapped for z <-> zbar).
+
+    Conjugation negates im; z -> -z multiplies by the parity sign
+    (-1)**(m+n); i (xr + i xi) is -xi + i xr.
+    """
+    import numpy as np
+
+    sign = None
+    if op.coord_map is CoordMap.NEGATE:
+        wm, wn, _ = layout.shape
+        parity = np.arange(wm)[:, None, None] + layout.om + np.arange(wn)[None, :, None]
+        sign = 1.0 - 2.0 * ((parity + layout.on) % 2)
+    swap = op.coord_map is CoordMap.SWAP
+    parts = []
+    for x in comps:
+        if x is not None:
+            re, im = x[0], None if x[1] is None else -x[1]
+            if sign is not None:
+                re, im = re * sign, None if im is None else im * sign
+            if swap:
+                re, im = re.transpose(1, 0, 2), None if im is None else im.transpose(1, 0, 2)
+            x = (re, im)
+        parts.append(x)
+    outs = []
+    for row in op.matrix:
+        acc = None
+        for entry, x in zip(row, parts):
+            if entry == 0 or x is None:
+                continue
+            re, im = x
+            if entry == -1:
+                x = (-re, None if im is None else -im)
+            elif entry == 1j or entry == -1j:
+                x = (np.zeros_like(re) if im is None else -im, re)
+                if entry == -1j:
+                    x = (-x[0], -re)
+            acc = x if acc is None else _plus(acc, x)
+        outs.append(acc)
+    return outs, _swapped(layout) if swap else layout
+
+
+def _batch_defect(x, y) -> float:
+    """The worst over a batch's probes of ``_relative_defect`` of the
+    spinor images x and y: a key in one image only has its own size as
+    defect, as a 0 in the other gives."""
+    import numpy as np
+
+    worst = scale = 0.0
+    for a, b in zip(x, y):
+        for image in (a, b):
+            if image is not None:
+                scale = np.maximum(scale, _sizes(image).max(axis=(0, 1)))
+        diff = a if b is None else b if a is None else _minus(a, b)
+        if diff is not None:
+            worst = np.maximum(worst, _sizes(diff).max(axis=(0, 1)))
+    return float(np.max(worst / np.where(scale == 0.0, 1.0, scale)))
 
 
 # ---------------------------------------------------------------------------
@@ -1177,12 +1552,37 @@ def _images(
     return out
 
 
+def _batch_residual(op: OperatorExpr, d_env: float, probes, spinor: bool) -> float:
+    """Largest coefficient size of ``op``'s images of the monomial probes of
+    coefficient 1.0, all in one run of the batch kernel per spin component
+    (the upper output alone when ``spinor`` is false, as ``apply_poly``)."""
+    import numpy as np
+
+    plan = op._compiled()
+    ms, ns = (np.array(e) for e in zip(*probes))
+    om, on = np.maximum(ms - plan.reach, 0), np.maximum(ns - plan.reach, 0)
+    layout = _layout(om, on, 2 * plan.reach + 1, 2 * plan.reach + 1, d_env)
+    probe = np.zeros(layout.shape)
+    probe[ms - om, ns - on, np.arange(len(probes))] = 1.0
+    sizes = []
+    for comps in (((probe, None), None), (None, (probe, None))) if spinor else (
+        ((probe, None), None),
+    ):
+        with np.errstate(all="ignore"):  # an overflow is read off the sizes
+            outs = _batch_run(plan, comps, layout)
+            sizes += [float(_sizes(out).max()) for out in outs[: 2 if spinor else 1] if out]
+    return _nan_max(sizes)
+
+
 def _residual(op: OperatorExpr, d_env, probes, spinor: bool) -> float:
     """Largest coefficient size of ``op``'s images of the probes.
 
-    The probes of each group of ``residue_groups(op)`` are summed and
-    applied at once by ``_images``.  A float d_env applies ``op`` to probes
-    of coefficient 1.  A ``Fraction`` d_env = p/q runs on ints: with z = q u
+    A float d_env applies ``op`` to probes of coefficient 1, all at once in
+    the batch kernel (``_batch_residual``) when its factors and d_env are
+    finite.  Otherwise the probes of each group of ``residue_groups(op)``
+    are summed and applied at once by ``_images``: the exact route, and the
+    float one with a non-finite input, whose residual the dict kernel
+    defines.  A ``Fraction`` d_env = p/q runs on ints: with z = q u
     the envelope exponent in u is the int p q and the probe z^a zbar^b is
     q^(a+b) u^a ubar^b, and the int parts of ``_cleared(op, q)`` are applied
     in its place, an empty part not at all.  An image key (m, n) in u holds
@@ -1192,9 +1592,18 @@ def _residual(op: OperatorExpr, d_env, probes, spinor: bool) -> float:
     one ``ComplexRational`` probes give.
 
     A float residual that is not finite although ``op``'s coefficients and
-    d_env are raises OverflowError: the images overflowed.
+    d_env are raises OverflowError: the images overflowed.  With finite
+    inputs the batch kernel's residual is finite exactly when the dict
+    kernel's is, so it decides that alone.
     """
     exact = isinstance(d_env, Fraction)
+    inputs = [d_env] + [t.coeff for t in op.terms]
+    finite = all(map(cmath.isfinite, inputs))
+    if not exact and finite and type(d_env) is float and _float_factors(op._compiled()):
+        worst = _batch_residual(op, d_env, probes, spinor)
+        if math.isfinite(worst):
+            return worst
+        raise OverflowError(f"ladder residual overflows at envelope exponent {d_env!r}")
     if exact:
         q = d_env.denominator
         lcm, re, im = _cleared(op, q)
@@ -1213,8 +1622,7 @@ def _residual(op: OperatorExpr, d_env, probes, spinor: bool) -> float:
                 den = lcm * q ** (key[0] + key[1])
                 sizes.append(math.hypot(re_c.get(key, 0) / den, im_c.get(key, 0) / den))
     worst = _nan_max(sizes)
-    inputs = [d_env] + [t.coeff for t in op.terms]
-    if exact or math.isfinite(worst) or not all(map(cmath.isfinite, inputs)):
+    if exact or math.isfinite(worst) or not finite:
         return worst
     raise OverflowError(f"ladder residual overflows at envelope exponent {d_env!r}")
 
@@ -1243,24 +1651,26 @@ def jc_verify(coeffs: DerivedCoeffs, degree: int = 30) -> JCReport:
     convention would leave a factor sqrt(2) behind.
 
     Residuals are worst-case over all monomial probes of total degree at
-    most ``degree``.  The probes are applied by residue class
-    (residue_groups): the commutator's words have length 2, so one
-    application per class mod 5 of (m, n), 25 in all, and the
-    factorization's length 1, so one per class mod 3 and spin component,
-    18 in all.  The probes of a class have disjoint images whose keys
-    partition the image of their sum, each bit-identical to applying the
-    operator to its probe alone, so the largest coefficient of the sum's
-    image is the largest over the probes.  Both modes take one residual
-    driver (``_residual``).  On the exact path the square roots cancel
-    symbolically and both residuals are literal zeros.  There the kernel
-    runs on Python ints: z = q u, with q the denominator of the probes'
-    envelope exponent, clears every denominator once; the commutator is all
-    real and the factorization all imaginary, so each runs one int
-    operator, and no ``ComplexRational`` or ``Fraction`` operation runs per
-    coefficient.  A float k_coef so small that the normalized commutator's
-    coefficients overflow raises OverflowError, and so does a float
-    residual that overflows from finite coefficients and envelope exponent;
-    a nan coefficient makes its residual nan.
+    most ``degree`` (``_residual``).  In floats every probe rides one run
+    of the batch kernel per spin component, each bit-identical to applying
+    the operator to its probe alone.  On the exact path the probes are
+    applied by residue class (residue_groups): the commutator's words have
+    length 2, so one application per class mod 5 of (m, n), 25 in all, and
+    the factorization's length 1, so one per class mod 3 and spin
+    component, 18 in all.  The probes of a class have disjoint images whose
+    keys partition the image of their sum, each bit-identical to applying
+    the operator to its probe alone, so the largest coefficient of the
+    sum's image is the largest over the probes.  There the square roots
+    cancel symbolically and both residuals are literal zeros, and the
+    kernel runs on Python ints: z = q u, with q the denominator of the
+    probes' envelope exponent, clears every denominator once; the
+    commutator is all real and the factorization all imaginary, so each
+    runs one int operator, and no ``ComplexRational`` or ``Fraction``
+    operation runs per coefficient.  A float k_coef so small that the
+    normalized commutator's coefficients overflow raises OverflowError, and
+    so does a float residual that overflows from finite coefficients and
+    envelope exponent; a nan coefficient makes its residual nan, through
+    the residue classes of the dict kernel.
     """
     if not isinstance(degree, int) or degree < 2:
         raise ValueError("degree must be an integer >= 2")

@@ -287,7 +287,9 @@ def critical_point(p: PhysParams, vary: Vary) -> Optional[Real]:
     DegenerateCoefficientsError when v_f**2 == lam**2.
 
     Either direction raises ValueError where a float term of its quotient
-    overflows, for the quotient would read 0, inf or nan.
+    overflows, for the quotient would read 0, inf or nan.  Vary.B0 raises
+    it too where the quotient underflows to 0 from a nonzero k1: the true
+    critical field is then nonzero, only below the float range.
     """
     if vary is Vary.LAMBDA:
         drive = p.b0 * p.e
@@ -310,7 +312,13 @@ def critical_point(p: PhysParams, vary: Vary) -> Optional[Real]:
         numerator = math.inf
     _require_finite("critical b0 term",
                     {"2 k1 v_f**2 c": numerator, "(v_f**2 - lam**2) e": denom})
-    return numerator / denom
+    quotient = numerator / denom
+    if not quotient and p.k1:
+        raise ValueError(
+            f"critical b0 is {quotient!r} although k1 is {p.k1!r}: "
+            "the parameters underflow floating point"
+        )
+    return quotient
 
 
 def _critical_band(coeffs: DerivedCoeffs) -> float:

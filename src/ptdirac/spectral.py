@@ -524,7 +524,14 @@ def scrambled_eigensolve(rep: TruncatedRep, similarity: Similarity) -> SpectrumR
     back = math.prod(2.0**e for e in exps if e < -240)
     x = scramble(replace(rep, a=a, b=b), similarity)
     result = eigensolve(x)
-    scramble_unit = _EPS * similarity.cond**2 * float(np.linalg.norm(x))
+    unit = _EPS * similarity.cond**2
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+        if math.isinf(norm):  # the sum of squares overflows: scale X by 2**-e
+            e = math.frexp(float(np.max(np.abs(x))))[1]
+            scramble_unit = math.ldexp(unit * float(np.linalg.norm(np.ldexp(x, -e))), e)
+        else:
+            scramble_unit = unit * norm
     radius = _SCRAMBLE_FLOOR_UNITS * scramble_unit
     check_spectrum_invariance(np.einsum("ij,ji->i", a, b), result.values, radius)
     floor = rep.build_floor + radius * back

@@ -937,6 +937,23 @@ def test_an_overflowing_critical_point_is_refused(capsys, flags):
         assert json.loads(capsys.readouterr().out)["critical"]["b0"] == "undefined"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--vf", "1e-100", "--k1", "1e-200", "--lambda", "0"],
+    ["--vf", "1", "--b0", "1", "--e", "1e300", "--k1", "1e-300", "--lambda", "0"],
+], ids=["numerator", "quotient"])
+def test_an_underflowing_critical_field_is_refused(capsys, flags):
+    # 2 k1 v_f**2 c / ((v_f**2 - lam**2) e) rounds to 0 from a nonzero k1:
+    # critical refuses rather than bracket 0, and analytic lists the field
+    # as undefined
+    assert main(["critical", "--vary", "b0"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("analytic critical point unavailable: critical b0 is 0.0")
+    assert captured.err.endswith(": the parameters underflow floating point\n")
+    assert captured.out == ""
+    assert main(["analytic", "--format", "json"] + flags) == 0
+    assert json.loads(capsys.readouterr().out)["critical"]["b0"] == "undefined"
+
+
 def _log_uniform(signed):
     """A float log-uniform over 1e-320 ... 1e308, with a random sign if signed."""
     size = st.floats(-320.0, 308.0).map(lambda x: 10.0 ** x)
@@ -978,11 +995,16 @@ _UNDERFLOW = ["--vf", "1e-200", "--lambda", "0", "--hbar", "1e-200"]
 _HUGE_SQUARE = ["--vf", "1e160", "--b0", "1e-200", "--k1", "1e-200"]
 
 
-# numpy's overflow warning from the scramble floor's norm still reaches stderr
-# at some far-range points; it is no traceback, so this test does not count it
-@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+# every numpy warning is an error here: none may reach stderr
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=_any_run())
+@example(argv=["spectrum", "--vf", "1.0", "--lambda", "1.0",
+               "--k1", "1.5273487527386393e-261", "--b0", "2.0385572016540423e-09",
+               "--e", "1.4459710923343318e+162", "--c", "509979182.7085012",
+               "--hbar", "1.4459710923343318e+162", "--branch", "II", "--n_tr", "4"])
+@example(argv=["verify", "--vf=1e+135", "--lambda=1.0", "--k1=1e-115", "--b0=1e-105",
+               "--n_tr", "2"])
 @example(argv=["analytic"] + _UNDERFLOW)
 @example(argv=["verify", "--n_tr", "4"] + _UNDERFLOW)
 @example(argv=["analytic"] + _HUGE_SQUARE)

@@ -477,3 +477,112 @@ def test_jc_verify_keeps_a_nan_coefficient():
     report = jc_verify(co, degree=4)
     assert math.isnan(report.commutator_residual)
     assert math.isnan(report.factorization_residual)
+
+
+# ---------------------------------------------------------------------------
+# the batch kernel
+# ---------------------------------------------------------------------------
+# Float probes' residuals run through the batch kernel.  The references
+# below are the dict route it replaced: each operator applied to each probe
+# alone.  The batch route must give the same float, bit for bit, with a
+# non-finite coefficient as well, whose residual is nan on both routes.
+
+
+def dict_operator_residual(x, y, probes):
+    return opalg._nan_max(
+        [opalg._relative_defect(x.apply(s), y.apply(s)) for s in probes]
+    )
+
+
+def dict_pt_residuals(h, ops, probes):
+    rows = []
+    for s in probes:
+        image = h.apply(s)
+        rows.append([
+            opalg._relative_defect(pt_transform(op, image), h.apply(pt_transform(op, s)))
+            for op in ops
+        ])
+    return [opalg._nan_max(column) for column in zip(*rows)]
+
+
+_SPECIALS = [math.inf, -math.inf, complex(1.0, -math.inf), math.nan, complex(math.nan, 1.0)]
+_float_cases = cases().filter(lambda case: not case[0])
+
+
+@_SETTINGS
+@given(st.lists(_float_cases, min_size=1, max_size=4), st.data())
+def test_batch_residuals_are_the_dict_route_bit_for_bit(drawn, data):
+    (_, x, _), (_, y, _) = drawn[0], drawn[-1]
+    probes = [s for _, _, s in drawn]
+    # a non-finite coefficient, as drawn (a float among complex values) or
+    # as a complex, at a key of a probe's upper component
+    special = data.draw(st.none() | st.sampled_from(_SPECIALS))
+    if special is not None:
+        k = data.draw(st.integers(0, len(probes) - 1))
+        key = data.draw(_exponents)
+        value = complex(special) if data.draw(st.booleans()) else special
+        s = probes[k]
+        upper = WeightedPolynomial({**s.upper.coeffs, key: value}, s.d)
+        probes[k] = SpinorFunction(upper, s.lower)
+    got = operator_residual_on_probes(x, y, probes)
+    assert repr(got) == repr(dict_operator_residual(x, y, probes))
+    ops = [P1T, P2T, TIME_REVERSAL] + _MIXING
+    got = pt_commutator_residuals(x, ops, probes)
+    assert repr(got) == repr(dict_pt_residuals(x, ops, probes))
+
+
+def test_probes_at_different_envelopes_share_one_call():
+    h = build_hamiltonian(CO)
+    ident = OperatorExpr.identity()
+    comm = OperatorExpr.dz() @ OperatorExpr.mul_z() - OperatorExpr.mul_z() @ OperatorExpr.dz()
+    probes = []
+    for d in (-0.25, 0.0, -0.0, 1.5, -3.0e-5):
+        probes += opalg.standard_probes(d, max_degree=3, random_count=3, seed=7)
+    # a probe with an int coefficient takes the dict route on its own
+    probes.insert(5, SpinorFunction(
+        WeightedPolynomial({(1, 2): 3}, -0.25), WeightedPolynomial.zero(-0.25)
+    ))
+    batches, rest = opalg._batches(probes, 2)
+    # 0.0 and -0.0 are one envelope: neither adds an envelope term
+    assert [layout.d for layout, _ in batches] == [-0.25, 0.0, 1.5, -3.0e-5]
+    assert len(rest) == 1
+    assert repr(operator_residual_on_probes(comm, ident, probes)) == repr(
+        dict_operator_residual(comm, ident, probes)
+    )
+    ops = [P2T, TIME_REVERSAL]  # P1T's i would make the int probe exact
+    assert repr(pt_commutator_residuals(h, ops, probes)) == repr(
+        dict_pt_residuals(h, ops, probes)
+    )
+    # a real batch, at an envelope of its own, whose windows are taller
+    # than wide
+    tall = WeightedPolynomial({(0, 1): 1.0, (5, 1): -2.0}, -0.75)
+    floats = probes[:5] + probes[6:] + [SpinorFunction(tall, tall.scaled(0.5))]
+    ops = [P1T] + _MIXING  # i times a real component, swapped or not
+    assert repr(pt_commutator_residuals(h, ops, floats)) == repr(
+        dict_pt_residuals(h, ops, floats)
+    )
+    # and each probe set alone gives its share of the worst
+    each = [
+        operator_residual_on_probes(comm, ident, [s for s in probes if s.d == layout.d])
+        for layout, _ in batches
+    ]
+    assert operator_residual_on_probes(comm, ident, probes) == max(each)
+
+
+@pytest.mark.parametrize("special", [math.inf, complex(math.nan, 1.0)])
+@pytest.mark.parametrize("prim", [Prim.DZ, Prim.DZBAR])
+def test_an_inf_that_no_term_reads_leaves_the_residual_finite(special, prim):
+    # at exponent 0 a derivative has no term, and at d = 0 neither has the
+    # envelope: the poisoned monomial drops out of the image on both routes
+    key = (0, 2) if prim is Prim.DZ else (2, 0)
+    wp = WeightedPolynomial({key: special, (1, 1): 1 + 1j}, 0.0)
+    probes = [SpinorFunction(wp, WeightedPolynomial.zero(0.0))]
+    op = OperatorExpr.from_word(1, opalg.IDENTITY2, (Prim.MUL_Z, prim))
+    for x, y in ((op, OperatorExpr([])), (op, op.scaled(2.0))):
+        got = operator_residual_on_probes(x, y, probes)
+        assert repr(got) == repr(dict_operator_residual(x, y, probes))
+        assert math.isfinite(got)
+    # with an envelope the inf reaches the image, and the residual is nan
+    probes = [SpinorFunction(*(WeightedPolynomial(c.coeffs, -0.5) for c in (wp, probes[0].lower)))]
+    got = operator_residual_on_probes(op, OperatorExpr([]), probes)
+    assert repr(got) == repr(dict_operator_residual(op, OperatorExpr([]), probes)) == "nan"

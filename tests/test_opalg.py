@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from ptdirac import opalg
 from ptdirac.exact import ONE, ComplexRational
 from ptdirac.params import Branch, DegenerateCoefficientsError, PhysParams, Valley, derive_coeffs
+from edge_points import HUGE_ENVELOPE, SUBNORMAL_K
 from ptdirac.opalg import (
     P1T,
     P2T,
@@ -679,29 +680,34 @@ def test_owner_rule_rejects_a_key_with_no_source_within_reach():
             owner(key)
 
 
+def one_application_per_probe_report(co, degree):
+    """jc_verify's residuals with each operator applied to each monomial
+    probe alone, through the dict kernel."""
+    comm, fact, d = opalg._ladder_defects(co)
+    probes = [(m, n) for m in range(degree + 1) for n in range(degree + 1 - m)]
+    images = apply_each(comm, probes, d)
+    comm_res = opalg._nan_max([image.max_abs_coeff() for image in images])
+    images = apply_each(fact, probes, d, component=0) + apply_each(
+        fact, probes, d, component=1
+    )
+    return comm_res, opalg._nan_max([image.max_abs_coeff() for image in images])
+
+
 def test_jc_reports_match_one_application_per_probe():
     cases = [(CO, 30), (CO_BROKEN, 30), (derive_coeffs(EXACT_BASE), 12), (CO, 2)]
     for co, degree in cases:
-        comm, fact, d = opalg._ladder_defects(co)
-        probes = [(m, n) for m in range(degree + 1) for n in range(degree + 1 - m)]
-        images = apply_each(comm, probes, d)
-        comm_res = max(image.max_abs_coeff() for image in images)
-        images = apply_each(fact, probes, d, component=0) + apply_each(
-            fact, probes, d, component=1
-        )
-        fact_res = max(image.max_abs_coeff() for image in images)
         rep = jc_verify(co, degree=degree)
         got = (rep.commutator_residual, rep.factorization_residual)
-        assert [x.hex() for x in got] == [x.hex() for x in (comm_res, fact_res)]
+        want = one_application_per_probe_report(co, degree)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
         if co is cases[2][0]:
             assert got == (0.0, 0.0)
 
 
-@pytest.mark.parametrize("co, degree", [(CO, 30), (derive_coeffs(EXACT_BASE), 20)],
-                         ids=["float", "exact"])
-def test_jc_makes_one_application_per_residue_class(monkeypatch, co, degree):
-    calls = {"apply": 0, "apply_poly": 0}
-    for name in calls:
+def count_applications(monkeypatch):
+    """A Counter of OperatorExpr.apply and apply_poly calls from now on."""
+    calls = Counter()
+    for name in ("apply", "apply_poly"):
         original = getattr(OperatorExpr, name)
 
         def counting(self, arg, _name=name, _original=original):
@@ -709,10 +715,71 @@ def test_jc_makes_one_application_per_residue_class(monkeypatch, co, degree):
             return _original(self, arg)
 
         monkeypatch.setattr(OperatorExpr, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "co, degree",
+    [(dataclasses.replace(CO, c1=math.nan), 30), (derive_coeffs(EXACT_BASE), 20)],
+    ids=["nan_coefficient", "exact"],
+)
+def test_jc_makes_one_application_per_residue_class(monkeypatch, co, degree):
+    # the dict kernel's routes: exact, and float with a non-finite input
+    calls = count_applications(monkeypatch)
     jc_verify(co, degree=degree)
     # the commutator reaches 2 (a 5 x 5 grid of (m, n) residues), the
     # factorization 1 (3 x 3, once per spin component)
     assert calls == {"apply": 18, "apply_poly": 25}
+
+
+def test_float_jc_applies_no_operator_per_probe(monkeypatch):
+    # finite float inputs: every probe rides one batch-kernel run
+    calls = count_applications(monkeypatch)
+    jc_verify(CO, degree=30)
+    assert calls == {}
+
+
+def log_uniform_params(rng):
+    def mag(lo, hi):
+        return 10 ** rng.uniform(lo, hi)
+
+    return PhysParams(
+        v_f=mag(-3, 3), lam=rng.uniform(-3, 3) * mag(-2, 2),
+        k1=rng.choice((-1, 1)) * mag(-4, 2), b0=rng.choice((-1, 1)) * mag(-3, 3),
+        hbar=mag(-3, 3),
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_float_jc_reports_are_bit_identical_to_one_application_per_probe(seed):
+    rng = random.Random(seed)
+    for _ in range(4):
+        co = derive_coeffs(log_uniform_params(rng))
+        rep = jc_verify(co, degree=30)
+        got = (rep.commutator_residual, rep.factorization_residual)
+        want = one_application_per_probe_report(co, 30)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_float_jc_keeps_its_overflow_errors_and_its_nans():
+    with pytest.raises(OverflowError) as caught:
+        jc_verify(derive_coeffs(SUBNORMAL_K))
+    assert str(caught.value) == (
+        "ladder normalization 1/k_coef overflows at k_coef = -9.45014e-319"
+    )
+    co = derive_coeffs(HUGE_ENVELOPE)
+    with pytest.raises(OverflowError) as caught:
+        jc_verify(co)
+    assert str(caught.value) == (
+        "ladder residual overflows at envelope exponent -1.8248175182481752e+199"
+    )
+    # the batch kernel's verdict is the dict kernel's: the images overflow
+    assert not all(map(math.isfinite, one_application_per_probe_report(co, 30)))
+    co = dataclasses.replace(CO, c1=math.nan)
+    rep = jc_verify(co, degree=30)
+    want = one_application_per_probe_report(co, 30)
+    assert repr((rep.commutator_residual, rep.factorization_residual)) == repr(want)
+    assert math.isnan(rep.commutator_residual) and math.isnan(rep.factorization_residual)
 
 
 def complex_rational_residuals(comm, fact, d, degree):
@@ -798,15 +865,7 @@ def test_int_route_applies_both_parts_of_a_mixed_operator(monkeypatch):
     comm, fact, d = opalg._ladder_defects(derive_coeffs(EXACT_BASE))
     comm, fact = broken_defects(random.Random(3), comm, fact)
     want = complex_rational_residuals(comm, fact, d, 8)
-    calls = Counter()
-    for name in ("apply", "apply_poly"):
-        original = getattr(OperatorExpr, name)
-
-        def counting(self, arg, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(self, arg)
-
-        monkeypatch.setattr(OperatorExpr, name, counting)
+    calls = count_applications(monkeypatch)
     rep = opalg._ladder_residuals(comm, fact, d, 8)
     got = (rep.commutator_residual, rep.factorization_residual)
     assert [x.hex() for x in got] == [x.hex() for x in want]
@@ -853,22 +912,37 @@ def test_exact_jc_runs_no_fraction_operation_per_coefficient(monkeypatch):
     assert totals[0] == totals[1] > 0
 
 
+EXACT_CO = derive_coeffs(EXACT_BASE)
+EXACT_PROBES = [
+    SpinorFunction(*(
+        (WeightedPolynomial({key: ONE}, EXACT_CO.d1_branch_i),
+         WeightedPolynomial.zero(EXACT_CO.d1_branch_i))[::step]
+    ))
+    for key in [(0, 0), (1, 0), (2, 1), (0, 3)]
+    for step in (1, -1)
+]
+
+
 @pytest.mark.parametrize("valley", list(Valley))
 def test_pt_commutator_residuals_apply_h_once_per_probe(monkeypatch, valley):
-    h = build_hamiltonian(CO, valley)
+    # exact probes take the dict kernel
+    h = build_hamiltonian(EXACT_CO, valley)
     ops = (P1T, P2T)
-    want = [pt_commutator_residual(h, op, PROBES) for op in ops]
-    applied = []
-    original = OperatorExpr.apply
-
-    def counting(self, s):
-        applied.append(s)
-        return original(self, s)
-
-    monkeypatch.setattr(OperatorExpr, "apply", counting)
-    got = pt_commutator_residuals(h, ops, PROBES)
-    assert [x.hex() for x in got] == [x.hex() for x in want]
+    want = [pt_commutator_residual(h, op, EXACT_PROBES) for op in ops]
+    calls = count_applications(monkeypatch)
+    got = pt_commutator_residuals(h, ops, EXACT_PROBES)
+    assert got == want == [0.0, 0.0]
     # H s once per probe, and H (op s) once per probe and operator
-    assert len(applied) == (1 + len(ops)) * len(PROBES)
+    assert calls == {"apply": (1 + len(ops)) * len(EXACT_PROBES)}
     with pytest.raises(ValueError, match="at least one probe"):
         pt_commutator_residuals(h, ops, [])
+
+
+@pytest.mark.parametrize("valley", list(Valley))
+def test_float_probe_residuals_apply_no_operator_per_probe(monkeypatch, valley):
+    # float probes at one envelope exponent ride one batch-kernel run
+    h = build_hamiltonian(CO, valley)
+    calls = count_applications(monkeypatch)
+    pt_commutator_residuals(h, (P1T, P2T), PROBES)
+    operator_residual_on_probes(time_reversal_conjugate(h), h, PROBES)
+    assert calls == {}
