@@ -1039,8 +1039,8 @@ def pt_commutator_residuals(
 #  - a relative defect is nan wherever an image holds an inf or a nan,
 #    for its size, its defect and so the scale are inf or nan (inf / inf);
 #    an inf from finite images is an overflowed difference, formed alike;
-#  - the float jc_verify runs the batch kernel on finite inputs only, and
-#    its residual then raises OverflowError as soon as it is not finite.
+#  - the float jc_verify's residual raises OverflowError as soon as it is
+#    not finite from finite inputs, and a non-finite input makes it nan.
 
 _UNIT_ENTRIES = (0, 1, -1, 1j, -1j)
 
@@ -1081,15 +1081,21 @@ def _swapped(layout: _Layout) -> _Layout:
 _FLOAT_TYPES = {float, complex}
 
 
+# The most window elements one batch holds.  The kernel keeps an image of
+# that many elements for every node of a plan, so this bounds its memory
+# (512 KiB an array), however many probes there are or however far apart a
+# probe's keys lie.
+_BATCH_CELLS = 1 << 16
+
+
 def _batches(probes: Sequence[SpinorFunction], reach: int) -> Tuple[List, List]:
-    """The float probes laid out a batch per envelope exponent, as
-    (layout, (upper, lower) images) pairs, and the rest.
+    """The float probes laid out in batches of one envelope exponent and at
+    most ``_BATCH_CELLS`` window elements, as (layout, (upper, lower)
+    images) pairs, and the rest.
 
     A float probe is a nonzero spinor with a finite float envelope exponent
-    and float or complex coefficients.
+    and float or complex coefficients, whose own window fits a batch.
     """
-    import numpy as np
-
     groups: Dict[float, List[SpinorFunction]] = {}
     rest = []
     for s in probes:
@@ -1103,29 +1109,59 @@ def _batches(probes: Sequence[SpinorFunction], reach: int) -> Tuple[List, List]:
             groups.setdefault(d, []).append(s)
         else:
             rest.append(s)
-    batches = []
+    batches: List = []
     for d, group in groups.items():
-        parts = ([s.upper.coeffs for s in group], [s.lower.coeffs for s in group])
-        # every key of the batch, the upper component's first, with its probe
-        keys = np.array([k for dicts in parts for c in dicts for k in c]).reshape(-1, 2)
-        owner = np.array([p for dicts in parts for p, c in enumerate(dicts) for _ in c])
-        lo = np.full((len(group), 2), keys.max())
-        hi = np.zeros((len(group), 2), dtype=keys.dtype)
-        np.minimum.at(lo, owner, keys)
-        np.maximum.at(hi, owner, keys)
-        origin = np.maximum(lo - reach, 0)
-        wm, wn = (hi - lo).max(axis=0) + 1 + 2 * reach
-        layout = _layout(origin[:, 0], origin[:, 1], int(wm), int(wn), d)
-        at = (*(keys - origin[owner]).T, owner)  # each key's element
-        comps = []
-        start = 0
-        for dicts in parts:
-            values = np.array([c for coeffs in dicts for c in coeffs.values()])
-            stop = start + len(values)
-            comps.append(_filled(layout, values, tuple(i[start:stop] for i in at)))
-            start = stop
-        batches.append((layout, tuple(comps)))
+        _lay_out(group, reach, d, batches, rest)
     return batches, rest
+
+
+def _lay_out(group: Sequence[SpinorFunction], reach: int, d: float, batches, rest) -> None:
+    """Append the batches of float probes of envelope exponent ``d`` to
+    ``batches``, and to ``rest`` each probe whose own window exceeds
+    ``_BATCH_CELLS``.
+
+    A batch's windows are as wide as its widest support plus ``reach`` on
+    each side.  A group too large for one batch is split, its probes taken
+    in order of window size until the next would overflow the batch.
+    """
+    import numpy as np
+
+    parts = ([s.upper.coeffs for s in group], [s.lower.coeffs for s in group])
+    # every key of the group, the upper component's first, with its probe
+    keys = np.array([k for dicts in parts for c in dicts for k in c]).reshape(-1, 2)
+    owner = np.array([p for dicts in parts for p, c in enumerate(dicts) for _ in c])
+    lo = np.full((len(group), 2), keys.max())
+    hi = np.zeros((len(group), 2), dtype=keys.dtype)
+    np.minimum.at(lo, owner, keys)
+    np.maximum.at(hi, owner, keys)
+    spans = hi - lo + 1 + 2 * reach
+    wm, wn = (int(w) for w in spans.max(axis=0))
+    if wm * wn * len(group) > _BATCH_CELLS:
+        batch, bm, bn = [], 0, 0
+        for p in np.argsort(spans.prod(axis=1), kind="stable"):
+            m, n = (int(w) for w in spans[p])
+            if m * n > _BATCH_CELLS:
+                rest.append(group[p])
+                continue
+            if max(bm, m) * max(bn, n) * (len(batch) + 1) > _BATCH_CELLS:
+                _lay_out(batch, reach, d, batches, rest)
+                batch, bm, bn = [], 0, 0
+            batch.append(group[p])
+            bm, bn = max(bm, m), max(bn, n)
+        if batch:
+            _lay_out(batch, reach, d, batches, rest)
+        return
+    origin = np.maximum(lo - reach, 0)
+    layout = _layout(origin[:, 0], origin[:, 1], wm, wn, d)
+    at = (*(keys - origin[owner]).T, owner)  # each key's element
+    comps = []
+    start = 0
+    for dicts in parts:
+        values = np.array([c for coeffs in dicts for c in coeffs.values()])
+        stop = start + len(values)
+        comps.append(_filled(layout, values, tuple(i[start:stop] for i in at)))
+        start = stop
+    batches.append((layout, tuple(comps)))
 
 
 def _filled(layout: _Layout, values, at):
@@ -1554,77 +1590,70 @@ def _images(
 
 def _batch_residual(op: OperatorExpr, d_env: float, probes, spinor: bool) -> float:
     """Largest coefficient size of ``op``'s images of the monomial probes of
-    coefficient 1.0, all in one run of the batch kernel per spin component
-    (the upper output alone when ``spinor`` is false, as ``apply_poly``)."""
+    coefficient 1.0, in runs of the batch kernel of at most
+    ``_BATCH_CELLS`` window elements, one per spin component (the upper
+    output alone when ``spinor`` is false, as ``apply_poly``)."""
     import numpy as np
 
     plan = op._compiled()
-    ms, ns = (np.array(e) for e in zip(*probes))
-    om, on = np.maximum(ms - plan.reach, 0), np.maximum(ns - plan.reach, 0)
-    layout = _layout(om, on, 2 * plan.reach + 1, 2 * plan.reach + 1, d_env)
-    probe = np.zeros(layout.shape)
-    probe[ms - om, ns - on, np.arange(len(probes))] = 1.0
+    width = 2 * plan.reach + 1
+    step = max(1, _BATCH_CELLS // width**2)
     sizes = []
-    for comps in (((probe, None), None), (None, (probe, None))) if spinor else (
-        ((probe, None), None),
-    ):
-        with np.errstate(all="ignore"):  # an overflow is read off the sizes
-            outs = _batch_run(plan, comps, layout)
-            sizes += [float(_sizes(out).max()) for out in outs[: 2 if spinor else 1] if out]
+    for start in range(0, len(probes), step):
+        ms, ns = (np.array(e) for e in zip(*probes[start : start + step]))
+        om, on = np.maximum(ms - plan.reach, 0), np.maximum(ns - plan.reach, 0)
+        layout = _layout(om, on, width, width, d_env)
+        probe = np.zeros(layout.shape)
+        probe[ms - om, ns - on, np.arange(len(ms))] = 1.0
+        runs = [((probe, None), None), (None, (probe, None))][: 2 if spinor else 1]
+        for comps in runs:
+            with np.errstate(all="ignore"):  # an overflow is read off the sizes
+                outs = _batch_run(plan, comps, layout)[: 2 if spinor else 1]
+                sizes += [float(_sizes(out).max()) for out in outs if out]
     return _nan_max(sizes)
 
 
 def _residual(op: OperatorExpr, d_env, probes, spinor: bool) -> float:
     """Largest coefficient size of ``op``'s images of the probes.
 
-    A float d_env applies ``op`` to probes of coefficient 1, all at once in
-    the batch kernel (``_batch_residual``) when its factors and d_env are
-    finite.  Otherwise the probes of each group of ``residue_groups(op)``
-    are summed and applied at once by ``_images``: the exact route, and the
-    float one with a non-finite input, whose residual the dict kernel
-    defines.  A ``Fraction`` d_env = p/q runs on ints: with z = q u
-    the envelope exponent in u is the int p q and the probe z^a zbar^b is
-    q^(a+b) u^a ubar^b, and the int parts of ``_cleared(op, q)`` are applied
-    in its place, an empty part not at all.  An image key (m, n) in u holds
-    re + i im; its coefficient in z is (re + i im)/(L q^(m+n)), and its size
-    is ``hypot`` of the two correctly rounded quotients, bit for bit the
-    ``abs`` of that value as a ``ComplexRational``, so the residual is the
-    one ``ComplexRational`` probes give.
+    A float d_env applies ``op`` to probes of coefficient 1 in the batch
+    kernel (``_batch_residual``).  A residual that is not finite although
+    ``op``'s coefficients and d_env are raises OverflowError: the images
+    overflowed, and with finite inputs the batch kernel's residual is
+    finite exactly when the dict kernel's is.  A non-finite coefficient or
+    d_env makes the residual nan (a factor or d_env of inf times a 0 of
+    the window is nan).
 
-    A float residual that is not finite although ``op``'s coefficients and
-    d_env are raises OverflowError: the images overflowed.  With finite
-    inputs the batch kernel's residual is finite exactly when the dict
-    kernel's is, so it decides that alone.
+    A ``Fraction`` d_env = p/q runs the dict kernel on ints, the probes of
+    each group of ``residue_groups(op)`` summed and applied at once by
+    ``_images``: with z = q u the envelope exponent in u is the int p q and
+    the probe z^a zbar^b is q^(a+b) u^a ubar^b, and the int parts of
+    ``_cleared(op, q)`` are applied in its place, an empty part not at all.
+    An image key (m, n) in u holds re + i im; its coefficient in z is
+    (re + i im)/(L q^(m+n)), and its size is ``hypot`` of the two correctly
+    rounded quotients, bit for bit the ``abs`` of that value as a
+    ``ComplexRational``, so the residual is the one ``ComplexRational``
+    probes give.
     """
-    exact = isinstance(d_env, Fraction)
-    inputs = [d_env] + [t.coeff for t in op.terms]
-    finite = all(map(cmath.isfinite, inputs))
-    if not exact and finite and type(d_env) is float and _float_factors(op._compiled()):
+    if not isinstance(d_env, Fraction):
         worst = _batch_residual(op, d_env, probes, spinor)
-        if math.isfinite(worst):
+        if math.isfinite(worst) or not all(
+            map(cmath.isfinite, [d_env, *(t.coeff for t in op.terms)])
+        ):
             return worst
         raise OverflowError(f"ladder residual overflows at envelope exponent {d_env!r}")
-    if exact:
-        q = d_env.denominator
-        lcm, re, im = _cleared(op, q)
-        d = d_env.numerator * q
-    else:
-        q, re, im, d = 1, op, OperatorExpr([]), d_env
+    q = d_env.denominator
+    lcm, re, im = _cleared(op, q)
+    d = d_env.numerator * q
     zero = WeightedPolynomial.zero(d) if spinor else None
     sizes = []
     for group in residue_groups(op, probes):
         total = WeightedPolynomial({(m, n): q ** (m + n) for m, n in group}, d)
         for re_c, im_c in zip(_images(re, total, zero), _images(im, total, zero)):
-            if not exact:
-                sizes += map(abs, re_c.values())
-                continue
             for key in re_c.keys() | im_c.keys():
                 den = lcm * q ** (key[0] + key[1])
                 sizes.append(math.hypot(re_c.get(key, 0) / den, im_c.get(key, 0) / den))
-    worst = _nan_max(sizes)
-    if exact or math.isfinite(worst) or not finite:
-        return worst
-    raise OverflowError(f"ladder residual overflows at envelope exponent {d_env!r}")
+    return _nan_max(sizes)
 
 
 def _ladder_residuals(
@@ -1651,9 +1680,9 @@ def jc_verify(coeffs: DerivedCoeffs, degree: int = 30) -> JCReport:
     convention would leave a factor sqrt(2) behind.
 
     Residuals are worst-case over all monomial probes of total degree at
-    most ``degree`` (``_residual``).  In floats every probe rides one run
-    of the batch kernel per spin component, each bit-identical to applying
-    the operator to its probe alone.  On the exact path the probes are
+    most ``degree`` (``_residual``).  In floats the probes ride runs of the
+    batch kernel, each bit-identical to applying the operator to its probe
+    alone while the inputs are finite.  On the exact path the probes are
     applied by residue class (residue_groups): the commutator's words have
     length 2, so one application per class mod 5 of (m, n), 25 in all, and
     the factorization's length 1, so one per class mod 3 and spin
@@ -1669,8 +1698,7 @@ def jc_verify(coeffs: DerivedCoeffs, degree: int = 30) -> JCReport:
     operation runs per coefficient.  A float k_coef so small that the
     normalized commutator's coefficients overflow raises OverflowError, and
     so does a float residual that overflows from finite coefficients and
-    envelope exponent; a nan coefficient makes its residual nan, through
-    the residue classes of the dict kernel.
+    envelope exponent; a nan or inf coefficient makes its residual nan.
     """
     if not isinstance(degree, int) or degree < 2:
         raise ValueError("degree must be an integer >= 2")

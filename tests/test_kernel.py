@@ -569,6 +569,42 @@ def test_probes_at_different_envelopes_share_one_call():
     assert operator_residual_on_probes(comm, ident, probes) == max(each)
 
 
+def record_layouts(monkeypatch):
+    """The shapes of every batch layout made from now on."""
+    shapes = []
+    original = opalg._layout
+
+    def recording(*args):
+        layout = original(*args)
+        shapes.append(layout.shape)
+        return layout
+
+    monkeypatch.setattr(opalg, "_layout", recording)
+    return shapes
+
+
+def test_batches_hold_at_most_the_cell_budget(monkeypatch):
+    monkeypatch.setattr(opalg, "_BATCH_CELLS", 200)
+    shapes = record_layouts(monkeypatch)
+    h = build_hamiltonian(CO)
+    comm = OperatorExpr.dz() @ OperatorExpr.mul_z() - OperatorExpr.mul_z() @ OperatorExpr.dz()
+    probes = opalg.standard_probes(-0.25, max_degree=4, random_count=6, seed=3)
+    # a probe whose own window (25 x 25 at reach 2) exceeds the budget runs
+    # through the dict route
+    far = WeightedPolynomial({(0, 0): 1.0, (20, 20): -0.5j}, -0.25)
+    probes.insert(3, SpinorFunction(far, far.scaled(2.0)))
+    batches, rest = opalg._batches(probes, 2)
+    assert len(batches) > 1 and rest == [probes[3]]
+    assert repr(operator_residual_on_probes(comm, h, probes)) == repr(
+        dict_operator_residual(comm, h, probes)
+    )
+    ops = [P1T, P2T, TIME_REVERSAL] + _MIXING
+    assert repr(pt_commutator_residuals(h, ops, probes)) == repr(
+        dict_pt_residuals(h, ops, probes)
+    )
+    assert shapes and all(wm * wn * p <= 200 for wm, wn, p in shapes)
+
+
 @pytest.mark.parametrize("special", [math.inf, complex(math.nan, 1.0)])
 @pytest.mark.parametrize("prim", [Prim.DZ, Prim.DZBAR])
 def test_an_inf_that_no_term_reads_leaves_the_residual_finite(special, prim):

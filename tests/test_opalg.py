@@ -718,13 +718,9 @@ def count_applications(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize(
-    "co, degree",
-    [(dataclasses.replace(CO, c1=math.nan), 30), (derive_coeffs(EXACT_BASE), 20)],
-    ids=["nan_coefficient", "exact"],
-)
+@pytest.mark.parametrize("co, degree", [(derive_coeffs(EXACT_BASE), 20)], ids=["exact"])
 def test_jc_makes_one_application_per_residue_class(monkeypatch, co, degree):
-    # the dict kernel's routes: exact, and float with a non-finite input
+    # the exact route runs the dict kernel
     calls = count_applications(monkeypatch)
     jc_verify(co, degree=degree)
     # the commutator reaches 2 (a 5 x 5 grid of (m, n) residues), the
@@ -732,11 +728,49 @@ def test_jc_makes_one_application_per_residue_class(monkeypatch, co, degree):
     assert calls == {"apply": 18, "apply_poly": 25}
 
 
-def test_float_jc_applies_no_operator_per_probe(monkeypatch):
-    # finite float inputs: every probe rides one batch-kernel run
+@pytest.mark.parametrize("c1", [CO.c1, math.nan, math.inf])
+def test_float_jc_applies_no_operator_per_probe(monkeypatch, c1):
+    # every float input, finite or not, rides the batch kernel
     calls = count_applications(monkeypatch)
-    jc_verify(CO, degree=30)
+    jc_verify(dataclasses.replace(CO, c1=c1), degree=30)
     assert calls == {}
+
+
+def test_float_jc_runs_in_batches_of_bounded_size(monkeypatch):
+    # 1000 elements: 40 probes of the commutator's 5 x 5 windows at a time,
+    # 111 of the factorization's 3 x 3 ones, the last batch short
+    monkeypatch.setattr(opalg, "_BATCH_CELLS", 1000)
+    shapes = []
+    original = opalg._layout
+
+    def recording(*args):
+        layout = original(*args)
+        shapes.append(layout.shape)
+        return layout
+
+    monkeypatch.setattr(opalg, "_layout", recording)
+    for co in (CO, CO_BROKEN):
+        rep = jc_verify(co, degree=30)
+        got = (rep.commutator_residual, rep.factorization_residual)
+        want = one_application_per_probe_report(co, 30)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert sorted({p for _, _, p in shapes}) == [16, 40, 52, 111]
+    assert all(wm * wn * p <= 1000 for wm, wn, p in shapes)
+
+
+def test_exact_jc_with_coefficients_beyond_the_float_range():
+    # hbar = 1e300 puts coefficients of both defect operators past 1.8e308;
+    # the exact route never converts one to a float
+    params = dataclasses.replace(
+        EXACT_BASE, hbar=Fraction(10) ** 300, k1=Fraction(1, 50) / 10**100,
+        b0=Fraction(100) / 10**100,
+    )
+    co = derive_coeffs(params)
+    comm, fact, _ = opalg._ladder_defects(co)
+    with pytest.raises(OverflowError):
+        [complex(t.coeff) for t in comm.terms + fact.terms]
+    rep = jc_verify(co, degree=12)
+    assert (rep.commutator_residual, rep.factorization_residual) == (0.0, 0.0)
 
 
 def log_uniform_params(rng):
@@ -775,11 +809,12 @@ def test_float_jc_keeps_its_overflow_errors_and_its_nans():
     )
     # the batch kernel's verdict is the dict kernel's: the images overflow
     assert not all(map(math.isfinite, one_application_per_probe_report(co, 30)))
-    co = dataclasses.replace(CO, c1=math.nan)
-    rep = jc_verify(co, degree=30)
-    want = one_application_per_probe_report(co, 30)
-    assert repr((rep.commutator_residual, rep.factorization_residual)) == repr(want)
-    assert math.isnan(rep.commutator_residual) and math.isnan(rep.factorization_residual)
+    for c1 in (math.nan, math.inf):
+        co = dataclasses.replace(CO, c1=c1)
+        rep = jc_verify(co, degree=30)
+        want = one_application_per_probe_report(co, 30)
+        assert repr((rep.commutator_residual, rep.factorization_residual)) == repr(want)
+        assert math.isnan(rep.commutator_residual) and math.isnan(rep.factorization_residual)
 
 
 def complex_rational_residuals(comm, fact, d, degree):
