@@ -26,9 +26,10 @@ output key gets one term per nonzero spin entry, in entry order, exactly as
 conjugating, mapping and mixing as separate polynomials adds them.
 
 Float probe residuals (the float ``jc_verify``, ``operator_residual_on_probes``
-and ``pt_commutator_residuals``) run a plan on a whole batch of probes at
-once: the batch kernel, numpy arrays with the probe axis last, bit for bit
-the dict kernel while every value is finite.  Exact inputs keep the dict
+and ``pt_commutator_residuals``) and the images that spectral's truncation
+reads run a plan on a whole batch of probes at once: the batch kernel,
+numpy arrays with the probe axis last, bit for bit the dict kernel while
+every value is finite.  Exact inputs keep the dict
 kernel, and the exact ``jc_verify`` runs it on Python ints: the
 substitution z = q u, with q the denominator of the probes' envelope
 exponent, and one lcm clear every denominator before the first step, and
@@ -39,14 +40,16 @@ Layout:
   - WeightedPolynomial / SpinorFunction: the function space.
   - OperatorExpr: linear operators, composition, formal adjoint, collected
     canonical form.
-  - residue_groups / owner_rule: one application for a group of
-    monomials whose images cannot meet, and the source of each image key.
+  - residue_groups: one application for a group of monomials whose images
+    cannot meet, on the exact route.
   - build_hamiltonian / block_operators: the model's first-order blocks for
     either valley.
   - AntilinearOp and the PT machinery: transforms, eigenfactors, commutator
     residuals, time-reversal conjugation.
   - the batch kernel: a plan and the antilinear maps on arrays of float
-    probes, and the driver that sends every other probe to the dict kernel.
+    probes, one layout routine for every batch, the driver that sends
+    every other probe to the dict kernel, and the monomial runs that the
+    float jc_verify and spectral's truncation read.
   - analytic_state / eigen_residual: closed-form level states and their
     defect under the full first-order eigen-equation.
   - lll_state / ladder_raise / jc_verify: zero modes, the pseudo-bosonic
@@ -61,6 +64,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import ONE, ComplexRational
@@ -681,6 +685,8 @@ class OperatorExpr:
 # bit-identical to a separate application.  This is the column grouping of
 # sparse Jacobian estimation (Curtis, Powell & Reid 1974; Coleman & More
 # 1983): columns with disjoint row supports cost one evaluation together.
+# The exact jc_verify runs on it; float probes need no grouping, for the
+# batch kernel gives each its own window.
 
 
 def residue_groups(op: OperatorExpr, sources: Sequence[Monomial]) -> List[List[Monomial]]:
@@ -688,47 +694,15 @@ def residue_groups(op: OperatorExpr, sources: Sequence[Monomial]) -> List[List[M
 
     w is the longest word of ``op`` (``_Plan.reach``), so the monomials of
     one group are at least 2w + 1 apart in some exponent and their images
-    under ``op`` are disjoint.  Groups, and the monomials within each, keep
-    the order of first appearance in ``sources``.
+    under ``op`` are disjoint: each key of the image of a group's sum lies
+    within w of the one monomial it came from.  Groups, and the monomials
+    within each, keep the order of first appearance in ``sources``.
     """
     p = 2 * op._compiled().reach + 1
     groups: Dict[Monomial, List[Monomial]] = {}
     for m, n in sources:
         groups.setdefault((m % p, n % p), []).append((m, n))
     return list(groups.values())
-
-
-def owner_rule(
-    op: OperatorExpr, group: Sequence[Monomial]
-) -> Callable[[Monomial], Monomial]:
-    """The map from a key of ``op``'s image of the sum over ``group`` to
-    the monomial of ``group`` that the key came from.
-
-    With w the longest word of ``op`` and p = 2w + 1, the exponent
-    congruent to r mod p nearest to e is ``e - (e - r + w) % p + w``, at
-    most w away; a key's source is that monomial for both exponents.  The
-    group must be one class of ``residue_groups(op, ...)``, distinct
-    monomials congruent mod p in both exponents so that no two images
-    share a key, else ValueError.  A key with no source raises RuntimeError.
-    """
-    w = op._compiled().reach
-    p = 2 * w + 1
-    rm, rn = group[0][0] % p, group[0][1] % p
-    members = set(group)
-    if len(members) < len(group) or any((m % p, n % p) != (rm, rn) for m, n in group):
-        raise ValueError(
-            f"monomials {list(group)} are not distinct and congruent mod {p}, "
-            "which keeps two images from sharing a key"
-        )
-
-    def owner(key: Monomial) -> Monomial:
-        m, n = key
-        source = (m - (m - rm + w) % p + w, n - (n - rn + w) % p + w)
-        if source not in members:
-            raise RuntimeError(f"image key z^{m} zbar^{n} has no source within {w}")
-        return source
-
-    return owner
 
 
 # ---------------------------------------------------------------------------
@@ -1078,7 +1052,9 @@ def _swapped(layout: _Layout) -> _Layout:
     )
 
 
-_FLOAT_TYPES = {float, complex}
+# A float probe's coefficients; an int up to 2**53 in size, which a float
+# holds exactly, counts too.
+_FLOAT_TYPES = {float, complex, int}
 
 
 # The most window elements one batch holds.  The kernel keeps an image of
@@ -1089,79 +1065,96 @@ _BATCH_CELLS = 1 << 16
 
 
 def _batches(probes: Sequence[SpinorFunction], reach: int) -> Tuple[List, List]:
-    """The float probes laid out in batches of one envelope exponent and at
-    most ``_BATCH_CELLS`` window elements, as (layout, (upper, lower)
-    images) pairs, and the rest.
+    """The float probes laid out (``_lay_out``) in batches of one envelope
+    exponent, as (layout, (upper, lower) images) pairs, and the rest.
 
     A float probe is a nonzero spinor with a finite float envelope exponent
-    and float or complex coefficients, whose own window fits a batch.
+    and float, complex or int coefficients, no int above 2**53 in size,
+    whose own window fits a batch.  Its ints ride as the floats they equal.
     """
+    import numpy as np
+
     groups: Dict[float, List[SpinorFunction]] = {}
     rest = []
     for s in probes:
         d, u, l = s.upper.d, s.upper.coeffs, s.lower.coeffs
+        types = {*map(type, u.values()), *map(type, l.values())}
         if (
             type(d) is float
             and math.isfinite(d)
-            and {*map(type, u.values()), *map(type, l.values())} <= _FLOAT_TYPES
+            and types <= _FLOAT_TYPES
             and (u or l)
+            and (int not in types or max(
+                abs(c) for c in (*u.values(), *l.values()) if type(c) is int
+            ) <= 2**53)
         ):
             groups.setdefault(d, []).append(s)
         else:
             rest.append(s)
     batches: List = []
     for d, group in groups.items():
-        _lay_out(group, reach, d, batches, rest)
+        parts = []
+        for dicts in ([s.upper.coeffs for s in group], [s.lower.coeffs for s in group]):
+            keys = np.array([k for c in dicts for k in c], dtype=int).reshape(-1, 2)
+            owner = np.array([p for p, c in enumerate(dicts) for _ in c], dtype=int)
+            parts.append((keys, owner, np.array([v for c in dicts for v in c.values()])))
+        keys = np.concatenate([k for k, _, _ in parts])
+        owner = np.concatenate([o for _, o, _ in parts])
+        lo = np.full((len(group), 2), keys.max())
+        hi = np.zeros_like(lo)
+        np.minimum.at(lo, owner, keys)
+        np.maximum.at(hi, owner, keys)
+        laid, far = _lay_out(lo, hi, parts, reach, d)
+        batches += [(layout, comps) for layout, comps, _ in laid]
+        rest += [group[p] for p in far]
     return batches, rest
 
 
-def _lay_out(group: Sequence[SpinorFunction], reach: int, d: float, batches, rest) -> None:
-    """Append the batches of float probes of envelope exponent ``d`` to
-    ``batches``, and to ``rest`` each probe whose own window exceeds
-    ``_BATCH_CELLS``.
+def _lay_out(lo, hi, parts, reach: int, d: float) -> Tuple[List, List[int]]:
+    """Probes of envelope exponent ``d`` in batches of at most
+    ``_BATCH_CELLS`` window elements: the one routine that lays out a batch.
+
+    Probe p's keys span ``lo[p]`` to ``hi[p]`` (int arrays of shape (P, 2)).
+    ``parts`` holds the probes' upper and lower components, each as (keys,
+    probes, values): an int array of shape (K, 2) of keys, the index of the
+    probe that holds each, and its value.  Returns the batches, as (layout,
+    (upper, lower) images, the index of the probe at each place of the
+    probe axis), each made as it is read, and the indices of the probes
+    whose own window exceeds ``_BATCH_CELLS``.
 
     A batch's windows are as wide as its widest support plus ``reach`` on
-    each side.  A group too large for one batch is split, its probes taken
-    in order of window size until the next would overflow the batch.
+    each side.  Probes too many for one batch are split by window shape,
+    as many of one shape to a batch as fit.
     """
     import numpy as np
 
-    parts = ([s.upper.coeffs for s in group], [s.lower.coeffs for s in group])
-    # every key of the group, the upper component's first, with its probe
-    keys = np.array([k for dicts in parts for c in dicts for k in c]).reshape(-1, 2)
-    owner = np.array([p for dicts in parts for p, c in enumerate(dicts) for _ in c])
-    lo = np.full((len(group), 2), keys.max())
-    hi = np.zeros((len(group), 2), dtype=keys.dtype)
-    np.minimum.at(lo, owner, keys)
-    np.maximum.at(hi, owner, keys)
-    spans = hi - lo + 1 + 2 * reach
-    wm, wn = (int(w) for w in spans.max(axis=0))
-    if wm * wn * len(group) > _BATCH_CELLS:
-        batch, bm, bn = [], 0, 0
-        for p in np.argsort(spans.prod(axis=1), kind="stable"):
-            m, n = (int(w) for w in spans[p])
-            if m * n > _BATCH_CELLS:
-                rest.append(group[p])
-                continue
-            if max(bm, m) * max(bn, n) * (len(batch) + 1) > _BATCH_CELLS:
-                _lay_out(batch, reach, d, batches, rest)
-                batch, bm, bn = [], 0, 0
-            batch.append(group[p])
-            bm, bn = max(bm, m), max(bn, n)
-        if batch:
-            _lay_out(batch, reach, d, batches, rest)
-        return
-    origin = np.maximum(lo - reach, 0)
-    layout = _layout(origin[:, 0], origin[:, 1], wm, wn, d)
-    at = (*(keys - origin[owner]).T, owner)  # each key's element
-    comps = []
-    start = 0
-    for dicts in parts:
-        values = np.array([c for coeffs in dicts for c in coeffs.values()])
-        stop = start + len(values)
-        comps.append(_filled(layout, values, tuple(i[start:stop] for i in at)))
-        start = stop
-    batches.append((layout, tuple(comps)))
+    spans = hi - lo + (1 + 2 * reach)
+    wm, wn = spans.max(axis=0).tolist()
+    if wm * wn * len(lo) <= _BATCH_CELLS:
+        origin = np.maximum(lo - reach, 0)
+        layout = _layout(origin[:, 0], origin[:, 1], wm, wn, d)
+        comps = tuple(_filled(layout, v, (*(k - origin[o]).T, o)) for k, o, v in parts)
+        return [(layout, comps, np.arange(len(lo)))], []
+    shape = spans[:, 0] * (wn + 1) + spans[:, 1]  # one int per window shape
+    chunks, rest = [], []
+    for s in np.unique(shape).tolist():
+        members = np.flatnonzero(shape == s)
+        m, n = divmod(s, wn + 1)
+        if m * n > _BATCH_CELLS:
+            rest += members.tolist()
+            continue
+        step = _BATCH_CELLS // (m * n)
+        chunks += [members[i : i + step] for i in range(0, len(members), step)]
+
+    def laid(chunk):
+        place = np.full(len(lo), -1)  # each probe's place in the chunk
+        place[chunk] = np.arange(len(chunk))
+        mine = [place[o] >= 0 for _, o, _ in parts]
+        sub = [(k[m], place[o[m]], v[m]) for (k, o, v), m in zip(parts, mine)]
+        ((layout, comps, _),), _ = _lay_out(lo[chunk], hi[chunk], sub, reach, d)
+        return layout, comps, chunk
+
+    return map(laid, chunks), rest  # a batch is made when it is read
 
 
 def _filled(layout: _Layout, values, at):
@@ -1379,6 +1372,54 @@ def _batch_defect(x, y) -> float:
     return float(np.max(worst / np.where(scale == 0.0, 1.0, scale)))
 
 
+def _monomial_runs(op: OperatorExpr, probes: Sequence[Monomial], d: float, spinor: bool):
+    """``op`` on the monomial probes of coefficient 1.0 and envelope exponent
+    ``d`` in the batch kernel, batch by batch (``_lay_out``): (layout, the
+    index of the monomial at each place of the probe axis, runs).
+
+    A run is the (upper, lower) images of ``_batch_run`` with the probes in
+    one spin component: the upper, and then the lower when ``spinor``; as in
+    ``apply_poly``, a run reads the upper image alone when not ``spinor``.  A
+    probe's window, 2 reach + 1 elements square, must fit a batch.  The
+    probes are laid out ``_BATCH_CELLS`` at a time, so that the layout's
+    arrays over them stay bounded too.
+    """
+    import numpy as np
+
+    plan = op._compiled()
+    empty = (np.zeros((0, 2), dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+    for start in range(0, len(probes), _BATCH_CELLS):
+        piece = probes[start : start + _BATCH_CELLS]
+        keys = np.fromiter(chain.from_iterable(piece), int, 2 * len(piece)).reshape(-1, 2)
+        ones = (keys, np.arange(len(piece)), np.ones(len(piece)))
+        batches, rest = _lay_out(keys, keys, [ones, empty], plan.reach, d)
+        if rest:
+            raise ValueError(f"a window of reach {plan.reach} exceeds the batch budget")
+        for layout, (probe, _), index in batches:
+            comps = ((probe, None), (None, probe))[: 1 + spinor]
+            with np.errstate(all="ignore"):  # an overflow shows in the images
+                runs = [_batch_run(plan, c, layout)[: 1 + spinor] for c in comps]
+            yield layout, start + index, runs
+
+
+def _nonzero(layout: _Layout, index, image) -> List[Tuple[int, Monomial, Coeff]]:
+    """The nonzero elements of a batch image, probe by probe, as (``index``
+    of the probe, key, value): the value a float while the image is real,
+    as in the dict kernel, else a complex."""
+    import numpy as np
+
+    if image is None:
+        return []
+    re, im = image
+    held = re if im is None else (re != 0) | (im != 0)
+    p, i, j = np.nonzero(held.transpose(2, 0, 1))
+    values = re[i, j, p].tolist()
+    if im is not None:
+        values = list(map(complex, values, im[i, j, p].tolist()))
+    keys = zip((layout.om[p] + i).tolist(), (layout.on[p] + j).tolist())
+    return list(zip(index[p].tolist(), keys, values))
+
+
 # ---------------------------------------------------------------------------
 # closed-form states
 # ---------------------------------------------------------------------------
@@ -1588,41 +1629,16 @@ def _images(
     return out
 
 
-def _batch_residual(op: OperatorExpr, d_env: float, probes, spinor: bool) -> float:
-    """Largest coefficient size of ``op``'s images of the monomial probes of
-    coefficient 1.0, in runs of the batch kernel of at most
-    ``_BATCH_CELLS`` window elements, one per spin component (the upper
-    output alone when ``spinor`` is false, as ``apply_poly``)."""
-    import numpy as np
-
-    plan = op._compiled()
-    width = 2 * plan.reach + 1
-    step = max(1, _BATCH_CELLS // width**2)
-    sizes = []
-    for start in range(0, len(probes), step):
-        ms, ns = (np.array(e) for e in zip(*probes[start : start + step]))
-        om, on = np.maximum(ms - plan.reach, 0), np.maximum(ns - plan.reach, 0)
-        layout = _layout(om, on, width, width, d_env)
-        probe = np.zeros(layout.shape)
-        probe[ms - om, ns - on, np.arange(len(ms))] = 1.0
-        runs = [((probe, None), None), (None, (probe, None))][: 2 if spinor else 1]
-        for comps in runs:
-            with np.errstate(all="ignore"):  # an overflow is read off the sizes
-                outs = _batch_run(plan, comps, layout)[: 2 if spinor else 1]
-                sizes += [float(_sizes(out).max()) for out in outs if out]
-    return _nan_max(sizes)
-
-
 def _residual(op: OperatorExpr, d_env, probes, spinor: bool) -> float:
     """Largest coefficient size of ``op``'s images of the probes.
 
-    A float d_env applies ``op`` to probes of coefficient 1 in the batch
-    kernel (``_batch_residual``).  A residual that is not finite although
-    ``op``'s coefficients and d_env are raises OverflowError: the images
-    overflowed, and with finite inputs the batch kernel's residual is
-    finite exactly when the dict kernel's is.  A non-finite coefficient or
-    d_env makes the residual nan (a factor or d_env of inf times a 0 of
-    the window is nan).
+    A float d_env applies ``op`` to probes of coefficient 1.0 in the batch
+    kernel (``_monomial_runs``), batch by batch.  A residual that is not
+    finite although ``op``'s coefficients and d_env are raises
+    OverflowError: the images overflowed, and with finite inputs the batch
+    kernel's residual is finite exactly when the dict kernel's is.  A
+    non-finite coefficient or d_env makes the residual nan (a factor or
+    d_env of inf times a 0 of the window is nan).
 
     A ``Fraction`` d_env = p/q runs the dict kernel on ints, the probes of
     each group of ``residue_groups(op)`` summed and applied at once by
@@ -1636,7 +1652,9 @@ def _residual(op: OperatorExpr, d_env, probes, spinor: bool) -> float:
     probes give.
     """
     if not isinstance(d_env, Fraction):
-        worst = _batch_residual(op, d_env, probes, spinor)
+        batches = _monomial_runs(op, probes, d_env, spinor)
+        images = (x for *_, runs in batches for run in runs for x in run if x)
+        worst = _nan_max([float(_sizes(x).max()) for x in images])
         if math.isfinite(worst) or not all(
             map(cmath.isfinite, [d_env, *(t.coeff for t in op.terms)])
         ):

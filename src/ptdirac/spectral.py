@@ -19,11 +19,10 @@ level it keeps is exact and there is no edge to discard.
 At real parameters every entry of the truncation is i times a real number
 (-i lead hbar (l+1) lowering, +-i k / (lead hbar) raising), so A = i a and
 B = -i b with a and b real n_tr x n_tr factors, and AB = ab.  build_truncated
-writes a and b straight from the images of ``apply``; no verdict forms M.
-H moves a monomial's exponents by at most 1, so the images of levels 3
-apart never meet, and the build applies H once per residue class of levels
-mod 3 and spin component: 6 applications, each read once with every key
-given to its level by opalg.owner_rule, bit-identical to one per level.
+writes a and b straight from H's images of the levels; no verdict forms M.
+The images come from opalg's batch kernel, one run per spin component with
+every level in its own window, so each element of an image belongs to its
+level by position, bit-identical to applying H to that level alone.
 scramble forms X = S^-1 a b S with one random real similarity S, which
 keeps the spectrum and destroys every pattern of ab.  (A spin-graded
 diag(S1, S2) on M would give the same X, S1^-1 A S2 S2^-1 B S1, because S2
@@ -78,8 +77,7 @@ from .params import (
     derive_coeffs,
     with_varied,
 )
-from .opalg import SpinorFunction, WeightedPolynomial, build_hamiltonian
-from .opalg import owner_rule, residue_groups
+from .opalg import _monomial_runs, _nonzero, build_hamiltonian
 
 _CERT_TOL = 1e-9
 # Both build checks allow _ROUNDINGS roundings of their own scale, eps (scale
@@ -159,23 +157,23 @@ def build_truncated(
 
     The valley is relabeled at entry (DerivedCoeffs.relabeled), so the
     build reads the primary valley only: branch I on z^l, II on zbar^l.
-    H is applied once per spin component to the sum of the basis
-    monomials of each residue class of levels (residue_groups), and
-    owner_rule gives each key of the image to its level, whose keys are
-    bit-identical to an application to that level alone.  Every
-    coefficient must land back on the tower pattern, within 8 roundings of
-    its level's scale: the largest of the terms that cancel at the off-pattern
-    keys (|c1|, |c2|, |a hbar d|, |b hbar d|) and every |c| over the
-    level's keys in that image;
-    the one raising amplitude out of level n_tr - 1 is discarded and
-    counted.  Once all images passed that check, a kept coefficient inside
-    a diagonal spin block, or one that is not exactly imaginary, raises
-    RuntimeError at its write.  The factors are cross-checked against the
-    independent closed-form entries, within 8 roundings of the largest
-    coupling size, before they are returned.  A rounding is eps (scale +
-    tiny), so both checks stay at the roundoff of their scale at every
-    coupling size; off the pattern tiny grows to tiny (1 + |a hbar| +
-    |b hbar|), as d's subnormal rounding reaches there times a or b hbar.
+    H runs on every level at once in opalg's batch kernel
+    (_monomial_runs), one run per spin component with each level in its
+    own window, so each element of an image is its level's, bit for bit
+    as in an application to that level alone.  Every coefficient must land
+    back on the tower pattern, within 8 roundings of its level's scale:
+    the largest of the terms that cancel at the off-pattern keys (|c1|,
+    |c2|, |a hbar d|, |b hbar d|) and every |c| over the level's keys in
+    that image; the one raising amplitude out of level n_tr - 1 is
+    discarded and counted.  Once all images passed that check, a kept
+    coefficient inside a diagonal spin block, or one that is not exactly
+    imaginary, raises RuntimeError at its write.  The factors are
+    cross-checked against the independent closed-form entries, within 8
+    roundings of the largest coupling size, before they are returned.  A
+    rounding is eps (scale + tiny), so both checks stay at the roundoff of
+    their scale at every coupling size; off the pattern tiny grows to
+    tiny (1 + |a hbar| + |b hbar|), as d's subnormal rounding reaches
+    there times a or b hbar.
     The build floor is 8 eps k_scale n_tr, the closed form's critical band
     times n_tr: level l holds (l + 1) k, and each rounding of k is at most
     eps k_scale (derive_coeffs), so a level whose k is roundoff, at or next
@@ -197,18 +195,13 @@ def build_truncated(
         b_h * abs(d),
     )
     grid = _TINY * (1.0 + a_h + b_h)  # d's subnormal rounding, times a or b hbar
-    zero = WeightedPolynomial.zero(d)
+    monomials = [(l, 0) if holo else (0, l) for l in range(n_tr)]  # level l's
     kept = []  # (level, component, out component, exponent, coefficient)
-    for group in residue_groups(h, [(l, 0) if holo else (0, l) for l in range(n_tr)]):
-        owner = owner_rule(h, group)
-        total = WeightedPolynomial(dict.fromkeys(group, 1.0), d)
-        spinors = (SpinorFunction(total, zero), SpinorFunction(zero, total))
-        for component, spinor in enumerate(spinors):
-            image = h.apply(spinor)
+    for layout, index, runs in _monomial_runs(h, monomials, d, True):
+        for component, outs in enumerate(runs):
             items, scales = [], {}
-            for out_component, poly in enumerate((image.upper, image.lower)):
-                for key, c in poly.coeffs.items():
-                    level = sum(owner(key))  # the source is (l, 0) or (0, l)
+            for out_component, image in enumerate(outs):
+                for level, key, c in _nonzero(layout, index, image):
                     scales[level] = max(scales.get(level, cancelling), abs(c))
                     items.append((level, out_component, key, c))
             for level, out_component, (m, n), c in items:

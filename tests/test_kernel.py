@@ -14,6 +14,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,10 +34,12 @@ from ptdirac.opalg import (
     build_hamiltonian,
     jc_verify,
     operator_residual_on_probes,
+    pt_commutator_residual,
     pt_commutator_residuals,
     pt_transform,
 )
-from ptdirac.params import PhysParams, derive_coeffs
+from ptdirac.params import Branch, PhysParams, Valley, derive_coeffs
+from ptdirac.spectral import build_truncated
 
 _METHOD = {
     Prim.DZ: WeightedPolynomial.diff_z,
@@ -538,9 +541,10 @@ def test_probes_at_different_envelopes_share_one_call():
     probes = []
     for d in (-0.25, 0.0, -0.0, 1.5, -3.0e-5):
         probes += opalg.standard_probes(d, max_degree=3, random_count=3, seed=7)
-    # a probe with an int coefficient takes the dict route on its own
+    # a probe with an int coefficient beyond 2**53 takes the dict route on
+    # its own
     probes.insert(5, SpinorFunction(
-        WeightedPolynomial({(1, 2): 3}, -0.25), WeightedPolynomial.zero(-0.25)
+        WeightedPolynomial({(1, 2): 2**53 + 1}, -0.25), WeightedPolynomial.zero(-0.25)
     ))
     batches, rest = opalg._batches(probes, 2)
     # 0.0 and -0.0 are one envelope: neither adds an envelope term
@@ -569,6 +573,25 @@ def test_probes_at_different_envelopes_share_one_call():
     assert operator_residual_on_probes(comm, ident, probes) == max(each)
 
 
+@pytest.mark.parametrize("op", [P1T, P2T, TIME_REVERSAL], ids=["P1T", "P2T", "T"])
+def test_int_coefficient_probes_ride_the_batch_route(op):
+    # a probe with a float envelope exponent is not exact: an int
+    # coefficient up to 2**53 in size rides the batch kernel as the float it
+    # equals, where P1T's i on the dict route made it exact and the float
+    # H could not multiply it
+    h = build_hamiltonian(CO)
+    zero = WeightedPolynomial.zero(-0.25)
+    for c in (1, -3, 2**53):
+        probes = [
+            SpinorFunction(WeightedPolynomial.monomial(1, 2, value, d=-0.25), zero)
+            for value in (c, float(c))
+        ]
+        batches, rest = opalg._batches(probes[:1], 2)
+        assert len(batches) == 1 and rest == []
+        got, want = (pt_commutator_residual(h, op, [s]) for s in probes)
+        assert repr(got) == repr(want)
+
+
 def record_layouts(monkeypatch):
     """The shapes of every batch layout made from now on."""
     shapes = []
@@ -584,8 +607,17 @@ def record_layouts(monkeypatch):
 
 
 def test_batches_hold_at_most_the_cell_budget(monkeypatch):
+    builds = [(branch, valley) for branch in Branch for valley in Valley]
+    whole = [build_truncated(CO, 40, *case) for case in builds]
     monkeypatch.setattr(opalg, "_BATCH_CELLS", 200)
     shapes = record_layouts(monkeypatch)
+    # the build's 40 levels, 3 x 3 windows each, in batches of 22 and 18
+    for case, want in zip(builds, whole):
+        got = build_truncated(CO, 40, *case)
+        for x, y in ((got.a, want.a), (got.b, want.b)):
+            assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+        assert got.dropped_count == want.dropped_count
+    assert shapes[:2] == [(3, 3, 22), (3, 3, 18)]
     h = build_hamiltonian(CO)
     comm = OperatorExpr.dz() @ OperatorExpr.mul_z() - OperatorExpr.mul_z() @ OperatorExpr.dz()
     probes = opalg.standard_probes(-0.25, max_degree=4, random_count=6, seed=3)

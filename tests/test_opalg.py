@@ -38,7 +38,6 @@ from ptdirac.opalg import (
     lll_annihilation_residuals,
     lll_state,
     operator_residual_on_probes,
-    owner_rule,
     pt_commutator_residual,
     pt_commutator_residuals,
     pt_eigenfactor,
@@ -582,15 +581,17 @@ def bits(wp):
     ]
 
 
-def assert_partition(whole, parts, group, owner):
+def assert_partition(whole, parts, group, reach):
     """The parts, one per monomial of group, have pairwise disjoint keys,
-    owner gives each key the monomial of its part, and the union of the
-    parts is whole, key for key and bit for bit."""
+    each key lies within reach of its part's monomial in both exponents
+    and of no other monomial of group, and the union of the parts is
+    whole, key for key and bit for bit."""
     union = {}
     for source, part in zip(group, parts):
         for key, c in bits(part):
             assert key not in union
-            assert owner(key) == source
+            near = [s for s in group if max(abs(s[0] - key[0]), abs(s[1] - key[1])) <= reach]
+            assert near == [source]
             union[key] = c
     assert dict(bits(whole)) == union
 
@@ -614,7 +615,7 @@ def random_operator(rng, exact):
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 @pytest.mark.parametrize("seed", range(4))
-def test_group_images_are_partitioned_by_the_owner_rule(exact, seed):
+def test_group_images_are_partitioned_by_their_sources(exact, seed):
     rng = random.Random(seed)
     op = random_operator(rng, exact)
     reach = max(len(t.word) for t in op.terms)
@@ -627,21 +628,20 @@ def test_group_images_are_partitioned_by_the_owner_rule(exact, seed):
     for group in groups:
         p = 2 * reach + 1
         assert len({(m % p, n % p) for m, n in group}) == 1
-        owner = owner_rule(op, group)
         total = WeightedPolynomial(dict.fromkeys(group, coeff), d)
         for component in (0, 1):
             image = op.apply(
                 SpinorFunction(*((zero, total) if component else (total, zero)))
             )
             parts = apply_each(op, group, d, coeff, component)
-            assert_partition(image.upper, [s.upper for s in parts], group, owner)
-            assert_partition(image.lower, [s.lower for s in parts], group, owner)
+            assert_partition(image.upper, [s.upper for s in parts], group, reach)
+            assert_partition(image.lower, [s.lower for s in parts], group, reach)
     spin_scalar = OperatorExpr([t for t in op.terms if t.matrix == ((1, 0), (0, 1))])
     for group in residue_groups(spin_scalar, sources):
         total = WeightedPolynomial(dict.fromkeys(group, coeff), d)
         image = spin_scalar.apply_poly(total)
         parts = apply_each(spin_scalar, group, d, coeff)
-        assert_partition(image, parts, group, owner_rule(spin_scalar, group))
+        assert_partition(image, parts, group, spin_scalar._compiled().reach)
 
 
 def test_residue_groups_read_the_stride_from_the_longest_word():
@@ -654,30 +654,6 @@ def test_residue_groups_read_the_stride_from_the_longest_word():
     assert [g[0] for g in residue_groups(two + OperatorExpr.identity(), levels)] == [
         (l, 0) for l in range(5)
     ]
-
-
-@pytest.mark.parametrize(
-    "group",
-    [[(0, 0), (2, 0)], [(4, 1), (5, 3)], [(3, 3), (0, 0), (3, 3)], [(0, 0), (1, 7)]],
-)
-def test_owner_rule_rejects_monomials_that_could_share_a_key(group):
-    # mul_z reaches 1, so a group must be congruent mod 3 in both exponents;
-    # the first three hold two monomials within 2 of each other in both, whose
-    # images could share a key
-    with pytest.raises(ValueError, match="not distinct and congruent mod 3"):
-        owner_rule(OperatorExpr.mul_z(), group)
-
-
-def test_owner_rule_rejects_a_key_with_no_source_within_reach():
-    # mul_z reaches 1: a key goes to the exponents congruent to the group's
-    # residue mod 3 nearest to its own, which must be a monomial of the group
-    owner = owner_rule(OperatorExpr.mul_z(), [(1, 0), (4, 0)])
-    assert [owner(key) for key in [(0, 0), (2, 1), (3, 0), (5, 1)]] == [
-        (1, 0), (1, 0), (4, 0), (4, 0)
-    ]
-    for key in [(6, 0), (7, 0), (1, 2), (4, 3)]:
-        with pytest.raises(RuntimeError, match="has no source within 1"):
-            owner(key)
 
 
 def one_application_per_probe_report(co, degree):
@@ -756,6 +732,13 @@ def test_float_jc_runs_in_batches_of_bounded_size(monkeypatch):
         assert [x.hex() for x in got] == [x.hex() for x in want]
     assert sorted({p for _, _, p in shapes}) == [16, 40, 52, 111]
     assert all(wm * wn * p <= 1000 for wm, wn, p in shapes)
+
+
+def test_a_budget_below_one_monomial_window_raises(monkeypatch):
+    # the factorization's windows are 3 x 3: no probe may be left out
+    monkeypatch.setattr(opalg, "_BATCH_CELLS", 8)
+    with pytest.raises(ValueError, match="exceeds the batch budget"):
+        jc_verify(CO, degree=4)
 
 
 def test_exact_jc_with_coefficients_beyond_the_float_range():

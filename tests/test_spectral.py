@@ -28,7 +28,7 @@ from ptdirac.params import (
     normalizability,
     with_varied,
 )
-from ptdirac import cli, spectral
+from ptdirac import cli, opalg, spectral
 from ptdirac.opalg import (
     OperatorExpr,
     Prim,
@@ -54,7 +54,18 @@ from ptdirac.spectral import (
     scrambled_eigensolve,
 )
 
-from edge_points import LARGE, LARGE_FLAGS, SMALL, SMALL_FLAGS, SUBNORMAL, exact_k, flags
+from edge_points import (
+    HUGE_ENVELOPE,
+    LARGE,
+    LARGE_FLAGS,
+    NEAR_EP as EDGE_NEAR_EP,
+    SMALL,
+    SMALL_FLAGS,
+    SUBNORMAL,
+    SUBNORMAL_K,
+    exact_k,
+    flags,
+)
 
 BASE = PhysParams(v_f=1.37, lam=0.5, k1=0.02, b0=100.0)
 BROKEN = dataclasses.replace(BASE, lam=1.8)
@@ -221,11 +232,20 @@ EXACT = PhysParams(
         BASE,
         dataclasses.replace(EXACT, b0=critical_point(EXACT, Vary.B0)),
         dataclasses.replace(BASE, lam=critical_point(BASE, Vary.LAMBDA)),
+        LARGE,
+        SMALL,
+        EDGE_NEAR_EP,
+        SUBNORMAL,
+        SUBNORMAL_K,
+        HUGE_ENVELOPE,
     ],
-    ids=["reference", "k-zero-exactly", "lambda-c"],
+    ids=[
+        "reference", "k-zero-exactly", "lambda-c", "large", "small", "near-ep",
+        "subnormal", "subnormal-k", "huge-envelope",
+    ],
 )
 @pytest.mark.parametrize("n_tr", [2, 3, 4, 7, 40])
-def test_grouped_build_is_bit_identical_to_one_apply_per_level(p, n_tr):
+def test_build_is_bit_identical_to_one_apply_per_level(p, n_tr):
     co = derive_coeffs(p)
     for branch in Branch:
         for valley in Valley:
@@ -239,8 +259,8 @@ def test_grouped_build_is_bit_identical_to_one_apply_per_level(p, n_tr):
 def test_off_pattern_tolerance_is_scaled_per_level(monkeypatch):
     # A zbar on the lower component leaves the tower by the same t at every
     # level.  t exceeds the tolerance of level 0's own scale but stays below
-    # that of the largest scale in every residue class of levels, so only a
-    # per-level scale catches it.
+    # that of the largest scale in every residue class of levels, and so in
+    # the whole run, so only a per-level scale catches it.
     n_tr = 40
     rel = spectral._ROUNDINGS * spectral._EPS
     scales = [
@@ -274,33 +294,40 @@ def test_off_pattern_tolerance_is_scaled_per_level(monkeypatch):
 def test_every_image_passes_the_pattern_check_before_any_write(
     monkeypatch, faults, message
 ):
-    # At n_tr = 7 the build reads six images: levels {0, 3, 6}, {1, 4} and
-    # {2, 5}, upper then lower component each.  Level 0 (residue 0) gets a
-    # spin-block entry in the first image, level 5 (residue 2) an off-pattern
-    # coefficient in the last.  Level by level the spin-block entry comes
-    # first, but every image passes the pattern check before any write, so
-    # the off-pattern coefficient is the fault reported.
-    original = OperatorExpr.apply
+    # At n_tr = 7 the build reads two runs of the batch kernel, all seven
+    # levels in the upper component and then in the lower, each level in
+    # its own window.  Level 0 gets a spin-block entry in the first run,
+    # level 5 an off-pattern coefficient in the last; both land in outputs
+    # that H leaves empty.  Level by level the spin-block entry comes first,
+    # but every image passes the pattern check before any write, so the
+    # off-pattern coefficient is the fault reported.
+    original = opalg._batch_run
 
-    def tampered(self, s):
-        image = original(self, s)
-        upper, lower = dict(image.upper.coeffs), dict(image.lower.coeffs)
-        if "spin-block" in faults and (0, 0) in s.upper.coeffs:
-            upper[(0, 0)] = 1j
-        if "off-pattern" in faults and (5, 0) in s.lower.coeffs:
-            lower[(5, 1)] = 1.0
-        d = s.d
-        return SpinorFunction(WeightedPolynomial(upper, d), WeightedPolynomial(lower, d))
+    def tampered(plan, comps, layout):
+        upper, lower = original(plan, comps, layout)
+        assert layout.shape[2] == 7  # one batch, level l at place l
 
-    monkeypatch.setattr(OperatorExpr, "apply", tampered)
+        def element(level, m, n):
+            return m - layout.om[level], n - layout.on[level], level
+
+        if "spin-block" in faults and comps[1] is None:
+            assert upper is None
+            upper = (np.zeros(layout.shape), np.zeros(layout.shape))
+            upper[1][element(0, 0, 0)] = 1.0  # 1j at z^0 zbar^0
+        if "off-pattern" in faults and comps[0] is None:
+            assert lower is None
+            lower = (np.zeros(layout.shape), None)
+            lower[0][element(5, 5, 1)] = 1.0
+        return upper, lower
+
+    monkeypatch.setattr(opalg, "_batch_run", tampered)
     with pytest.raises(RuntimeError, match=message):
         build_truncated(CO, 7)
 
 
-@pytest.mark.parametrize("n_tr, applies", [(2, 4), (3, 6), (7, 6), (40, 6), (200, 6)])
-def test_build_applies_h_once_per_residue_class_and_component(
-    monkeypatch, n_tr, applies
-):
+@pytest.mark.parametrize("n_tr", [2, 3, 7, 40, 200])
+def test_build_applies_no_operator_per_level(monkeypatch, n_tr):
+    # every level rides the batch kernel
     calls = []
     for name in ("apply", "apply_poly"):
         original = getattr(OperatorExpr, name)
@@ -311,7 +338,7 @@ def test_build_applies_h_once_per_residue_class_and_component(
 
         monkeypatch.setattr(OperatorExpr, name, counting)
     build_truncated(CO, n_tr)
-    assert calls == ["apply"] * applies
+    assert calls == []
 
 
 def test_retained_levels_are_exact_for_every_size():
