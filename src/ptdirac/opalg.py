@@ -21,9 +21,12 @@ so both modes take one code path and float round-off does not depend on it.
 An application is one pass: coefficient dicts are read in insertion order,
 never sorted, and both spin outputs fill in one sweep over the plan; the
 primitive-steps comment below says why no order can move a bit.  The
-antilinear maps are one pass too, with no intermediate polynomial: each
-output key gets one term per nonzero spin entry, in entry order, exactly as
-conjugating, mapping and mixing as separate polynomials adds them.
+antilinear map ``pt_transform`` is one pass too, with no intermediate
+polynomial: each output key gets one term per nonzero spin entry, in entry
+order, exactly as conjugating, mapping and mixing as separate polynomials
+adds them.  A symmetry commutator needs no map of an image at all: it
+compares H with its conjugate A H A^-1 (``conjugated``), an operator built
+by bookkeeping, on the same probes.
 
 Float probe residuals (the float ``jc_verify``, ``operator_residual_on_probes``
 and ``pt_commutator_residuals``) and the images that spectral's truncation
@@ -44,12 +47,12 @@ Layout:
     cannot meet, on the exact route.
   - build_hamiltonian / block_operators: the model's first-order blocks for
     either valley.
-  - AntilinearOp and the PT machinery: transforms, eigenfactors, commutator
-    residuals, time-reversal conjugation.
-  - the batch kernel: a plan and the antilinear maps on arrays of float
-    probes, one layout routine for every batch, the driver that sends
-    every other probe to the dict kernel, and the monomial runs that the
-    float jc_verify and spectral's truncation read.
+  - AntilinearOp and the PT machinery: transforms, eigenfactors, the
+    conjugation A H A^-1, commutator residuals.
+  - the batch kernel: a plan on arrays of float probes, one layout routine
+    for every batch, the one probe-residual driver, which sends every
+    other probe to the dict kernel, and the monomial runs that the float
+    jc_verify and spectral's truncation read.
   - analytic_state / eigen_residual: closed-form level states and their
     defect under the full first-order eigen-equation.
   - lll_state / ladder_raise / jc_verify: zero modes, the pseudo-bosonic
@@ -356,7 +359,8 @@ _ADJOINT_MAP = {
     Prim.MUL_ZBAR: (Prim.MUL_Z, 1),
 }
 
-_TIME_REVERSAL_MAP = {
+# z <-> zbar swaps d/dz with d/dzbar and z. with zbar.
+_SWAP_MAP = {
     Prim.DZ: Prim.DZBAR,
     Prim.DZBAR: Prim.DZ,
     Prim.MUL_Z: Prim.MUL_ZBAR,
@@ -386,10 +390,6 @@ def _mat_mul(m1: Matrix, m2: Matrix) -> Matrix:
         )
         for i in (0, 1)
     )  # type: ignore[return-value]
-
-
-def _mat_conj(m: Matrix) -> Matrix:
-    return tuple(tuple(e.conjugate() for e in row) for row in m)  # type: ignore[return-value]
 
 
 def _mat_conj_t(m: Matrix) -> Matrix:
@@ -733,23 +733,25 @@ def build_hamiltonian(
     coeffs: DerivedCoeffs, valley: Valley = Valley.PRIMARY
 ) -> OperatorExpr:
     """Off-diagonal first-order Hamiltonian: spin-raising times the
-    upper-right block plus spin-lowering times the lower-left block."""
+    upper-right block plus spin-lowering times the lower-left block.
+
+    Raises ValueError where a float coefficient a hbar or b hbar overflows
+    although a, b and hbar are finite: H's terms would be inf, and every
+    image and residual read from them inf or nan, which would read as a
+    broken symmetry or chirality instead of the overflow.
+    """
+    hbar = coeffs.hbar
+    for name, block in (("a", coeffs.a_coef), ("b", coeffs.b_coef)):
+        size = block * hbar
+        if isinstance(size, float) and math.isinf(size) and all(
+            map(math.isfinite, (block, hbar))
+        ):
+            raise ValueError(
+                f"Hamiltonian coefficient {name} hbar overflows: "
+                f"{name} = {block!r}, hbar = {hbar!r}"
+            )
     ur, ll = block_operators(coeffs, valley)
     return OperatorExpr.spin(E01) @ ur + OperatorExpr.spin(E10) @ ll
-
-
-def time_reversal_conjugate(expr: OperatorExpr) -> OperatorExpr:
-    """T expr T^{-1} with T = TIME_REVERSAL = (i sigma_y) K, whose inverse
-    is -T: conjugate scalars, swap z with zbar (hence d/dz with d/dzbar),
-    sandwich the matrix.  verify checks the relabeled build against it."""
-    s = TIME_REVERSAL.matrix
-    s_inv = tuple(tuple(-x for x in row) for row in s)
-    out = []
-    for t in expr.terms:
-        word = tuple(_TIME_REVERSAL_MAP[p] for p in t.word)
-        matrix = _mat_mul(s, _mat_mul(_mat_conj(t.matrix), s_inv))
-        out.append(OperatorTerm(t.coeff.conjugate(), matrix, word))
-    return OperatorExpr(out)
 
 
 def _relative_defect(x: SpinorFunction, y: SpinorFunction) -> float:
@@ -794,20 +796,8 @@ def operator_residual_on_probes(
     x: OperatorExpr, y: OperatorExpr, probes: Sequence[SpinorFunction]
 ) -> float:
     """Worst relative coefficient defect (``_relative_defect``) of x s
-    against y s over the probes s.
-
-    Float probes run through the batch kernel, a batch per envelope
-    exponent; any other probe takes one ``apply`` of each operator
-    (``_worst_over_probes``).
-    """
-
-    def on_batch(layout: "_Layout", comps) -> List[float]:
-        return [_batch_defect(*(_batch_run(e._compiled(), comps, layout) for e in (x, y)))]
-
-    def on_probe(s: SpinorFunction) -> List[float]:
-        return [_relative_defect(x.apply(s), y.apply(s))]
-
-    return _worst_over_probes(probes, (x, y), True, on_batch, on_probe, 1)[0]
+    against y s over the probes s: the one-y case of ``_residuals``."""
+    return _residuals(x, [y], probes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -936,46 +926,72 @@ def pt_eigenfactor(op: AntilinearOp, s: SpinorFunction) -> Optional[complex]:
     return factor
 
 
+def conjugated(op: AntilinearOp, expr: OperatorExpr) -> OperatorExpr:
+    """A expr A^-1 for the antilinear symmetry A = ``op``.
+
+    ``op``'s matrix must be a unit u (+-1 or +-i) times a real signed
+    permutation R, as for P1T, P2T and T; R maps spin component l to pi(l)
+    with sign r_l.  Then A^2 = R^2 = +-1, so A^-1 = +-A, and the rule is
+    bookkeeping: each scalar is conjugated, z <-> zbar swaps d/dz with
+    d/dzbar (and z with zbar), z -> -z negates a term whose word has odd
+    length, and spin entry (j, l) moves to (pi(j), pi(l)), conjugated and
+    times r_j r_l, while u cancels.  Each term gives one term per nonzero
+    spin entry, in the term's entry order, so that for H = ``expr`` the map
+    A of the result's image of s sums each key's terms in the order H (A s)
+    does.  Raises ValueError for any other matrix.
+    """
+    cols = [[l for l, e in enumerate(row) if e] for row in op.matrix]
+    permutes = sorted(cols) == [[0], [1]]
+    units = [row[c[0]] for row, c in zip(op.matrix, cols)] if permutes else []
+    if (
+        not units
+        or any(u not in (1, -1, 1j, -1j) for u in units)
+        or units[1] not in (units[0], -units[0])
+    ):
+        raise ValueError(f"{op.name}'s matrix is not a unit times a signed permutation")
+    pi = [c for (c,) in cols]
+    negate = op.coord_map is CoordMap.NEGATE
+    swap = op.coord_map is CoordMap.SWAP
+    out = []
+    for t in expr.terms:
+        coeff = -t.coeff.conjugate() if negate and len(t.word) % 2 else t.coeff.conjugate()
+        word = tuple(_SWAP_MAP[p] for p in t.word) if swap else t.word
+        for j, row in enumerate(t.matrix):
+            for l, e in enumerate(row):
+                if e:
+                    matrix = [[0, 0], [0, 0]]
+                    matrix[pi[j]][pi[l]] = (
+                        e.conjugate() if units[j] == units[l] else -e.conjugate()
+                    )
+                    out.append(OperatorTerm(coeff, tuple(map(tuple, matrix)), word))
+    return OperatorExpr(out)
+
+
+def time_reversal_conjugate(expr: OperatorExpr) -> OperatorExpr:
+    """T expr T^-1 with T = TIME_REVERSAL = (i sigma_y) K: ``conjugated``'s
+    case for T.  verify checks the relabeled build against it."""
+    return conjugated(TIME_REVERSAL, expr)
+
+
 def pt_commutator_residual(
     h: OperatorExpr, op: AntilinearOp, probes: Sequence[SpinorFunction]
 ) -> float:
-    """Worst relative coefficient norm of (op o H - H o op) over the probes."""
+    """Worst relative coefficient norm of (op o H - H o op) over the probes,
+    read as the defect of H s against (A H A^-1) s (``conjugated``): A moves
+    no coefficient's size, and A (H s) - H (A s) is A applied to
+    H s - (A^-1 H A) s, where A^-1 H A = A H A^-1 as A^2 = +-1.  Raises
+    ValueError unless op's matrix is a unit times a signed permutation."""
     return pt_commutator_residuals(h, [op], probes)[0]
 
 
 def pt_commutator_residuals(
     h: OperatorExpr, ops: Sequence[AntilinearOp], probes: Sequence[SpinorFunction]
 ) -> List[float]:
-    """pt_commutator_residual of each op, with H applied once per probe.
-
-    Float probes run through the batch kernel, a batch per envelope
-    exponent, with each op's antilinear map on arrays (``_batch_pt``) when
-    every spin entry of the ops is 0, +-1 or +-i.  Any other probe takes
-    ``apply`` once for H s and once per op for H (op s)
-    (``_worst_over_probes``).
-    """
+    """pt_commutator_residual of each op: ``_residuals`` of H against each
+    op's ``conjugated(op, h)``, with H applied once per probe."""
     if not probes:
         raise ValueError("at least one probe is required")
-    plan = h._compiled()
-    units = all(e in _UNIT_ENTRIES for op in ops for row in op.matrix for e in row)
-
-    def on_batch(layout: "_Layout", comps) -> List[float]:
-        image = _batch_run(plan, comps, layout)
-        row = []
-        for op in ops:
-            mapped, mapped_layout = _batch_pt(op, comps, layout)
-            want, _ = _batch_pt(op, image, layout)
-            row.append(_batch_defect(want, _batch_run(plan, mapped, mapped_layout)))
-        return row
-
-    def on_probe(s: SpinorFunction) -> List[float]:
-        image = h.apply(s)
-        return [
-            _relative_defect(pt_transform(op, image), h.apply(pt_transform(op, s)))
-            for op in ops
-        ]
-
-    return _worst_over_probes(probes, (h,), units, on_batch, on_probe, len(ops))
+    return _residuals(h, [conjugated(op, h) for op in ops], probes)
 
 
 # ---------------------------------------------------------------------------
@@ -1016,9 +1032,6 @@ def pt_commutator_residuals(
 #  - the float jc_verify's residual raises OverflowError as soon as it is
 #    not finite from finite inputs, and a non-finite input makes it nan.
 
-_UNIT_ENTRIES = (0, 1, -1, 1j, -1j)
-
-
 class _Layout(NamedTuple):
     """A batch's windows: element (i, j, p) is the key (om[p] + i, on[p] + j).
 
@@ -1041,15 +1054,6 @@ def _layout(om, on, wm: int, wn: int, d: float) -> _Layout:
     m_exp = (np.arange(1, wm)[:, None, None] + om).astype(float)
     n_exp = (np.arange(1, wn)[None, :, None] + on).astype(float)
     return _Layout(om, on, (wm, wn, len(om)), d, m_exp, n_exp)
-
-
-def _swapped(layout: _Layout) -> _Layout:
-    """The layout of the key swap (m, n) -> (n, m) of its images."""
-    wm, wn, p = layout.shape
-    return layout._replace(
-        om=layout.on, on=layout.om, shape=(wn, wm, p),
-        m_exp=layout.n_exp.transpose(1, 0, 2), n_exp=layout.m_exp.transpose(1, 0, 2),
-    )
 
 
 # A float probe's coefficients; an int up to 2**53 in size, which a float
@@ -1183,33 +1187,36 @@ def _float_factors(plan: _Plan) -> bool:
         return False
 
 
-def _worst_over_probes(
-    probes: Sequence[SpinorFunction],
-    exprs: Sequence[OperatorExpr],
-    batchable: bool,
-    on_batch: Callable[..., List[float]],
-    on_probe: Callable[[SpinorFunction], List[float]],
-    width: int,
+def _residuals(
+    x: OperatorExpr, ys: Sequence[OperatorExpr], probes: Sequence[SpinorFunction]
 ) -> List[float]:
-    """Column by column, the worst over the probes of ``on_probe``'s rows.
+    """For each y of ``ys``, the worst over the probes s of
+    ``_relative_defect(x s, y s)``, with x applied once per probe.
 
-    When ``batchable`` and every factor of ``exprs`` is a finite float
-    (``_float_factors``), the float probes run as batches through
-    ``on_batch(layout, comps)``, which gives the worst row of a batch laid
-    out with the windows that ``exprs``' longest reach needs; every other
-    probe runs through ``on_probe``.  The worst of nonnegative values does
-    not depend on their order, and it is nan as soon as one is.
+    When every factor of x and the ys is a finite float
+    (``_float_factors``), the float probes are laid out once (``_batches``)
+    with the windows the longest reach needs, and each batch runs x once and
+    then each y once; every other probe gets ``x.apply(s)`` once and then
+    each ``y.apply(s)``.  The worst of nonnegative values does not depend on
+    their order, and it is nan as soon as one is.
     """
     import numpy as np
 
+    plans = [e._compiled() for e in (x, *ys)]
     batches, rest = [], list(probes)
-    plans = [e._compiled() for e in exprs]
-    if batchable and all(map(_float_factors, plans)):
+    if all(map(_float_factors, plans)):
         batches, rest = _batches(probes, max(plan.reach for plan in plans))
-    rows = [on_probe(s) for s in rest]
+    rows = []
+    for s in rest:
+        image = x.apply(s)
+        rows.append([_relative_defect(image, y.apply(s)) for y in ys])
     with np.errstate(all="ignore"):  # an overflow shows in the rows
-        rows += [on_batch(*batch) for batch in batches]
-    return [_nan_max([row[k] for row in rows]) for k in range(width)]
+        for layout, comps in batches:
+            image = _batch_run(plans[0], comps, layout)
+            rows.append([
+                _batch_defect(image, _batch_run(plan, comps, layout)) for plan in plans[1:]
+            ])
+    return [_nan_max([row[k] for row in rows]) for k in range(len(ys))]
 
 
 def _derivative_m(x, layout: _Layout):
@@ -1310,49 +1317,6 @@ def _batch_run(plan: _Plan, comps, layout: _Layout):
             term = _times(factor, x)
             outs[o] = term if outs[o] is None else _plus(outs[o], term)
     return outs
-
-
-def _batch_pt(op: AntilinearOp, comps, layout: _Layout):
-    """``pt_transform`` on a batch whose spin entries are 0, +-1 or +-i,
-    and the layout of the result (swapped for z <-> zbar).
-
-    Conjugation negates im; z -> -z multiplies by the parity sign
-    (-1)**(m+n); i (xr + i xi) is -xi + i xr.
-    """
-    import numpy as np
-
-    sign = None
-    if op.coord_map is CoordMap.NEGATE:
-        wm, wn, _ = layout.shape
-        parity = np.arange(wm)[:, None, None] + layout.om + np.arange(wn)[None, :, None]
-        sign = 1.0 - 2.0 * ((parity + layout.on) % 2)
-    swap = op.coord_map is CoordMap.SWAP
-    parts = []
-    for x in comps:
-        if x is not None:
-            re, im = x[0], None if x[1] is None else -x[1]
-            if sign is not None:
-                re, im = re * sign, None if im is None else im * sign
-            if swap:
-                re, im = re.transpose(1, 0, 2), None if im is None else im.transpose(1, 0, 2)
-            x = (re, im)
-        parts.append(x)
-    outs = []
-    for row in op.matrix:
-        acc = None
-        for entry, x in zip(row, parts):
-            if entry == 0 or x is None:
-                continue
-            re, im = x
-            if entry == -1:
-                x = (-re, None if im is None else -im)
-            elif entry == 1j or entry == -1j:
-                x = (np.zeros_like(re) if im is None else -im, re)
-                if entry == -1j:
-                    x = (-x[0], -re)
-            acc = x if acc is None else _plus(acc, x)
-        outs.append(acc)
-    return outs, _swapped(layout) if swap else layout
 
 
 def _batch_defect(x, y) -> float:

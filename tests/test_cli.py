@@ -867,6 +867,25 @@ def test_spectrum_with_failing_certificates_exits_two():
     assert proc.stdout == ""
 
 
+# a hbar is about 1.2e429 while every derived coefficient is finite
+_OVERFLOWING_A_HBAR = ["--vf=1.1540443355418609e+226", "--lambda=-2.993187232819159e+205",
+                       "--k1=0.0", "--b0=0.0", "--hbar=5.237677273886766e+202", "--n_tr", "2"]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_an_overflowing_hamiltonian_coefficient_is_refused(capsys, command):
+    # H's terms would be inf: spectrum reported a chirality fault and
+    # verify a broken symmetry (residual nan), where the cause is the
+    # overflow
+    assert main([command] + _OVERFLOWING_A_HBAR) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: Hamiltonian coefficient a hbar overflows: "
+        "a = 2.3080886710837217e+226, hbar = 5.237677273886766e+202\n"
+    )
+    assert captured.out == ""
+
+
 def test_lll_command(tmp_path):
     code, text = run_to_file(tmp_path, ["lll", "--l_max", "5"])
     assert code == 0

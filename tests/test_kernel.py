@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ptdirac import opalg
 from ptdirac.exact import I, ComplexRational
@@ -486,9 +486,11 @@ def test_jc_verify_keeps_a_nan_coefficient():
 # the batch kernel
 # ---------------------------------------------------------------------------
 # Float probes' residuals run through the batch kernel.  The references
-# below are the dict route it replaced: each operator applied to each probe
-# alone.  The batch route must give the same float, bit for bit, with a
-# non-finite coefficient as well, whose residual is nan on both routes.
+# below are the per-probe definitions: each operator applied to each probe
+# alone, and for a symmetry commutator op(H s) against H(op s) through
+# pt_transform, where the library compares H s with (A H A^-1) s.  Both
+# public residuals must give the same float, bit for bit, with a non-finite
+# coefficient as well, whose residual is nan on both routes.
 
 
 def dict_operator_residual(x, y, probes):
@@ -510,26 +512,42 @@ def dict_pt_residuals(h, ops, probes):
 
 _SPECIALS = [math.inf, -math.inf, complex(1.0, -math.inf), math.nan, complex(math.nan, 1.0)]
 _float_cases = cases().filter(lambda case: not case[0])
+# a non-finite coefficient, as drawn (a float among complex values) or as a
+# complex, at a key of the upper component of the probe with the drawn index
+# (modulo the number of probes)
+_poisons = st.none() | st.tuples(
+    st.sampled_from(_SPECIALS), st.booleans(), st.integers(0, 3), _exponents
+)
+
+# Under T both entries of the third term's lower row land in one row, summed
+# in the order the term holds them: a conjugation that kept the matrix
+# whole summed them the other way and read 1.3582270525875009 here.
+_ROW_ORDER = (False, OperatorExpr([
+    OperatorTerm(1j, ((0, 0), (0, 0)), ()),
+    OperatorTerm(-1j, ((0, 0), (1, 0)), ()),
+    OperatorTerm(0.8654981443181589 + 3j, ((0, 1), (1j, 1j)), ()),
+]), SpinorFunction(
+    WeightedPolynomial({(0, 0): -1j}, 0.0),
+    WeightedPolynomial({(0, 0): -3 + 0.22267701675978113j}, 0.0),
+))
 
 
 @_SETTINGS
-@given(st.lists(_float_cases, min_size=1, max_size=4), st.data())
-def test_batch_residuals_are_the_dict_route_bit_for_bit(drawn, data):
+@given(st.lists(_float_cases, min_size=1, max_size=4), _poisons)
+@example([_ROW_ORDER], None)
+def test_batch_residuals_are_the_dict_route_bit_for_bit(drawn, poison):
     (_, x, _), (_, y, _) = drawn[0], drawn[-1]
     probes = [s for _, _, s in drawn]
-    # a non-finite coefficient, as drawn (a float among complex values) or
-    # as a complex, at a key of a probe's upper component
-    special = data.draw(st.none() | st.sampled_from(_SPECIALS))
-    if special is not None:
-        k = data.draw(st.integers(0, len(probes) - 1))
-        key = data.draw(_exponents)
-        value = complex(special) if data.draw(st.booleans()) else special
+    if poison is not None:
+        special, as_complex, k, key = poison
+        k %= len(probes)
+        value = complex(special) if as_complex else special
         s = probes[k]
         upper = WeightedPolynomial({**s.upper.coeffs, key: value}, s.d)
         probes[k] = SpinorFunction(upper, s.lower)
     got = operator_residual_on_probes(x, y, probes)
     assert repr(got) == repr(dict_operator_residual(x, y, probes))
-    ops = [P1T, P2T, TIME_REVERSAL] + _MIXING
+    ops = [P1T, P2T, TIME_REVERSAL]
     got = pt_commutator_residuals(x, ops, probes)
     assert repr(got) == repr(dict_pt_residuals(x, ops, probes))
 
@@ -561,7 +579,7 @@ def test_probes_at_different_envelopes_share_one_call():
     # than wide
     tall = WeightedPolynomial({(0, 1): 1.0, (5, 1): -2.0}, -0.75)
     floats = probes[:5] + probes[6:] + [SpinorFunction(tall, tall.scaled(0.5))]
-    ops = [P1T] + _MIXING  # i times a real component, swapped or not
+    ops = [P1T, P2T, TIME_REVERSAL]  # i times a real component; swapped
     assert repr(pt_commutator_residuals(h, ops, floats)) == repr(
         dict_pt_residuals(h, ops, floats)
     )
@@ -571,6 +589,19 @@ def test_probes_at_different_envelopes_share_one_call():
         for layout, _ in batches
     ]
     assert operator_residual_on_probes(comm, ident, probes) == max(each)
+
+
+@pytest.mark.parametrize("op", _MIXING, ids=lambda op: op.name)
+def test_a_mixing_op_has_no_commutator_residual(op):
+    # its matrix is no unit times a signed permutation, so A H A^-1 has no
+    # term-by-term form; pt_transform still maps spinors with it
+    h = build_hamiltonian(CO)
+    probes = opalg.standard_probes(-0.25, max_degree=2, random_count=2)
+    with pytest.raises(ValueError, match="not a unit times a signed permutation"):
+        pt_commutator_residual(h, op, probes)
+    with pytest.raises(ValueError, match="not a unit times a signed permutation"):
+        pt_commutator_residuals(h, [P1T, op], probes)
+    assert pt_transform(op, probes[0]) == reference_pt_transform(op, probes[0])
 
 
 @pytest.mark.parametrize("op", [P1T, P2T, TIME_REVERSAL], ids=["P1T", "P2T", "T"])
@@ -630,7 +661,7 @@ def test_batches_hold_at_most_the_cell_budget(monkeypatch):
     assert repr(operator_residual_on_probes(comm, h, probes)) == repr(
         dict_operator_residual(comm, h, probes)
     )
-    ops = [P1T, P2T, TIME_REVERSAL] + _MIXING
+    ops = [P1T, P2T, TIME_REVERSAL]
     assert repr(pt_commutator_residuals(h, ops, probes)) == repr(
         dict_pt_residuals(h, ops, probes)
     )

@@ -30,6 +30,7 @@ from ptdirac.opalg import (
     analytic_state,
     block_operators,
     build_hamiltonian,
+    conjugated,
     eigen_residual,
     jc_verify,
     ladder_raise,
@@ -435,10 +436,13 @@ def test_time_reversal_maps_between_valleys():
         assert operator_residual_on_probes(mapped, other, PROBES) <= TIGHT
 
 
-def test_time_reversal_squares_on_operators():
+def test_conjugation_squares_on_operators():
+    # A^2 = +-1 for each symmetry, so conjugating twice gives H back
     h = build_hamiltonian(CO)
     twice = time_reversal_conjugate(time_reversal_conjugate(h))
     assert twice.max_collected_diff(h) == 0.0
+    for op in (P1T, P2T, TIME_REVERSAL):
+        assert conjugated(op, conjugated(op, h)).collected() == h.collected()
 
 
 def test_field_reversal_swaps_valleys_without_spin_coupling():
@@ -756,6 +760,21 @@ def test_exact_jc_with_coefficients_beyond_the_float_range():
     assert (rep.commutator_residual, rep.factorization_residual) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("valley", list(Valley))
+def test_build_refuses_an_overflowing_float_coefficient(valley):
+    # b hbar = 3.74e308 from finite b and hbar, named whichever valley
+    # reads it; a nan coefficient is no overflow and still builds
+    co = dataclasses.replace(CO, hbar=1e308)
+    with pytest.raises(ValueError, match=r"^Hamiltonian coefficient b hbar overflows: "
+                       r"b = 3\.74, hbar = 1e\+308$"):
+        build_hamiltonian(co, valley)
+    build_hamiltonian(dataclasses.replace(co, hbar=math.nan, c1=math.nan), valley)
+    # exact coefficients past the float range stay exact
+    exact = dataclasses.replace(derive_coeffs(EXACT_BASE), hbar=Fraction(10) ** 400)
+    h = build_hamiltonian(exact, valley)
+    assert h.is_exact()
+
+
 def log_uniform_params(rng):
     def mag(lo, hi):
         return 10 ** rng.uniform(lo, hi)
@@ -950,7 +969,7 @@ def test_pt_commutator_residuals_apply_h_once_per_probe(monkeypatch, valley):
     calls = count_applications(monkeypatch)
     got = pt_commutator_residuals(h, ops, EXACT_PROBES)
     assert got == want == [0.0, 0.0]
-    # H s once per probe, and H (op s) once per probe and operator
+    # H s once per probe, and (op H op^-1) s once per probe and operator
     assert calls == {"apply": (1 + len(ops)) * len(EXACT_PROBES)}
     with pytest.raises(ValueError, match="at least one probe"):
         pt_commutator_residuals(h, ops, [])
