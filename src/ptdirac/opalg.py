@@ -1366,24 +1366,6 @@ def _monomial_runs(op: OperatorExpr, probes: Sequence[Monomial], d: float, spino
             yield layout, start + index, runs
 
 
-def _nonzero(layout: _Layout, index, image) -> List[Tuple[int, Monomial, Coeff]]:
-    """The nonzero elements of a batch image, probe by probe, as (``index``
-    of the probe, key, value): the value a float while the image is real,
-    as in the dict kernel, else a complex."""
-    import numpy as np
-
-    if image is None:
-        return []
-    re, im = image
-    held = re if im is None else (re != 0) | (im != 0)
-    p, i, j = np.nonzero(held.transpose(2, 0, 1))
-    values = re[i, j, p].tolist()
-    if im is not None:
-        values = list(map(complex, values, im[i, j, p].tolist()))
-    keys = zip((layout.om[p] + i).tolist(), (layout.on[p] + j).tolist())
-    return list(zip(index[p].tolist(), keys, values))
-
-
 # ---------------------------------------------------------------------------
 # closed-form states
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ B = -i b with a and b real n_tr x n_tr factors, and AB = ab.  build_truncated
 writes a and b straight from H's images of the levels; no verdict forms M.
 The images come from opalg's batch kernel, one run per spin component with
 every level in its own window, so each element of an image belongs to its
-level by position, bit-identical to applying H to that level alone.
+level by position, bit-identical to applying H to that level alone; the
+build reads the tower off those images as arrays, with no loop over
+coefficients.
 scramble forms X = S^-1 a b S with one random real similarity S, which
 keeps the spectrum and destroys every pattern of ab.  (A spin-graded
 diag(S1, S2) on M would give the same X, S1^-1 A S2 S2^-1 B S1, because S2
@@ -77,7 +79,7 @@ from .params import (
     derive_coeffs,
     with_varied,
 )
-from .opalg import _monomial_runs, _nonzero, build_hamiltonian
+from .opalg import _monomial_runs, _sizes, build_hamiltonian
 
 _CERT_TOL = 1e-9
 # Both build checks allow _ROUNDINGS roundings of their own scale, eps (scale
@@ -160,14 +162,18 @@ def build_truncated(
     H runs on every level at once in opalg's batch kernel
     (_monomial_runs), one run per spin component with each level in its
     own window, so each element of an image is its level's, bit for bit
-    as in an application to that level alone.  Every coefficient must land
-    back on the tower pattern, within 8 roundings of its level's scale:
-    the largest of the terms that cancel at the off-pattern keys (|c1|,
-    |c2|, |a hbar d|, |b hbar d|) and every |c| over the level's keys in
-    that image; the one raising amplitude out of level n_tr - 1 is
-    discarded and counted.  Once all images passed that check, a kept
-    coefficient inside a diagonal spin block, or one that is not exactly
-    imaginary, raises RuntimeError at its write.  The factors are
+    as in an application to that level alone.  The images are read as
+    arrays: the tower is the window elements whose off-tower exponent is
+    0.  Every coefficient must land back on the tower pattern, within 8
+    roundings of its level's scale: the largest of the terms that cancel
+    at the off-pattern keys (|c1|, |c2|, |a hbar d|, |b hbar d|) and every
+    |c| over the level's keys in that image, a nan |c| left out; the
+    first offender in (component, out component, level, m, n) order is
+    reported.  The one raising amplitude out of level n_tr - 1 is
+    discarded and counted.  Once all images passed that check, each
+    image's tower is written into a or b at once; one with a coefficient
+    inside a diagonal spin block, or one that is not exactly imaginary,
+    raises RuntimeError instead.  The factors are
     cross-checked against the independent closed-form entries, within 8
     roundings of the largest coupling size, before they are returned.  A
     rounding is eps (scale + tiny), so both checks stay at the roundoff of
@@ -196,35 +202,44 @@ def build_truncated(
     )
     grid = _TINY * (1.0 + a_h + b_h)  # d's subnormal rounding, times a or b hbar
     monomials = [(l, 0) if holo else (0, l) for l in range(n_tr)]  # level l's
-    kept = []  # (level, component, out component, exponent, coefficient)
+    dropped, kept = 0, []  # each image's tower: (out component, component, rows, cols, re, im)
     for layout, index, runs in _monomial_runs(h, monomials, d, True):
+        origin = np.stack((layout.om, layout.on))[:, None, None]
+        keys = np.indices(layout.shape[:2])[..., None] + origin  # (m, n) of each element
+        exp, off = keys if holo else keys[::-1]
+        on_tower, inside, level = off == 0, exp < n_tr, np.broadcast_to(index, layout.shape)
         for component, outs in enumerate(runs):
-            items, scales = [], {}
-            for out_component, image in enumerate(outs):
-                for level, key, c in _nonzero(layout, index, image):
-                    scales[level] = max(scales.get(level, cancelling), abs(c))
-                    items.append((level, out_component, key, c))
-            for level, out_component, (m, n), c in items:
-                if n == 0 if holo else m == 0:
-                    kept.append((level, component, out_component, m if holo else n, c))
-                elif abs(c) > (tol := _ROUNDINGS * _EPS * (scales[level] + grid)):
-                    raise RuntimeError(
-                        "image left the tower pattern: "
-                        f"coefficient {c!r} at z^{m} zbar^{n}, tolerance {tol:.3e}"
-                    )
+            outs = [(np.zeros(layout.shape), None) if x is None else x for x in outs]
+            sizes = np.stack([_sizes(x) for x in outs])
+            # one scale per level, which a nan size never raises, as in max
+            scale = np.fmax.reduce(sizes, axis=(0, 1, 2), initial=cancelling)
+            tol = _ROUNDINGS * _EPS * (scale + grid)
+            bad = ~on_tower & (sizes > tol)
+            if bad.any():  # the first in (out component, level, m, n) order
+                o, p, i, j = np.argwhere(bad.transpose(0, 3, 1, 2))[0]
+                re, im = outs[o]
+                c = re[i, j, p].item() if im is None else complex(re[i, j, p], im[i, j, p])
+                raise RuntimeError(
+                    f"image left the tower pattern: coefficient {c!r} at "
+                    f"z^{keys[0, i, j, p]} zbar^{keys[1, i, j, p]}, tolerance {tol[p]:.3e}"
+                )
+            for o, ((re, im), size) in enumerate(zip(outs, sizes)):
+                tower = on_tower & (size != 0)  # images hold no exact zeros
+                dropped += int(np.count_nonzero(tower & ~inside))
+                tower &= inside
+                if tower.any():
+                    kept.append((o, component, exp[tower], level[tower], re[tower],
+                                 im if im is None else im[tower]))
     a, b = np.zeros((n_tr, n_tr)), np.zeros((n_tr, n_tr))
-    dropped = 0
-    for level, component, out_component, exp, c in kept:
-        if exp >= n_tr:
-            dropped += 1
-        elif out_component == component:  # images hold no exact zeros
+    for out_component, component, rows, cols, re, im in kept:
+        if out_component == component:
             raise RuntimeError("truncation has entries inside a diagonal spin block")
-        elif c.real:
+        if im is None or re.any():
             raise RuntimeError("truncation has entries off the imaginary axis")
-        elif component:
-            a[exp, level] = c.imag
+        if component:
+            a[rows, cols] = im
         else:
-            b[exp, level] = -c.imag
+            b[rows, cols] = -im
     k_abs = abs(complex(coeffs.k_coef))
     scale = max(
         a_h * n_tr,
