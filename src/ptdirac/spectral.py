@@ -126,19 +126,22 @@ def _closed_form_factors(
     Derived independently of ``apply``.  Level l + 1 lowers to level l with
     -i lead hbar (l + 1) and level l raises to level l + 1 with the coupling
     i k / (lead hbar) (its negative on branch II), lead being a on branch I
-    and b on II.  On branch I's z^l tower the lowering takes the lower
-    component to the upper one, so it sits in A, and the raising in B; on
-    branch II's zbar^l tower the two swap.
+    and b on II.  With k = (a c2 - b c1) hbar that coupling is written
+    without forming k, c2 - (b/a) c1 on branch I and (a/b) c2 - c1 on II:
+    k, or a c2, can underflow where the coupling does not.  On branch I's
+    z^l tower the lowering takes the lower component to the upper one, so
+    it sits in A, and the raising in B; on branch II's zbar^l tower the two
+    swap.
     """
     hbar = float(coeffs.hbar)
-    k = float(coeffs.k_coef)
-    lead = float(coeffs.a_coef if branch is Branch.I else coeffs.b_coef)
+    a, b, c1, c2 = map(float, (coeffs.a_coef, coeffs.b_coef, coeffs.c1, coeffs.c2))
+    lead = a if branch is Branch.I else b
     sign = 1.0 if branch is Branch.I else -1.0
     l = np.arange(n_tr - 1)
     lowering = np.zeros((n_tr, n_tr))
     lowering[l, l + 1] = -lead * hbar * (l + 1)
     raising = np.zeros((n_tr, n_tr))
-    raising[l + 1, l] = -sign * k / (lead * hbar)
+    raising[l + 1, l] = -sign * (c2 - b / a * c1 if branch is Branch.I else a / b * c2 - c1)
     if branch is Branch.I:
         return lowering, raising
     return -raising, -lowering

@@ -70,3 +70,20 @@ SUBNORMAL_K_FLAGS = flags(SUBNORMAL_K)
 # finite coefficients and a finite envelope exponent.
 HUGE_ENVELOPE = PhysParams(v_f=1e-200, lam=0.5, k1=0.02, b0=100.0, hbar=1e-200)
 HUGE_ENVELOPE_FLAGS = flags(HUGE_ENVELOPE)
+
+# k = (a c2 - b c1) hbar underflows to 0, and analytic reads k = 0.0, while
+# the raising amplitude k / (a hbar) = c2 - (b/a) c1 is 3.4e-170: a
+# closed-form check that formed k read the build as 3.4e-170 off.
+K_UNDERFLOW = PhysParams(
+    v_f=2.7682398815300566e-102, lam=-2.169964651550437e-45, k1=0.0,
+    b0=-3.806819181310655e+139, e=5.630572838135322e-263, hbar=2.103297957450973e-140,
+)
+K_UNDERFLOW_FLAGS = flags(K_UNDERFLOW)
+
+# a c2 = 2.1e-319 is subnormal, so even (a c2 - b c1) / a, which forms no
+# hbar, loses the raising amplitude c2 - (b/a) c1 = 1.8e-177.
+PRODUCT_UNDERFLOW = PhysParams(
+    v_f=1.194696783475631e-142, lam=-1.7625765506459135e-199, k1=0.0,
+    b0=1.241679306233177e+190, e=1.6477971024152432e-223, hbar=1.6679629531053952e-70,
+)
+PRODUCT_UNDERFLOW_FLAGS = flags(PRODUCT_UNDERFLOW)

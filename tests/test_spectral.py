@@ -56,9 +56,11 @@ from ptdirac.spectral import (
 
 from edge_points import (
     HUGE_ENVELOPE,
+    K_UNDERFLOW,
     LARGE,
     LARGE_FLAGS,
     NEAR_EP as EDGE_NEAR_EP,
+    PRODUCT_UNDERFLOW,
     SMALL,
     SMALL_FLAGS,
     SUBNORMAL,
@@ -1419,6 +1421,16 @@ def test_spectrum_at_small_couplings_agrees_with_analytic(capsys, branch, verdic
     argv = ["spectrum", "--n_tr", "8", "--branch", branch, "--format", "json"]
     assert cli.main(argv + SMALL_FLAGS) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == closed == verdict
+
+
+@pytest.mark.parametrize("p", [K_UNDERFLOW, PRODUCT_UNDERFLOW], ids=["k", "a-c2"])
+@pytest.mark.parametrize("branch", list(Branch))
+def test_spectrum_builds_where_a_product_in_k_underflows(capsys, p, branch):
+    # the closed-form check forms the raising amplitude without k, or a c2,
+    # which underflow where the amplitude does not
+    argv = ["spectrum", "--n_tr", "2", "--branch", branch.value, "--format", "json"]
+    assert cli.main(argv + flags(p)) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == classify_phase(p, branch).value
 
 
 SIGMA_PLUS = ((0, 1), (0, 0))  # lower component to upper
