@@ -188,6 +188,18 @@ def test_config_rejects_unknown_key(tmp_path, capsys, line):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_config_rejects_a_missing_file(tmp_path, capsys):
+    assert main(["analytic", "--config", str(tmp_path / "absent.conf")]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read config file ")
+
+
+def test_config_rejects_a_line_without_equals(tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("lambda 0.25\n", encoding="utf-8")
+    assert main(["analytic", "--config", str(cfg)]) == 2
+    assert f"{cfg}:1: expected 'key = value'" in capsys.readouterr().err
+
+
 def test_config_rejects_bad_value(tmp_path):
     cfg = tmp_path / "run.conf"
     cfg.write_text("b0 = ten\n", encoding="utf-8")
@@ -404,6 +416,13 @@ def test_sweep_log_grid_slope(tmp_path):
     hi_b, hi_gap = points[-1]
     slope = (np.log10(hi_gap) - np.log10(lo_gap)) / (np.log10(hi_b) - np.log10(lo_b))
     assert abs(slope - 0.5) < 0.01
+
+
+def test_sweep_rejects_numeric_every_zero(capsys):
+    argv = ["sweep", "--vary", "b0", "--from", "5", "--to", "50", "--steps", "3",
+            "--numeric", "--numeric_every", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: numeric_every must be at least 1\n"
 
 
 def test_sweep_numeric_columns(tmp_path):

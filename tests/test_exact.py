@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptdirac.exact import I, ONE, ZERO, ComplexRational
+from ptdirac.exact import I, ONE, ZERO, ComplexRational, exact_sqrt
 from ptdirac.opalg import WeightedPolynomial, _ladder_defects
 from ptdirac.params import PhysParams, derive_coeffs
 
@@ -372,3 +372,8 @@ def test_the_reference_script_passes_on_exact_py_loaded_by_path():
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.check(script.load_exact(), draws=200) > 4000
+
+
+def test_exact_sqrt_rejects_a_negative_rational():
+    with pytest.raises(ValueError, match="nonnegative"):
+        exact_sqrt(Fraction(-1))

@@ -8,6 +8,7 @@ import dataclasses
 import json
 import math
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +51,7 @@ from ptdirac.spectral import (
     find_exceptional_point,
     parse_matrix,
     phase_verdict_numeric,
+    Similarity,
     scramble,
     scrambled_eigensolve,
 )
@@ -529,6 +531,12 @@ def test_truncation_factors_are_read_only():
         assert not factor.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             factor[0, 1] = 0.0
+
+
+def test_scramble_rejects_a_sparse_result():
+    # S = 1 leaves ab diagonal: 5 of its 36 entries are nonzero
+    with pytest.raises(RuntimeError, match=r"scrambled matrix too sparse: density 0\.139"):
+        scramble(build_truncated(CO, 6), Similarity(np.eye(6), 1.0))
 
 
 def test_scramble_works_in_real_arithmetic():
@@ -1046,6 +1054,28 @@ def test_zero_tol_with_a_zero_floor_ends_at_adjacent_floats(monkeypatch, vary):
     assert abs(found - target) <= 4 * math.ulp(target)
 
 
+def test_illinois_halves_the_hi_level_when_lo_moves_twice(monkeypatch):
+    # On a convex level, b0**2 - 2 over [0, 2], each secant root lies left
+    # of the root, so lo moves at 1 and again at 4/3; the second move
+    # halves the level kept at hi, 2 -> 1, and the next step lands at 16/11
+    # (1.4 with the level left whole), past the root, so hi moves there.
+    points = []
+
+    def level_report(p, similarity, *, branch, valley):
+        points.append(p.b0)
+        level = p.b0 * p.b0 - 2.0
+        verdict = PhaseVerdict.UNBROKEN if level > 0 else PhaseVerdict.BROKEN
+        return types.SimpleNamespace(verdict=verdict, level=level, resolved=True)
+
+    monkeypatch.setattr(spectral, "phase_verdict_numeric", level_report)
+    found = find_exceptional_point(
+        BASE, Vary.B0, 0.0, 2.0, draw_similarity(2, 0), tol=0.05
+    )
+    expected = [0, 2, 1, Fraction(4, 3), Fraction(16, 11), Fraction(65, 46)]
+    assert points == pytest.approx([float(x) for x in expected], rel=1e-15)
+    assert found == pytest.approx(float((Fraction(65, 46) + Fraction(16, 11)) / 2))
+
+
 @pytest.mark.parametrize("n_tr", [10, 40])
 @pytest.mark.parametrize("valley", list(Valley))
 @pytest.mark.parametrize("branch", list(Branch))
@@ -1321,6 +1351,10 @@ def test_parse_matrix_validation():
         parse_matrix("2\n0.0 0.0\n")
     with pytest.raises(ValueError):
         parse_matrix("1\n0.0\n")
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        parse_matrix("0\n")
+    with pytest.raises(ValueError, match="matrix must be square"):
+        dump_matrix(np.zeros((2, 3)))
 
 
 def test_exact_coefficients_build_too():
