@@ -205,18 +205,21 @@ def build_truncated(
     )
     grid = _TINY * (1.0 + a_h + b_h)  # d's subnormal rounding, times a or b hbar
     monomials = [(l, 0) if holo else (0, l) for l in range(n_tr)]  # level l's
-    dropped, kept = 0, []  # each image's tower: (out component, component, rows, cols, re, im)
+    dropped, kept = 0, []  # per image: (out component, component, rows, cols, re, im)
     for layout, index, runs in _monomial_runs(h, monomials, d, True):
         origin = np.stack((layout.om, layout.on))[:, None, None]
         keys = np.indices(layout.shape[:2])[..., None] + origin  # (m, n) of each element
         exp, off = keys if holo else keys[::-1]
-        on_tower, inside, level = off == 0, exp < n_tr, np.broadcast_to(index, layout.shape)
+        on_tower = off == 0
+        inside = exp < n_tr
+        level = np.broadcast_to(index, layout.shape)
         for component, outs in enumerate(runs):
+            # an output that H leaves empty reads as zeros
             outs = [(np.zeros(layout.shape), None) if x is None else x for x in outs]
             sizes = np.stack([_sizes(x) for x in outs])
             # one scale per level, which a nan size never raises, as in max
-            scale = np.fmax.reduce(sizes, axis=(0, 1, 2), initial=cancelling)
-            tol = _ROUNDINGS * _EPS * (scale + grid)
+            scales = np.fmax.reduce(sizes, axis=(0, 1, 2), initial=cancelling)
+            tol = _ROUNDINGS * _EPS * (scales + grid)
             bad = ~on_tower & (sizes > tol)
             if bad.any():  # the first in (out component, level, m, n) order
                 o, p, i, j = np.argwhere(bad.transpose(0, 3, 1, 2))[0]
