@@ -82,11 +82,14 @@ from .params import (
 from .opalg import _monomial_runs, _sizes, build_hamiltonian
 
 _CERT_TOL = 1e-9
-# Both build checks allow _ROUNDINGS roundings of their own scale, eps (scale
-# + tiny), below tiny on a grid of spacing eps tiny (worst seen: 0.93 eps off
-# the pattern, 2.8 eps against the closed form).  The build floor is
-# _ROUNDINGS eps k_scale per level: the closed form's critical band
-# (params.default_critical_tol), so build_floor is that band times n_tr.
+# Both build checks allow _ROUNDINGS roundings of each entry's own size, eps
+# (size + grid), the grid being d's subnormal rounding times a or b hbar.
+# Off the pattern the size is the level's scale.  Against the closed form it
+# is a lowering factor entry's own magnitude, and for every entry of the
+# raising factor the terms that cancel in it.  Worst seen: 0.93 eps off the
+# pattern, 0 in the lowering factor, 3.2 eps in the raising factor.  The
+# build floor is _ROUNDINGS eps k_scale per level: the closed form's critical
+# band (params.default_critical_tol), so build_floor is that band times n_tr.
 
 
 @dataclass(frozen=True)
@@ -176,13 +179,19 @@ def build_truncated(
     discarded and counted.  Once all images passed that check, each
     image's tower is written into a or b at once; one with a coefficient
     inside a diagonal spin block, or one that is not exactly imaginary,
-    raises RuntimeError instead.  The factors are
-    cross-checked against the independent closed-form entries, within 8
-    roundings of the largest coupling size, before they are returned.  A
-    rounding is eps (scale + tiny), so both checks stay at the roundoff of
-    their scale at every coupling size; off the pattern tiny grows to
-    tiny (1 + |a hbar| + |b hbar|), as d's subnormal rounding reaches
-    there times a or b hbar.
+    raises RuntimeError instead.  The factors are cross-checked entry by
+    entry against the independent closed-form entries before they are
+    returned: each entry of the lowering factor within 8 roundings of its
+    closed-form size (0 off the lowering entries), and every entry of the
+    raising factor within 8 roundings of the terms that cancel in it
+    (|c1|, |c2|, |a hbar d|, |b hbar d| as above); a nan entry fails, and
+    the first offender, row by row in a then b, is reported.  A rounding
+    is eps (size + grid) with the grid tiny (1 + |a hbar| + |b hbar|), as
+    d's subnormal rounding reaches there times a or b hbar, so both checks
+    stay at the roundoff of each entry at every coupling size.  A lowering
+    entry lead hbar (n_tr - 1) that overflows from a finite lead hbar
+    raises ValueError naming it, lead being a on branch I and b on II as
+    the caller's valley reads them, before any image is formed.
     The build floor is 8 eps k_scale n_tr, the closed form's critical band
     times n_tr: level l holds (l + 1) k, and each rounding of k is at most
     eps k_scale (derive_coeffs), so a level whose k is roundoff, at or next
@@ -190,11 +199,16 @@ def build_truncated(
     """
     _check_n_tr(n_tr)
     d = float(coeffs.envelope(branch))
+    # the lead coefficient, named as the caller's valley reads it
+    name, lead = ("a", coeffs.a_coef) if branch is Branch.I else ("b", coeffs.b_coef)
     coeffs, branch = coeffs.relabeled(valley), branch.relabeled(valley)
     holo = branch is Branch.I
     h = build_hamiltonian(coeffs, Valley.PRIMARY).to_complex()
     a_h = abs(complex(coeffs.a_coef) * complex(coeffs.hbar))
     b_h = abs(complex(coeffs.b_coef) * complex(coeffs.hbar))
+    if math.isfinite(lead_h := a_h if holo else b_h) and math.isinf(lead_h * (n_tr - 1)):
+        raise ValueError(f"lowering entry {name} hbar (n_tr - 1) overflows: {name} = "
+                         f"{lead!r}, hbar = {coeffs.hbar!r}, n_tr = {n_tr}")
     # the terms that cancel at the off-pattern keys, i c1 zbar against
     # -i a hbar d zbar (and c2, b alike), leave roundoff of their size
     cancelling = max(
@@ -246,24 +260,23 @@ def build_truncated(
             a[rows, cols] = im
         else:
             b[rows, cols] = -im
-    k_abs = abs(complex(coeffs.k_coef))
-    scale = max(
-        a_h * n_tr,
-        b_h * n_tr,
-        k_abs / a_h if a_h else 0.0,
-        k_abs / b_h if b_h else 0.0,
-        abs(complex(coeffs.c1)),
-        abs(complex(coeffs.c2)),
-    )
     check = _closed_form_factors(coeffs, branch, n_tr)
-    worst = max(float(np.max(np.abs(x - y))) for x, y in zip((a, b), check))
-    if worst > (tol := _ROUNDINGS * _EPS * (scale + _TINY)):
-        raise RuntimeError(
-            f"assembled matrix disagrees with closed-form entries by {worst:.3e}, "
-            f"tolerance {tol:.3e}"
-        )
-    a.flags.writeable = False
-    b.flags.writeable = False
+    unit = _ROUNDINGS * _EPS
+    for x, y, lowering in zip((a, b), check, (holo, not holo)):
+        # every entry of the raising factor holds to the terms that cancel
+        # in it, a lowering entry (on the superdiagonal) to its own size and
+        # the rest of its factor to the grid
+        tol = unit * ((0.0 if lowering else cancelling) + grid)
+        if lowering:
+            tol = np.full(y.shape, tol)
+            np.fill_diagonal(tol[:, 1:], unit * (np.abs(np.diagonal(y, 1)) + grid))
+        off = np.abs(np.subtract(x, y, out=y), out=y)  # y is this build's own
+        if not (off <= tol).all():  # a nan entry fails
+            i = np.argmin(off <= tol)  # the first offender, row by row
+            tol = np.broadcast_to(tol, off.shape)
+            raise RuntimeError(f"assembled matrix disagrees with closed-form entries by "
+                               f"{off.flat[i]:.3e}, tolerance {tol.flat[i]:.3e}")
+    a.flags.writeable = b.flags.writeable = False
     build_floor = _ROUNDINGS * _EPS * float(coeffs.k_scale) * n_tr
     return TruncatedRep(n_tr, a, b, dropped, build_floor)
 

@@ -87,3 +87,11 @@ PRODUCT_UNDERFLOW = PhysParams(
     b0=1.241679306233177e+190, e=1.6477971024152432e-223, hbar=1.6679629531053952e-70,
 )
 PRODUCT_UNDERFLOW_FLAGS = flags(PRODUCT_UNDERFLOW)
+
+# a hbar = -7.4e307 is finite, but the lowering entries a hbar (l + 1) overflow from l = 2 on.
+LOWERING_OVERFLOW = PhysParams(
+    v_f=9.730184527579507e-134, lam=7.718084489274386e+160, k1=-1.354024981547577e+65,
+    b0=3.965989142916151e-107, e=5.764615791616636e-244, c=1.306898569989616e-86,
+    hbar=4.768842784428357e+146,
+)
+LOWERING_OVERFLOW_FLAGS = flags(LOWERING_OVERFLOW)

@@ -40,6 +40,7 @@ from edge_points import (
     HUGE_ENVELOPE_FLAGS,
     LARGE,
     LARGE_FLAGS,
+    LOWERING_OVERFLOW_FLAGS,
     NEAR_EP_FLAGS,
     SUBNORMAL_K_FLAGS,
 )
@@ -901,6 +902,25 @@ def test_an_overflowing_hamiltonian_coefficient_is_refused(capsys, command):
     assert captured.err == (
         "error: Hamiltonian coefficient a hbar overflows: "
         "a = 2.3080886710837217e+226, hbar = 5.237677273886766e+202\n"
+    )
+    assert captured.out == ""
+
+
+# the build's largest lowering entry lead hbar (n_tr - 1) overflows while
+# lead hbar does not; the lead is a on branch I and b on II in either valley
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "branch, lead",
+    [("I", "a = -1.5436168978548772e+161"), ("II", "b = 1.5436168978548772e+161")],
+)
+@pytest.mark.parametrize("valley", ["primary", "time_reversed"])
+def test_an_overflowing_lowering_entry_is_refused(capsys, branch, lead, valley):
+    argv = ["spectrum", "--n_tr", "40", "--branch", branch, "--valley", valley]
+    assert main(argv + LOWERING_OVERFLOW_FLAGS) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: lowering entry {lead[0]} hbar (n_tr - 1) overflows: "
+        f"{lead}, hbar = 4.768842784428357e+146, n_tr = 40\n"
     )
     assert captured.out == ""
 

@@ -926,8 +926,8 @@ _FRACTION_DUNDERS = (
 
 
 def test_exact_jc_runs_no_fraction_operation_per_coefficient(monkeypatch):
-    # The probes carry ComplexRational ONE and the steps test the envelope
-    # once each, so the Fraction operations left are the operators' own
+    # The probes are ints q^(a+b) and the steps test the envelope once
+    # each, so the Fraction operations left are the operators' own
     # construction and one truth test per step: as many at degree 20 as at
     # degree 8, while the probes go from 45 to 231.
     calls = Counter()

@@ -292,8 +292,9 @@ def test_off_pattern_tolerance_is_scaled_per_level(monkeypatch):
             ("spin-block", "off-pattern"),
             r"left the tower pattern: coefficient 1\.0 at z\^5 zbar\^1",
         ),
+        (("nan-raising",), r"disagrees with closed-form entries by nan, tolerance "),
     ],
-    ids=["spin-block-alone", "both"],
+    ids=["spin-block-alone", "both", "nan-raising"],
 )
 def test_every_image_passes_the_pattern_check_before_any_write(
     monkeypatch, faults, message
@@ -304,7 +305,10 @@ def test_every_image_passes_the_pattern_check_before_any_write(
     # level 5 an off-pattern coefficient in the last; both land in outputs
     # that H leaves empty.  Level by level the spin-block entry comes first,
     # but every image passes the pattern check before any write, so the
-    # off-pattern coefficient is the fault reported.
+    # off-pattern coefficient is the fault reported.  A nan raising
+    # amplitude, level 2's at z^3 in the first run, sits on the tower, so
+    # it passes the pattern check and is written; the closed-form check
+    # refuses it, where a nan deviation once read as within tolerance.
     original = opalg._batch_run
 
     def tampered(plan, comps, layout):
@@ -322,6 +326,8 @@ def test_every_image_passes_the_pattern_check_before_any_write(
             assert lower is None
             lower = (np.zeros(layout.shape), None)
             lower[0][element(5, 5, 1)] = 1.0
+        if "nan-raising" in faults and comps[1] is None:
+            lower[1][element(2, 3, 0)] = math.nan
         return upper, lower
 
     monkeypatch.setattr(opalg, "_batch_run", tampered)
@@ -1457,6 +1463,38 @@ def test_spectrum_at_small_couplings_agrees_with_analytic(capsys, branch, verdic
     assert json.loads(capsys.readouterr().out)["verdict"] == closed == verdict
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_build_never_returns_a_non_finite_factor():
+    # Seeded draws of all seven inputs, log-uniform over 1e-300..1e300
+    # (lambda, k1 and b0 of either sign).  In every other draw hbar puts
+    # |lead hbar| within 1e4 of the float range, where the lowering entries
+    # lead hbar (l + 1) overflow from a finite lead hbar.  Every build
+    # returns finite factors or refuses with ValueError, and warns nothing.
+    rng = random.Random(36)
+    built = refused = lowering = 0
+    for draw in range(3000):
+        v_f, lam, k1, b0, e, c, hbar = (10 ** rng.uniform(-300, 300) for _ in range(7))
+        lam, k1, b0 = (rng.choice((-1.0, 1.0)) * x for x in (lam, k1, b0))
+        branch, valley = rng.choice(list(Branch)), rng.choice(list(Valley))
+        if draw % 2:
+            lead = abs(2 * (v_f - lam) if branch is Branch.I else 2 * (v_f + lam))
+            hbar = 10 ** rng.uniform(304, 308.2) / lead
+        try:
+            co = derive_coeffs(PhysParams(v_f, lam, k1, b0, e, c, hbar))
+        except ValueError:
+            continue
+        for n_tr in (2, 3, 5, 40):
+            try:
+                rep = build_truncated(co, n_tr, branch, valley)
+            except ValueError as exc:
+                refused += 1
+                lowering += str(exc).startswith("lowering entry")
+                continue
+            built += 1
+            assert np.isfinite(rep.a).all() and np.isfinite(rep.b).all(), (co, n_tr)
+    assert built > 100 and lowering > 10 and refused > lowering
+
+
 @pytest.mark.parametrize("p", [K_UNDERFLOW, PRODUCT_UNDERFLOW], ids=["k", "a-c2"])
 @pytest.mark.parametrize("branch", list(Branch))
 def test_spectrum_builds_where_a_product_in_k_underflows(capsys, p, branch):
@@ -1504,15 +1542,21 @@ def test_build_checks_are_relative_at_small_couplings(monkeypatch, tamper, messa
         build_truncated(derive_coeffs(SMALL), 8, Branch.I, Valley.PRIMARY)
 
 
-def _cross_check_scale(co, n_tr):
-    """The largest coupling size, as the build's cross-check derives it."""
+def _coupling_scale(co, n_tr):
+    """The largest coupling size: max(n_tr |a hbar|, n_tr |b hbar|,
+    |k / (a hbar)|, |k / (b hbar)|, |c1|, |c2|)."""
     a_h = abs(float(co.a_coef) * float(co.hbar))
     b_h = abs(float(co.b_coef) * float(co.hbar))
     k = abs(float(co.k_coef))
     return max(n_tr * a_h, n_tr * b_h, k / a_h, k / b_h, abs(float(co.c1)), abs(float(co.c2)))
 
 
-@pytest.mark.parametrize("p", [BASE, LARGE, SMALL], ids=["base", "large", "small"])
+LAMBDA_C = dataclasses.replace(BASE, lam=critical_point(BASE, Vary.LAMBDA))
+
+
+@pytest.mark.parametrize(
+    "p", [BASE, LARGE, SMALL, LAMBDA_C], ids=["base", "large", "small", "lambda_c"]
+)
 @pytest.mark.parametrize("branch", list(Branch))
 @pytest.mark.parametrize("valley", list(Valley))
 @pytest.mark.parametrize(
@@ -1520,6 +1564,7 @@ def _cross_check_scale(co, n_tr):
     [
         ("off-pattern", 1e3, "image left the tower pattern"),
         ("raising", 20.0, "disagrees with closed-form entries"),
+        ("raising-cancelling", 20.0, "disagrees with closed-form entries"),
     ],
 )
 def test_build_checks_hold_to_a_few_eps_at_every_scale(
@@ -1531,10 +1576,12 @@ def test_build_checks_hold_to_a_few_eps_at_every_scale(
     # size, which a tolerance of 1e-10 let through.  On each raising
     # amplitude (upper to lower on the holomorphic tower, lower to upper on
     # the other): 20 eps of the largest coupling size, which a tolerance of
-    # 1e-14 (45 eps) let through.
+    # 1e-14 (45 eps) let through, and 20 eps of the cancelling terms' size,
+    # which a tolerance of 8 eps of the largest coupling size let through
+    # everywhere but at LARGE.
     co = derive_coeffs(p)
     if kind == "raising":
-        scale = _cross_check_scale(co, 8)
+        scale = _coupling_scale(co, 8)
     else:
         scale = _cancelling_scale(co, branch)
     t = units * np.finfo(float).eps * scale
