@@ -75,6 +75,7 @@ from .params import (
     _EPS,
     _ROUNDINGS,
     _TINY,
+    _critical_band,
     check_tol,
     derive_coeffs,
     with_varied,
@@ -186,16 +187,19 @@ def build_truncated(
     raising factor within 8 roundings of the terms that cancel in it
     (|c1|, |c2|, |a hbar d|, |b hbar d| as above); a nan entry fails, and
     the first offender, row by row in a then b, is reported.  A rounding
-    is eps (size + grid) with the grid tiny (1 + |a hbar| + |b hbar|), as
-    d's subnormal rounding reaches there times a or b hbar, so both checks
-    stay at the roundoff of each entry at every coupling size.  A lowering
+    is eps (size + grid) with the grid tiny + tiny |a hbar| + tiny |b hbar|,
+    as d's subnormal rounding reaches there times a or b hbar, so both
+    checks stay at the roundoff of each entry at every coupling size; summed
+    tiny first, the grid is finite wherever a hbar and b hbar are.  A lowering
     entry lead hbar (n_tr - 1) that overflows from a finite lead hbar
     raises ValueError naming it, lead being a on branch I and b on II as
     the caller's valley reads them, before any image is formed.
     The build floor is 8 eps k_scale n_tr, the closed form's critical band
     times n_tr: level l holds (l + 1) k, and each rounding of k is at most
     eps k_scale (derive_coeffs), so a level whose k is roundoff, at or next
-    to the EP, does not read as definite.
+    to the EP, does not read as definite.  Where k_scale overflows, the
+    band's ValueError ("critical band overflows floating point") is raised
+    after both checks passed.
     """
     _check_n_tr(n_tr)
     d = float(coeffs.envelope(branch))
@@ -217,7 +221,8 @@ def build_truncated(
         a_h * abs(d),
         b_h * abs(d),
     )
-    grid = _TINY * (1.0 + a_h + b_h)  # d's subnormal rounding, times a or b hbar
+    # d's subnormal rounding, times a or b hbar; tiny first, so no sum overflows
+    grid = _TINY + _TINY * a_h + _TINY * b_h
     monomials = [(l, 0) if holo else (0, l) for l in range(n_tr)]  # level l's
     dropped, kept = 0, []  # per image: (out component, component, rows, cols, re, im)
     for layout, index, runs in _monomial_runs(h, monomials, d, True):
@@ -277,8 +282,7 @@ def build_truncated(
             raise RuntimeError(f"assembled matrix disagrees with closed-form entries by "
                                f"{off.flat[i]:.3e}, tolerance {tol.flat[i]:.3e}")
     a.flags.writeable = b.flags.writeable = False
-    build_floor = _ROUNDINGS * _EPS * float(coeffs.k_scale) * n_tr
-    return TruncatedRep(n_tr, a, b, dropped, build_floor)
+    return TruncatedRep(n_tr, a, b, dropped, _critical_band(coeffs) * n_tr)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ SUBNORMAL = PhysParams(
     v_f=0.8713275317543699, lam=0.3959494577303741, k1=2.93443470977e-313,
     b0=1.0132746824012e-310, hbar=2.8610706541825857,
 )
+SUBNORMAL_FLAGS = flags(SUBNORMAL)
 
 # k_coef = -9.45e-319 sits 1.4e-12 k_scale from 0, outside the critical
 # band, and (a hbar)(b hbar) / k_coef overflows: the float ladder
@@ -95,3 +96,6 @@ LOWERING_OVERFLOW = PhysParams(
     hbar=4.768842784428357e+146,
 )
 LOWERING_OVERFLOW_FLAGS = flags(LOWERING_OVERFLOW)
+
+# |a hbar| = |b hbar| = 1.2e308 are finite but their sum is not: a grid formed from it was inf.
+GRID_OVERFLOW = PhysParams(v_f=1.0, lam=1e150, k1=0.0, b0=0.0, hbar=6e157)

@@ -42,10 +42,11 @@ from edge_points import (
     LARGE_FLAGS,
     LOWERING_OVERFLOW_FLAGS,
     NEAR_EP_FLAGS,
+    SUBNORMAL_FLAGS,
     SUBNORMAL_K_FLAGS,
 )
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+SRC = Path(cli.__file__).resolve().parents[1]  # a subprocess imports the same copy
 BASE = PhysParams(v_f=1.37, lam=0.5, k1=0.02, b0=100.0)
 
 SWEEP_HEADER = (
@@ -472,6 +473,9 @@ def test_critical_agreement(tmp_path):
      for branch in ("I", "II")
      for valley in ("primary", "time_reversed")]
     + [["--vary", "b0", "--seed", str(seed)] for seed in range(1, 4)]
+    + [["--vary", "b0", "--n_tr", n_tr] for n_tr in ("2", "3")]
+    # the last --bisect_tol wins: 0 bisects down to adjacent floats
+    + [["--vary", vary, "--bisect_tol", "0"] for vary in ("lambda", "b0")]
     # brackets holding only the negative root -1.33193...
     + [["--vary", "lambda", "--lo", "-1.5", "--hi", hi] for hi in ("-1.0", "1.0")],
     ids=" ".join,
@@ -814,7 +818,7 @@ def test_spectrum_json(tmp_path):
     assert payload["levels"][0]["re_E_plus"] == pytest.approx(1.4916047, abs=1e-6)
 
 
-@pytest.mark.parametrize("n_tr", [40, 200])
+@pytest.mark.parametrize("n_tr", [2, 3, 40, 200])
 @pytest.mark.parametrize("branch", ["I", "II"])
 def test_spectrum_json_holds_every_level(tmp_path, branch, n_tr):
     code, text = run_to_file(
@@ -850,6 +854,7 @@ def test_spectrum_at_the_critical_coupling_counts_no_levels(tmp_path, branch):
     }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv",
     [
@@ -858,8 +863,13 @@ def test_spectrum_at_the_critical_coupling_counts_no_levels(tmp_path, branch):
          "--b0", "1e300"],
         # a hbar underflows to 0 while a does not
         ["analytic", "--vf", "1e-200", "--lambda", "0", "--hbar", "1e-200"],
+        # every coefficient and k_coef are finite, but not k_scale
+        ["spectrum", "--vf", "1.2e154", "--lambda", "4.8e153", "--k1", "1.0",
+         "--b0", "326.1904761904762"],
+        ["spectrum", "--vf", "1", "--lambda", "0", "--c", "1", "--b0", "1e308",
+         "--k1", "5e307"],
     ],
-    ids=["overflow", "nan_k", "underflow_d"],
+    ids=["overflow", "nan_k", "underflow_d", "band", "band_zero_c"],
 )
 def test_overflowing_parameters_exit_two(argv, capsys):
     assert main(argv) == 2
@@ -892,6 +902,7 @@ _OVERFLOWING_A_HBAR = ["--vf=1.1540443355418609e+226", "--lambda=-2.993187232819
                        "--k1=0.0", "--b0=0.0", "--hbar=5.237677273886766e+202", "--n_tr", "2"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["spectrum", "verify"])
 def test_an_overflowing_hamiltonian_coefficient_is_refused(capsys, command):
     # H's terms would be inf: spectrum reported a chirality fault and
@@ -1010,6 +1021,23 @@ def test_an_underflowing_critical_field_is_refused(capsys, flags):
     assert captured.out == ""
     assert main(["analytic", "--format", "json"] + flags) == 0
     assert json.loads(capsys.readouterr().out)["critical"]["b0"] == "undefined"
+
+
+# Each command line exits 0 and prints a line that starts with the given
+# text; a numpy warning, which would reach stderr, is an error.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, start", [
+    # k_coef reads critical, so the six rows that read it skip
+    (["verify"] + SUBNORMAL_FLAGS, "11 checks: 5 passed, 0 failed, 6 skipped"),
+    # lambda_c (1 + 1e-14): k_coef = -5.2e-14 clears the critical band
+    (["analytic", "--lambda", "1.3319331364599485"], "branch I: verdict=broken "),
+    (["jc", "--degree", "2"], "commutator residual (degree 2): "),
+], ids=["verify_subnormal", "analytic_above_lambda_c", "jc_lowest_degree"])
+def test_command_lines_at_the_edges(capsys, argv, start):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert any(line.startswith(start) for line in captured.out.splitlines()), captured.out
+    assert captured.err == ""
 
 
 def _log_uniform(signed):

@@ -52,10 +52,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ptdirac import cli
 from ptdirac.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SRC = Path(__file__).resolve().parent.parent / "src"
+SRC = Path(cli.__file__).resolve().parents[1]  # a subprocess imports the same copy
 
 # golden file name -> (argv, exit code)
 CASES = {

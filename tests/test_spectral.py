@@ -57,6 +57,7 @@ from ptdirac.spectral import (
 )
 
 from edge_points import (
+    GRID_OVERFLOW,
     HUGE_ENVELOPE,
     K_UNDERFLOW,
     LARGE,
@@ -166,25 +167,28 @@ def test_truncated_rejects_bad_input():
 @pytest.mark.parametrize("branch", [Branch.I, Branch.II])
 @pytest.mark.parametrize("valley", [Valley.PRIMARY, Valley.TIME_REVERSED])
 @pytest.mark.parametrize(
-    "tamper, message",
+    "tamper, p, n_tr, message",
     [
-        (lambda h: h.scaled(1 + 1e-9), "disagrees with closed-form entries"),
+        (lambda h: h.scaled(1 + 1e-9), BASE, 6, "disagrees with closed-form entries"),
         (
             lambda h: h + (OperatorExpr.mul_z() + OperatorExpr.mul_zbar()).scaled(1e-3),
-            "image left the tower pattern",
+            BASE, 6, "image left the tower pattern",
         ),
+        # a grid formed from |a hbar| + |b hbar| was inf here, and so was
+        # every tolerance of both checks
+        (lambda h: h.scaled(1 + 1e-9), GRID_OVERFLOW, 2, "disagrees with closed-form entries"),
     ],
-    ids=["scaled", "off-pattern"],
+    ids=["scaled", "off-pattern", "scaled-grid-overflow"],
 )
 def test_truncated_rejects_a_tampered_hamiltonian(
-    monkeypatch, branch, valley, tamper, message
+    monkeypatch, branch, valley, tamper, p, n_tr, message
 ):
     original = spectral.build_hamiltonian
     monkeypatch.setattr(
         spectral, "build_hamiltonian", lambda co, v: tamper(original(co, v))
     )
     with pytest.raises(RuntimeError, match=message):
-        build_truncated(CO, 6, branch, valley)
+        build_truncated(derive_coeffs(p), n_tr, branch, valley)
 
 
 def level_images(co, n_tr, branch, valley):
