@@ -1128,7 +1128,10 @@ def _lay_out(lo, hi, parts, reach: int, d: float) -> Tuple[List, List[int]]:
 
     A batch's windows are as wide as its widest support plus ``reach`` on
     each side.  Probes too many for one batch are split by window shape,
-    as many of one shape to a batch as fit.
+    as many of one shape to a batch as fit.  The kernel only reads a
+    layout and its images, so a batch may be kept and run again, at another
+    ``d`` through ``_Layout._replace`` (``spectral._tower`` keeps the
+    tower's batches so).
     """
     import numpy as np
 
@@ -1336,34 +1339,52 @@ def _batch_defect(x, y) -> float:
     return float(np.max(worst / np.where(scale == 0.0, 1.0, scale)))
 
 
-def _monomial_runs(op: OperatorExpr, probes: Sequence[Monomial], d: float, spinor: bool):
-    """``op`` on the monomial probes of coefficient 1.0 and envelope exponent
-    ``d`` in the batch kernel, batch by batch (``_lay_out``): (layout, the
-    index of the monomial at each place of the probe axis, runs).
+def _monomial_batches(probes: Sequence[Monomial], reach: int):
+    """The monomial probes of coefficient 1.0 laid out (``_lay_out``) for a
+    plan of reach ``reach``, batch by batch: (layout, the probes' image, the
+    index of the monomial at each place of the probe axis).
 
-    A run is the (upper, lower) images of ``_batch_run`` with the probes in
-    one spin component: the upper, and then the lower when ``spinor``; as in
-    ``apply_poly``, a run reads the upper image alone when not ``spinor``.  A
-    probe's window, 2 reach + 1 elements square, must fit a batch.  The
-    probes are laid out ``_BATCH_CELLS`` at a time, so that the layout's
-    arrays over them stay bounded too.
+    The layout's ``d`` is 0.0, for ``_monomial_runs`` sets the envelope
+    exponent, so a layout serves every d.  A probe's window, 2 reach + 1
+    elements square, must fit a batch.  The probes are laid out
+    ``_BATCH_CELLS`` at a time, so that the layout's arrays over them stay
+    bounded too, and each batch is made as it is read.
     """
     import numpy as np
 
-    plan = op._compiled()
     empty = (np.zeros((0, 2), dtype=int), np.zeros(0, dtype=int), np.zeros(0))
     for start in range(0, len(probes), _BATCH_CELLS):
         piece = probes[start : start + _BATCH_CELLS]
         keys = np.fromiter(chain.from_iterable(piece), int, 2 * len(piece)).reshape(-1, 2)
         ones = (keys, np.arange(len(piece)), np.ones(len(piece)))
-        batches, rest = _lay_out(keys, keys, [ones, empty], plan.reach, d)
+        batches, rest = _lay_out(keys, keys, [ones, empty], reach, 0.0)
         if rest:
-            raise ValueError(f"a window of reach {plan.reach} exceeds the batch budget")
+            raise ValueError(f"a window of reach {reach} exceeds the batch budget")
         for layout, (probe, _), index in batches:
-            comps = ((probe, None), (None, probe))[: 1 + spinor]
-            with np.errstate(all="ignore"):  # an overflow shows in the images
-                runs = [_batch_run(plan, c, layout)[: 1 + spinor] for c in comps]
-            yield layout, start + index, runs
+            yield layout, probe, start + index
+
+
+def _monomial_runs(op: OperatorExpr, batches, d: float, spinor: bool):
+    """``op`` on the laid-out monomial probes ``batches`` (``_monomial_batches``
+    at ``op``'s reach) with envelope exponent ``d`` in the batch kernel, batch
+    by batch: (layout, the index of the monomial at each place of the probe
+    axis, runs).
+
+    A run is the (upper, lower) images of ``_batch_run`` with the probes in
+    one spin component: the upper, and then the lower when ``spinor``; as in
+    ``apply_poly``, a run reads the upper image alone when not ``spinor``.
+    The kernel only reads a batch's arrays, so one laid-out batch serves
+    any number of runs.
+    """
+    import numpy as np
+
+    plan = op._compiled()
+    for layout, probe, index in batches:
+        layout = layout._replace(d=d)
+        comps = ((probe, None), (None, probe))[: 1 + spinor]
+        with np.errstate(all="ignore"):  # an overflow shows in the images
+            runs = [_batch_run(plan, c, layout)[: 1 + spinor] for c in comps]
+        yield layout, index, runs
 
 
 # ---------------------------------------------------------------------------
@@ -1598,7 +1619,8 @@ def _residual(op: OperatorExpr, d_env, probes, spinor: bool) -> float:
     probes give.
     """
     if not isinstance(d_env, Fraction):
-        batches = _monomial_runs(op, probes, d_env, spinor)
+        laid = _monomial_batches(probes, op._compiled().reach)
+        batches = _monomial_runs(op, laid, d_env, spinor)
         images = (x for *_, runs in batches for run in runs for x in run if x)
         worst = _nan_max([float(_sizes(x).max()) for x in images])
         if math.isfinite(worst) or not all(

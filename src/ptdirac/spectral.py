@@ -44,7 +44,11 @@ level 0's sign is resolved.
 S enters the oracle one way: as a Similarity from draw_similarity, which
 also carries cond(S), known from the construction.  S depends only on
 (n_tr, seed); every command draws it once, passes it to each verdict and
-drops it when it returns, and nothing is cached across commands.
+drops it when it returns.  The one thing kept across builds is the
+tower's layout (_tower): the windows, unit probes and index arrays that
+depend only on the truncation's shape, made once per shape, read-only,
+and read by every later build of that shape.  No S, factor or verdict is
+cached, and H's images, the checks and the refusals run on every build.
 
 The EP is found from the oracle's own numbers, not from the closed form.
 Each report carries level 0's E^2, +-k, and whether it clears the floor.
@@ -58,9 +62,10 @@ step lands on the root up to roundoff.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +85,7 @@ from .params import (
     derive_coeffs,
     with_varied,
 )
+from . import opalg
 from .opalg import _monomial_runs, _sizes, build_hamiltonian
 
 _CERT_TOL = 1e-9
@@ -156,6 +162,56 @@ def _check_n_tr(n_tr: int) -> None:
         raise ValueError("n_tr must be an integer >= 2")
 
 
+class _TowerBatch(NamedTuple):
+    """One batch of the tower's levels, as _tower lays it out.
+
+    ``laid`` is the batch as opalg._monomial_runs reads it: (layout, the
+    unit probe image, the level at each place of the probe axis).  The
+    rest holds one entry per window element: ``keys`` its (m, n), ``exp``
+    its tower exponent, ``on_tower`` whether its off-tower exponent is 0,
+    ``inside`` whether exp < n_tr and ``level`` the level whose window it
+    is in.
+    """
+
+    laid: tuple
+    keys: np.ndarray
+    exp: np.ndarray
+    on_tower: np.ndarray
+    inside: np.ndarray
+    level: np.ndarray
+
+
+# The truncation shapes whose tower is kept.  A command builds at one n_tr,
+# and the branch as the relabeled valley reads it takes two values.  A kept
+# tower holds about 290 bytes a level (3 x 3 windows), 58 KB at n_tr 200.
+_TOWERS_KEPT = 8
+
+
+@functools.lru_cache(maxsize=_TOWERS_KEPT)
+def _tower(n_tr: int, holo: bool, reach: int, cells: int) -> Tuple[_TowerBatch, ...]:
+    """The n_tr tower levels, z^l if ``holo`` else zbar^l, laid out for an H
+    of reach ``reach``, every array read-only.
+
+    Nothing here depends on the parameters, so each truncation shape is
+    laid out once and read by every later build; the layout's d is set per
+    run.  ``cells`` is opalg._BATCH_CELLS, which opalg._lay_out reads: it is
+    an argument only so that a build under another budget is laid out anew.
+    """
+    monomials = [(l, 0) if holo else (0, l) for l in range(n_tr)]  # level l's
+    tower = []
+    for layout, probe, index in opalg._monomial_batches(monomials, reach):
+        origin = np.stack((layout.om, layout.on))[:, None, None]
+        keys = np.indices(layout.shape[:2])[..., None] + origin  # (m, n) of each element
+        exp, off = keys if holo else keys[::-1]
+        on_tower, inside = off == 0, exp < n_tr
+        frozen = (layout.om, layout.on, layout.m_exp, layout.n_exp, probe[0], index)
+        for x in (*frozen, keys, exp, on_tower, inside):
+            x.flags.writeable = False
+        tower.append(_TowerBatch((layout, probe, index), keys, exp, on_tower, inside,
+                                 np.broadcast_to(index, layout.shape)))
+    return tuple(tower)
+
+
 def build_truncated(
     coeffs: DerivedCoeffs,
     n_tr: int,
@@ -169,13 +225,16 @@ def build_truncated(
     H runs on every level at once in opalg's batch kernel
     (_monomial_runs), one run per spin component with each level in its
     own window, so each element of an image is its level's, bit for bit
-    as in an application to that level alone.  The images are read as
-    arrays: the tower is the window elements whose off-tower exponent is
-    0.  Every coefficient must land back on the tower pattern, within 8
-    roundings of its level's scale: the largest of the terms that cancel
-    at the off-pattern keys (|c1|, |c2|, |a hbar d|, |b hbar d|) and every
-    |c| over the level's keys in that image, a nan |c| left out; the
-    first offender in (component, out component, level, m, n) order is
+    as in an application to that level alone.  The windows and the arrays
+    that read them depend only on (n_tr, branch, H's reach, the batch
+    budget), so they are laid out once per such shape (_tower) and only
+    d is set per build; H, its images and every check below run anew.
+    The images are read as arrays: the tower is the window elements whose
+    off-tower exponent is 0.  Every coefficient must land back on the tower
+    pattern, within 8 roundings of its level's scale: the largest of the
+    terms that cancel at the off-pattern keys (|c1|, |c2|, |a hbar d|,
+    |b hbar d|) and every |c| over the level's keys in that image, a nan
+    |c| left out; the first offender in (component, out component, level, m, n) order is
     reported.  The one raising amplitude out of level n_tr - 1 is
     discarded and counted.  Once all images passed that check, each
     image's tower is written into a or b at once; one with a coefficient
@@ -223,15 +282,10 @@ def build_truncated(
     )
     # d's subnormal rounding, times a or b hbar; tiny first, so no sum overflows
     grid = _TINY + _TINY * a_h + _TINY * b_h
-    monomials = [(l, 0) if holo else (0, l) for l in range(n_tr)]  # level l's
+    tower = _tower(n_tr, holo, h._compiled().reach, opalg._BATCH_CELLS)
     dropped, kept = 0, []  # per image: (out component, component, rows, cols, re, im)
-    for layout, index, runs in _monomial_runs(h, monomials, d, True):
-        origin = np.stack((layout.om, layout.on))[:, None, None]
-        keys = np.indices(layout.shape[:2])[..., None] + origin  # (m, n) of each element
-        exp, off = keys if holo else keys[::-1]
-        on_tower = off == 0
-        inside = exp < n_tr
-        level = np.broadcast_to(index, layout.shape)
+    images = _monomial_runs(h, [batch.laid for batch in tower], d, True)
+    for (layout, _, runs), (_, keys, exp, on_tower, inside, level) in zip(images, tower):
         for component, outs in enumerate(runs):
             # an output that H leaves empty reads as zeros
             outs = [(np.zeros(layout.shape), None) if x is None else x for x in outs]
@@ -249,12 +303,12 @@ def build_truncated(
                     f"z^{keys[0, i, j, p]} zbar^{keys[1, i, j, p]}, tolerance {tol[p]:.3e}"
                 )
             for o, ((re, im), size) in enumerate(zip(outs, sizes)):
-                tower = on_tower & (size != 0)  # images hold no exact zeros
-                dropped += int(np.count_nonzero(tower & ~inside))
-                tower &= inside
-                if tower.any():
-                    kept.append((o, component, exp[tower], level[tower], re[tower],
-                                 im if im is None else im[tower]))
+                on = on_tower & (size != 0)  # images hold no exact zeros
+                dropped += int(np.count_nonzero(on & ~inside))
+                on &= inside
+                if on.any():
+                    kept.append((o, component, exp[on], level[on], re[on],
+                                 im if im is None else im[on]))
     a, b = np.zeros((n_tr, n_tr)), np.zeros((n_tr, n_tr))
     for out_component, component, rows, cols, re, im in kept:
         if out_component == component:
@@ -418,8 +472,8 @@ def classify_spectrum(
     else:
         verdict = PhaseVerdict.UNBROKEN if positive[0] else PhaseVerdict.BROKEN
     return SpectrumReport(
-        squares=tuple(complex(e) for e in values),
-        plus_roots=tuple(_plus_root(complex(e)) for e in levels),
+        squares=tuple(values.tolist()),
+        plus_roots=tuple(map(_plus_root, levels.tolist())),
         verdict=verdict,
         max_residual=max(res),
         floor=floor,

@@ -31,9 +31,10 @@ KINDS = ("int", "bool", "Fraction", "ComplexRational")
 INEXACT = (0.5, -0.0, float("nan"), 2j, complex(3, 0))
 
 
-def load_exact():
-    """``exact.py`` as a standalone module, without importing the package."""
-    spec = importlib.util.spec_from_file_location("exact_by_path", EXACT_PY)
+def load_exact(path: Path = EXACT_PY):
+    """``exact.py`` at ``path`` (the checkout's by default) as a standalone
+    module, without importing the package."""
+    spec = importlib.util.spec_from_file_location("exact_by_path", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ptdirac.exact
 from ptdirac.exact import I, ONE, ZERO, ComplexRational, exact_sqrt
 from ptdirac.opalg import WeightedPolynomial, _ladder_defects
 from ptdirac.params import PhysParams, derive_coeffs
@@ -371,7 +372,9 @@ def test_the_reference_script_passes_on_exact_py_loaded_by_path():
     spec = importlib.util.spec_from_file_location("exact_reference", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.check(script.load_exact(), draws=200) > 4000
+    # the exact.py of the package under test, installed or in the checkout
+    exact = script.load_exact(pathlib.Path(ptdirac.exact.__file__))
+    assert script.check(exact, draws=200) > 4000
 
 
 def test_exact_sqrt_rejects_a_negative_rational():

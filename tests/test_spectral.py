@@ -164,21 +164,22 @@ def test_truncated_rejects_bad_input():
         build_truncated(derive_coeffs(dataclasses.replace(BASE, lam=1.37)), 8)
 
 
+TAMPERS = [
+    (lambda h: h.scaled(1 + 1e-9), BASE, 6, "disagrees with closed-form entries"),
+    (
+        lambda h: h + (OperatorExpr.mul_z() + OperatorExpr.mul_zbar()).scaled(1e-3),
+        BASE, 6, "image left the tower pattern",
+    ),
+    # a grid formed from |a hbar| + |b hbar| was inf here, and so was
+    # every tolerance of both checks
+    (lambda h: h.scaled(1 + 1e-9), GRID_OVERFLOW, 2, "disagrees with closed-form entries"),
+]
+
+
 @pytest.mark.parametrize("branch", [Branch.I, Branch.II])
 @pytest.mark.parametrize("valley", [Valley.PRIMARY, Valley.TIME_REVERSED])
 @pytest.mark.parametrize(
-    "tamper, p, n_tr, message",
-    [
-        (lambda h: h.scaled(1 + 1e-9), BASE, 6, "disagrees with closed-form entries"),
-        (
-            lambda h: h + (OperatorExpr.mul_z() + OperatorExpr.mul_zbar()).scaled(1e-3),
-            BASE, 6, "image left the tower pattern",
-        ),
-        # a grid formed from |a hbar| + |b hbar| was inf here, and so was
-        # every tolerance of both checks
-        (lambda h: h.scaled(1 + 1e-9), GRID_OVERFLOW, 2, "disagrees with closed-form entries"),
-    ],
-    ids=["scaled", "off-pattern", "scaled-grid-overflow"],
+    "tamper, p, n_tr, message", TAMPERS, ids=["scaled", "off-pattern", "scaled-grid-overflow"]
 )
 def test_truncated_rejects_a_tampered_hamiltonian(
     monkeypatch, branch, valley, tamper, p, n_tr, message
@@ -189,6 +190,62 @@ def test_truncated_rejects_a_tampered_hamiltonian(
     )
     with pytest.raises(RuntimeError, match=message):
         build_truncated(derive_coeffs(p), n_tr, branch, valley)
+
+
+def build_bits(co, n_tr, branch, valley):
+    """The bytes of a build's a and b, its dropped count and its floor."""
+    rep = build_truncated(co, n_tr, branch, valley)
+    return rep.a.tobytes(), rep.b.tobytes(), rep.dropped_count, rep.build_floor.hex()
+
+
+def test_a_kept_tower_changes_no_build(monkeypatch):
+    # the tower is laid out once per truncation shape: a build right after
+    # the kept layouts are dropped and the next one, which reads them, give
+    # the same bytes, and the same refusal under each tamper
+    builds = [(co, n_tr, branch, valley) for co in (CO, CO_BROKEN) for n_tr in (2, 3, 40, 200)
+              for branch in Branch for valley in Valley]
+    for case in builds:
+        spectral._tower.cache_clear()
+        cold = build_bits(*case)
+        assert build_bits(*case) == cold
+    original = spectral.build_hamiltonian
+    for tamper, p, n_tr, _ in TAMPERS:
+        monkeypatch.setattr(spectral, "build_hamiltonian", lambda co, v: tamper(original(co, v)))
+        for branch in Branch:
+            for valley in Valley:
+                messages = []
+                spectral._tower.cache_clear()
+                for _ in range(2):
+                    with pytest.raises(RuntimeError) as caught:
+                        build_truncated(derive_coeffs(p), n_tr, branch, valley)
+                    messages.append(str(caught.value))
+                assert messages[0] == messages[1]
+
+
+def test_a_kept_tower_is_read_only():
+    reach = build_hamiltonian(CO).to_complex()._compiled().reach
+    build_truncated(CO, 40)
+    for batch in spectral._tower(40, True, reach, opalg._BATCH_CELLS):
+        (layout, probe, index), *arrays = batch
+        for x in (layout.om, layout.on, layout.m_exp, layout.n_exp, probe[0], index, *arrays):
+            with pytest.raises(ValueError, match="read-only"):
+                x[(0,) * x.ndim] = 1
+
+
+def test_cli_transcript_is_the_same_cold_and_warm():
+    # every command of a few transcript points, first with no tower kept and
+    # then again in the same process, reading the towers the first pass kept
+    import cli_transcript
+
+    def transcript():
+        rng = random.Random(28)
+        points = [cli_transcript.commands(rng) for _ in range(3)]
+        return "".join(cli_transcript.run(command) for point in points for command in point)
+
+    spectral._tower.cache_clear()
+    cold = transcript()
+    assert spectral._tower.cache_info().currsize > 0
+    assert transcript() == cold
 
 
 def level_images(co, n_tr, branch, valley):
