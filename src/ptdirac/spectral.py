@@ -29,10 +29,13 @@ scramble forms X = S^-1 a b S with one random real similarity S, which
 keeps the spectrum and destroys every pattern of ab.  (A spin-graded
 diag(S1, S2) on M would give the same X, S1^-1 A S2 S2^-1 B S1, because S2
 cancels; one S suffices.)
-scrambled_eigensolve runs the certified eigensolve of X, checks its
-eigenvalues against the diagonal of ab, sets one roundoff floor and returns
-classify_spectrum's report on them.  One verdict makes one real n_tr x n_tr
-solve and one real n_tr x n_tr eig.  A real eig still returns complex
+scrambled_eigensolve runs the certified eigensolve of X, which checks its
+eigenvalues against the diagonal of ab and certifies each, sets one roundoff
+floor and returns classify_spectrum's report on them.  S X = ab S with ab
+diagonal, so the rows of S are X's left eigenvectors: each eigenvalue is
+certified by the row of S whose diagonal entry of ab it reproduces, and no
+eigenvector is computed.  One verdict makes one real n_tr x n_tr solve and
+one real n_tr x n_tr eigvals.  A real eigvals still returns complex
 eigenvalues, as conjugate pairs, so an E^2 off the real axis still shows
 and reads as critical: the real arithmetic assumes nothing about the
 verdict.  Near the exceptional point (EP) the pair +-E splits like
@@ -359,18 +362,25 @@ class EigenResult:
     residuals: np.ndarray
 
 
-def eigensolve(m: np.ndarray) -> EigenResult:
-    """Dense nonsymmetric eigenvalues with per-eigenpair residual bounds.
+def eigensolve(
+    m: np.ndarray, left: np.ndarray, reference: Sequence[complex], budget: float
+) -> EigenResult:
+    """Eigenvalues of an M known to be diag(reference) in the basis ``left``.
 
-    Each certificate is ||M v - w v||_2 / ||M||_F for the unit eigenvector
-    v returned by the backend.  The solve works in m's own arithmetic: a
-    real m goes through real LAPACK, which still returns any complex
-    eigenvalues as conjugate pairs (values and vectors are then complex),
-    and a complex m through complex LAPACK.  Values are sorted by (real,
-    imag).  Unless every certificate is at most 1e-9 (a nan one, from an
-    overflow in the backend or in M v, is not), EigensolveError is raised
-    with the partial results attached; such an overflow raises no numpy
-    warning, so the error is the one report of it.
+    ``left`` M = diag(reference) ``left`` up to roundoff, so each row of
+    ``left`` is a left eigenvector of M.  One eigvals of M gives the values,
+    sorted by (real, imag); no eigenvector is computed.  The solve works in
+    m's own arithmetic: a real m goes through real LAPACK, which still
+    returns any complex eigenvalues as conjugate pairs, and a complex m
+    through complex LAPACK.  The values must first reproduce ``reference``
+    within ``budget`` (check_spectrum_invariance, RuntimeError).  Each is
+    then certified by the row s of ``left`` that the check pairs it with,
+    the row of the same rank in reference's (real, imag) order:
+    ||s M - w s||_2 / (||s||_2 ||M||_F), the backward error of the left
+    eigenpair (w, s).  Unless every certificate is at most 1e-9 (a nan one,
+    from an overflow in the backend or in s M, is not), EigensolveError is
+    raised with the partial results attached; such an overflow raises no
+    numpy warning, so the error is the one report of it.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -379,14 +389,16 @@ def eigensolve(m: np.ndarray) -> EigenResult:
         raise ValueError("matrix must be nonempty")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    values, vectors = np.linalg.eig(m)
+    if np.shape(left) != m.shape:
+        raise ValueError("left eigenvectors do not match the matrix")
+    values = np.linalg.eigvals(m)
+    values = values[np.lexsort((values.imag, values.real))]
+    check_spectrum_invariance(reference, values, budget)
+    rows = np.asarray(left)[np.argsort(reference, kind="stable")]
     with np.errstate(over="ignore", invalid="ignore"):
         norm = max(float(np.linalg.norm(m, "fro")), _TINY)
-        defects = m @ vectors - vectors * values[np.newaxis, :]
-        residuals = np.linalg.norm(defects, axis=0) / norm
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    residuals = residuals[order]
+        defects = rows @ m - values[:, np.newaxis] * rows
+        residuals = np.linalg.norm(defects, axis=1) / (np.linalg.norm(rows, axis=1) * norm)
     worst = float(residuals.max())
     if not worst <= _CERT_TOL:
         raise EigensolveError(
@@ -408,7 +420,9 @@ class SpectrumReport:
 
     ``squares`` are the E^2 as given.  ``plus_roots`` holds E+ of every
     level but the structural zero, smallest |E^2| first; -E+ is the other
-    root.  ``max_residual`` is the worst eigenpair certificate.
+    root.  ``max_residual`` is the worst eigenpair certificate: from
+    scrambled_eigensolve, the worst left-eigenpair backward error of an
+    E^2 with its row of S.
     ``level`` is Re E^2 of level 0, the first retained one: k_coef on
     branch I and -k_coef on branch II, so positive exactly where the
     spectrum is unbroken, on every branch and valley.  ``resolved`` says
@@ -535,8 +549,8 @@ def scramble(rep: TruncatedRep, similarity: Similarity) -> np.ndarray:
     the imaginary axis were checked exactly where the factors were built
     (build_truncated); this checks that X is dense.  An X that is exactly
     zero (b at k = 0 exactly) has no pattern to hide and is exempt.
-    Spectrum invariance is checked after the eigensolve, by
-    scrambled_eigensolve.
+    Spectrum invariance is checked by the eigensolve that
+    scrambled_eigensolve runs on X.
     """
     s = similarity.matrix
     if s.shape != (rep.n_tr, rep.n_tr):
@@ -574,22 +588,25 @@ def check_spectrum_invariance(
 def scrambled_eigensolve(rep: TruncatedRep, similarity: Similarity) -> SpectrumReport:
     """Scramble ``rep``, eigensolve X = S^-1 AB S, check invariance, classify.
 
-    Eigenpair certificates must stay within eigensolve's 1e-9.  This is
-    the one route from a truncation to a report: phase_verdict_numeric
-    (and through it find_exceptional_point) and the ``spectrum`` command
-    all take it, so no caller can skip the check.
+    Each E^2 is one eigenvalue of one eigvals of X, certified by its row
+    of S, a left eigenvector of X since S X = ab S; the certificates must
+    stay within eigensolve's 1e-9.  This is the one route from a
+    truncation to a report: phase_verdict_numeric (and through it
+    find_exceptional_point) and the ``spectrum`` command all take it, so
+    no caller can skip the check.
 
     The floor bounds the roundoff in each returned E^2.  It has two parts.
 
     - Building the truncation: rep.build_floor, which build_truncated
       sizes from the terms that cancel in k.
-    - The similarity.  AB is diagonal, so the eigenvectors of X are the
-      columns of S^-1 and Bauer-Fike bounds each eigenvalue's move by
-      cond(S) times the perturbation of X.  A and B hold at most one
-      entry per row, so A (B S) is exact to a few eps per entry; carried
-      through S^-1 that perturbs X by a few eps cond(S) ||AB||, and
+    - The similarity.  AB is diagonal, so the right eigenvectors of X are
+      the columns of S^-1, its left ones the rows of S, and Bauer-Fike
+      bounds each eigenvalue's move by cond(S) times the perturbation of
+      X.  A and B hold at most one entry per row, so A (B S) is exact to
+      a few eps per entry; carried through S^-1 that perturbs X by a few
+      eps cond(S) ||AB||, and
       ||AB||_2 = max |E^2| <= ||X||_2.  The solve's backward error adds
-      eps cond(S) ||X|| and the eig eps ||X||.  With cond(S) at most
+      eps cond(S) ||X|| and the eigvals eps ||X||.  With cond(S) at most
       10**0.5, each E^2 moves by a small multiple of the unit
       eps cond(S)**2 ||X||_F.  The largest move measured was 5.5 units;
       the floor takes 16.  X holds the couplings, so this term scales
@@ -600,7 +617,11 @@ def scrambled_eigensolve(rep: TruncatedRep, similarity: Similarity) -> SpectrumR
     The invariance check holds the eigenvalues to the similarity part of
     the floor, 16 units: the reference, the diagonal of AB, is formed from
     the same entries, so only the scramble separates the two, and every
-    run checks the term that the floor assumes.
+    run checks the term that the floor assumes.  It runs before the
+    certificates, so a spectrum that moved reads as drift.  The
+    certificates then see what leaves the eigenvalues in place, such as
+    an entry of AB above its diagonal: its row of S is no longer a left
+    eigenvector of X.
     """
     # a factor below 2**-240 is scaled up by a power of two, exactly, so no
     # product leaves the normal floats; eigenvalues and radius scale back
@@ -608,7 +629,6 @@ def scrambled_eigensolve(rep: TruncatedRep, similarity: Similarity) -> SpectrumR
     a, b = (np.ldexp(f, -e) if e < -240 else f for f, e in zip((rep.a, rep.b), exps))
     back = math.prod(2.0**e for e in exps if e < -240)
     x = scramble(replace(rep, a=a, b=b), similarity)
-    result = eigensolve(x)
     unit = _EPS * similarity.cond**2
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(x))
@@ -618,7 +638,7 @@ def scrambled_eigensolve(rep: TruncatedRep, similarity: Similarity) -> SpectrumR
         else:
             scramble_unit = unit * norm
     radius = _SCRAMBLE_FLOOR_UNITS * scramble_unit
-    check_spectrum_invariance(np.einsum("ij,ji->i", a, b), result.values, radius)
+    result = eigensolve(x, similarity.matrix, np.einsum("ij,ji->i", a, b), radius)
     floor = rep.build_floor + radius * back
     return classify_spectrum(result.values * back, floor, result.residuals)
 

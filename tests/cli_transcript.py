@@ -4,8 +4,11 @@
 
 Run it in two checkouts and diff the files.  Each point draws v_f, lambda
 and hbar log-uniformly in 1e-3...1e3 and k1, b0 in 1e-6...1e6, lambda and k1
-with a random sign, plus a branch, a valley, an oracle seed and n_tr, and
-runs verify, jc, lll, spectrum and critical (varying lambda or b0) there.
+with a random sign, plus a branch, a valley, an oracle seed and n_tr (2, 4,
+12, 40 or 200; 200 reaches the sizes where numpy's eigvals and eig round
+differently), and runs verify, jc, lll, spectrum and critical (varying
+lambda or b0) there.  The draws depend on that list of n_tr, so
+compare only transcripts made by the same version of this file.
 Each run prints its command line, exit code, standard output and standard
 error.  It is a tool, not a test: pytest does not collect it.
 """
@@ -37,7 +40,7 @@ def point_flags(rng: random.Random) -> list:
     flags += ["--branch", rng.choice(("I", "II")),
               "--valley", rng.choice(("primary", "time_reversed")),
               "--seed", str(rng.randrange(5)),
-              "--n_tr", str(rng.choice((2, 4, 12, 40)))]
+              "--n_tr", str(rng.choice((2, 4, 12, 40, 200)))]
     return flags
 
 

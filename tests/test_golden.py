@@ -23,6 +23,12 @@ real or the imaginary axis, and no verdict or exit code changed.
 The ``spectrum`` file was re-recorded when its record gained the ``seed``
 of the similarity, so the JSON alone says which S produced its levels; it
 gained exactly that key and no other byte moved.
+The ``spectrum`` file was re-recorded when the oracle took its eigenvalues
+from one ``eigvals`` of X in place of ``eig`` and certified each with its
+row of S, a left eigenvector of X: at n_tr 200 LAPACK's eigenvalue-only
+path rounds differently, so the levels E+ moved by at most 3.8e-14
+relative, the verdict stayed unbroken and ``max_residual`` went from
+8.86e-16 to 1.03e-15.  Every other file kept its bytes.
 A rework that is not meant to change an output must not move a byte.
 
 The ``spectrum --dump_matrix`` files in ``DUMPS`` hold the truncation itself,

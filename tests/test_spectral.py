@@ -62,6 +62,7 @@ from edge_points import (
     K_UNDERFLOW,
     LARGE,
     LARGE_FLAGS,
+    LOWERING_OVERFLOW,
     NEAR_EP as EDGE_NEAR_EP,
     PRODUCT_UNDERFLOW,
     SMALL,
@@ -432,46 +433,70 @@ def test_retained_levels_are_exact_for_every_size():
 
 
 def test_eigensolve_sorting_and_certificates():
-    result = eigensolve(np.diag([1.0, 2.0j, -3.0]))
+    result = eigensolve(np.diag([1.0, 2.0j, -3.0]), np.eye(3), [1.0, 2.0j, -3.0], 1e-12)
     assert np.allclose(result.values, [-3.0, 2.0j, 1.0], atol=1e-12)
     assert result.residuals.max() <= 1e-12
-    flip = eigensolve(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(flip.values, [-1.0, 1.0], atol=1e-12)
+    # each value is certified by the row that reference's order pairs it with
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    left = np.array([[1.0, 1.0], [1.0, -1.0]])  # left eigenvectors of 1 and -1
+    result = eigensolve(flip, left, [1.0, -1.0], 1e-12)
+    assert np.allclose(result.values, [-1.0, 1.0], atol=1e-12)
+    assert result.residuals.max() <= 1e-15
+    with pytest.raises(EigensolveError, match="eigenpair residual"):
+        eigensolve(flip, left, [-1.0, 1.0], 1e-12)  # rows swapped
+    with pytest.raises(EigensolveError, match="eigenpair residual"):
+        eigensolve(flip, np.eye(2), [1.0, -1.0], 1e-12)
+
+
+def test_eigensolve_checks_invariance_before_the_certificates():
+    # a value off its reference reads as drift even where no row of left
+    # is a left eigenvector at all
+    with pytest.raises(RuntimeError, match="drifted the spectrum"):
+        eigensolve(np.diag([1.0, 2.0]), np.ones((2, 2)), [1.0, 2.5], 1e-12)
 
 
 def test_eigensolve_rejects_bad_matrices():
     with pytest.raises(ValueError):
-        eigensolve(np.zeros((2, 3)))
+        eigensolve(np.zeros((2, 3)), np.zeros((2, 3)), [0.0, 0.0], 1.0)
     with pytest.raises(ValueError):
-        eigensolve(np.zeros((0, 0)))
+        eigensolve(np.zeros((0, 0)), np.zeros((0, 0)), [], 1.0)
     with pytest.raises(ValueError):
-        eigensolve(np.array([[np.nan]]))
+        eigensolve(np.array([[np.nan]]), np.eye(1), [0.0], 1.0)
+    with pytest.raises(ValueError, match="left eigenvectors"):
+        eigensolve(np.eye(2), np.eye(3), [1.0, 1.0], 1.0)
 
 
 def test_eigensolve_rejects_a_nan_certificate():
-    # finite entries whose eigenvector defects overflow: complex LAPACK
-    # leaves every certificate nan, real LAPACK one of the two, and either
-    # must fail like one above tol; the error carries the partial results
+    # finite entries whose left-eigenpair defects overflow: in real and in
+    # complex LAPACK every certificate is nan, and it must fail like one
+    # above tol; the error carries the partial results
     m = np.array([[1e200, 3e200], [2e200, 1e200]])
-    with np.errstate(over="ignore", invalid="ignore"):
+    left = np.array([[1.0, 0.5 * math.sqrt(6.0)], [1.0, -0.5 * math.sqrt(6.0)]])
+    reference = [1e200 * (1.0 + math.sqrt(6.0)), 1e200 * (1.0 - math.sqrt(6.0))]
+    with np.errstate(over="raise", invalid="raise"):  # and no numpy warning
         with pytest.raises(EigensolveError, match="nan") as info:
-            eigensolve(m.astype(complex))
+            eigensolve(m.astype(complex), left.astype(complex), reference, math.inf)
         assert np.isnan(info.value.residuals).all()
         with pytest.raises(EigensolveError, match="nan") as info:
-            eigensolve(m)
-        assert np.isnan(info.value.residuals).any()
+            eigensolve(m, left, reference, math.inf)
+        assert np.isnan(info.value.residuals).all()
     assert info.value.values.shape == (2,)
     assert info.value.residuals.shape == (2,)
 
 
 def test_eigensolve_certifies_a_conjugate_pair_of_a_real_matrix():
     # real LAPACK still returns complex eigenvalues, so a real X cannot hide
-    # an E^2 off the real axis: here the structural zero and E^2 = +-i
-    result = eigensolve(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]))
+    # an E^2 off the real axis: here the structural zero and E^2 = +-i, each
+    # certified by its complex left eigenvector
+    m = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    left = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1j], [0.0, 1.0, -1j]])
+    result = eigensolve(m, left, [0.0, 1j, -1j], 1e-15)
     assert np.array_equal(result.values, [-1j, 0.0, 1j])
     assert result.residuals.max() <= 1e-15
-    pair = eigensolve(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    pair = eigensolve(np.array([[0.0, -1.0], [1.0, 0.0]]),
+                      np.array([[1.0, 1j], [1.0, -1j]]), [1j, -1j], 1e-15)
     assert np.array_equal(pair.values, [-1j, 1j])
+    assert pair.residuals.max() <= 1e-15
     report = classify_spectrum(result.values, 1e-12, result.residuals)
     assert report.verdict is PhaseVerdict.CRITICAL
     assert not report.resolved
@@ -765,7 +790,9 @@ def test_shared_similarity_gives_bit_equal_eigenvalues(p):
     seed = 7
     shared = draw_similarity(20, seed)
     rep = build_truncated(derive_coeffs(p), 20)
-    fresh = eigensolve(scramble(rep, draw_similarity(20, seed))).values
+    fresh_s = draw_similarity(20, seed)
+    reference = np.einsum("ij,ji->i", rep.a, rep.b)
+    fresh = eigensolve(scramble(rep, fresh_s), fresh_s.matrix, reference, math.inf).values
     reused = scrambled_eigensolve(rep, shared).squares
     assert np.array_equal(fresh, np.array(reused))
     assert draw_similarity(20, seed).cond == shared.cond
@@ -829,7 +856,7 @@ def test_draw_similarity_rejects_a_bad_dimension(n_tr):
 
 
 def test_spectrum_command_takes_no_svd_of_a_full_matrix(monkeypatch, tmp_path):
-    calls = {"cond": [], "svd": [], "qr": [], "solve": [], "eig": []}
+    calls = {"cond": [], "svd": [], "qr": [], "solve": [], "eig": [], "eigvals": []}
     for name in calls:
         original = getattr(np.linalg, name)
 
@@ -844,7 +871,8 @@ def test_spectrum_command_takes_no_svd_of_a_full_matrix(monkeypatch, tmp_path):
     assert calls["svd"] == []
     assert calls["qr"] == [(12, 12)] * 2
     assert calls["solve"] == [(12, 12)]
-    assert calls["eig"] == [(12, 12)]
+    assert calls["eig"] == []
+    assert calls["eigvals"] == [(12, 12)]
 
 
 @pytest.mark.parametrize(
@@ -1690,18 +1718,110 @@ def test_invariance_budget_is_the_scramble_term_of_the_floor(
         spectral._EPS * similarity.cond**2
         * float(np.linalg.norm(scramble(rep, similarity)))
     )
-    original = spectral.eigensolve
+    original = np.linalg.eigvals
 
     def bumped(m):
-        result = original(m)
-        return spectral.EigenResult(result.values + factor * radius, result.residuals)
+        return original(m) + factor * radius
 
-    monkeypatch.setattr(spectral, "eigensolve", bumped)
+    monkeypatch.setattr(np.linalg, "eigvals", bumped)
     if raises:
         with pytest.raises(RuntimeError, match="drifted the spectrum.*, tolerance "):
             scrambled_eigensolve(rep, similarity)
     else:
         scrambled_eigensolve(rep, similarity)
+
+
+# ---------------------------------------------------------------------------
+# the certificates: each E^2 against its row of S
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_tr", [10, 40, 200])
+@pytest.mark.parametrize("branch", list(Branch))
+def test_certificate_catches_an_entry_above_the_diagonal_of_ab(n_tr, branch):
+    # a[0, 3] off the tower pattern gives ab one entry above its diagonal and
+    # none below, so its eigenvalues stay the diagonal's and the invariance
+    # check passes.  X's own eigenpairs are still exact, so certificates
+    # from its computed eigenvectors read roundoff; only the rows of S, no
+    # longer left eigenvectors of X, see the fault.
+    rep = build_truncated(CO, n_tr, branch)
+    tampered = rep.a.copy()
+    tampered[0, 3] = 0.5 * float(np.max(np.abs(rep.a)))
+    ab = tampered @ rep.b
+    assert np.count_nonzero(np.tril(ab, -1)) == 0
+    assert np.count_nonzero(np.triu(ab, 1)) == 1
+    with pytest.raises(EigensolveError, match="eigenpair residual") as info:
+        scrambled_eigensolve(dataclasses.replace(rep, a=tampered), draw_similarity(n_tr, 0))
+    reference = np.diag(ab)
+    check_spectrum_invariance(reference, info.value.values, 1e-12 * np.max(np.abs(reference)))
+    assert info.value.residuals.max() > 1e-4
+
+
+_N_TRS = (2, 40, 200)
+_UB, _BU, _CC = ("unbroken", "broken"), ("broken", "unbroken"), ("critical", "critical")
+_LAM_C = critical_point(BASE, Vary.LAMBDA)
+_NEAR_EP_LAM_C = critical_point(EDGE_NEAR_EP, Vary.LAMBDA)
+
+
+def _lowering_refused(a, b, hbar, n_tr):
+    """build_truncated's refusal of an overflowing lowering entry, per branch."""
+    return tuple(
+        f"ValueError: lowering entry {x} hbar (n_tr - 1) overflows: {x} = {lead}, "
+        f"hbar = {hbar}, n_tr = {n_tr}"
+        for x, lead in (("a", a), ("b", b))
+    )
+
+
+# (point, its outcome per n_tr as (branch I, branch II), alike on both
+# valleys), recorded from the route that certified each value with eig's
+# eigenvector: a verdict or a refusal's type and message
+_EIG_ROUTE_OUTCOMES = {
+    "base_below": (dataclasses.replace(BASE, lam=_LAM_C * (1.0 - 1e-13)),
+                   {n: _UB for n in _N_TRS}),
+    "base_at": (dataclasses.replace(BASE, lam=_LAM_C), {n: _CC for n in _N_TRS}),
+    "base_above": (dataclasses.replace(BASE, lam=_LAM_C * (1.0 + 1e-13)),
+                   {n: _BU for n in _N_TRS}),
+    "near_ep_below": (dataclasses.replace(EDGE_NEAR_EP, lam=_NEAR_EP_LAM_C * (1.0 - 1e-13)),
+                      {n: _CC for n in _N_TRS}),
+    "near_ep_at": (dataclasses.replace(EDGE_NEAR_EP, lam=_NEAR_EP_LAM_C),
+                   {n: _CC for n in _N_TRS}),
+    "near_ep_above": (dataclasses.replace(EDGE_NEAR_EP, lam=_NEAR_EP_LAM_C * (1.0 + 1e-13)),
+                      {n: _CC for n in _N_TRS}),
+    "large": (LARGE, {n: _BU for n in _N_TRS}),
+    "small": (SMALL, {n: _BU for n in _N_TRS}),
+    "near_ep": (EDGE_NEAR_EP, {n: _BU for n in _N_TRS}),
+    "subnormal": (SUBNORMAL, {n: _CC for n in _N_TRS}),
+    "subnormal_k": (SUBNORMAL_K, {n: _BU for n in _N_TRS}),
+    "huge_envelope": (HUGE_ENVELOPE, {n: _BU for n in _N_TRS}),
+    "k_underflow": (K_UNDERFLOW, {n: _CC for n in _N_TRS}),
+    "product_underflow": (PRODUCT_UNDERFLOW, {n: _CC for n in _N_TRS}),
+    "lowering_overflow": (LOWERING_OVERFLOW, {
+        2: ("EigensolveError: eigenpair residual nan exceeds tol 1.000e-09",) * 2,
+        **{n: _lowering_refused("-1.5436168978548772e+161", "1.5436168978548772e+161",
+                                "4.768842784428357e+146", n) for n in (40, 200)},
+    }),
+    "grid_overflow": (GRID_OVERFLOW, {
+        2: _CC, **{n: _lowering_refused("-2e+150", "2e+150", "6e+157", n) for n in (40, 200)},
+    }),
+}
+
+
+@pytest.mark.parametrize("n_tr", _N_TRS)
+@pytest.mark.parametrize("point", list(_EIG_ROUTE_OUTCOMES))
+def test_no_false_refusal_next_to_the_ep_or_at_the_edge_points(point, n_tr):
+    # the left-row certificates refuse nothing that eig's certificates
+    # accepted, and a report's worst certificate stays at roundoff
+    p, outcomes = _EIG_ROUTE_OUTCOMES[point]
+    similarity = draw_similarity(n_tr, 0)
+    for branch, expected in zip(Branch, outcomes[n_tr]):
+        for valley in Valley:
+            try:
+                report = phase_verdict_numeric(p, similarity, branch=branch, valley=valley)
+            except (ValueError, RuntimeError) as exc:
+                assert f"{type(exc).__name__}: {exc}" == expected, (branch, valley)
+            else:
+                assert report.verdict.value == expected, (branch, valley)
+                assert report.max_residual < 1e-12, (branch, valley)
 
 
 # ---------------------------------------------------------------------------
